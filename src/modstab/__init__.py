@@ -55,6 +55,7 @@ from .fixedpoint import (
     rho_hat_distance,
 )
 from .functions import FunctionHandle, envelope_noise, monomial, parse_expression, sine
+from .iterates import IterateTable
 from .modular import (
     AxiomCheck,
     AxiomReport,
@@ -63,6 +64,7 @@ from .modular import (
     estimate_delta2,
     parse_modular,
     rho_eval,
+    rho_eval_array,
 )
 from .sampling import Grid, corner_triples, seeded_triples, standard_ladder
 from .verify import (
@@ -78,7 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # modular
-    "ModularSpec", "rho_eval", "estimate_delta2", "check_modular_axioms",
+    "ModularSpec", "rho_eval", "rho_eval_array", "estimate_delta2", "check_modular_axioms",
     "AxiomCheck", "AxiomReport", "parse_modular",
     # functions
     "FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression",
@@ -94,6 +96,8 @@ __all__ = [
     "ContractionCertificate", "FixedPointResult", "lambda_apply",
     "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",
     "fixed_point_solve",
+    # shared scaling iterates
+    "IterateTable",
     # verification
     "CheckOutcome", "verify_radical_additivity", "verify_oddness",
     "verify_stability_bound", "cross_check",

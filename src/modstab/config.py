@@ -244,7 +244,7 @@ def parse_sweep(text: str) -> SweepConfig:
             if not values:
                 raise ConfigError(f"[sweep] {axis}: empty value list")
             axes[axis] = values
-    cap = int(sweep_raw.get("cap", DEFAULT_SWEEP_CAP))
+    cap = _int({"sweep": sweep_raw}, "sweep", "cap", default=DEFAULT_SWEEP_CAP)
     total = 1
     for values in axes.values():
         total *= len(values)

@@ -20,10 +20,13 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .equation import ControlFunction, EquationParams, control_eval
 from .errors import ArgumentError, ContractViolation, RegimeError, TailUnknownError
 from .functions import FunctionHandle
-from .modular import ModularSpec, rho_eval
+from .iterates import IterateTable
+from .modular import ModularSpec, rho_eval_array
 from .sampling import Grid
 
 __all__ = [
@@ -118,6 +121,7 @@ def construct_limit(
     grid: Grid,
     tol: float = 1e-9,
     n_max: int = 60,
+    table: IterateTable | None = None,
 ) -> LimitResult:
     """Iterate the scaling approximants to their modular limit on a grid.
 
@@ -126,6 +130,12 @@ def construct_limit(
     steps (a single sub-tolerance step can be coincidence), or at ``n_max``.
     A non-finite approximant freezes that point at its last finite value and
     marks the result saturated instead of aborting the sweep.
+
+    The approximants are read off the grid columns of an ``IterateTable``
+    (expand rows for ``t2``, contract rows for ``t1``), with ``q*phi(0)``
+    taken once; pass the table the other routes of a run use so that no
+    ``phi`` value is computed twice.  Each step is one array operation over
+    the grid and gives the same bits as the scalar ``approximant_*``.
     """
     if tol <= 0:
         raise ArgumentError(f"tol must be positive, got {tol}")
@@ -136,45 +146,52 @@ def construct_limit(
             "contract route needs a modular with a finite doubling constant "
             f"(delta2_tau); {rho.spec_string()} has none"
         )
-
-    approx = approximant_contract if mode is Mode.CONTRACT else approximant_expand
-    pts = grid.points()
-    current = [approx(phi, params, 0, x) for x in pts]
-    gaps = [math.inf] * len(pts)
-    frozen = [not math.isfinite(v) for v in current]
-    current = [v if math.isfinite(v) else 0.0 for v in current]
-    saturated = any(frozen)
-    streak = 0
-    achieved = 0
-
-    for n in range(n_max):
-        live_ok = True
-        for i, x in enumerate(pts):
-            if frozen[i]:
-                continue
-            nxt = approx(phi, params, n + 1, x)
-            diff = nxt - current[i]
-            if not (math.isfinite(nxt) and math.isfinite(diff)):
-                frozen[i] = True
-                saturated = True
-                continue
-            gaps[i] = rho_eval(rho, diff)
-            current[i] = nxt
-            if not gaps[i] < tol:
-                live_ok = False
-        achieved = n + 1
-        streak = streak + 1 if live_ok else 0
-        if streak >= 2:
-            break
+    if table is None:
+        table = IterateTable(phi, params.s, grid)
     else:
-        saturated = True
+        table.check_serves(phi, params.s, grid)
+    cols = table.grid_index
+    if mode is Mode.CONTRACT:
+        def approx(n: int) -> np.ndarray:
+            return 2.0**n * table.contract(n)[cols]
+    else:
+        offset = params.q * table.origin()
+
+        def approx(n: int) -> np.ndarray:
+            return (table.expand(n)[cols] - offset) / 2.0**n
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = approx(0)
+        frozen = ~np.isfinite(current)
+        current[frozen] = 0.0
+        gaps = np.full(len(cols), math.inf)
+        saturated = bool(frozen.any())
+        streak = 0
+        achieved = 0
+
+        for n in range(n_max):
+            nxt = approx(n + 1)
+            diff = nxt - current
+            broken = ~frozen & ~(np.isfinite(nxt) & np.isfinite(diff))
+            moved = ~frozen & ~broken
+            frozen |= broken
+            saturated = saturated or bool(broken.any())
+            step_gaps = rho_eval_array(rho, diff[moved])
+            gaps[moved] = step_gaps
+            current[moved] = nxt[moved]
+            achieved = n + 1
+            streak = streak + 1 if bool(np.all(step_gaps < tol)) else 0
+            if streak >= 2:
+                break
+        else:
+            saturated = True
 
     return LimitResult(
         mode=mode,
         grid=grid,
-        values=tuple(current),
+        values=tuple(current.tolist()),
         achieved_n=achieved,
-        cauchy_gap=tuple(gaps),
+        cauchy_gap=tuple(gaps.tolist()),
         saturated=saturated,
         function=limit_function(mode, phi, params, achieved),
     )

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .equation import ControlFunction, EquationParams, control_eval, defect
 from .errors import (
     ArgumentError,
@@ -29,8 +31,9 @@ from .errors import (
     RegimeError,
 )
 from .functions import FunctionHandle
-from .modular import ModularSpec, rho_eval
-from .sampling import Grid, corner_triples, function_sample_points, seeded_triples
+from .iterates import IterateTable
+from .modular import ModularSpec, rho_eval, rho_eval_array
+from .sampling import Grid, corner_triples, seeded_triples
 
 __all__ = [
     "ContractionCertificate",
@@ -169,14 +172,47 @@ def audit_defect_hypothesis(
     }
 
 
-def _rho_hat_values(vals_f, vals_g, denoms, rho: ModularSpec) -> float:
-    best = 0.0
-    for vf, vg, a in zip(vals_f, vals_g, denoms):
-        diff = vf - vg
-        ratio = rho_eval(rho, diff) / a if math.isfinite(diff) else math.inf
-        if ratio > best:
-            best = ratio
-    return best
+def _rho_hat_rows(diffs: np.ndarray, denoms: np.ndarray, rho: ModularSpec) -> np.ndarray:
+    """Sampled function-space gap of each row of ``diffs`` (samples on the last axis).
+
+    ``max(0, max_k rho(d_k) / a_k)`` per row, where a non-finite difference
+    counts as an infinite ratio and a nan ratio is passed over, as in a
+    scalar running maximum that starts at zero.
+    """
+    finite = np.isfinite(diffs)
+    ratio = np.where(finite, rho_eval_array(rho, diffs) / denoms, math.inf)
+    return np.fmax.reduce(ratio, axis=-1, initial=0.0)
+
+
+def _quasi_contraction(window: np.ndarray, gaps: np.ndarray, denoms: np.ndarray,
+                       rho: ModularSpec) -> np.ndarray:
+    """Five-distance quasi-contraction ratios of an iterate window.
+
+    At step ``n >= 1``, with ``(f, g) = (it[n-1], it[n])``, the ratio is
+    ``rho_hat(Lam f - Lam g)`` over the largest of ``rho_hat(f - g)``,
+    ``rho_hat(f - Lam f)``, ``rho_hat(g - Lam g)`` and ``rho_hat(f - Lam g)``;
+    steps whose largest distance is zero give no ratio.
+    """
+    d_f_lg = _rho_hat_rows(window[:-2] - window[2:], denoms, rho)
+    denom = np.maximum(np.maximum(gaps[:-1], gaps[1:]), d_f_lg)
+    live = denom > 0.0
+    return gaps[1:][live] / denom[live]
+
+
+def _delta_hat_window(window: np.ndarray, denoms: np.ndarray, rho: ModularSpec) -> float:
+    """Largest sampled gap ``rho_hat(it[i] - it[j])`` over all iterate pairs.
+
+    Rounded subtraction is monotone in each operand, so in every sample
+    column the largest ``|it[i] - it[j]|`` is the rounded column range; rho
+    and the division by the control are monotone too, so the all-pairs
+    maximum is the gap of the column ranges.  A column holding a non-finite
+    iterate has a non-finite pair difference, which counts as infinite.
+    """
+    if len(window) < 2:
+        return 0.0
+    finite = np.isfinite(window).all(axis=0)
+    spread = np.where(finite, window.max(axis=0) - window.min(axis=0), math.inf)
+    return float(_rho_hat_rows(spread, denoms, rho))
 
 
 @dataclass(frozen=True)
@@ -219,13 +255,23 @@ def fixed_point_solve(
     triple_count: int = 500,
     seed: int = 0,
     bound_tol: float = 1e-9,
+    audit: dict | None = None,
+    table: IterateTable | None = None,
 ) -> FixedPointResult:
     """Iterate the scaling operator on ``phi`` until the sampled gap drops below ``tol``.
 
     Preconditions enforced here: a valid contraction certificate (estimated
     from the grid sample set when not supplied), a modular with a finite
     doubling constant, and an audited defect hypothesis ``defect <= alpha``
-    over seeded triples in the grid box.
+    over ``triple_count`` seeded triples in the grid box plus its corners
+    (run here when no ``audit`` result of ``audit_defect_hypothesis`` on
+    those triples is supplied).
+
+    The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are read off
+    the expand rows of an ``IterateTable`` -- the rows the expand route
+    reads, so a shared table evaluates ``phi`` once for both routes.  The
+    gap history, the quasi-contraction ratios and ``delta_hat_window`` are
+    array reductions over the stacked iterate window.
     """
     if tol <= 0:
         raise ArgumentError(f"tol must be positive, got {tol}")
@@ -236,102 +282,83 @@ def fixed_point_solve(
             "fixed-point route needs a modular with a finite doubling constant "
             f"(delta2_tau); {rho.spec_string()} has none"
         )
-    sample_pts = function_sample_points(grid)
+    if table is None:
+        table = IterateTable(phi, params.s, grid)
+    else:
+        table.check_serves(phi, params.s, grid)
     if certificate is None:
-        certificate = estimate_contraction(alpha, params.s, sample_pts)
+        certificate = estimate_contraction(alpha, params.s, table.points)
     if not certificate.valid:
         raise RegimeError(
             f"contraction factor {certificate.l_hat:.6g} >= 1: "
             "the scaling operator is not a strict contraction for this control"
         )
-    triples = seeded_triples(grid.lo, grid.hi, triple_count, seed) + corner_triples(
-        grid.lo, grid.hi
-    )
-    audit = audit_defect_hypothesis(phi, params, rho, alpha, triples)
+    if audit is None:
+        triples = seeded_triples(grid.lo, grid.hi, triple_count, seed) + corner_triples(
+            grid.lo, grid.hi
+        )
+        audit = audit_defect_hypothesis(phi, params, rho, alpha, triples)
     if not audit["hypothesis_ok"]:
+        worst = tuple(audit["worst_triple"])
         raise DefectHypothesisError(
             "equation defect exceeds the control function: ratio "
-            f"{audit['max_ratio']:.6g} at triple {audit['worst_triple']}",
-            worst_triple=audit["worst_triple"],
+            f"{audit['max_ratio']:.6g} at triple {worst}",
+            worst_triple=worst,
             ratio=audit["max_ratio"],
         )
 
     s = params.s
-    pts = grid.points()
-    samples = [x for x in sample_pts if _alpha_line(alpha, s, x) > 0.0]
-    denoms = [_alpha_line(alpha, s, x) for x in samples]
+    line = np.array([_alpha_line(alpha, s, x) for x in table.points])
+    samples = np.flatnonzero(line > 0.0)
+    denoms = line[samples]
+    cols = table.grid_index
 
-    def iterate_values(n: int, xs: list[float]) -> list[float]:
-        # Lam^n(phi)(x) = phi(2**(n/s) * x) / 2**n, evaluated directly;
-        # overflow becomes inf so a runaway iterate saturates instead of
-        # aborting the run.
-        scale = 2.0 ** (n / s)
-        out = []
-        for x in xs:
-            try:
-                out.append(phi(scale * x) / 2.0**n)
-            except OverflowError:
-                out.append(math.inf)
-        return out
+    def iterate(n: int, idx: np.ndarray) -> np.ndarray:
+        # Lam^n(phi) at the given sample columns; an overflowed phi value is
+        # inf already, so a runaway iterate saturates instead of aborting.
+        return table.expand(n)[idx] / 2.0**n
 
-    window = [iterate_values(0, samples)]
-    gap_history: list[float] = []
-    quasi: list[float] = []
-    saturated = False
-    iterations = 0
-    for n in range(n_max):
-        window.append(iterate_values(n + 1, samples))
-        gap = _rho_hat_values(window[n + 1], window[n], denoms, rho)
-        gap_history.append(gap)
-        if n >= 1:
-            # Five-distance quasi-contraction ratio for (f, g) = (it[n-1], it[n]):
-            # rho_hat(Lam f - Lam g) vs max of the pairwise iterate distances.
-            d_fg = gap_history[n - 1]
-            d_f_lf = gap_history[n - 1]
-            d_g_lg = gap
-            d_f_lg = _rho_hat_values(window[n - 1], window[n + 1], denoms, rho)
-            denom = max(d_fg, d_f_lf, d_g_lg, d_f_lg)
-            if denom > 0.0:
-                quasi.append(gap / denom)
-        iterations = n + 1
-        if gap < tol:
-            break
-    else:
-        saturated = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [iterate(0, samples)]
+        gap_history: list[float] = []
+        saturated = False
+        iterations = 0
+        for n in range(n_max):
+            rows.append(iterate(n + 1, samples))
+            gap = float(_rho_hat_rows(rows[n + 1] - rows[n], denoms, rho))
+            gap_history.append(gap)
+            iterations = n + 1
+            if gap < tol:
+                break
+        else:
+            saturated = True
 
-    delta_hat = 0.0
-    for i in range(len(window)):
-        for j in range(i + 1, len(window)):
-            d = _rho_hat_values(window[i], window[j], denoms, rho)
-            if d > delta_hat:
-                delta_hat = d
+        window = np.array(rows)
+        quasi = _quasi_contraction(window, np.array(gap_history), denoms, rho)
+        delta_hat = _delta_hat_window(window, denoms, rho)
 
-    def _safe_rho(u: float) -> float:
-        return rho_eval(rho, u) if math.isfinite(u) else math.inf
-
-    values = iterate_values(iterations, pts)
-    prev_values = iterate_values(iterations - 1, pts)
-    point_gap = [_safe_rho(v - pv) for v, pv in zip(values, prev_values)]
+        values = iterate(iterations, cols)
+        point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
+        bounds = line[cols] / (2.0 * (1.0 - certificate.l_hat))
+        slack = rho_eval_array(rho, table.expand(0)[cols] - values) - bounds
     final = FunctionHandle(
         expr=phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)).expr,
         description=f"fixed-point iterate {iterations} of [{phi.description}]",
         seed=phi.seed,
     )
-    bounds = [_alpha_line(alpha, s, x) / (2.0 * (1.0 - certificate.l_hat)) for x in pts]
-    slack = [_safe_rho(phi(x) - v) - b for x, v, b in zip(pts, values, bounds)]
     return FixedPointResult(
         grid=grid,
-        values=tuple(values),
-        point_gap=tuple(point_gap),
+        values=tuple(values.tolist()),
+        point_gap=tuple(point_gap.tolist()),
         iterations=iterations,
         rho_hat_gap=gap_history[-1] if gap_history else 0.0,
         gap_history=tuple(gap_history),
-        bound=tuple(bounds),
-        bound_ok=tuple(e <= bound_tol for e in slack),
+        bound=tuple(bounds.tolist()),
+        bound_ok=tuple((slack <= bound_tol).tolist()),
         l_hat=certificate.l_hat,
         saturated=saturated,
-        origin_offset=phi(0.0),
+        origin_offset=table.origin(),
         delta_hat_window=delta_hat,
-        quasi_contraction=tuple(quasi),
+        quasi_contraction=tuple(quasi.tolist()),
         function=final,
     )

@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ArgumentError, ConfigError, EvaluationError
 
 __all__ = [
     "ModularSpec",
     "rho_eval",
+    "rho_eval_array",
     "estimate_delta2",
     "check_modular_axioms",
     "AxiomCheck",
@@ -90,6 +93,24 @@ def rho_eval(spec: ModularSpec, u: float) -> float:
         return math.expm1(abs(u))
     except OverflowError:
         return math.inf
+
+
+def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
+    """``rho_eval`` over a float array, with non-finite entries mapped to ``inf``.
+
+    Every finite entry gets exactly the bits ``rho_eval`` gives it.  For the
+    ``power:p=1`` modular that is ``abs(u)`` (``pow(v, 1)`` is exact), taken
+    as one numpy ``abs``; every other modular goes through ``rho_eval``
+    entry by entry, because numpy's vector ``power`` and ``expm1`` may differ
+    from libm in the last ulp.
+    """
+    u = np.asarray(u, dtype=float)
+    finite = np.isfinite(u)
+    if spec.kind == "power" and spec.p == 1.0:
+        return np.where(finite, np.abs(u), math.inf)
+    out = np.full(u.shape, math.inf)
+    out[finite] = [rho_eval(spec, v) for v in u[finite].tolist()]
+    return out
 
 
 def estimate_delta2(

@@ -28,9 +28,10 @@ from .fixedpoint import (
     estimate_contraction,
     fixed_point_solve,
 )
+from .iterates import IterateTable
 from .modular import check_modular_axioms, estimate_delta2, parse_modular
 from .report import canonical_json, csv_lines
-from .sampling import corner_triples, function_sample_points, seeded_triples, standard_ladder
+from .sampling import corner_triples, seeded_triples, standard_ladder
 from .verify import cross_check, verify_oddness, verify_radical_additivity, verify_stability_bound
 
 __all__ = [
@@ -80,11 +81,11 @@ def _series_dict(sb) -> dict:
 
 
 def _audit(cfg: ExperimentConfig) -> dict:
+    # The triples fixed_point_solve audits by default, so its result serves
+    # the fixed-point route as well as the report.
     triples = seeded_triples(cfg.grid.lo, cfg.grid.hi, AUDIT_TRIPLES, cfg.seed)
     triples += corner_triples(cfg.grid.lo, cfg.grid.hi)
-    audit = audit_defect_hypothesis(cfg.phi, cfg.params, cfg.modular, cfg.alpha, triples)
-    audit["worst_triple"] = list(audit["worst_triple"])
-    return audit
+    return audit_defect_hypothesis(cfg.phi, cfg.params, cfg.modular, cfg.alpha, triples)
 
 
 def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
@@ -110,7 +111,7 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
     }
 
 
-def _limit_section(cfg: ExperimentConfig, mode: Mode) -> dict:
+def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> dict:
     """Run one direct route: regime gate, series bounds, limit, checks."""
     section: dict = {}
     s = cfg.params.s
@@ -152,7 +153,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode) -> dict:
             pass  # p within float noise of the regime threshold
 
     limit = construct_limit(mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
-                            tol=cfg.tol, n_max=cfg.n_max)
+                            tol=cfg.tol, n_max=cfg.n_max, table=table)
     pts = cfg.grid.points()
     bounds = [series_at(x).upper for x in pts]
     section["limit"] = {
@@ -165,7 +166,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode) -> dict:
     }
     section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
 
-    shift = cfg.params.q * cfg.phi(0.0) if mode is Mode.EXPAND else 0.0
+    shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
     checks = [
         verify_stability_bound(cfg.phi, limit.function, cfg.modular, bounds,
                                cfg.grid, tol=CHECK_TOL_BOUND, shift=shift),
@@ -179,7 +180,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode) -> dict:
     return section
 
 
-def _fixedpoint_section(cfg: ExperimentConfig) -> dict:
+def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable) -> dict:
     section: dict = {}
     s = cfg.params.s
     if cfg.modular.delta2_tau is None:
@@ -189,7 +190,7 @@ def _fixedpoint_section(cfg: ExperimentConfig) -> dict:
                      f"constant; {cfg.modular_spec} has none",
         }
         return section
-    cert = estimate_contraction(cfg.alpha, s, function_sample_points(cfg.grid))
+    cert = estimate_contraction(cfg.alpha, s, table.points)
     section["certificate"] = {
         "l_hat": cert.l_hat,
         "worst_sample": cert.worst_sample,
@@ -210,6 +211,7 @@ def _fixedpoint_section(cfg: ExperimentConfig) -> dict:
             cfg.phi, cfg.params, cfg.modular, cfg.alpha, cfg.grid,
             tol=cfg.tol, n_max=cfg.n_max, certificate=cert,
             triple_count=AUDIT_TRIPLES, seed=cfg.seed, bound_tol=CHECK_TOL_BOUND,
+            audit=audit, table=table,
         )
     except DefectHypothesisError as exc:
         section["regime"] = {
@@ -251,15 +253,23 @@ def _fixedpoint_section(cfg: ExperimentConfig) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Run the configured method(s); return (report, exit_code)."""
     methods = ("t1", "t2", "fixedpoint") if cfg.method == "all" else (cfg.method,)
-    report: dict = {"schema": SCHEMA, "config": cfg.echo(), "audit": _audit(cfg)}
+    audit = _audit(cfg)
+    report: dict = {
+        "schema": SCHEMA,
+        "config": cfg.echo(),
+        "audit": {**audit, "worst_triple": list(audit["worst_triple"])},
+    }
+    # One table serves every route, so t2 and the fixed-point route share
+    # their evaluations of phi.
+    table = IterateTable(cfg.phi, cfg.params.s, cfg.grid)
     sections: dict[str, dict] = {}
     for m in methods:
         if m == "t1":
-            sections[m] = _limit_section(cfg, Mode.CONTRACT)
+            sections[m] = _limit_section(cfg, Mode.CONTRACT, table)
         elif m == "t2":
-            sections[m] = _limit_section(cfg, Mode.EXPAND)
+            sections[m] = _limit_section(cfg, Mode.EXPAND, table)
         else:
-            sections[m] = _fixedpoint_section(cfg)
+            sections[m] = _fixedpoint_section(cfg, audit, table)
 
     cross = []
     if cfg.method == "all":

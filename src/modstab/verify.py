@@ -46,16 +46,19 @@ def verify_radical_additivity(
 ) -> CheckOutcome:
     """Pairwise additivity under the radical: ``a((x^s+y^s)^(1/s)) = a(x)+a(y)``.
 
-    Pairs come from the Cartesian square of the grid, thinned by stride to at
-    most ``MAX_ADDITIVITY_PAIRS`` to bound runtime.
+    Pairs come from the Cartesian square of the grid in row-major order, pair
+    ``k`` being ``(pts[k // n], pts[k % n])``.  When the square holds more
+    than ``MAX_ADDITIVITY_PAIRS`` pairs, only every ``stride``-th flat index
+    is visited, with ``stride = ceil(n**2 / MAX_ADDITIVITY_PAIRS)``; the
+    square itself is never built.
     """
     pts = grid.points()
-    pairs = [(x, y) for x in pts for y in pts]
-    if len(pairs) > MAX_ADDITIVITY_PAIRS:
-        stride = -(-len(pairs) // MAX_ADDITIVITY_PAIRS)
-        pairs = pairs[::stride]
-    worst, worst_at = -1.0, pairs[0]
-    for x, y in pairs:
+    n = len(pts)
+    total = n * n
+    stride = -(-total // MAX_ADDITIVITY_PAIRS)  # 1 whenever the square fits
+    worst, worst_at = -1.0, (pts[0], pts[0])
+    for k in range(0, total, stride):
+        x, y = pts[k // n], pts[k % n]
         d = pair_additivity_defect(a, rho, s, x, y)
         if d > worst:
             worst, worst_at = d, (x, y)

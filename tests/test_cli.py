@@ -197,6 +197,15 @@ class TestSweep:
         lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
         assert len(lines) == 2  # header + the base experiment row
 
+    def test_non_integer_cap_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, extra="\n[sweep]\np = 1,2\ncap = abc\noutdir = "
+                                        + str(tmp_path / "sw") + "\n")
+        assert main(["sweep", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "[sweep] cap: not an integer: 'abc'" in err
+        assert not (tmp_path / "sw").exists()
+
     def test_sweep_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, phi="mono(1,3) + envnoise(0.01,1,11)",
                         alpha="power:theta=0.05,p=1",
