@@ -43,7 +43,6 @@ from .errors import (
     ModstabError,
     RangeError,
     RegimeError,
-    TailUnknownError,
 )
 from .fixedpoint import (
     ContractionCertificate,
@@ -106,5 +105,5 @@ __all__ = [
     # errors
     "ModstabError", "EvaluationError", "ArgumentError", "RangeError",
     "RegimeError", "ContractViolation", "DefectHypothesisError",
-    "TailUnknownError", "ConfigError",
+    "ConfigError",
 ]

@@ -9,9 +9,10 @@ Two dual scaling routes build the limit ``A``:
   ``phi_hat = phi - q*phi(0)`` -- expands the argument, scales down; needs
   no doubling constant.
 
-Each route carries a truncated-series error bound with a certified geometric
-tail, plus (for the contract route) the closed form the series collapses to
-for power-type control functions.
+Each route carries an error-bound series.  Both built-in control kinds make
+it exactly geometric, so it is summed in closed form as its first term over
+``1 - ratio``; ``contract_bound_closed_form`` writes the contract-route sum
+out in the control's parameters for power-type control functions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equation import ControlFunction, EquationParams, control_eval
-from .errors import ArgumentError, ContractViolation, RegimeError, TailUnknownError
+from .errors import ArgumentError, ContractViolation, RegimeError
 from .functions import FunctionHandle
 from .iterates import IterateTable
 from .modular import ModularSpec, rho_eval_array
@@ -199,12 +200,15 @@ def construct_limit(
 
 @dataclass(frozen=True)
 class SeriesBound:
-    """A truncated stability-bound series with a certified geometric tail.
+    """A stability-bound series summed in closed form.
 
-    ``value`` is the partial sum through ``terms_used`` terms and
-    ``tail_estimate`` bounds everything beyond it, so ``upper`` dominates
-    the full series.  ``converged`` is false whenever the term ratio is
-    >= 1; no finite bound exists there.
+    Every term of the series is the previous one times ``ratio``, so the
+    whole sum is ``first_term / (1 - ratio)``; ``value`` and ``upper`` are
+    that sum.  ``terms_used`` is pinned at ``1`` and ``tail_estimate`` at
+    ``0``: nothing is truncated, and both stay only to keep the report
+    schema.  ``converged`` is false whenever the ratio is >= 1; no finite
+    bound exists there, and the value is ``inf`` (``0`` when the first term
+    vanishes).
     """
 
     value: float
@@ -218,98 +222,57 @@ class SeriesBound:
         return self.value + self.tail_estimate
 
 
-def _sum_geometric_series(term_at, j_start: int, ratio: float, tol: float) -> SeriesBound:
+def _geometric_sum(first: float, ratio: float) -> SeriesBound:
     # Terms of both built-in control kinds are exactly geometric with the
-    # given ratio, so tail-after-j = term_j * ratio / (1 - ratio).
-    first = term_at(j_start)
+    # given ratio.
     if ratio >= 1.0:
-        if first == 0.0:
-            return SeriesBound(0.0, 0, 0.0, False, ratio)
-        return SeriesBound(math.inf, 0, math.inf, False, ratio)
-    total = 0.0
-    j = j_start
-    term = first
-    while True:
-        total += term
-        tail = term * ratio / (1.0 - ratio)
-        if tail <= tol * total or tail == 0.0:
-            return SeriesBound(total, j - j_start + 1, tail, True, ratio)
-        if j - j_start + 1 >= 100_000:
-            raise RegimeError(
-                f"series did not meet tolerance {tol} within 100000 terms (ratio {ratio})"
-            )
-        j += 1
-        term = term_at(j)
+        return SeriesBound(0.0 if first == 0.0 else math.inf, 1, 0.0, False, ratio)
+    return SeriesBound(first / (1.0 - ratio), 1, 0.0, True, ratio)
 
 
 def _term_ratio(alpha: ControlFunction, weight_ratio: float, arg_step: int, s: int) -> float:
     # weight_ratio: per-step growth of the scale weight; arg_step: the series
-    # arguments rescale by 2**(arg_step/s) from one term to the next.
+    # arguments rescale by 2**(arg_step/s) from one term to the next.  The
+    # only other kind, constant control, does not depend on its arguments.
     if alpha.kind == "power":
         return weight_ratio * 2.0 ** (arg_step * alpha.p / s)
-    if alpha.kind == "constant":
-        return weight_ratio
-    raise TailUnknownError(
-        f"no certified tail for control kind {alpha.kind!r}; refusing to truncate"
-    )
+    return weight_ratio
 
 
 def series_bound_contract(
-    alpha: ControlFunction, tau: float, s: int, x: float, tol: float = 1e-9
+    alpha: ControlFunction, tau: float, s: int, x: float
 ) -> SeriesBound:
     """Contract-route error bound at ``x``::
 
         (1/2) * sum_{j>=1} (tau**2/2)**j
               * alpha(x/2**(j/s), x/2**(j/s), -x/2**((j-1)/s))
 
-    Term ratio is ``(tau**2/2) * 2**(-p/s)`` for power control and
-    ``tau**2/2`` for constant control; divergent ratios yield an infinite
-    flagged bound, never a truncated number.
+    summed as its ``j = 1`` term over ``1 - ratio``.  The term ratio is
+    ``(tau**2/2) * 2**(-p/s)`` for power control and ``tau**2/2`` for
+    constant control; divergent ratios yield an infinite flagged bound,
+    never a finite number.
     """
     if tau < 2.0:
         raise ArgumentError(f"doubling constant must be >= 2, got {tau}")
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
     weight = tau * tau / 2.0
     ratio = _term_ratio(alpha, weight, -1, s)
-
-    def term_at(j: int) -> float:
-        a = control_eval(
-            alpha,
-            x / 2.0 ** (j / s),
-            x / 2.0 ** (j / s),
-            -x / 2.0 ** ((j - 1) / s),
-        )
-        return 0.5 * weight**j * a
-
-    return _sum_geometric_series(term_at, 1, ratio, tol)
+    a = control_eval(alpha, x / 2.0 ** (1 / s), x / 2.0 ** (1 / s), -x)
+    return _geometric_sum(0.5 * weight * a, ratio)
 
 
-def series_bound_expand(
-    alpha: ControlFunction, s: int, x: float, tol: float = 1e-9
-) -> SeriesBound:
+def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound:
     """Expand-route error bound at ``x``::
 
         (1/2) * sum_{j>=0} 2**(-j)
               * alpha(2**(j/s)*x, 2**(j/s)*x, -2**((j+1)/s)*x)
 
-    Term ratio is ``2**(p/s)/2`` for power control (divergent once
-    ``p >= s``) and ``1/2`` for constant control.
+    summed as its ``j = 0`` term over ``1 - ratio``.  The term ratio is
+    ``2**(p/s)/2`` for power control (divergent once ``p >= s``) and ``1/2``
+    for constant control.
     """
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
     ratio = _term_ratio(alpha, 0.5, +1, s)
-
-    def term_at(j: int) -> float:
-        a = control_eval(
-            alpha,
-            2.0 ** (j / s) * x,
-            2.0 ** (j / s) * x,
-            -(2.0 ** ((j + 1) / s)) * x,
-        )
-        return 0.5 * 2.0**-j * a
-
-    return _sum_geometric_series(term_at, 0, ratio, tol)
+    a = control_eval(alpha, x, x, -(2.0 ** (1 / s)) * x)
+    return _geometric_sum(0.5 * a, ratio)
 
 
 def contract_regime_threshold(s: int, tau: float) -> float:

@@ -97,19 +97,24 @@ def radical_root(t: float, s: int) -> float:
     return math.copysign(r, t)
 
 
-def radical_combine(params: EquationParams, x: float, y: float, z: float) -> float:
-    """The combined argument ``((x**s + y**s + z**s) / q) ** (1/s)``."""
-    s = params.s
-    powers = {}
-    for name, v in (("x", x), ("y", y), ("z", z)):
+def _powers(s: int, **coords: float) -> list[float]:
+    # v**s for each named coordinate; RangeError names the first that overflows.
+    out = []
+    for name, v in coords.items():
         try:
             pw = float(v) ** s
         except OverflowError:
             pw = math.inf
         if not math.isfinite(pw):
             raise RangeError(f"{name}**{s} overflows for {name}={v!r}", coordinate=name)
-        powers[name] = pw
-    return radical_root((powers["x"] + powers["y"] + powers["z"]) / params.q, s)
+        out.append(pw)
+    return out
+
+
+def radical_combine(params: EquationParams, x: float, y: float, z: float) -> float:
+    """The combined argument ``((x**s + y**s + z**s) / q) ** (1/s)``."""
+    px, py, pz = _powers(params.s, x=x, y=y, z=z)
+    return radical_root((px + py + pz) / params.q, params.s)
 
 
 def defect(
@@ -139,16 +144,8 @@ def pair_additivity_defect(
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"pair_additivity_defect needs odd s >= 3, got {s}")
-    powers = {}
-    for name, v in (("x", x), ("y", y)):
-        try:
-            pw = float(v) ** s
-        except OverflowError:
-            pw = math.inf
-        if not math.isfinite(pw):
-            raise RangeError(f"{name}**{s} overflows for {name}={v!r}", coordinate=name)
-        powers[name] = pw
-    w = radical_root(powers["x"] + powers["y"], s)
+    px, py = _powers(s, x=x, y=y)
+    w = radical_root(px + py, s)
     return rho_eval(rho, phi(w) - phi(x) - phi(y))
 
 

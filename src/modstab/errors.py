@@ -52,9 +52,5 @@ class DefectHypothesisError(ModstabError):
         self.ratio = ratio
 
 
-class TailUnknownError(ModstabError):
-    """No certified tail estimate exists for this control-function kind."""
-
-
 class ConfigError(ModstabError, ValueError):
     """A config file or spec string could not be parsed or validated."""

@@ -47,7 +47,6 @@ class ModularSpec:
     p: float | None = None
     is_convex: bool = True
     delta2_tau: float | None = None
-    has_fatou: bool = True
 
     def __post_init__(self):
         if self.kind not in ("power", "exp"):
@@ -63,13 +62,12 @@ class ModularSpec:
     @classmethod
     def power(cls, p: float) -> "ModularSpec":
         """``rho(u) = |u|**p``; carries its exact doubling constant ``2**p``."""
-        return cls(kind="power", p=float(p), is_convex=True,
-                   delta2_tau=2.0 ** float(p), has_fatou=True)
+        return cls(kind="power", p=float(p), is_convex=True, delta2_tau=2.0 ** float(p))
 
     @classmethod
     def exp(cls) -> "ModularSpec":
         """``rho(u) = exp(|u|) - 1``; no finite doubling constant."""
-        return cls(kind="exp", p=None, is_convex=True, delta2_tau=None, has_fatou=True)
+        return cls(kind="exp", p=None, is_convex=True, delta2_tau=None)
 
     def spec_string(self) -> str:
         if self.kind == "power":
@@ -81,15 +79,16 @@ def rho_eval(spec: ModularSpec, u: float) -> float:
     """Evaluate the modular at ``u``.
 
     Raises ``EvaluationError`` for non-finite input.  Output may overflow to
-    ``inf`` for extreme arguments of the ``exp`` kind; callers that probe the
-    doubling ratio treat that as divergence evidence.
+    ``inf`` for extreme finite arguments (``exp`` kind, or ``power`` with
+    ``p > 1``); callers that probe the doubling ratio treat that as
+    divergence evidence.
     """
     u = float(u)
     if not math.isfinite(u):
         raise EvaluationError(f"modular evaluated at non-finite value {u!r}", value=u)
-    if spec.kind == "power":
-        return abs(u) ** spec.p
     try:
+        if spec.kind == "power":
+            return abs(u) ** spec.p
         return math.expm1(abs(u))
     except OverflowError:
         return math.inf

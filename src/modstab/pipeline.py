@@ -124,9 +124,9 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> di
             }
             return section
         tau = cfg.modular.delta2_tau
-        series_at = lambda x: series_bound_contract(cfg.alpha, tau, s, x, cfg.tol)
+        series_at = lambda x: series_bound_contract(cfg.alpha, tau, s, x)
     else:
-        series_at = lambda x: series_bound_expand(cfg.alpha, s, x, cfg.tol)
+        series_at = lambda x: series_bound_expand(cfg.alpha, s, x)
 
     x_repr = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
     probe = series_at(x_repr)

@@ -3,10 +3,13 @@
 Each check returns a ``CheckOutcome`` whose ``worst_value`` is the largest
 violation found; the check passes exactly when that stays within tolerance.
 Checks never raise on mathematical failure -- only on malformed arguments.
+A per-point measure that overflows (a saturated limit evaluated far out)
+counts as a violation of ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .equation import pair_additivity_defect
@@ -41,6 +44,13 @@ def _outcome(name: str, worst_point, worst_value: float, tol: float) -> CheckOut
     return CheckOutcome(name, worst_value <= tol, worst_point, worst_value, tol)
 
 
+def _or_inf(measure) -> float:
+    try:
+        return measure()
+    except OverflowError:
+        return math.inf
+
+
 def verify_radical_additivity(
     a: FunctionHandle, rho: ModularSpec, s: int, grid: Grid, tol: float = 1e-6
 ) -> CheckOutcome:
@@ -59,7 +69,7 @@ def verify_radical_additivity(
     worst, worst_at = -1.0, (pts[0], pts[0])
     for k in range(0, total, stride):
         x, y = pts[k // n], pts[k % n]
-        d = pair_additivity_defect(a, rho, s, x, y)
+        d = _or_inf(lambda: pair_additivity_defect(a, rho, s, x, y))
         if d > worst:
             worst, worst_at = d, (x, y)
     return _outcome("radical_additivity", worst_at, worst, tol)
@@ -69,10 +79,10 @@ def verify_oddness(
     a: FunctionHandle, rho: ModularSpec, grid: Grid, tol: float = 1e-6
 ) -> CheckOutcome:
     """Sign antisymmetry ``a(-x) = -a(x)`` plus ``a(0) = 0`` on the grid."""
-    worst = rho_eval(rho, a(0.0))
+    worst = _or_inf(lambda: rho_eval(rho, a(0.0)))
     worst_at: object = 0.0
     for x in grid.points():
-        d = rho_eval(rho, a(x) + a(-x))
+        d = _or_inf(lambda: rho_eval(rho, a(x) + a(-x)))
         if d > worst:
             worst, worst_at = d, x
     return _outcome("oddness", worst_at, worst, tol)
@@ -100,7 +110,7 @@ def verify_stability_bound(
         )
     worst, worst_at = -float("inf"), pts[0]
     for x, b in zip(pts, bound_per_point):
-        excess = rho_eval(rho, phi(x) - shift - a(x)) - b
+        excess = _or_inf(lambda: rho_eval(rho, phi(x) - shift - a(x))) - b
         if excess > worst:
             worst, worst_at = excess, x
     return _outcome("stability_bound", worst_at, worst, tol)
@@ -116,7 +126,7 @@ def cross_check(
     """Pointwise agreement of two constructed limits on a shared grid."""
     worst, worst_at = -1.0, grid.lo
     for x in grid.points():
-        d = rho_eval(rho, a1(x) - a2(x))
+        d = _or_inf(lambda: rho_eval(rho, a1(x) - a2(x)))
         if d > worst:
             worst, worst_at = d, x
     return _outcome("cross_method_agreement", worst_at, worst, tol)

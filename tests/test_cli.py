@@ -142,6 +142,53 @@ class TestRun:
         assert not rep["audit"]["hypothesis_ok"]
 
 
+OVERFLOW_CFG = """\
+[equation]
+s = 3
+q = 1
+
+[modular]
+spec = {modular}
+
+[phi]
+expr = mono(1,3) + mono(1e-30,99)
+
+[alpha]
+spec = const:eps=0.1
+
+[run]
+method = all
+grid = {grid}
+"""
+
+
+class TestOverflowingRuns:
+    # The degree-99 term overflows once the scaling routes push arguments
+    # far out; such a run must still exit 2 with a report, not a traceback.
+
+    def _run(self, tmp_path, modular, grid):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(OVERFLOW_CFG.format(modular=modular, grid=grid))
+        out = tmp_path / "r.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        return json.loads(out.read_text())
+
+    def test_power_modular_overflow_writes_report(self, tmp_path):
+        # rho(u) = u**2 overflows on the fixed-point route's large gaps
+        rep = self._run(tmp_path, "power:p=2", "-0.5,0.5,11")
+        fixedpoint = rep["methods"]["fixedpoint"]
+        assert fixedpoint["regime"]["ok"]
+        assert not any(c["passed"] for c in fixedpoint["checks"])
+
+    def test_saturated_limit_fails_checks_with_inf(self, tmp_path):
+        # the saturated fixed-point iterate overflows inside the checks
+        rep = self._run(tmp_path, "power:p=1", "-0.001,0.001,11")
+        checks = rep["methods"]["fixedpoint"]["checks"]
+        assert not any(c["passed"] for c in checks if c["name"] != "oddness")
+        additivity = [c for c in checks if c["name"] == "radical_additivity"]
+        assert additivity[0]["worst_value"] == "inf"
+
+
 class TestSweep:
     def test_exponent_sweep_regimes(self, tmp_path):
         cfg = write_cfg(tmp_path, phi="mono(1,3) + envnoise(0.01,1,11)",

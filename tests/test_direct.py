@@ -54,6 +54,27 @@ def brute_expand_series(alpha, s, x, terms=400):
     return total
 
 
+
+def truncated_series_upper(term_at, j_start, ratio, tol=1e-9):
+    """Reference: the partial-sum loop the closed-form series bounds replaced.
+
+    Sums terms until the geometric tail after the last one falls below
+    ``tol`` times the total, and returns the total plus that tail.
+    """
+    first = term_at(j_start)
+    if ratio >= 1.0:
+        return 0.0 if first == 0.0 else math.inf
+    total = 0.0
+    j = j_start
+    term = first
+    while True:
+        total += term
+        tail = term * ratio / (1.0 - ratio)
+        if tail <= tol * total or tail == 0.0:
+            return total + tail
+        j += 1
+        term = term_at(j)
+
 class TestApproximants:
     def test_contract_fixes_exact_solution(self):
         # 2^n * (x / 2^(n/3))^3 = x^3
@@ -225,6 +246,56 @@ class TestSeriesBounds:
             running += term
             assert running <= sb.upper * (1 + 1e-12)
 
+
+
+class TestClosedFormSeries:
+    XS = (0.0, 0.5, -0.5, 10.0, -10.0)
+    TAU = 2.0
+
+    def _reference(self, route, alpha, s, x, ratio):
+        tau = self.TAU
+        if route == "contract":
+            def term_at(j):
+                a = control_eval(alpha, x / 2.0 ** (j / s), x / 2.0 ** (j / s),
+                                 -x / 2.0 ** ((j - 1) / s))
+                return 0.5 * (tau * tau / 2.0) ** j * a
+            return truncated_series_upper(term_at, 1, ratio)
+
+        def term_at(j):
+            a = control_eval(alpha, 2.0 ** (j / s) * x, 2.0 ** (j / s) * x,
+                             -(2.0 ** ((j + 1) / s)) * x)
+            return 0.5 * 2.0**-j * a
+        return truncated_series_upper(term_at, 0, ratio)
+
+    @pytest.mark.parametrize("route", ["contract", "expand"])
+    @pytest.mark.parametrize("s", [3, 5])
+    @pytest.mark.parametrize("p", [0.5, 2.9, 3.1, 6.0])
+    def test_matches_truncated_sum(self, route, s, p):
+        for alpha in (ControlFunction.power(0.5, p), ControlFunction.constant(0.1)):
+            for x in self.XS:
+                if route == "contract":
+                    sb = series_bound_contract(alpha, self.TAU, s, x)
+                else:
+                    sb = series_bound_expand(alpha, s, x)
+                ref = self._reference(route, alpha, s, x, sb.ratio)
+                assert sb.converged == (sb.ratio < 1.0)
+                assert math.isclose(sb.upper, ref, rel_tol=1e-12), (alpha, x, sb, ref)
+                assert sb.terms_used == 1 and sb.tail_estimate == 0.0
+                assert sb.value == sb.upper
+
+    def test_expand_next_to_regime_edge_is_finite(self):
+        # ratio 2**(2.9999/3)/2 = 1 - 2.3e-5: a truncated sum runs into
+        # overflow or underflow of the individual terms long before its tail
+        # is small, and returned inf (or, at tiny x, too small a sum).
+        p = 2.9999
+        alpha = ControlFunction.power(1.0, p)
+        ratio = 2.0 ** (p / 3) / 2.0
+        expected = 0.5 * (2.0 + 2.0 ** (p / 3)) / (1.0 - ratio)
+        sb = series_bound_expand(alpha, 3, 1.0)
+        assert sb.converged and sb.ratio == ratio
+        assert sb.upper == pytest.approx(expected, rel=1e-12)
+        small = series_bound_expand(alpha, 3, 1e-6)
+        assert small.upper == pytest.approx(expected * 1e-6**p, rel=1e-12)
 
 class TestClosedFormBound:
     def test_reference_point(self):

@@ -32,6 +32,10 @@ class TestRhoEval:
         # direct arithmetic: e^1 - 1
         assert rho_eval(ModularSpec.exp(), 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("spec", [ModularSpec.power(2), ModularSpec.exp()])
+    def test_overflow_is_inf(self, spec):
+        assert rho_eval(spec, -1e200) == math.inf
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(EvaluationError):
@@ -130,11 +134,11 @@ class TestSpecValidation:
     def test_parse_power(self):
         spec = parse_modular("power:p=2")
         assert spec.kind == "power" and spec.p == 2.0
-        assert spec.delta2_tau == 4.0 and spec.is_convex and spec.has_fatou
+        assert spec.delta2_tau == 4.0 and spec.is_convex
 
     def test_parse_exp(self):
         spec = parse_modular("exp")
-        assert spec.kind == "exp" and spec.delta2_tau is None and spec.has_fatou
+        assert spec.kind == "exp" and spec.delta2_tau is None
 
     @pytest.mark.parametrize("bad", ["power", "power:q=2", "power:p=abc", "gauss", ""])
     def test_parse_rejects_malformed(self, bad):

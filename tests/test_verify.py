@@ -62,6 +62,12 @@ class TestOddness:
         assert out.worst_value >= 1.0  # rho(phi(0)) = 1 already fails
 
 
+    def test_overflowing_evaluation_is_an_inf_violation(self):
+        # x**99 overflows at x = 1e4: a failed check, not an OverflowError
+        out = verify_oddness(monomial(1.0, 99), ABS1, Grid(-1e4, 1e4, 3))
+        assert not out.passed and out.worst_value == math.inf
+        assert out.worst_point == -1e4
+
 class TestStabilityBound:
     def test_identical_functions_pass_with_zero(self):
         phi = monomial(1.0, 3)
