@@ -19,8 +19,8 @@ from .direct import (
     approximant_expand,
     construct_limit,
     contract_bound_closed_form,
-    contract_regime_threshold,
     limit_function,
+    route_ratio,
     series_bound_contract,
     series_bound_expand,
 )
@@ -87,10 +87,10 @@ __all__ = [
     "EquationParams", "ControlFunction", "radical_root", "radical_combine",
     "defect", "pair_additivity_defect", "control_eval", "parse_control",
     # direct method
-    "Mode", "LimitResult", "SeriesBound", "approximant_contract",
+    "Mode", "route_ratio", "LimitResult", "SeriesBound", "approximant_contract",
     "approximant_expand", "limit_function", "construct_limit",
     "series_bound_contract", "series_bound_expand",
-    "contract_bound_closed_form", "contract_regime_threshold",
+    "contract_bound_closed_form",
     # fixed point
     "ContractionCertificate", "FixedPointResult", "lambda_apply",
     "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",

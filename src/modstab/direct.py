@@ -32,6 +32,7 @@ from .sampling import Grid
 
 __all__ = [
     "Mode",
+    "route_ratio",
     "LimitResult",
     "SeriesBound",
     "approximant_contract",
@@ -41,7 +42,6 @@ __all__ = [
     "series_bound_contract",
     "series_bound_expand",
     "contract_bound_closed_form",
-    "contract_regime_threshold",
 ]
 
 
@@ -50,6 +50,28 @@ class Mode(enum.Enum):
 
     CONTRACT = "t1-contract"
     EXPAND = "t2-expand"
+
+
+def route_ratio(
+    mode: Mode, alpha: ControlFunction, s: int, tau: float | None = None
+) -> float:
+    """Term ratio of a route's error-bound series; every regime gate reads it.
+
+    Contract route (needs the doubling constant ``tau``):
+    ``(tau**2/2) * 2**(-p/s)`` for power control, ``tau**2/2`` for constant
+    control.  Expand route: ``2**(p/s)/2`` and ``1/2``; this is also the
+    contraction factor ``L`` of the fixed-point route.  A route is in regime
+    exactly when its ratio is ``< 1``; at ``p = s`` it is ``1.0`` exactly.
+    """
+    if mode is Mode.CONTRACT:
+        if tau is None:
+            raise ArgumentError("the contract ratio needs a doubling constant tau")
+        weight, exponent = tau * tau / 2.0, -alpha.p / s
+    else:
+        weight, exponent = 0.5, alpha.p / s
+    if alpha.kind == "power":
+        return weight * 2.0**exponent
+    return weight
 
 
 def approximant_contract(
@@ -230,15 +252,6 @@ def _geometric_sum(first: float, ratio: float) -> SeriesBound:
     return SeriesBound(first / (1.0 - ratio), 1, 0.0, True, ratio)
 
 
-def _term_ratio(alpha: ControlFunction, weight_ratio: float, arg_step: int, s: int) -> float:
-    # weight_ratio: per-step growth of the scale weight; arg_step: the series
-    # arguments rescale by 2**(arg_step/s) from one term to the next.  The
-    # only other kind, constant control, does not depend on its arguments.
-    if alpha.kind == "power":
-        return weight_ratio * 2.0 ** (arg_step * alpha.p / s)
-    return weight_ratio
-
-
 def series_bound_contract(
     alpha: ControlFunction, tau: float, s: int, x: float
 ) -> SeriesBound:
@@ -247,17 +260,15 @@ def series_bound_contract(
         (1/2) * sum_{j>=1} (tau**2/2)**j
               * alpha(x/2**(j/s), x/2**(j/s), -x/2**((j-1)/s))
 
-    summed as its ``j = 1`` term over ``1 - ratio``.  The term ratio is
-    ``(tau**2/2) * 2**(-p/s)`` for power control and ``tau**2/2`` for
-    constant control; divergent ratios yield an infinite flagged bound,
-    never a finite number.
+    summed as its ``j = 1`` term over ``1 - ratio``, with the ratio from
+    ``route_ratio(Mode.CONTRACT, alpha, s, tau)``; divergent ratios yield an
+    infinite flagged bound, never a finite number.
     """
     if tau < 2.0:
         raise ArgumentError(f"doubling constant must be >= 2, got {tau}")
-    weight = tau * tau / 2.0
-    ratio = _term_ratio(alpha, weight, -1, s)
+    ratio = route_ratio(Mode.CONTRACT, alpha, s, tau)
     a = control_eval(alpha, x / 2.0 ** (1 / s), x / 2.0 ** (1 / s), -x)
-    return _geometric_sum(0.5 * weight * a, ratio)
+    return _geometric_sum(0.5 * (tau * tau / 2.0) * a, ratio)
 
 
 def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound:
@@ -266,18 +277,12 @@ def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound
         (1/2) * sum_{j>=0} 2**(-j)
               * alpha(2**(j/s)*x, 2**(j/s)*x, -2**((j+1)/s)*x)
 
-    summed as its ``j = 0`` term over ``1 - ratio``.  The term ratio is
-    ``2**(p/s)/2`` for power control (divergent once ``p >= s``) and ``1/2``
-    for constant control.
+    summed as its ``j = 0`` term over ``1 - ratio``, with the ratio from
+    ``route_ratio(Mode.EXPAND, alpha, s)`` (divergent once ``p >= s`` for
+    power control).
     """
-    ratio = _term_ratio(alpha, 0.5, +1, s)
     a = control_eval(alpha, x, x, -(2.0 ** (1 / s)) * x)
-    return _geometric_sum(0.5 * a, ratio)
-
-
-def contract_regime_threshold(s: int, tau: float) -> float:
-    """Smallest decay exponent (exclusive) with a convergent contract series."""
-    return s * math.log2(tau * tau / 2.0)
+    return _geometric_sum(0.5 * a, route_ratio(Mode.EXPAND, alpha, s))
 
 
 def contract_bound_closed_form(
@@ -285,16 +290,15 @@ def contract_bound_closed_form(
 ) -> float:
     """Closed form of the contract-route series for power control::
 
-        theta * (2 + 2**(p/s)) * tau**2 / (2 * (2**(p/s+1) - tau**2)) * |x|**p
+        theta * (2 + 2**(p/s)) * r / (2 * (1 - r)) * |x|**p
 
-    valid only for ``p > s*log2(tau**2/2)``, where the denominator is
-    positive.  The ``theta`` prefactor carries through the summation
-    linearly, so the closed form scales with it.
+    with ``r = route_ratio(Mode.CONTRACT, power(theta, p), s, tau)``; valid
+    only for ``r < 1``.  Dividing through by ``2**(p/s+1)`` gives the form
+    ``theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p`` reports print.
     """
-    threshold = contract_regime_threshold(s, tau)
-    if not p > threshold:
+    r = route_ratio(Mode.CONTRACT, ControlFunction.power(theta, p), s, tau)
+    if not r < 1.0:
         raise RegimeError(
-            f"closed-form bound needs p > s*log2(tau^2/2) = {threshold:.6g}, got p={p:g}"
+            f"closed-form bound needs contract ratio < 1, got {r:.6g} (p={p:g})"
         )
-    coeff = theta * (2.0 + 2.0 ** (p / s)) * tau * tau / (2.0 * (2.0 ** (p / s + 1.0) - tau * tau))
-    return coeff * abs(x) ** p
+    return theta * (2.0 + 2.0 ** (p / s)) * r / (2.0 * (1.0 - r)) * abs(x) ** p

@@ -11,6 +11,9 @@ induced function-space modular
 and iterating it from a perturbed solution converges to an exact one with
 error at most ``alpha(x, x, -2**(1/s)x) / (2*(1-L))``.
 
+Both built-in controls meet it with equality at ``L = route_ratio(Mode.EXPAND,
+...)``; ``estimate_contraction`` samples ``L`` independently, as a cross-check.
+
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
 supremum of ratios, so every reported distance is a certified lower bound of
 the true one and results are labelled accordingly.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .direct import Mode, route_ratio
 from .equation import ControlFunction, EquationParams, control_eval, defect
 from .errors import (
     ArgumentError,
@@ -60,7 +64,8 @@ class ContractionCertificate:
     ``l_hat`` is the max over checked samples of
     ``alpha(2**(1/s)x, 2**(1/s)x, -2**(2/s)x) / (2 * alpha(x, x, -2**(1/s)x))``;
     the certificate is valid only for ``l_hat < 1`` (the boundary is
-    excluded: no contraction, no convergence guarantee).
+    excluded).  A cross-check of the closed-form ``route_ratio``; nothing
+    is gated on it.
     """
 
     l_hat: float
@@ -149,13 +154,17 @@ def audit_defect_hypothesis(
     """Compare the equation defect of ``phi`` against the control on triples.
 
     Returns max defect, max defect/alpha ratio and the worst triple; triples
-    where the control vanishes contribute to the max defect only.
+    where the control vanishes contribute to the max defect only.  A defect
+    that overflows counts as ``inf``.
     """
     max_defect = 0.0
     max_ratio = 0.0
     worst = triples[0]
     for (x, y, z) in triples:
-        d = defect(params, phi, rho, x, y, z)
+        try:
+            d = defect(params, phi, rho, x, y, z)
+        except OverflowError:
+            d = math.inf
         if d > max_defect:
             max_defect = d
         a = control_eval(alpha, x, y, z)
@@ -220,9 +229,9 @@ class FixedPointResult:
     """Outcome of iterating the scaling operator to its fixed point.
 
     ``gap_history[k]`` is the sampled function-space gap between iterates
-    ``k`` and ``k+1``; successive entries shrink by roughly the certified
-    contraction factor.  ``quasi_contraction[k]`` is the five-distance
-    contraction ratio observed at step ``k`` (diagnostic only).
+    ``k`` and ``k+1``; successive entries shrink by roughly the closed-form
+    contraction factor ``l_hat``.  ``quasi_contraction[k]`` is the
+    five-distance contraction ratio observed at step ``k`` (diagnostic only).
     ``delta_hat_window`` is the largest pairwise gap over the computed
     iterate window -- the finite-window stand-in for an all-pairs supremum.
     """
@@ -251,7 +260,6 @@ def fixed_point_solve(
     grid: Grid,
     tol: float = 1e-9,
     n_max: int = 60,
-    certificate: ContractionCertificate | None = None,
     triple_count: int = 500,
     seed: int = 0,
     bound_tol: float = 1e-9,
@@ -260,12 +268,13 @@ def fixed_point_solve(
 ) -> FixedPointResult:
     """Iterate the scaling operator on ``phi`` until the sampled gap drops below ``tol``.
 
-    Preconditions enforced here: a valid contraction certificate (estimated
-    from the grid sample set when not supplied), a modular with a finite
+    Preconditions enforced here: a contraction factor
+    ``L = route_ratio(Mode.EXPAND, alpha, s) < 1``, a modular with a finite
     doubling constant, and an audited defect hypothesis ``defect <= alpha``
     over ``triple_count`` seeded triples in the grid box plus its corners
     (run here when no ``audit`` result of ``audit_defect_hypothesis`` on
-    those triples is supplied).
+    those triples is supplied).  The bounds ``alpha(x, x, -2**(1/s)x) /
+    (2*(1-L))`` are the expand route's series bounds.
 
     The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are read off
     the expand rows of an ``IterateTable`` -- the rows the expand route
@@ -286,11 +295,10 @@ def fixed_point_solve(
         table = IterateTable(phi, params.s, grid)
     else:
         table.check_serves(phi, params.s, grid)
-    if certificate is None:
-        certificate = estimate_contraction(alpha, params.s, table.points)
-    if not certificate.valid:
+    l_factor = route_ratio(Mode.EXPAND, alpha, params.s)
+    if not l_factor < 1.0:
         raise RegimeError(
-            f"contraction factor {certificate.l_hat:.6g} >= 1: "
+            f"contraction factor {l_factor:.6g} >= 1: "
             "the scaling operator is not a strict contraction for this control"
         )
     if audit is None:
@@ -339,7 +347,7 @@ def fixed_point_solve(
 
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
-        bounds = line[cols] / (2.0 * (1.0 - certificate.l_hat))
+        bounds = line[cols] / (2.0 * (1.0 - l_factor))
         slack = rho_eval_array(rho, table.expand(0)[cols] - values) - bounds
     final = FunctionHandle(
         expr=phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)).expr,
@@ -355,7 +363,7 @@ def fixed_point_solve(
         gap_history=tuple(gap_history),
         bound=tuple(bounds.tolist()),
         bound_ok=tuple((slack <= bound_tol).tolist()),
-        l_hat=certificate.l_hat,
+        l_hat=l_factor,
         saturated=saturated,
         origin_offset=table.origin(),
         delta_hat_window=delta_hat,

@@ -45,7 +45,6 @@ class ModularSpec:
 
     kind: str
     p: float | None = None
-    is_convex: bool = True
     delta2_tau: float | None = None
 
     def __post_init__(self):
@@ -54,7 +53,7 @@ class ModularSpec:
         if self.kind == "power":
             if self.p is None or not math.isfinite(self.p) or self.p < 1.0:
                 raise ArgumentError(f"power modular needs exponent p >= 1, got {self.p}")
-        if self.delta2_tau is not None and self.is_convex and self.delta2_tau < 2.0:
+        if self.delta2_tau is not None and self.delta2_tau < 2.0:
             raise ArgumentError(
                 f"a convex modular cannot have doubling constant {self.delta2_tau} < 2"
             )
@@ -62,12 +61,12 @@ class ModularSpec:
     @classmethod
     def power(cls, p: float) -> "ModularSpec":
         """``rho(u) = |u|**p``; carries its exact doubling constant ``2**p``."""
-        return cls(kind="power", p=float(p), is_convex=True, delta2_tau=2.0 ** float(p))
+        return cls(kind="power", p=float(p), delta2_tau=2.0 ** float(p))
 
     @classmethod
     def exp(cls) -> "ModularSpec":
         """``rho(u) = exp(|u|) - 1``; no finite doubling constant."""
-        return cls(kind="exp", p=None, is_convex=True, delta2_tau=None)
+        return cls(kind="exp", p=None, delta2_tau=None)
 
     def spec_string(self) -> str:
         if self.kind == "power":
@@ -178,9 +177,9 @@ def check_modular_axioms(
     """Certify the modular axioms on a finite sample set.
 
     Entries: zero-at-zero, positivity off zero, sign symmetry, convex
-    combination (or plain subadditivity when the spec is not convex),
-    monotonicity under scaling, and -- only when ``delta2_tau`` is present --
-    the doubling inequality.  Failures are report entries, never exceptions.
+    combination, monotonicity under scaling, and -- only when ``delta2_tau``
+    is present -- the doubling inequality.  Failures are report entries,
+    never exceptions.
     """
     if not samples:
         raise ArgumentError("check_modular_axioms needs a nonempty sample list")
@@ -200,8 +199,7 @@ def check_modular_axioms(
             worst_sym, worst_sym_u = gap, u
     entries.append(AxiomCheck("sign_symmetry", worst_sym <= tol, worst_sym_u, worst_sym, tol))
 
-    # Convex combination rho(a*u + b*v) <= a*rho(u) + b*rho(v), a + b = 1;
-    # the non-convex form drops the weights on the right-hand side.
+    # Convex combination rho(a*u + b*v) <= a*rho(u) + b*rho(v), a + b = 1.
     worst_cvx, worst_cvx_at = -math.inf, (samples[0], samples[0], 0.5)
     for u in samples:
         for v in samples:
@@ -209,13 +207,12 @@ def check_modular_axioms(
             for a in _CONVEX_WEIGHTS:
                 b = 1.0 - a
                 lhs = rho_eval(spec, a * u + b * v)
-                rhs = a * ru + b * rv if spec.is_convex else ru + rv
-                excess = lhs - rhs
+                excess = lhs - (a * ru + b * rv)
                 if excess > worst_cvx:
                     worst_cvx, worst_cvx_at = excess, (u, v, a)
     scale = 1.0 + max(abs(worst_cvx), 1.0)
-    name = "convex_combination" if spec.is_convex else "subadditivity"
-    entries.append(AxiomCheck(name, worst_cvx <= tol * scale, worst_cvx_at, worst_cvx, tol))
+    entries.append(AxiomCheck("convex_combination", worst_cvx <= tol * scale,
+                              worst_cvx_at, worst_cvx, tol))
 
     worst_mono, worst_mono_at = -math.inf, (samples[0], _SCALE_LADDER[:2])
     for u in samples:

@@ -18,11 +18,12 @@ from .direct import (
     Mode,
     construct_limit,
     contract_bound_closed_form,
+    route_ratio,
     series_bound_contract,
     series_bound_expand,
 )
 from .equation import ControlFunction, EquationParams, control_eval
-from .errors import ConfigError, DefectHypothesisError, ModstabError, RegimeError
+from .errors import ArgumentError, ConfigError, DefectHypothesisError, ModstabError
 from .fixedpoint import (
     audit_defect_hypothesis,
     estimate_contraction,
@@ -142,15 +143,12 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> di
     section["regime"] = {"ok": True, "ratio": probe.ratio}
     section["series"] = _series_dict(probe)
     if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
-        try:
-            section["closed_form"] = {
-                "value_at_representative": contract_bound_closed_form(
-                    cfg.alpha.theta, cfg.alpha.p, s, cfg.modular.delta2_tau, x_repr
-                ),
-                "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
-            }
-        except RegimeError:
-            pass  # p within float noise of the regime threshold
+        section["closed_form"] = {
+            "value_at_representative": contract_bound_closed_form(
+                cfg.alpha.theta, cfg.alpha.p, s, cfg.modular.delta2_tau, x_repr
+            ),
+            "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
+        }
 
     limit = construct_limit(mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
                             tol=cfg.tol, n_max=cfg.n_max, table=table)
@@ -176,7 +174,6 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> di
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
     section["_function"] = limit.function  # for cross-method checks; stripped later
-    section["_saturated"] = limit.saturated
     return section
 
 
@@ -190,7 +187,11 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable)
                      f"constant; {cfg.modular_spec} has none",
         }
         return section
-    cert = estimate_contraction(cfg.alpha, s, table.points)
+    try:  # the sampled certificate is a cross-check; the gate is l_factor
+        cert = estimate_contraction(cfg.alpha, s, table.points)
+    except ArgumentError as exc:
+        section["regime"] = {"ok": False, "error": str(exc)}
+        return section
     section["certificate"] = {
         "l_hat": cert.l_hat,
         "worst_sample": cert.worst_sample,
@@ -198,19 +199,19 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable)
         "samples_checked": cert.samples_checked,
         "samples_skipped": cert.samples_skipped,
     }
-    if not cert.valid:
+    l_factor = route_ratio(Mode.EXPAND, cfg.alpha, s)
+    if not l_factor < 1.0:
         section["regime"] = {
             "ok": False,
-            "l_hat": cert.l_hat,
-            "error": f"contraction factor {cert.l_hat:.6g} >= 1: "
+            "l_hat": l_factor,
+            "error": f"contraction factor {l_factor:.6g} >= 1: "
                      "fixed-point route inapplicable",
         }
         return section
     try:
         result = fixed_point_solve(
             cfg.phi, cfg.params, cfg.modular, cfg.alpha, cfg.grid,
-            tol=cfg.tol, n_max=cfg.n_max, certificate=cert,
-            triple_count=AUDIT_TRIPLES, seed=cfg.seed, bound_tol=CHECK_TOL_BOUND,
+            tol=cfg.tol, n_max=cfg.n_max, bound_tol=CHECK_TOL_BOUND,
             audit=audit, table=table,
         )
     except DefectHypothesisError as exc:
@@ -221,7 +222,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable)
             "ratio": exc.ratio,
         }
         return section
-    section["regime"] = {"ok": True, "l_hat": cert.l_hat}
+    section["regime"] = {"ok": True, "l_hat": result.l_hat}
     pts = cfg.grid.points()
     section["iteration"] = {
         "iterations": result.iterations,
@@ -246,7 +247,6 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable)
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
     section["_function"] = result.function
-    section["_saturated"] = result.saturated
     return section
 
 
@@ -288,7 +288,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, int]:
     ) and all(c["passed"] for c in cross)
     for sec in sections.values():
         sec.pop("_function", None)
-        sec.pop("_saturated", None)
     report["methods"] = sections
     if cross:
         report["cross_checks"] = cross
@@ -388,14 +387,17 @@ def _sweep_rows_for_cell(cfg: ExperimentConfig, report: dict) -> list[list]:
     rows = []
     p = cfg.alpha.p if cfg.alpha.kind == "power" else None
     theta = cfg.alpha.theta if cfg.alpha.kind == "power" else None
+    tau = cfg.modular.delta2_tau
     for method, sec in report["methods"].items():
         regime = sec.get("regime", {})
-        rate = regime.get("ratio", regime.get("l_hat"))
-        if rate is None:
-            rate = sec.get("certificate", {}).get("l_hat")
+        # t1 and the fixed-point route have no rate without a doubling constant.
+        mode = Mode.CONTRACT if method == "t1" else Mode.EXPAND
+        rate = (None if method != "t2" and tau is None
+                else route_ratio(mode, cfg.alpha, cfg.params.s, tau))
         body = sec.get("limit") or sec.get("iteration")
-        # "converged" tracks the regime gate (series ratio < 1 / valid
-        # certificate); a saturated construction still shows its slack.
+        # "converged" tracks the regime gate (route_ratio < 1, and for the
+        # fixed-point route the audit); a saturated construction still shows
+        # its slack.
         converged = bool(regime.get("ok"))
         slack = None
         for c in sec.get("checks", []):

@@ -3,25 +3,17 @@
 Reports must be byte-identical across runs for the same config and seed, so
 floats are printed with a fixed 17-significant-digit format (which
 round-trips every double) by a small canonical serializer instead of relying
-on library float repr.  Non-finite floats serialize as the strings "inf",
-"-inf" and "nan" since JSON has no token for them.
+on library float repr; strings take the standard library's ASCII-only
+escaping.  Non-finite floats serialize as the strings "inf", "-inf" and
+"nan" since JSON has no token for them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 __all__ = ["fmt_float", "canonical_json", "csv_lines"]
-
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
 
 
 def fmt_float(v: float) -> str:
@@ -32,18 +24,6 @@ def fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20 or ord(ch) > 0x7E:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _emit(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -52,7 +32,7 @@ def _emit(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(f'"{_escape(obj)}"')
+        out.append(json.dumps(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -67,7 +47,7 @@ def _emit(obj, out: list[str]) -> None:
                 out.append(",")
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(k).__name__}")
-            out.append(f'"{_escape(k)}":')
+            out.append(f"{json.dumps(k)}:")
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):

@@ -188,6 +188,78 @@ class TestOverflowingRuns:
         additivity = [c for c in checks if c["name"] == "radical_additivity"]
         assert additivity[0]["worst_value"] == "inf"
 
+    @staticmethod
+    def _assert_audit_refuses_fixedpoint(rep):
+        # an overflowing defect counts as inf, which the control cannot cover
+        assert rep["audit"]["max_defect"] == "inf"
+        assert not rep["audit"]["hypothesis_ok"]
+        regime = rep["methods"]["fixedpoint"]["regime"]
+        assert not regime["ok"] and regime["ratio"] == "inf"
+
+    def test_overflowing_grid_refuses_fixedpoint(self, tmp_path):
+        # x**3 overflows in the audit's radical combination
+        rep = self._run(tmp_path, "power:p=1", "-1e120,1e120,41")
+        self._assert_audit_refuses_fixedpoint(rep)
+
+    def test_overflowing_phi_refuses_fixedpoint(self, tmp_path):
+        # x**400 overflows in phi at the audit triples
+        cfg = write_cfg(tmp_path, phi="mono(1,400)", method="all")
+        out = tmp_path / "r.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        self._assert_audit_refuses_fixedpoint(json.loads(out.read_text()))
+
+
+class TestRegimeGates:
+    def _run(self, tmp_path, **kw):
+        cfg = write_cfg(tmp_path, method="all", **kw)
+        out = tmp_path / "r.json"
+        code = main(["run", str(cfg), "--out", str(out)])
+        return code, json.loads(out.read_text())
+
+    @pytest.mark.parametrize("alpha", ["const:eps=0", "power:theta=0,p=1"])
+    def test_zero_control_refuses_fixedpoint(self, tmp_path, alpha):
+        code, rep = self._run(tmp_path, phi="mono(1,3)", alpha=alpha)
+        assert code == 2
+        sec = rep["methods"]["fixedpoint"]
+        assert sec["regime"] == {
+            "ok": False,
+            "error": "estimate_contraction: control vanished at every sample; "
+                     "nothing to certify",
+        }
+        assert "certificate" not in sec and "iteration" not in sec
+
+    def test_boundary_p_equals_s_refuses_every_route(self, tmp_path):
+        # at p = s = 3 and tau = 2 every ratio is exactly 1
+        code, rep = self._run(tmp_path, phi="mono(1,3) + envnoise(0.001,3,5)",
+                              alpha="power:theta=0.01,p=3")
+        assert code == 2
+        for route in ("t1", "t2"):
+            regime = rep["methods"][route]["regime"]
+            assert not regime["ok"] and regime["ratio"] == 1.0
+        fixedpoint = rep["methods"]["fixedpoint"]
+        assert not fixedpoint["regime"]["ok"] and fixedpoint["regime"]["l_hat"] == 1.0
+        assert not fixedpoint["certificate"]["valid"]
+
+    def test_fixedpoint_bounds_equal_expand_bounds(self, tmp_path):
+        _, rep = self._run(tmp_path, phi="mono(1,3) + mono(0.01,1)",
+                           alpha="power:theta=0.02,p=1")
+        t2, fixedpoint = rep["methods"]["t2"], rep["methods"]["fixedpoint"]
+        assert t2["regime"]["ok"] and fixedpoint["regime"]["ok"]
+        assert fixedpoint["regime"]["l_hat"] == t2["regime"]["ratio"]
+        t2_bounds = [pt["bound"] for pt in t2["limit"]["points"]]
+        assert [pt["bound"] for pt in fixedpoint["iteration"]["points"]] == t2_bounds
+
+
+def test_astral_characters_round_trip(tmp_path):
+    # float() accepts any Unicode digit, here MATHEMATICAL BOLD DIGIT ONE
+    expr = "mono(\U0001d7cf,3)"
+    cfg = tmp_path / "astral.cfg"
+    cfg.write_text(BASE.format(phi=expr, alpha="const:eps=0.1", method="t2"),
+                   encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="ascii"))["config"]["phi"] == expr
+
 
 class TestSweep:
     def test_exponent_sweep_regimes(self, tmp_path):

@@ -19,11 +19,11 @@ from modstab import (
     approximant_expand,
     construct_limit,
     contract_bound_closed_form,
-    contract_regime_threshold,
     control_eval,
     defect,
     monomial,
     parse_expression,
+    route_ratio,
     seeded_triples,
     series_bound_contract,
     series_bound_expand,
@@ -297,6 +297,32 @@ class TestClosedFormSeries:
         small = series_bound_expand(alpha, 3, 1e-6)
         assert small.upper == pytest.approx(expected * 1e-6**p, rel=1e-12)
 
+
+class TestRouteRatio:
+    @pytest.mark.parametrize("p", [0.5, 2.9, 3.0, 3.1, 6.0])
+    @pytest.mark.parametrize("s", [3, 5])
+    @pytest.mark.parametrize("tau", [2.0, 4.0])
+    def test_power_control(self, p, s, tau):
+        alpha = ControlFunction.power(0.7, p)
+        contract = route_ratio(Mode.CONTRACT, alpha, s, tau)
+        assert contract == pytest.approx(tau**2 / 2 * 2 ** (-p / s), rel=1e-15)
+        assert route_ratio(Mode.EXPAND, alpha, s) == pytest.approx(2 ** (p / s) / 2, rel=1e-15)
+        # the series carry the same number, bit for bit
+        assert series_bound_contract(alpha, tau, s, 1.5).ratio == contract
+        assert series_bound_expand(alpha, s, 1.5).ratio == route_ratio(Mode.EXPAND, alpha, s)
+
+    @pytest.mark.parametrize("tau", [2.0, 2.5, 4.0])
+    def test_constant_control(self, tau):
+        alpha = ControlFunction.constant(0.3)
+        assert route_ratio(Mode.CONTRACT, alpha, 3, tau) == tau * tau / 2
+        assert route_ratio(Mode.EXPAND, alpha, 3) == 0.5
+        assert route_ratio(Mode.EXPAND, alpha, 3, tau) == 0.5  # tau plays no part
+
+    def test_contract_needs_tau(self):
+        with pytest.raises(ArgumentError):
+            route_ratio(Mode.CONTRACT, ControlFunction.constant(0.1), 3)
+
+
 class TestClosedFormBound:
     def test_reference_point(self):
         # (2+4)*4 / (2*(8-4)) = 3
@@ -311,8 +337,8 @@ class TestClosedFormBound:
         assert got == pytest.approx(0.768, rel=1e-12)
 
     def test_regime_error_below_threshold(self):
-        # threshold is p = s*log2(tau^2/2) = 3 at tau=2
-        assert contract_regime_threshold(3, 2.0) == pytest.approx(3.0, rel=1e-15)
+        # the contract ratio (tau^2/2)*2^(-p/s) is exactly 1 at p = s = 3, tau = 2
+        assert route_ratio(Mode.CONTRACT, ControlFunction.power(1.0, 3.0), 3, 2.0) == 1.0
         with pytest.raises(RegimeError):
             contract_bound_closed_form(1.0, 3.0, 3, 2.0, 1.0)
         with pytest.raises(RegimeError):

@@ -23,8 +23,11 @@ from modstab import (
     monomial,
     parse_expression,
     rho_hat_distance,
+    route_ratio,
+    series_bound_expand,
     standard_ladder,
 )
+from modstab.sampling import function_sample_points
 
 ABS1 = ModularSpec.power(1)
 P3 = EquationParams(3, 1.0)
@@ -88,6 +91,15 @@ class TestEstimateContraction:
         # ratio is constant in x and equals 2^(p/s - 1)
         cert = estimate_contraction(ControlFunction.power(1.0, p), s, SAMPLES)
         assert cert.l_hat == pytest.approx(2.0 ** (p / s - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("count", [41, 401, 4001])
+    @pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 2.5, 2.9, 3, 3.1, 3.5, 4, 5, 6])
+    def test_cross_check_agrees_with_closed_form(self, p, count):
+        # the sampled certificate a report shows, on the points a run samples,
+        # gives the same verdict as the closed-form gate
+        alpha = ControlFunction.power(0.05, p)
+        cert = estimate_contraction(alpha, 3, function_sample_points(Grid(-10, 10, count)))
+        assert cert.valid == (route_ratio(Mode.EXPAND, alpha, 3) < 1.0)
 
 
 class TestRhoHatDistance:
@@ -167,6 +179,26 @@ class TestFixedPointSolve:
         alpha = ControlFunction.power(0.016, 6.0)
         with pytest.raises(RegimeError):
             fixed_point_solve(phi, P3, ABS1, alpha, Grid(-10, 10, 11))
+
+    def test_boundary_exponent_is_regime_error(self):
+        # L = 2^(p/s)/2 is exactly 1 at p = s: no contraction
+        alpha = ControlFunction.power(0.01, 3.0)
+        assert route_ratio(Mode.EXPAND, alpha, 3) == 1.0
+        with pytest.raises(RegimeError):
+            fixed_point_solve(parse_expression("mono(1,3) + envnoise(0.001,3,5)"),
+                              P3, ABS1, alpha, Grid(-10, 10, 11))
+
+    @pytest.mark.parametrize("expr, alpha", [
+        ("mono(1,3) + mono(0.01,1)", ControlFunction.power(0.02, 1.0)),
+        ("mono(1,3) + sine(0.01,1)", ControlFunction.constant(0.1)),
+    ])
+    def test_closed_form_factor_and_expand_bounds(self, expr, alpha):
+        phi = parse_expression(expr)
+        grid = Grid(-10, 10, 21)
+        res = fixed_point_solve(phi, P3, ABS1, alpha, grid)
+        assert res.l_hat == route_ratio(Mode.EXPAND, alpha, 3)
+        assert list(res.bound) == [series_bound_expand(alpha, 3, x).upper
+                                   for x in grid.points()]
 
     def test_unverified_defect_hypothesis_raises(self):
         # sine defect reaches ~0.4 but the control allows only 0.05

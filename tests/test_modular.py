@@ -129,12 +129,12 @@ class TestSpecValidation:
 
     def test_convex_tau_below_two_rejected(self):
         with pytest.raises(ArgumentError):
-            ModularSpec(kind="power", p=2.0, is_convex=True, delta2_tau=1.5)
+            ModularSpec(kind="power", p=2.0, delta2_tau=1.5)
 
     def test_parse_power(self):
         spec = parse_modular("power:p=2")
         assert spec.kind == "power" and spec.p == 2.0
-        assert spec.delta2_tau == 4.0 and spec.is_convex
+        assert spec.delta2_tau == 4.0
 
     def test_parse_exp(self):
         spec = parse_modular("exp")

@@ -43,6 +43,12 @@ class TestCanonicalJson:
         assert text == '{"s":"a\\"b\\\\c\\nd\\t\\u00fc"}\n'
         assert json.loads(text)["s"] == 'a"b\\c\nd\tü'
 
+    def test_astral_characters_round_trip(self):
+        # escaped as a UTF-16 surrogate pair, as JSON requires
+        text = canonical_json({"s": "mono(\U0001d7cf,3)"})
+        assert text == '{"s":"mono(\\ud835\\udfcf,3)"}\n'
+        assert json.loads(text)["s"] == "mono(\U0001d7cf,3)"
+
     def test_output_parses_as_json(self):
         obj = {"schema": "modstab-report/1", "xs": [0.5, 1.0], "ok": True}
         assert json.loads(canonical_json(obj)) == obj
