@@ -39,7 +39,6 @@ from .errors import (
     ConfigError,
     ContractViolation,
     DefectHypothesisError,
-    EvaluationError,
     ModstabError,
     RangeError,
     RegimeError,
@@ -103,7 +102,6 @@ __all__ = [
     # sampling
     "Grid", "standard_ladder", "seeded_triples", "corner_triples",
     # errors
-    "ModstabError", "EvaluationError", "ArgumentError", "RangeError",
-    "RegimeError", "ContractViolation", "DefectHypothesisError",
-    "ConfigError",
+    "ModstabError", "ArgumentError", "RangeError", "RegimeError",
+    "ContractViolation", "DefectHypothesisError", "ConfigError",
 ]

@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 2 regime or check failure, 3 I/O failure,
-4 config parse failure.
+4 config error (unparsable, or a number a float cannot hold).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
-from .config import parse_experiment, parse_sweep
+from .config import MAX_N, parse_experiment, parse_sweep
 from .errors import ConfigError, ModstabError
 from .pipeline import (
     EXIT_CONFIG,
@@ -65,12 +66,12 @@ def _write(path: str | None, text: str) -> None:
 def _apply_overrides(cfg, args):
     updates = {}
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ConfigError(f"--tol must be positive, got {args.tol}")
+        if not 0 < args.tol < math.inf:
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         updates["tol"] = args.tol
     if args.n_max is not None:
-        if args.n_max < 1:
-            raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
+        if not 1 <= args.n_max <= MAX_N:
+            raise ConfigError(f"--n-max must be in 1..{MAX_N}, got {args.n_max}")
         updates["n_max"] = args.n_max
     if args.seed is not None:
         updates["seed"] = args.seed

@@ -30,8 +30,10 @@ A sweep config adds a ``[sweep]`` section with value lists over the axes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from .direct import MAX_N
 from .equation import ControlFunction, EquationParams, parse_control
 from .errors import ArgumentError, ConfigError
 from .functions import FunctionHandle, parse_expression
@@ -183,11 +185,11 @@ def _build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ConfigError(f"[run] grid: {exc}") from exc
 
     tol = _float(sections, "run", "tol", default=1e-9)
-    if tol <= 0:
-        raise ConfigError(f"[run] tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"[run] tol must be positive and finite, got {tol}")
     n_max = _int(sections, "run", "n_max", default=60)
-    if n_max < 1:
-        raise ConfigError(f"[run] n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= MAX_N:
+        raise ConfigError(f"[run] n_max must be in 1..{MAX_N}, got {n_max}")
     seed = _int(sections, "run", "seed", default=0)
     fmt = run.get("format", "json").strip()
     if fmt not in ("json", "csv"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .equation import ControlFunction, EquationParams, control_eval
 from .errors import ArgumentError, ContractViolation, RegimeError
 from .functions import FunctionHandle
 from .iterates import IterateTable
-from .modular import ModularSpec, rho_eval_array
+from .modular import ModularSpec, pow_or_inf, rho_eval_array
 from .sampling import Grid
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "series_bound_expand",
     "contract_bound_closed_form",
 ]
+
+MAX_N = sys.float_info.max_exp - 1  # 1023: the largest n with 2.0**n finite
 
 
 class Mode(enum.Enum):
@@ -70,24 +73,22 @@ def route_ratio(
     else:
         weight, exponent = 0.5, alpha.p / s
     if alpha.kind == "power":
-        return weight * 2.0**exponent
+        return weight * pow_or_inf(2.0, exponent)
     return weight
 
 
 def approximant_contract(
     phi: FunctionHandle, params: EquationParams, n: int, x: float
 ) -> float:
-    """n-th contract-route approximant ``2**n * phi(x / 2**(n/s))``.
+    """n-th contract-route approximant ``2**n * phi(2**(-n/s) * x)``.
 
-    Overflow inside the evaluation returns ``inf``: the saturation signal
-    ``construct_limit`` freezes on, rather than an exception.
+    Computed as ``limit_function`` computes it, so the two agree bit for bit.
+    An evaluation of ``phi`` that overflows is ``inf`` already: the
+    saturation signal ``construct_limit`` freezes on.
     """
     if n < 0:
         raise ArgumentError(f"approximant index must be >= 0, got {n}")
-    try:
-        return 2.0**n * phi(x / 2.0 ** (n / params.s))
-    except OverflowError:
-        return math.inf
+    return 2.0**n * phi(2.0 ** (-n / params.s) * x)
 
 
 def approximant_expand(
@@ -95,16 +96,13 @@ def approximant_expand(
 ) -> float:
     """n-th expand-route approximant ``(phi(2**(n/s)*x) - q*phi(0)) / 2**n``.
 
-    Overflow of the rescaled argument inside ``phi`` returns ``inf`` as the
+    An evaluation of ``phi`` that overflows is ``inf`` already: the
     saturation signal.
     """
     if n < 0:
         raise ArgumentError(f"approximant index must be >= 0, got {n}")
     offset = params.q * phi(0.0)
-    try:
-        return (phi(2.0 ** (n / params.s) * x) - offset) / 2.0**n
-    except OverflowError:
-        return math.inf
+    return (phi(2.0 ** (n / params.s) * x) - offset) / 2.0**n
 
 
 def limit_function(
@@ -162,8 +160,8 @@ def construct_limit(
     """
     if tol <= 0:
         raise ArgumentError(f"tol must be positive, got {tol}")
-    if n_max < 1:
-        raise ArgumentError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= MAX_N:
+        raise ArgumentError(f"n_max must be in 1..{MAX_N}, got {n_max}")
     if mode is Mode.CONTRACT and rho.delta2_tau is None:
         raise ContractViolation(
             "contract route needs a modular with a finite doubling constant "
@@ -246,8 +244,8 @@ class SeriesBound:
 
 def _geometric_sum(first: float, ratio: float) -> SeriesBound:
     # Terms of both built-in control kinds are exactly geometric with the
-    # given ratio.
-    if ratio >= 1.0:
+    # given ratio.  A nan ratio is out of regime, as at every other gate.
+    if not ratio < 1.0:
         return SeriesBound(0.0 if first == 0.0 else math.inf, 1, 0.0, False, ratio)
     return SeriesBound(first / (1.0 - ratio), 1, 0.0, True, ratio)
 
@@ -301,4 +299,5 @@ def contract_bound_closed_form(
         raise RegimeError(
             f"closed-form bound needs contract ratio < 1, got {r:.6g} (p={p:g})"
         )
-    return theta * (2.0 + 2.0 ** (p / s)) * r / (2.0 * (1.0 - r)) * abs(x) ** p
+    return (theta * (2.0 + pow_or_inf(2.0, p / s)) * r / (2.0 * (1.0 - r))
+            * pow_or_inf(abs(x), p))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError, ConfigError, RangeError
 from .functions import FunctionHandle
-from .modular import ModularSpec, rho_eval
+from .modular import ModularSpec, pow_or_inf, rho_eval
 
 __all__ = [
     "EquationParams",
@@ -60,10 +60,8 @@ class ControlFunction:
     def __post_init__(self):
         if self.kind not in ("power", "constant"):
             raise ArgumentError(f"unknown control kind {self.kind!r}")
-        if self.kind == "power" and (self.theta < 0 or self.p < 0):
-            raise ArgumentError("power control needs theta >= 0 and p >= 0")
-        if self.kind == "constant" and self.eps < 0:
-            raise ArgumentError("constant control needs eps >= 0")
+        if not all(0.0 <= v < math.inf for v in (self.theta, self.p, self.eps)):
+            raise ArgumentError("control parameters must be finite and >= 0")
 
     @classmethod
     def power(cls, theta: float, p: float) -> "ControlFunction":
@@ -101,10 +99,7 @@ def _powers(s: int, **coords: float) -> list[float]:
     # v**s for each named coordinate; RangeError names the first that overflows.
     out = []
     for name, v in coords.items():
-        try:
-            pw = float(v) ** s
-        except OverflowError:
-            pw = math.inf
+        pw = pow_or_inf(float(v), s)
         if not math.isfinite(pw):
             raise RangeError(f"{name}**{s} overflows for {name}={v!r}", coordinate=name)
         out.append(pw)
@@ -150,9 +145,16 @@ def pair_additivity_defect(
 
 
 def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
-    """Evaluate the control function at a triple."""
+    """Evaluate the control function at a triple.
+
+    Where a power overflows the value is ``inf`` (``0`` for a zero control),
+    so no caller guards the call.
+    """
     if alpha.kind == "power":
-        return alpha.theta * (abs(x) ** alpha.p + abs(y) ** alpha.p + abs(z) ** alpha.p)
+        try:
+            return alpha.theta * (abs(x) ** alpha.p + abs(y) ** alpha.p + abs(z) ** alpha.p)
+        except OverflowError:
+            return math.inf if alpha.theta else 0.0
     return alpha.eps
 
 

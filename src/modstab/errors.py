@@ -9,14 +9,6 @@ class ModstabError(Exception):
     """Base class for all package errors."""
 
 
-class EvaluationError(ModstabError):
-    """A numeric evaluation received or produced an unusable value."""
-
-    def __init__(self, message: str, value=None):
-        super().__init__(message)
-        self.value = value
-
-
 class ArgumentError(ModstabError, ValueError):
     """An operation was called with arguments outside its contract."""
 

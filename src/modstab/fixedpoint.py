@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import Mode, route_ratio
+from .direct import MAX_N, Mode, route_ratio
 from .equation import ControlFunction, EquationParams, control_eval, defect
 from .errors import (
     ArgumentError,
@@ -153,9 +153,10 @@ def audit_defect_hypothesis(
 ) -> dict:
     """Compare the equation defect of ``phi`` against the control on triples.
 
-    Returns max defect, max defect/alpha ratio and the worst triple; triples
-    where the control vanishes contribute to the max defect only.  A defect
-    that overflows counts as ``inf``.
+    Returns max defect, max defect/alpha ratio and the worst triple.  Where
+    the control vanishes, or overflows to ``inf`` and so certifies nothing,
+    the ratio is ``inf`` unless the defect vanishes too.  A triple whose ``x**s`` leaves the float range (``RangeError``)
+    counts as defect ``inf``.
     """
     max_defect = 0.0
     max_ratio = 0.0
@@ -168,10 +169,9 @@ def audit_defect_hypothesis(
         if d > max_defect:
             max_defect = d
         a = control_eval(alpha, x, y, z)
-        if a > 0.0:
-            ratio = d / a
-            if ratio > max_ratio:
-                max_ratio, worst = ratio, (x, y, z)
+        ratio = d / a if 0.0 < a < math.inf else (math.inf if d > 0.0 else 0.0)
+        if ratio > max_ratio:
+            max_ratio, worst = ratio, (x, y, z)
     return {
         "triples": len(triples),
         "max_defect": max_defect,
@@ -284,8 +284,8 @@ def fixed_point_solve(
     """
     if tol <= 0:
         raise ArgumentError(f"tol must be positive, got {tol}")
-    if n_max < 1:
-        raise ArgumentError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= MAX_N:
+        raise ArgumentError(f"n_max must be in 1..{MAX_N}, got {n_max}")
     if rho.delta2_tau is None:
         raise ContractViolation(
             "fixed-point route needs a modular with a finite doubling constant "

@@ -117,7 +117,18 @@ class FunctionHandle:
     seed: int = 0
 
     def __call__(self, x: float) -> float:
-        return self.expr(float(x))
+        """``f(x)``, or ``inf`` where the float arithmetic cannot hold it.
+
+        A power that overflows, ``0.0`` to a negative power and ``sin``/``cos``
+        of an infinite argument all evaluate to ``inf``, the saturation
+        signal every caller reads, so no caller guards the call.  An argument
+        ``float()`` refuses still raises.
+        """
+        x = float(x)
+        try:
+            return self.expr(x)
+        except (ArithmeticError, ValueError):  # ValueError: math domain error
+            return math.inf
 
     def scaled(self, outer: float = 1.0, inner: float = 1.0) -> "FunctionHandle":
         """The function ``x -> outer * f(inner * x)``."""

@@ -3,7 +3,7 @@
 The expand route's approximants ``(phi(2**(n/s) x) - q*phi(0)) / 2**n`` and
 the fixed-point iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are
 built from the same values ``phi(2**(n/s) x)``; the contract route's
-approximants ``2**n * phi(x / 2**(n/s))`` from the dual rescaling.  An
+approximants ``2**n * phi(2**(-n/s) x)`` from the dual rescaling.  An
 ``IterateTable`` holds those values as rows, one per step ``n``, over
 ``function_sample_points(grid)`` -- a superset of the grid -- and computes a
 row the first time any route asks for it.  Routes sharing a table never
@@ -11,8 +11,6 @@ evaluate ``phi`` twice at the same ``(n, x)``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,8 +27,9 @@ class IterateTable:
     ``points`` is ``function_sample_points(grid)`` and ``grid_index`` the
     position of each grid point in it.  ``expand(n)[i]`` is
     ``phi(2**(n/s) * points[i])`` and ``contract(n)[i]`` is
-    ``phi(points[i] / 2**(n/s))``; an evaluation that overflows is stored as
-    ``inf``, the saturation signal every route reads it as.
+    ``phi(2**(-n/s) * points[i])``, the arguments ``limit_function``'s
+    handles compute; an evaluation that overflows is ``inf`` (see
+    ``FunctionHandle``), the saturation signal every route reads.
     """
 
     def __init__(self, phi: FunctionHandle, s: int, grid: Grid):
@@ -50,13 +49,7 @@ class IterateTable:
             raise ArgumentError("iterate table was built for a different phi, s or grid")
 
     def _evaluate(self, args: list[float]) -> np.ndarray:
-        out = []
-        for a in args:
-            try:
-                out.append(self.phi(a))
-            except OverflowError:
-                out.append(math.inf)
-        return np.array(out, dtype=float)
+        return np.array([self.phi(a) for a in args], dtype=float)
 
     def expand(self, n: int) -> np.ndarray:
         """Row ``n`` of ``phi(2**(n/s) * x)``, extending the table as needed."""
@@ -66,10 +59,10 @@ class IterateTable:
         return self._expand[n]
 
     def contract(self, n: int) -> np.ndarray:
-        """Row ``n`` of ``phi(x / 2**(n/s))``, extending the table as needed."""
+        """Row ``n`` of ``phi(2**(-n/s) * x)``, extending the table as needed."""
         while len(self._contract) <= n:
-            scale = 2.0 ** (len(self._contract) / self.s)
-            self._contract.append(self._evaluate([x / scale for x in self.points]))
+            scale = 2.0 ** (-len(self._contract) / self.s)
+            self._contract.append(self._evaluate([scale * x for x in self.points]))
         return self._contract[n]
 
     def origin(self) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, EvaluationError
+from .errors import ArgumentError, ConfigError
 
 __all__ = [
     "ModularSpec",
@@ -53,6 +53,11 @@ class ModularSpec:
         if self.kind == "power":
             if self.p is None or not math.isfinite(self.p) or self.p < 1.0:
                 raise ArgumentError(f"power modular needs exponent p >= 1, got {self.p}")
+            if self.delta2_tau == math.inf:
+                raise ArgumentError(
+                    f"power modular exponent p={self.p:g} is too large: "
+                    "its doubling constant 2**p overflows a float"
+                )
         if self.delta2_tau is not None and self.delta2_tau < 2.0:
             raise ArgumentError(
                 f"a convex modular cannot have doubling constant {self.delta2_tau} < 2"
@@ -61,7 +66,7 @@ class ModularSpec:
     @classmethod
     def power(cls, p: float) -> "ModularSpec":
         """``rho(u) = |u|**p``; carries its exact doubling constant ``2**p``."""
-        return cls(kind="power", p=float(p), delta2_tau=2.0 ** float(p))
+        return cls(kind="power", p=float(p), delta2_tau=pow_or_inf(2.0, float(p)))
 
     @classmethod
     def exp(cls) -> "ModularSpec":
@@ -74,17 +79,25 @@ class ModularSpec:
         return "exp"
 
 
+def pow_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent``, or ``inf`` where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def rho_eval(spec: ModularSpec, u: float) -> float:
     """Evaluate the modular at ``u``.
 
-    Raises ``EvaluationError`` for non-finite input.  Output may overflow to
-    ``inf`` for extreme finite arguments (``exp`` kind, or ``power`` with
-    ``p > 1``); callers that probe the doubling ratio treat that as
-    divergence evidence.
+    Total: a non-finite ``u`` (an overflowed or undefined residual) and a
+    value too large for a float (``exp`` kind, or ``power`` with ``p > 1``)
+    both give ``inf``, the rule ``rho_eval_array`` applies too; callers that
+    probe the doubling ratio treat that as divergence evidence.
     """
     u = float(u)
     if not math.isfinite(u):
-        raise EvaluationError(f"modular evaluated at non-finite value {u!r}", value=u)
+        return math.inf
     try:
         if spec.kind == "power":
             return abs(u) ** spec.p
@@ -94,9 +107,10 @@ def rho_eval(spec: ModularSpec, u: float) -> float:
 
 
 def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
-    """``rho_eval`` over a float array, with non-finite entries mapped to ``inf``.
+    """``rho_eval`` over a float array.
 
-    Every finite entry gets exactly the bits ``rho_eval`` gives it.  For the
+    Every entry gets exactly the bits ``rho_eval`` gives it (``inf`` where it
+    is not finite).  For the
     ``power:p=1`` modular that is ``abs(u)`` (``pow(v, 1)`` is exact), taken
     as one numpy ``abs``; every other modular goes through ``rho_eval``
     entry by entry, because numpy's vector ``power`` and ``expm1`` may differ

@@ -30,7 +30,7 @@ from .fixedpoint import (
     fixed_point_solve,
 )
 from .iterates import IterateTable
-from .modular import check_modular_axioms, estimate_delta2, parse_modular
+from .modular import check_modular_axioms, estimate_delta2, parse_modular, pow_or_inf
 from .report import canonical_json, csv_lines
 from .sampling import corner_triples, seeded_triples, standard_ladder
 from .verify import cross_check, verify_oddness, verify_radical_additivity, verify_stability_bound
@@ -99,7 +99,7 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
         if mode is Mode.CONTRACT:
             tau = cfg.modular.delta2_tau
             arg = r / 2.0 ** (k / s)
-            return tau**k * control_eval(cfg.alpha, arg, arg, arg)
+            return pow_or_inf(tau, k) * control_eval(cfg.alpha, arg, arg, arg)
         arg = 2.0 ** (k / s) * r
         return control_eval(cfg.alpha, arg, arg, arg) / 2.0**k
 

@@ -6,6 +6,7 @@ same inputs produce bit-identical samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,11 @@ class Grid:
     def __post_init__(self):
         if self.count < 2:
             raise ArgumentError(f"grid needs at least 2 points, got {self.count}")
-        if not self.lo < self.hi:
-            raise ArgumentError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        # A finite hi - lo also rules out non-finite ends.
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ArgumentError(
+                f"grid needs lo < hi with a finite hi - lo, got [{self.lo}, {self.hi}]"
+            )
 
     def points(self) -> list[float]:
         return [float(v) for v in np.linspace(self.lo, self.hi, self.count)]

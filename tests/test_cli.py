@@ -201,12 +201,77 @@ class TestOverflowingRuns:
         rep = self._run(tmp_path, "power:p=1", "-1e120,1e120,41")
         self._assert_audit_refuses_fixedpoint(rep)
 
+    def test_overflowing_control_refuses_fixedpoint(self, tmp_path):
+        # |x|**2 overflows in the control and x**3 in the radical
+        # combination: an inf control certifies no defect, so L = 0.79 < 1
+        # is not enough to run the fixed-point route
+        cfg = write_cfg(tmp_path, alpha="power:theta=1,p=2", method="all")
+        cfg.write_text(cfg.read_text().replace("-10,10,41", "-1e200,1e200,41"))
+        out = tmp_path / "r.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        self._assert_audit_refuses_fixedpoint(json.loads(out.read_text()))
+
     def test_overflowing_phi_refuses_fixedpoint(self, tmp_path):
         # x**400 overflows in phi at the audit triples
         cfg = write_cfg(tmp_path, phi="mono(1,400)", method="all")
         out = tmp_path / "r.json"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         self._assert_audit_refuses_fixedpoint(json.loads(out.read_text()))
+
+
+class TestUnrepresentableConfig:
+    # Numbers a float cannot hold, or that make the run's arithmetic leave
+    # the float range before it starts, are config errors (exit 4).
+
+    def _run(self, tmp_path, capsys, old="", new="", args=()):
+        cfg = write_cfg(tmp_path, method="all")
+        if old:
+            cfg.write_text(cfg.read_text().replace(old, new))
+        out = tmp_path / "r.json"
+        code = main(["run", str(cfg), "--out", str(out), *args])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["-inf,10,11", "-1e308,1.7e308,11"])
+    def test_grid_span_must_be_finite(self, tmp_path, capsys, grid):
+        code, err = self._run(tmp_path, capsys, "grid = -10,10,41", f"grid = {grid}")
+        assert code == 4
+        assert "grid needs lo < hi with a finite hi - lo" in err
+
+    def test_doubling_constant_must_be_finite(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "spec = power:p=1", "spec = power:p=1024")
+        assert code == 4
+        assert "exponent p=1024 is too large" in err
+
+    def test_doubling_constant_must_be_finite_check_modular(self, capsys):
+        assert main(["check-modular", "power:p=1024"]) == 4
+        assert "exponent p=1024 is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["power:theta=nan,p=1", "power:theta=1,p=nan",
+                                       "power:theta=1,p=inf", "const:eps=nan"])
+    def test_control_parameters_must_be_finite(self, tmp_path, capsys, alpha):
+        code, err = self._run(tmp_path, capsys, "spec = const:eps=0.1", f"spec = {alpha}")
+        assert code == 4
+        assert "control parameters must be finite" in err
+
+    def test_tol_must_be_finite(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "tol = 1e-9", "tol = nan")
+        assert code == 4
+        assert "[run] tol must be positive and finite, got nan" in err
+
+    def test_tol_override_must_be_finite(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, args=("--tol", "nan"))
+        assert code == 4
+        assert "--tol must be positive and finite" in err
+
+    def test_n_max_beyond_float_powers(self, tmp_path, capsys):
+        # 2**n_max must be a float: 2.0**1024 overflows in every route
+        code, err = self._run(tmp_path, capsys, "n_max = 60", "n_max = 1024")
+        assert code == 4
+        assert "[run] n_max must be in 1..1023" in err
+        code, err = self._run(tmp_path, capsys, args=("--n-max", "1024"))
+        assert code == 4
+        assert "--n-max must be in 1..1023" in err
 
 
 class TestRegimeGates:
@@ -227,6 +292,14 @@ class TestRegimeGates:
                      "nothing to certify",
         }
         assert "certificate" not in sec and "iteration" not in sec
+
+    def test_zero_control_refutes_the_audit(self, tmp_path):
+        # alpha = 0 allows no defect, so the sine defect is an infinite ratio
+        code, rep = self._run(tmp_path, phi="mono(1,3) + sine(0.5,1)", alpha="const:eps=0")
+        assert code == 2
+        audit = rep["audit"]
+        assert audit["max_ratio"] == "inf" and not audit["hypothesis_ok"]
+        assert audit["max_defect"] > 1.0
 
     def test_boundary_p_equals_s_refuses_every_route(self, tmp_path):
         # at p = s = 3 and tau = 2 every ratio is exactly 1

@@ -140,6 +140,13 @@ class TestConstructLimit:
         for v, x in zip(res.values, Grid(-5, 5, 11).points()):
             assert v == pytest.approx(x**3, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [0, 1024])
+    def test_n_max_outside_float_powers_rejected(self, n_max):
+        # 2.0**1024 overflows: the step count must stay in 1..1023
+        with pytest.raises(ArgumentError, match="n_max must be in 1..1023"):
+            construct_limit(Mode.EXPAND, monomial(1.0, 3), P3, ABS1,
+                            Grid(-5, 5, 11), n_max=n_max)
+
     def test_contract_requires_doubling_constant(self):
         with pytest.raises(ContractViolation):
             construct_limit(Mode.CONTRACT, monomial(1.0, 3), P3,

@@ -16,6 +16,7 @@ from modstab import (
     ModularSpec,
     Mode,
     RegimeError,
+    audit_defect_hypothesis,
     construct_limit,
     estimate_contraction,
     fixed_point_solve,
@@ -174,6 +175,13 @@ class TestFixedPointSolve:
         for v, x in zip(res.values, Grid(-5, 5, 11).points()):
             assert v == pytest.approx(x**3, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [0, 1024])
+    def test_n_max_outside_float_powers_rejected(self, n_max):
+        # 2.0**1024 overflows: the step count must stay in 1..1023
+        with pytest.raises(ArgumentError, match="n_max must be in 1..1023"):
+            fixed_point_solve(monomial(1.0, 3), P3, ABS1, ControlFunction.constant(0.1),
+                              Grid(-5, 5, 11), n_max=n_max)
+
     def test_invalid_certificate_is_regime_error(self):
         phi = parse_expression("mono(1,3) + envnoise(0.004,6,7)")
         alpha = ControlFunction.power(0.016, 6.0)
@@ -242,3 +250,36 @@ class TestFixedPointSolve:
         t2 = construct_limit(Mode.EXPAND, phi, P3, ABS1, grid)
         for a, b in zip(fp.values, t2.values):
             assert a == pytest.approx(b, abs=1e-6)
+
+
+class TestAuditDefectHypothesis:
+    TRIPLES = [(1.0, 2.0, -0.5), (0.0, 0.0, 0.0), (-3.0, 0.25, 2.0)]
+
+    def test_vanishing_control_with_defect_is_an_inf_ratio(self):
+        # alpha = 0 allows no defect at all, so any defect refutes it
+        phi = parse_expression("mono(1,3) + sine(0.5,1)")
+        audit = audit_defect_hypothesis(phi, P3, ABS1, ControlFunction.constant(0.0),
+                                        self.TRIPLES)
+        assert audit["max_ratio"] == math.inf and not audit["hypothesis_ok"]
+        assert audit["worst_triple"] == self.TRIPLES[0]
+        assert audit["max_defect"] > 0.0
+
+    def test_vanishing_control_without_defect_passes(self):
+        # at (0, 0, 0) both the defect and the power control vanish
+        audit = audit_defect_hypothesis(monomial(1.0, 3), P3, ABS1,
+                                        ControlFunction.power(1.0, 2.0),
+                                        [(0.0, 0.0, 0.0)])
+        assert audit["max_defect"] == 0.0 and audit["max_ratio"] == 0.0
+        assert audit["hypothesis_ok"]
+
+    @pytest.mark.parametrize("expr, p, triple", [
+        # |x|**4 overflows, the defect of phi(x) = x stays finite
+        ("mono(1,1)", 4.0, (1e100, 2e100, 5e99)),
+        # |x|**2 overflows and x**3 leaves the range: defect inf
+        ("mono(1,3) + sine(0.5,1)", 2.0, (1e200, 1e200, -1e200)),
+    ])
+    def test_overflowed_control_certifies_nothing(self, expr, p, triple):
+        audit = audit_defect_hypothesis(parse_expression(expr), P3, ABS1,
+                                        ControlFunction.power(1.0, p), [triple])
+        assert audit["max_defect"] > 0.0
+        assert audit["max_ratio"] == math.inf and not audit["hypothesis_ok"]

@@ -95,3 +95,18 @@ def test_evaluation_finite_on_bounded_interval():
     f = parse_expression("mono(1,7) + envnoise(0.5,3,3)")
     for x in [i / 7.0 for i in range(-70, 71)]:
         assert math.isfinite(f(x))
+
+
+@pytest.mark.parametrize("expr, x", [
+    ("mono(1,400)", 10.0),               # x**400 overflows
+    ("mono(1,3) + mono(0.5,-1)", 0.0),   # 0.0 ** -1
+    ("envnoise(0.01,-0.5,3)", 0.0),      # 0.0 ** -0.5
+    ("sine(1,1e308)", 10.0),             # sin(inf)
+])
+def test_unrepresentable_value_is_inf(expr, x):
+    assert parse_expression(expr)(x) == math.inf
+
+
+def test_unconvertible_argument_still_raises():
+    with pytest.raises(ValueError):
+        monomial(1.0, 3)("abc")

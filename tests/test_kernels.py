@@ -28,6 +28,7 @@ from modstab import (
     approximant_expand,
     construct_limit,
     fixed_point_solve,
+    limit_function,
     parse_expression,
     rho_eval,
     rho_eval_array,
@@ -235,6 +236,16 @@ def test_table_rows_match_scalar_approximants():
         assert bits(contract) == bits(approximant_contract(phi, params, n, x)
                                       for x in table.points)
     assert [table.points[i] for i in table.grid_index] == grid.points()
+
+
+def test_contract_handle_matches_table_rows():
+    # the t1 report's values and gaps come from the table; its checks
+    # evaluate the limit handle, so both must compute 2**(-n/s) * x
+    phi = parse_expression("mono(1,3) + sine(0.1,1) + envnoise(0.01,1,11)")
+    table = IterateTable(phi, 3, Grid(-10.0, 10.0, 401))
+    for n in range(1, 61):
+        handle = limit_function(Mode.CONTRACT, phi, P3, n)
+        assert bits(handle(x) for x in table.points) == bits(2.0**n * table.contract(n))
 
 
 def test_table_refuses_a_different_grid():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from modstab import (
     ArgumentError,
-    EvaluationError,
     ModularSpec,
     check_modular_axioms,
     estimate_delta2,
@@ -38,8 +37,7 @@ class TestRhoEval:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_input_rejected(self, bad):
-        with pytest.raises(EvaluationError):
-            rho_eval(ModularSpec.power(2), bad)
+        assert rho_eval(ModularSpec.power(2), bad) == math.inf
 
     @given(c=finite_reals, u=finite_reals, p=st.floats(min_value=1.0, max_value=4.0))
     def test_power_homogeneity(self, c, u, p):
