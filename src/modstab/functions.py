@@ -9,15 +9,22 @@ perturbations::
 
 ``mono(c,k)`` is ``c*x**k``, ``sine(a,b)`` is ``a*sin(b*x)`` and
 ``envnoise(a,p,seed)`` is ``a*|x|**p*u(x)`` where ``u`` is a seeded
-oscillation with ``|u| <= 1``.  Evaluation is a pure function of
-(expression, seed, x): identical inputs give identical output bits.
+oscillation with ``|u| <= 1``.
+
+Parsing builds one plain closure per atom, scalar multiple and sum, together
+with its description; ``scaled`` and ``shifted`` wrap a handle's closure the
+same way.  A sum folds its terms left from the int ``0``, which is what
+``sum()`` did before Python 3.12 made it compensated, so evaluation is a pure
+function of (expression, seed, x) that gives identical output bits on every
+supported Python.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,93 +33,46 @@ from .errors import ConfigError
 __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression"]
 
 
-@dataclass(frozen=True)
-class _Monomial:
-    coeff: float
-    power: int
-
-    def __call__(self, x: float) -> float:
-        return self.coeff * x**self.power
-
-    def describe(self) -> str:
-        return f"mono({self.coeff:g},{self.power})"
+def _monomial(coeff: float, power: int):
+    return (lambda x: coeff * x**power), f"mono({coeff:g},{power})"
 
 
-@dataclass(frozen=True)
-class _Sine:
-    amplitude: float
-    frequency: float
-
-    def __call__(self, x: float) -> float:
-        return self.amplitude * math.sin(self.frequency * x)
-
-    def describe(self) -> str:
-        return f"sine({self.amplitude:g},{self.frequency:g})"
+def _sine(amplitude: float, frequency: float):
+    return (lambda x: amplitude * math.sin(frequency * x)), f"sine({amplitude:g},{frequency:g})"
 
 
-@dataclass(frozen=True)
-class _EnvelopeNoise:
+def _envelope_noise(amplitude: float, exponent: float, seed: int):
     """``a * |x|**p * cos(freq*x + phase)`` with (freq, phase) drawn from seed."""
-
-    amplitude: float
-    exponent: float
-    seed: int
-    freq: float = field(init=False)
-    phase: float = field(init=False)
-
-    def __post_init__(self):
-        rng = np.random.default_rng(self.seed)
-        object.__setattr__(self, "freq", 0.5 + 1.5 * float(rng.random()))
-        object.__setattr__(self, "phase", 2.0 * math.pi * float(rng.random()))
-
-    def __call__(self, x: float) -> float:
-        return self.amplitude * abs(x) ** self.exponent * math.cos(self.freq * x + self.phase)
-
-    def describe(self) -> str:
-        return f"envnoise({self.amplitude:g},{self.exponent:g},{self.seed})"
+    rng = np.random.default_rng(seed)
+    freq = 0.5 + 1.5 * float(rng.random())
+    phase = 2.0 * math.pi * float(rng.random())
+    return ((lambda x: amplitude * abs(x) ** exponent * math.cos(freq * x + phase)),
+            f"envnoise({amplitude:g},{exponent:g},{seed})")
 
 
-@dataclass(frozen=True)
-class _Sum:
-    terms: tuple
-
-    def __call__(self, x: float) -> float:
-        return sum(t(x) for t in self.terms)
-
-    def describe(self) -> str:
-        return " + ".join(t.describe() for t in self.terms)
+def _scale(factor: float, f):
+    return lambda x: factor * f(x)
 
 
-@dataclass(frozen=True)
-class _Scale:
-    factor: float
-    inner: object
-
-    def __call__(self, x: float) -> float:
-        return self.factor * self.inner(x)
-
-    def describe(self) -> str:
-        return f"{self.factor:g}*({self.inner.describe()})"
+def _arg_scale(factor: float, f):
+    return lambda x: f(factor * x)
 
 
-@dataclass(frozen=True)
-class _ArgScale:
-    # Argument rescaling: used by the limit constructions, not the grammar.
-    factor: float
-    inner: object
-
-    def __call__(self, x: float) -> float:
-        return self.inner(self.factor * x)
-
-    def describe(self) -> str:
-        return f"({self.inner.describe()})@(x*{self.factor:.6g})"
+def _sum(terms: tuple):
+    def total(x):
+        # Not sum(): since Python 3.12 it is compensated and rounds differently.
+        acc = 0
+        for term in terms:
+            acc = acc + term(x)
+        return acc
+    return total
 
 
 @dataclass(frozen=True)
 class FunctionHandle:
     """An evaluable real function with a reproducible description."""
 
-    expr: object
+    expr: Callable[[float], float]
     description: str
     seed: int = 0
 
@@ -132,39 +92,34 @@ class FunctionHandle:
 
     def scaled(self, outer: float = 1.0, inner: float = 1.0) -> "FunctionHandle":
         """The function ``x -> outer * f(inner * x)``."""
-        node = self.expr
+        f = self.expr
         if inner != 1.0:
-            node = _ArgScale(inner, node)
+            f = _arg_scale(inner, f)
         if outer != 1.0:
-            node = _Scale(outer, node)
+            f = _scale(outer, f)
         desc = f"{outer:.6g}*[{self.description}](x*{inner:.6g})"
-        return FunctionHandle(expr=node, description=desc, seed=self.seed)
+        return FunctionHandle(f, desc, self.seed)
 
     def shifted(self, offset: float) -> "FunctionHandle":
         """The function ``x -> f(x) + offset``."""
         if offset == 0.0:
             return self
-        node = _Sum((self.expr, _Monomial(float(offset), 0)))
-        return FunctionHandle(node, f"[{self.description}] + {offset:.6g}", self.seed)
-
-    def plus(self, other: "FunctionHandle") -> "FunctionHandle":
-        node = _Sum((self.expr, other.expr))
-        return FunctionHandle(node, f"{self.description} + {other.description}", self.seed)
+        constant, _ = _monomial(float(offset), 0)
+        return FunctionHandle(_sum((self.expr, constant)),
+                              f"[{self.description}] + {offset:.6g}", self.seed)
 
 
 def monomial(coeff: float, power: int) -> FunctionHandle:
-    node = _Monomial(float(coeff), int(power))
-    return FunctionHandle(node, node.describe())
+    return FunctionHandle(*_monomial(float(coeff), int(power)))
 
 
 def sine(amplitude: float, frequency: float) -> FunctionHandle:
-    node = _Sine(float(amplitude), float(frequency))
-    return FunctionHandle(node, node.describe())
+    return FunctionHandle(*_sine(float(amplitude), float(frequency)))
 
 
 def envelope_noise(amplitude: float, exponent: float, seed: int) -> FunctionHandle:
-    node = _EnvelopeNoise(float(amplitude), float(exponent), int(seed))
-    return FunctionHandle(node, node.describe(), seed=int(seed))
+    return FunctionHandle(*_envelope_noise(float(amplitude), float(exponent), int(seed)),
+                          seed=int(seed))
 
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -173,23 +128,32 @@ _ATOM_RE = re.compile(
 )
 
 
+def _finite(number: str, text: str) -> float:
+    value = float(number)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {number.strip()} in {text!r} must be finite")
+    return value
+
+
 def _parse_atom(text: str):
+    """``(closure, description, seed)``; the seed is None except for envnoise."""
     m = _ATOM_RE.fullmatch(text.strip())
     if m is None:
         raise ConfigError(f"malformed function atom {text!r}")
     name = m.group("name")
-    args = [a.strip() for a in m.group("args").split(",")]
+    args = m.group("args").split(",")
+    arity = 3 if name == "envnoise" else 2
+    if len(args) != arity:
+        raise ConfigError(f"{name} takes {arity} arguments, got {len(args)} in {text!r}")
+    args = [_finite(a, text) for a in args]
     if name == "mono":
-        if len(args) != 2:
-            raise ConfigError(f"mono takes 2 arguments, got {len(args)} in {text!r}")
-        return _Monomial(float(args[0]), int(float(args[1])))
+        return (*_monomial(args[0], int(args[1])), None)
     if name == "sine":
-        if len(args) != 2:
-            raise ConfigError(f"sine takes 2 arguments, got {len(args)} in {text!r}")
-        return _Sine(float(args[0]), float(args[1]))
-    if len(args) != 3:
-        raise ConfigError(f"envnoise takes 3 arguments, got {len(args)} in {text!r}")
-    return _EnvelopeNoise(float(args[0]), float(args[1]), int(float(args[2])))
+        return (*_sine(*args), None)
+    seed = int(args[2])
+    if seed < 0:
+        raise ConfigError(f"envnoise seed must be non-negative, got {seed} in {text!r}")
+    return (*_envelope_noise(args[0], args[1], seed), seed)
 
 
 def _parse_term(text: str):
@@ -199,10 +163,14 @@ def _parse_term(text: str):
     if "*" in t:
         head, _, tail = t.partition("*")
         if re.fullmatch(_NUMBER, head.strip()):
-            return _Scale(float(head), _parse_atom(tail))
-        if re.fullmatch(_NUMBER, tail.strip()):
-            return _Scale(float(tail), _parse_atom(head))
-        raise ConfigError(f"scalar multiple must pair a number with an atom: {text!r}")
+            factor, atom = head, tail
+        elif re.fullmatch(_NUMBER, tail.strip()):
+            factor, atom = tail, head
+        else:
+            raise ConfigError(f"scalar multiple must pair a number with an atom: {text!r}")
+        factor = _finite(factor, text)
+        f, desc, seed = _parse_atom(atom)
+        return _scale(factor, f), f"{factor:g}*({desc})", seed
     return _parse_atom(t)
 
 
@@ -218,12 +186,6 @@ def parse_expression(text: str) -> FunctionHandle:
     pieces = re.split(r"(?<=[)\d])\s*\+\s*(?=[a-zA-Z+-]|\d|\.)", text.strip())
     if not pieces or not text.strip():
         raise ConfigError("empty function expression")
-    terms = [_parse_term(p) for p in pieces]
-    node = terms[0] if len(terms) == 1 else _Sum(tuple(terms))
-    seed = 0
-    for t in terms:
-        inner = t.inner if isinstance(t, _Scale) else t
-        if isinstance(inner, _EnvelopeNoise):
-            seed = inner.seed
-            break
-    return FunctionHandle(node, node.describe(), seed=seed)
+    fs, descs, seeds = zip(*(_parse_term(p) for p in pieces))
+    seed = next((s for s in seeds if s is not None), 0)
+    return FunctionHandle(fs[0] if len(fs) == 1 else _sum(fs), " + ".join(descs), seed)

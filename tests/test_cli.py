@@ -264,6 +264,19 @@ class TestUnrepresentableConfig:
         assert code == 4
         assert "--tol must be positive and finite" in err
 
+    @pytest.mark.parametrize("expr, message", [
+        ("mono(1,1e400)", "number 1e400 in 'mono(1,1e400)' must be finite"),
+        ("mono(1e400,3)", "number 1e400 in 'mono(1e400,3)' must be finite"),
+        ("sine(1,1e400)", "number 1e400 in 'sine(1,1e400)' must be finite"),
+        ("envnoise(0.1,1,1e400)", "number 1e400 in 'envnoise(0.1,1,1e400)' must be finite"),
+        ("envnoise(0.1,1,-5)", "envnoise seed must be non-negative, got -5"),
+    ])
+    def test_expression_numbers_must_be_usable(self, tmp_path, capsys, expr, message):
+        code, err = self._run(tmp_path, capsys, "expr = mono(1,3) + sine(0.1,1)",
+                              f"expr = {expr}")
+        assert code == 4
+        assert err.startswith("config error: ") and message in err
+
     def test_n_max_beyond_float_powers(self, tmp_path, capsys):
         # 2**n_max must be a float: 2.0**1024 overflows in every route
         code, err = self._run(tmp_path, capsys, "n_max = 60", "n_max = 1024")

@@ -2,8 +2,9 @@
 
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modstab import (
@@ -158,10 +159,17 @@ class TestControl:
     @given(x=coords, y=coords, z=coords,
            c=st.floats(min_value=-5.0, max_value=5.0).filter(lambda v: abs(v) > 1e-3),
            p=st.floats(min_value=0.0, max_value=6.0))
+    @example(x=0.0, y=0.0, z=5e-324, c=1.5, p=0.0625)  # c*z rounds to 2 subnormal ulps
     def test_power_homogeneity(self, x, y, z, c, p):
-        alpha = ControlFunction.power(0.7, p)
-        lhs = control_eval(alpha, c * x, c * y, c * z)
-        rhs = abs(c) ** p * control_eval(alpha, x, y, z)
+        # alpha(c*v) = |c|**p * alpha(v), taken exactly at the pre-images
+        # fl(c*v)/c of the arguments control_eval receives: the rounding of
+        # c*v is not the control's error.
+        args = (c * x, c * y, c * z)
+        lhs = control_eval(ControlFunction.power(0.7, p), *args)
+        with mpmath.workdps(50):
+            c_, p_ = mpmath.mpf(c), mpmath.mpf(p)
+            exact = mpmath.mpf(0.7) * mpmath.fsum(abs(mpmath.mpf(v) / c_) ** p_ for v in args)
+            rhs = float(abs(c_) ** p_ * exact)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-30)
 
     def test_power_zero_at_origin(self):

@@ -71,7 +71,9 @@ RUNS = st.fixed_dictionaries({
 UNREPRESENTABLE = st.sampled_from([
     {"lo": "-inf"}, {"hi": "inf"}, {"modular": "power:p=1024"}, {"tol": "nan"},
     {"alpha": "power:theta=nan,p=6"}, {"alpha": "power:theta=6,p=nan"},
-    {"alpha": "const:eps=nan"},
+    {"alpha": "const:eps=nan"}, {"phi": "mono(1,1e400)"}, {"phi": "mono(1e400,3)"},
+    {"phi": "sine(1,1e400)"}, {"phi": "envnoise(0.1,1,1e400)"},
+    {"phi": "envnoise(0.1,1,-5)"},
 ])
 CONFIGS = st.builds(lambda run, spoil: {**run, **spoil}, RUNS,
                     st.one_of(st.just({}), st.just({}), st.just({}), UNREPRESENTABLE))

@@ -143,8 +143,8 @@ class TestStrictContraction:
         s = 3
         alpha = ControlFunction.power(0.02, 1.0)
         cert = estimate_contraction(alpha, s, SAMPLES)
-        f = parse_expression("mono(1,3)").plus(monomial(a, 1))
-        g = parse_expression("mono(1,3)").plus(monomial(b, 1))
+        f = parse_expression(f"mono(1,3) + mono({a!r},1)")
+        g = parse_expression(f"mono(1,3) + mono({b!r},1)")
         lf = f.scaled(outer=0.5, inner=2.0 ** (1 / s))
         lg = g.scaled(outer=0.5, inner=2.0 ** (1 / s))
         lhs = rho_hat_distance(lf, lg, alpha, ABS1, s, SAMPLES)

@@ -1,7 +1,10 @@
 """Expression grammar and deterministic evaluation of function handles."""
 
 import math
+import random
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,7 +47,11 @@ def test_parse_envnoise_seed_metadata():
 
 
 @pytest.mark.parametrize("bad", ["", "mono(1)", "mono(1,2,3)", "wave(1,2)",
-                                 "mono(1,3) * sine(1,1)", "mono(a,3)"])
+                                 "mono(1,3) * sine(1,1)", "mono(a,3)",
+                                 # numbers a float cannot hold, and a negative seed
+                                 "mono(1,1e400)", "mono(1e400,3)", "sine(1,1e400)",
+                                 "envnoise(0.1,1,1e400)", "envnoise(0.1,1,-5)",
+                                 "1e400*mono(1,3)"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ConfigError):
         parse_expression(bad)
@@ -86,11 +93,6 @@ def test_shifted_handle():
     assert f(2.0) == 1.0
 
 
-def test_plus_handle():
-    f = monomial(1.0, 3).plus(sine(0.1, 1.0))
-    assert f(2.0) == pytest.approx(8.0 + 0.1 * math.sin(2.0), rel=1e-15)
-
-
 def test_evaluation_finite_on_bounded_interval():
     f = parse_expression("mono(1,7) + envnoise(0.5,3,3)")
     for x in [i / 7.0 for i in range(-70, 71)]:
@@ -110,3 +112,190 @@ def test_unrepresentable_value_is_inf(expr, x):
 def test_unconvertible_argument_still_raises():
     with pytest.raises(ValueError):
         monomial(1.0, 3)("abc")
+
+
+def test_sum_folds_left_on_every_python():
+    # 0 + 1e16 + 1 rounds back to 1e16; a compensated sum() (3.12+) gives 1.0
+    f = parse_expression("mono(1e16,0) + mono(1,0) + mono(-1e16,0)")
+    assert f(0.5) == 0.0
+
+
+@pytest.mark.parametrize("expr, seed", [
+    ("mono(1,3)", 0),
+    ("2*envnoise(0.1,1,9) + envnoise(0.1,1,4)", 9),
+    ("envnoise(0.1,1,0) + envnoise(0.1,1,5)", 0),
+])
+def test_seed_is_the_first_envnoise_seed(expr, seed):
+    assert parse_expression(expr).seed == seed
+
+
+# -- closures against the node tree they replace -------------------------------
+#
+# An inline copy of the expression tree the closures replaced, as the
+# reference: every handle must give its bits at every input.  The reference
+# ``_Sum`` folds left from the int 0, as ``sum()`` did before Python 3.12.
+
+
+@dataclass(frozen=True)
+class _Monomial:
+    coeff: float
+    power: int
+
+    def __call__(self, x):
+        return self.coeff * x**self.power
+
+    def describe(self):
+        return f"mono({self.coeff:g},{self.power})"
+
+
+@dataclass(frozen=True)
+class _Sine:
+    amplitude: float
+    frequency: float
+
+    def __call__(self, x):
+        return self.amplitude * math.sin(self.frequency * x)
+
+    def describe(self):
+        return f"sine({self.amplitude:g},{self.frequency:g})"
+
+
+@dataclass(frozen=True)
+class _EnvelopeNoise:
+    amplitude: float
+    exponent: float
+    seed: int
+    freq: float = field(init=False)
+    phase: float = field(init=False)
+
+    def __post_init__(self):
+        rng = np.random.default_rng(self.seed)
+        object.__setattr__(self, "freq", 0.5 + 1.5 * float(rng.random()))
+        object.__setattr__(self, "phase", 2.0 * math.pi * float(rng.random()))
+
+    def __call__(self, x):
+        return self.amplitude * abs(x) ** self.exponent * math.cos(self.freq * x + self.phase)
+
+    def describe(self):
+        return f"envnoise({self.amplitude:g},{self.exponent:g},{self.seed})"
+
+
+@dataclass(frozen=True)
+class _Sum:
+    terms: tuple
+
+    def __call__(self, x):
+        total = 0
+        for t in self.terms:
+            total = total + t(x)
+        return total
+
+    def describe(self):
+        return " + ".join(t.describe() for t in self.terms)
+
+
+@dataclass(frozen=True)
+class _Scale:
+    factor: float
+    inner: object
+
+    def __call__(self, x):
+        return self.factor * self.inner(x)
+
+    def describe(self):
+        return f"{self.factor:g}*({self.inner.describe()})"
+
+
+@dataclass(frozen=True)
+class _ArgScale:
+    factor: float
+    inner: object
+
+    def __call__(self, x):
+        return self.inner(self.factor * x)
+
+
+def _reference(node, x):
+    """What ``FunctionHandle.__call__`` did with the tree."""
+    x = float(x)
+    try:
+        return node(x)
+    except (ArithmeticError, ValueError):
+        return math.inf
+
+
+_rng = random.Random(20240820)
+INPUTS = (
+    [_rng.uniform(-10.0, 10.0) for _ in range(40)]
+    + [_rng.choice((-1.0, 1.0)) * 10.0 ** _rng.uniform(-300.0, 300.0) for _ in range(40)]
+    + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+       1e308, -1e308, math.inf, -math.inf, math.nan, 10.0, 1.0, -1.0]
+)
+
+ATOMS = [
+    ("mono(1.5,3)", _Monomial(1.5, 3)),
+    ("mono(-2,0)", _Monomial(-2.0, 0)),
+    ("mono(0.5,-1)", _Monomial(0.5, -1)),
+    ("mono(1,400)", _Monomial(1.0, 400)),
+    ("mono(1e308,3)", _Monomial(1e308, 3)),
+    ("sine(0.1,2)", _Sine(0.1, 2.0)),
+    ("sine(-0.5,1.5)", _Sine(-0.5, 1.5)),
+    ("sine(1,1e308)", _Sine(1.0, 1e308)),
+    ("envnoise(0.01,1,11)", _EnvelopeNoise(0.01, 1.0, 11)),
+    ("envnoise(0.01,-0.5,3)", _EnvelopeNoise(0.01, -0.5, 3)),
+    ("envnoise(0.004,6,7)", _EnvelopeNoise(0.004, 6.0, 7)),
+]
+MULTIPLES = [
+    ("3*mono(1,3)", _Scale(3.0, _Monomial(1.0, 3))),
+    ("mono(1,3)*3", _Scale(3.0, _Monomial(1.0, 3))),
+    ("-0.25*sine(2,1)", _Scale(-0.25, _Sine(2.0, 1.0))),
+    ("envnoise(0.5,2,13)*1e-3", _Scale(1e-3, _EnvelopeNoise(0.5, 2.0, 13))),
+]
+SUMS = [
+    # -0.0 + -0.0 at x = -0.0: the fold from the int 0 gives 0.0
+    ("mono(1,3) + mono(2,3)", _Sum((_Monomial(1.0, 3), _Monomial(2.0, 3)))),
+    ("mono(1,3) + sine(0.1,1)", _Sum((_Monomial(1.0, 3), _Sine(0.1, 1.0)))),
+    ("mono(1,3) + mono(0.5,-1)", _Sum((_Monomial(1.0, 3), _Monomial(0.5, -1)))),
+    ("mono(1,3) + 2*sine(0.1,1) + envnoise(0.01,1,11)",
+     _Sum((_Monomial(1.0, 3), _Scale(2.0, _Sine(0.1, 1.0)), _EnvelopeNoise(0.01, 1.0, 11)))),
+    ("mono(1e16,0) + mono(1,0) + mono(-1e16,0)",
+     _Sum((_Monomial(1e16, 0), _Monomial(1.0, 0), _Monomial(-1e16, 0)))),
+]
+EXPRESSIONS = ATOMS + MULTIPLES + SUMS
+
+
+def _assert_same_bits(handle, node):
+    got = [handle(x).hex() for x in INPUTS]
+    want = [_reference(node, x).hex() for x in INPUTS]
+    assert got == want
+
+
+@pytest.mark.parametrize("text, node", EXPRESSIONS, ids=[t for t, _ in EXPRESSIONS])
+def test_parsed_closure_matches_tree(text, node):
+    f = parse_expression(text)
+    _assert_same_bits(f, node)
+    assert f.description == node.describe()
+
+
+@pytest.mark.parametrize("outer, inner", [(1.0, 1.0), (8.0, 1.0), (1.0, 0.5),
+                                          (0.125, 2.0 ** (5 / 3)), (-3.0, 1e-300)])
+@pytest.mark.parametrize("text, node", [ATOMS[0], ATOMS[8], SUMS[3]],
+                         ids=["mono", "envnoise", "sum"])
+def test_scaled_matches_tree(text, node, outer, inner):
+    if inner != 1.0:
+        node = _ArgScale(inner, node)
+    if outer != 1.0:
+        node = _Scale(outer, node)
+    _assert_same_bits(parse_expression(text).scaled(outer=outer, inner=inner), node)
+
+
+@pytest.mark.parametrize("offset", [-7.0, 1e-300, -0.0, 0.0, 1e308])
+@pytest.mark.parametrize("text, node", [ATOMS[0], ATOMS[9], SUMS[0]],
+                         ids=["mono", "envnoise", "sum"])
+def test_shifted_matches_tree(text, node, offset):
+    f = parse_expression(text)
+    g = f.shifted(offset)
+    if offset == 0.0:
+        assert g is f
+    else:
+        _assert_same_bits(g, _Sum((node, _Monomial(offset, 0))))
