@@ -49,7 +49,6 @@ from .fixedpoint import (
     audit_defect_hypothesis,
     estimate_contraction,
     fixed_point_solve,
-    lambda_apply,
     rho_hat_distance,
 )
 from .functions import FunctionHandle, envelope_noise, monomial, parse_expression, sine
@@ -91,7 +90,7 @@ __all__ = [
     "series_bound_contract", "series_bound_expand",
     "contract_bound_closed_form",
     # fixed point
-    "ContractionCertificate", "FixedPointResult", "lambda_apply",
+    "ContractionCertificate", "FixedPointResult",
     "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",
     "fixed_point_solve",
     # shared scaling iterates

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
-from .config import MAX_N, parse_experiment, parse_sweep
+from .config import check_run_number, parse_experiment, parse_sweep
 from .errors import ConfigError, ModstabError
 from .pipeline import (
     EXIT_CONFIG,
@@ -65,16 +64,11 @@ def _write(path: str | None, text: str) -> None:
 
 def _apply_overrides(cfg, args):
     updates = {}
-    if args.tol is not None:
-        if not 0 < args.tol < math.inf:
-            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-        updates["tol"] = args.tol
-    if args.n_max is not None:
-        if not 1 <= args.n_max <= MAX_N:
-            raise ConfigError(f"--n-max must be in 1..{MAX_N}, got {args.n_max}")
-        updates["n_max"] = args.n_max
-    if args.seed is not None:
-        updates["seed"] = args.seed
+    for key, label in (("tol", "--tol"), ("n_max", "--n-max"), ("seed", "--seed")):
+        value = getattr(args, key)
+        if value is not None:
+            check_run_number(key, value, label)
+            updates[key] = value
     if args.fmt is not None:
         updates["fmt"] = args.fmt
     if args.out is not None:

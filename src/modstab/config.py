@@ -94,6 +94,18 @@ def _float(sections, sec: str, key: str, default: float | None = None) -> float:
         raise ConfigError(f"[{sec}] {key}: not a number: {raw!r}") from exc
 
 
+def check_run_number(key: str, value, label: str) -> None:
+    """Range check of the run number ``key``; the error names the value ``label``."""
+    if key == "tol":
+        ok, wanted = 0 < value < math.inf, "positive and finite"
+    elif key == "n_max":
+        ok, wanted = 1 <= value <= MAX_N, f"in 1..{MAX_N}"
+    else:  # numpy seeds only from non-negative integers
+        ok, wanted = value >= 0, "non-negative"
+    if not ok:
+        raise ConfigError(f"{label} must be {wanted}, got {value}")
+
+
 def _int(sections, sec: str, key: str, default: int | None = None) -> int:
     raw = sections.get(sec, {}).get(key)
     if raw is None:
@@ -145,7 +157,6 @@ class SweepConfig:
     base: ExperimentConfig
     axes: dict[str, list[str]] = field(default_factory=dict)
     outdir: str = "sweep"
-    cap: int = DEFAULT_SWEEP_CAP
 
 
 def _build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
@@ -185,12 +196,10 @@ def _build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
         raise ConfigError(f"[run] grid: {exc}") from exc
 
     tol = _float(sections, "run", "tol", default=1e-9)
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"[run] tol must be positive and finite, got {tol}")
     n_max = _int(sections, "run", "n_max", default=60)
-    if not 1 <= n_max <= MAX_N:
-        raise ConfigError(f"[run] n_max must be in 1..{MAX_N}, got {n_max}")
     seed = _int(sections, "run", "seed", default=0)
+    for key, value in (("tol", tol), ("n_max", n_max), ("seed", seed)):
+        check_run_number(key, value, f"[run] {key}")
     fmt = run.get("format", "json").strip()
     if fmt not in ("json", "csv"):
         raise ConfigError(f"[run] format must be json or csv, got {fmt!r}")
@@ -253,4 +262,4 @@ def parse_sweep(text: str) -> SweepConfig:
     if total > cap:
         raise ConfigError(f"sweep has {total} cells, exceeding the cap of {cap}")
     outdir = sweep_raw.get("outdir", "sweep")
-    return SweepConfig(base=base, axes=axes, outdir=outdir, cap=cap)
+    return SweepConfig(base=base, axes=axes, outdir=outdir)

@@ -13,6 +13,10 @@ Each route carries an error-bound series.  Both built-in control kinds make
 it exactly geometric, so it is summed in closed form as its first term over
 ``1 - ratio``; ``contract_bound_closed_form`` writes the contract-route sum
 out in the control's parameters for power-type control functions.
+
+``construct_limit`` reads the approximants off an ``IterateTable``;
+``approximant_contract`` and ``approximant_expand`` compute one approximant
+at one point, the scalar reference the tests hold the table rows to.
 """
 
 from __future__ import annotations
@@ -125,8 +129,6 @@ class LimitResult:
     grid.
     """
 
-    mode: Mode
-    grid: Grid
     values: tuple[float, ...]
     achieved_n: int
     cauchy_gap: tuple[float, ...]
@@ -208,8 +210,6 @@ def construct_limit(
             saturated = True
 
     return LimitResult(
-        mode=mode,
-        grid=grid,
         values=tuple(current.tolist()),
         achieved_n=achieved,
         cauchy_gap=tuple(gaps.tolist()),

@@ -16,7 +16,10 @@ Both built-in controls meet it with equality at ``L = route_ratio(Mode.EXPAND,
 
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
 supremum of ratios, so every reported distance is a certified lower bound of
-the true one and results are labelled accordingly.
+the true one and results are labelled accordingly.  ``rho_hat_distance`` is
+that estimate for one pair of functions, the scalar reference the tests hold
+the array gap kernels to.  ``fixed_point_solve`` is gated on a defect audit
+its caller runs.
 """
 
 from __future__ import annotations
@@ -37,24 +40,16 @@ from .errors import (
 from .functions import FunctionHandle
 from .iterates import IterateTable
 from .modular import ModularSpec, rho_eval, rho_eval_array
-from .sampling import Grid, corner_triples, seeded_triples
+from .sampling import Grid
 
 __all__ = [
     "ContractionCertificate",
     "FixedPointResult",
-    "lambda_apply",
     "estimate_contraction",
     "rho_hat_distance",
     "audit_defect_hypothesis",
     "fixed_point_solve",
 ]
-
-
-def lambda_apply(g: FunctionHandle, s: int, x: float) -> float:
-    """One application of the scaling operator: ``g(2**(1/s) * x) / 2``."""
-    if s < 3 or s % 2 == 0:
-        raise ArgumentError(f"lambda_apply needs odd s >= 3, got {s}")
-    return g(2.0 ** (1.0 / s) * x) / 2.0
 
 
 @dataclass(frozen=True)
@@ -234,16 +229,15 @@ class FixedPointResult:
     five-distance contraction ratio observed at step ``k`` (diagnostic only).
     ``delta_hat_window`` is the largest pairwise gap over the computed
     iterate window -- the finite-window stand-in for an all-pairs supremum.
+    Whether the final iterate meets ``bound`` is ``verify_stability_bound``'s check.
     """
 
-    grid: Grid
     values: tuple[float, ...]
     point_gap: tuple[float, ...]
     iterations: int
     rho_hat_gap: float
     gap_history: tuple[float, ...]
     bound: tuple[float, ...]
-    bound_ok: tuple[bool, ...]
     l_hat: float
     saturated: bool
     origin_offset: float
@@ -260,21 +254,18 @@ def fixed_point_solve(
     grid: Grid,
     tol: float = 1e-9,
     n_max: int = 60,
-    triple_count: int = 500,
-    seed: int = 0,
-    bound_tol: float = 1e-9,
-    audit: dict | None = None,
+    *,
+    audit: dict,
     table: IterateTable | None = None,
 ) -> FixedPointResult:
     """Iterate the scaling operator on ``phi`` until the sampled gap drops below ``tol``.
 
     Preconditions enforced here: a contraction factor
     ``L = route_ratio(Mode.EXPAND, alpha, s) < 1``, a modular with a finite
-    doubling constant, and an audited defect hypothesis ``defect <= alpha``
-    over ``triple_count`` seeded triples in the grid box plus its corners
-    (run here when no ``audit`` result of ``audit_defect_hypothesis`` on
-    those triples is supplied).  The bounds ``alpha(x, x, -2**(1/s)x) /
-    (2*(1-L))`` are the expand route's series bounds.
+    doubling constant, and a defect hypothesis ``defect <= alpha`` that
+    ``audit``, the result of ``audit_defect_hypothesis`` on the caller's
+    triples, upholds.  The bounds ``alpha(x, x, -2**(1/s)x) / (2*(1-L))``
+    are the expand route's series bounds.
 
     The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are read off
     the expand rows of an ``IterateTable`` -- the rows the expand route
@@ -301,11 +292,6 @@ def fixed_point_solve(
             f"contraction factor {l_factor:.6g} >= 1: "
             "the scaling operator is not a strict contraction for this control"
         )
-    if audit is None:
-        triples = seeded_triples(grid.lo, grid.hi, triple_count, seed) + corner_triples(
-            grid.lo, grid.hi
-        )
-        audit = audit_defect_hypothesis(phi, params, rho, alpha, triples)
     if not audit["hypothesis_ok"]:
         worst = tuple(audit["worst_triple"])
         raise DefectHypothesisError(
@@ -348,21 +334,17 @@ def fixed_point_solve(
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
         bounds = line[cols] / (2.0 * (1.0 - l_factor))
-        slack = rho_eval_array(rho, table.expand(0)[cols] - values) - bounds
     final = FunctionHandle(
         expr=phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)).expr,
         description=f"fixed-point iterate {iterations} of [{phi.description}]",
-        seed=phi.seed,
     )
     return FixedPointResult(
-        grid=grid,
         values=tuple(values.tolist()),
         point_gap=tuple(point_gap.tolist()),
         iterations=iterations,
         rho_hat_gap=gap_history[-1] if gap_history else 0.0,
         gap_history=tuple(gap_history),
         bound=tuple(bounds.tolist()),
-        bound_ok=tuple((slack <= bound_tol).tolist()),
         l_hat=l_factor,
         saturated=saturated,
         origin_offset=table.origin(),

@@ -7,15 +7,15 @@ perturbations::
     term     := [number '*'] atom
     atom     := mono(c,k) | sine(a,b) | envnoise(a,p,seed)
 
-``mono(c,k)`` is ``c*x**k``, ``sine(a,b)`` is ``a*sin(b*x)`` and
-``envnoise(a,p,seed)`` is ``a*|x|**p*u(x)`` where ``u`` is a seeded
-oscillation with ``|u| <= 1``.
+``mono(c,k)`` is ``c*x**k`` for an integer ``k``, ``sine(a,b)`` is
+``a*sin(b*x)`` and ``envnoise(a,p,seed)`` is ``a*|x|**p*u(x)`` where ``u`` is
+an oscillation drawn from the non-negative integer ``seed``, with ``|u| <= 1``.
 
 Parsing builds one plain closure per atom, scalar multiple and sum, together
 with its description; ``scaled`` and ``shifted`` wrap a handle's closure the
 same way.  A sum folds its terms left from the int ``0``, which is what
 ``sum()`` did before Python 3.12 made it compensated, so evaluation is a pure
-function of (expression, seed, x) that gives identical output bits on every
+function of (expression, x) that gives identical output bits on every
 supported Python.
 """
 
@@ -74,7 +74,6 @@ class FunctionHandle:
 
     expr: Callable[[float], float]
     description: str
-    seed: int = 0
 
     def __call__(self, x: float) -> float:
         """``f(x)``, or ``inf`` where the float arithmetic cannot hold it.
@@ -98,7 +97,7 @@ class FunctionHandle:
         if outer != 1.0:
             f = _scale(outer, f)
         desc = f"{outer:.6g}*[{self.description}](x*{inner:.6g})"
-        return FunctionHandle(f, desc, self.seed)
+        return FunctionHandle(f, desc)
 
     def shifted(self, offset: float) -> "FunctionHandle":
         """The function ``x -> f(x) + offset``."""
@@ -106,7 +105,7 @@ class FunctionHandle:
             return self
         constant, _ = _monomial(float(offset), 0)
         return FunctionHandle(_sum((self.expr, constant)),
-                              f"[{self.description}] + {offset:.6g}", self.seed)
+                              f"[{self.description}] + {offset:.6g}")
 
 
 def monomial(coeff: float, power: int) -> FunctionHandle:
@@ -118,8 +117,7 @@ def sine(amplitude: float, frequency: float) -> FunctionHandle:
 
 
 def envelope_noise(amplitude: float, exponent: float, seed: int) -> FunctionHandle:
-    return FunctionHandle(*_envelope_noise(float(amplitude), float(exponent), int(seed)),
-                          seed=int(seed))
+    return FunctionHandle(*_envelope_noise(float(amplitude), float(exponent), int(seed)))
 
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -135,8 +133,14 @@ def _finite(number: str, text: str) -> float:
     return value
 
 
+def _integral(value: float, what: str, text: str) -> int:
+    if not value.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value:g} in {text!r}")
+    return int(value)
+
+
 def _parse_atom(text: str):
-    """``(closure, description, seed)``; the seed is None except for envnoise."""
+    """``(closure, description)`` of one atom."""
     m = _ATOM_RE.fullmatch(text.strip())
     if m is None:
         raise ConfigError(f"malformed function atom {text!r}")
@@ -147,13 +151,13 @@ def _parse_atom(text: str):
         raise ConfigError(f"{name} takes {arity} arguments, got {len(args)} in {text!r}")
     args = [_finite(a, text) for a in args]
     if name == "mono":
-        return (*_monomial(args[0], int(args[1])), None)
+        return _monomial(args[0], _integral(args[1], "mono power", text))
     if name == "sine":
-        return (*_sine(*args), None)
-    seed = int(args[2])
+        return _sine(*args)
+    seed = _integral(args[2], "envnoise seed", text)
     if seed < 0:
         raise ConfigError(f"envnoise seed must be non-negative, got {seed} in {text!r}")
-    return (*_envelope_noise(args[0], args[1], seed), seed)
+    return _envelope_noise(args[0], args[1], seed)
 
 
 def _parse_term(text: str):
@@ -169,16 +173,15 @@ def _parse_term(text: str):
         else:
             raise ConfigError(f"scalar multiple must pair a number with an atom: {text!r}")
         factor = _finite(factor, text)
-        f, desc, seed = _parse_atom(atom)
-        return _scale(factor, f), f"{factor:g}*({desc})", seed
+        f, desc = _parse_atom(atom)
+        return _scale(factor, f), f"{factor:g}*({desc})"
     return _parse_atom(t)
 
 
 def parse_expression(text: str) -> FunctionHandle:
     """Parse the function grammar into an evaluable handle.
 
-    The handle's description is the normalized expression, and its seed is
-    the first ``envnoise`` seed encountered (0 if none).
+    The handle's description is the normalized expression.
     """
     # Split on '+' at top level; atoms never nest, but numeric literals may
     # carry a sign or exponent, so split only on '+' preceded by ')' or digit
@@ -186,6 +189,5 @@ def parse_expression(text: str) -> FunctionHandle:
     pieces = re.split(r"(?<=[)\d])\s*\+\s*(?=[a-zA-Z+-]|\d|\.)", text.strip())
     if not pieces or not text.strip():
         raise ConfigError("empty function expression")
-    fs, descs, seeds = zip(*(_parse_term(p) for p in pieces))
-    seed = next((s for s in seeds if s is not None), 0)
-    return FunctionHandle(fs[0] if len(fs) == 1 else _sum(fs), " + ".join(descs), seed)
+    fs, descs = zip(*(_parse_term(p) for p in pieces))
+    return FunctionHandle(fs[0] if len(fs) == 1 else _sum(fs), " + ".join(descs))

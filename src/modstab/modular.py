@@ -16,7 +16,7 @@ anything symbolically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,16 +125,16 @@ def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_delta2(
-    spec: ModularSpec,
-    samples: list[float],
-    divergence_factor: float = 10.0,
-) -> tuple[float, bool]:
+DIVERGENCE_FACTOR = 10.0
+AXIOM_TOL = 1e-9
+
+
+def estimate_delta2(spec: ModularSpec, samples: list[float]) -> tuple[float, bool]:
     """Estimate the doubling constant from ``max rho(2u)/rho(u)`` over samples.
 
     Returns ``(tau_hat, diverged)``.  Divergence is flagged when the ratio at
     the largest-magnitude sample exceeds the ratio at the smallest by more
-    than ``divergence_factor``: on a magnitude-ordered ladder that separates
+    than ``DIVERGENCE_FACTOR``: on a magnitude-ordered ladder that separates
     any bounded ratio from one growing without bound.
     """
     if not samples:
@@ -152,7 +152,7 @@ def estimate_delta2(
         else:
             ratios.append(num / denom)
     tau_hat = max(ratios)
-    diverged = ratios[-1] > divergence_factor * ratios[0]
+    diverged = ratios[-1] > DIVERGENCE_FACTOR * ratios[0]
     return tau_hat, diverged
 
 
@@ -171,8 +171,7 @@ class AxiomCheck:
 class AxiomReport:
     """Per-axiom verdicts for one modular over one sample set."""
 
-    spec: str
-    entries: tuple[AxiomCheck, ...] = field(default_factory=tuple)
+    entries: tuple[AxiomCheck, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -183,24 +182,20 @@ _CONVEX_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 _SCALE_LADDER = (0.25, 0.5, 1.0, 2.0)
 
 
-def check_modular_axioms(
-    spec: ModularSpec,
-    samples: list[float],
-    tol: float = 1e-9,
-) -> AxiomReport:
+def check_modular_axioms(spec: ModularSpec, samples: list[float]) -> AxiomReport:
     """Certify the modular axioms on a finite sample set.
 
     Entries: zero-at-zero, positivity off zero, sign symmetry, convex
     combination, monotonicity under scaling, and -- only when ``delta2_tau``
-    is present -- the doubling inequality.  Failures are report entries,
-    never exceptions.
+    is present -- the doubling inequality, each within ``AXIOM_TOL``.
+    Failures are report entries, never exceptions.
     """
     if not samples:
         raise ArgumentError("check_modular_axioms needs a nonempty sample list")
     entries: list[AxiomCheck] = []
 
     zero_val = rho_eval(spec, 0.0)
-    entries.append(AxiomCheck("zero_at_zero", zero_val <= tol, 0.0, zero_val, tol))
+    entries.append(AxiomCheck("zero_at_zero", zero_val <= AXIOM_TOL, 0.0, zero_val, AXIOM_TOL))
 
     nonzero = [u for u in samples if u != 0]
     min_rho, min_u = min(((rho_eval(spec, u), u) for u in nonzero), key=lambda t: t[0])
@@ -211,7 +206,8 @@ def check_modular_axioms(
         gap = abs(rho_eval(spec, -u) - rho_eval(spec, u))
         if gap > worst_sym:
             worst_sym, worst_sym_u = gap, u
-    entries.append(AxiomCheck("sign_symmetry", worst_sym <= tol, worst_sym_u, worst_sym, tol))
+    entries.append(AxiomCheck("sign_symmetry", worst_sym <= AXIOM_TOL, worst_sym_u,
+                              worst_sym, AXIOM_TOL))
 
     # Convex combination rho(a*u + b*v) <= a*rho(u) + b*rho(v), a + b = 1.
     worst_cvx, worst_cvx_at = -math.inf, (samples[0], samples[0], 0.5)
@@ -225,8 +221,8 @@ def check_modular_axioms(
                 if excess > worst_cvx:
                     worst_cvx, worst_cvx_at = excess, (u, v, a)
     scale = 1.0 + max(abs(worst_cvx), 1.0)
-    entries.append(AxiomCheck("convex_combination", worst_cvx <= tol * scale,
-                              worst_cvx_at, worst_cvx, tol))
+    entries.append(AxiomCheck("convex_combination", worst_cvx <= AXIOM_TOL * scale,
+                              worst_cvx_at, worst_cvx, AXIOM_TOL))
 
     worst_mono, worst_mono_at = -math.inf, (samples[0], _SCALE_LADDER[:2])
     for u in samples:
@@ -234,8 +230,8 @@ def check_modular_axioms(
             excess = rho_eval(spec, a * u) - rho_eval(spec, b * u)
             if excess > worst_mono:
                 worst_mono, worst_mono_at = excess, (u, (a, b))
-    entries.append(AxiomCheck("scaling_monotonicity", worst_mono <= tol,
-                              worst_mono_at, worst_mono, tol))
+    entries.append(AxiomCheck("scaling_monotonicity", worst_mono <= AXIOM_TOL,
+                              worst_mono_at, worst_mono, AXIOM_TOL))
 
     if spec.delta2_tau is not None:
         tau = spec.delta2_tau
@@ -245,10 +241,10 @@ def check_modular_axioms(
             if excess > worst_d2:
                 worst_d2, worst_d2_u = excess, u
         scale = 1.0 + max(rho_eval(spec, 2.0 * u) for u in samples)
-        entries.append(AxiomCheck("doubling_bound", worst_d2 <= tol * scale,
-                                  worst_d2_u, worst_d2, tol))
+        entries.append(AxiomCheck("doubling_bound", worst_d2 <= AXIOM_TOL * scale,
+                                  worst_d2_u, worst_d2, AXIOM_TOL))
 
-    return AxiomReport(spec=spec.spec_string(), entries=tuple(entries))
+    return AxiomReport(tuple(entries))
 
 
 def parse_modular(text: str) -> ModularSpec:

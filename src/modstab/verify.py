@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 MAX_ADDITIVITY_PAIRS = 2000
+LIMIT_CHECK_TOL = 1e-6  # additivity, oddness and agreement of constructed limits
+BOUND_CHECK_TOL = 1e-9  # slack granted to the stability bound
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ def _outcome(name: str, worst_point, worst_value: float, tol: float) -> CheckOut
 
 
 def verify_radical_additivity(
-    a: FunctionHandle, rho: ModularSpec, s: int, grid: Grid, tol: float = 1e-6
+    a: FunctionHandle, rho: ModularSpec, s: int, grid: Grid
 ) -> CheckOutcome:
     """Pairwise additivity under the radical: ``a((x^s+y^s)^(1/s)) = a(x)+a(y)``.
 
@@ -70,12 +72,10 @@ def verify_radical_additivity(
             d = math.inf
         if d > worst:
             worst, worst_at = d, (x, y)
-    return _outcome("radical_additivity", worst_at, worst, tol)
+    return _outcome("radical_additivity", worst_at, worst, LIMIT_CHECK_TOL)
 
 
-def verify_oddness(
-    a: FunctionHandle, rho: ModularSpec, grid: Grid, tol: float = 1e-6
-) -> CheckOutcome:
+def verify_oddness(a: FunctionHandle, rho: ModularSpec, grid: Grid) -> CheckOutcome:
     """Sign antisymmetry ``a(-x) = -a(x)`` plus ``a(0) = 0`` on the grid."""
     worst = rho_eval(rho, a(0.0))
     worst_at: object = 0.0
@@ -83,7 +83,7 @@ def verify_oddness(
         d = rho_eval(rho, a(x) + a(-x))
         if d > worst:
             worst, worst_at = d, x
-    return _outcome("oddness", worst_at, worst, tol)
+    return _outcome("oddness", worst_at, worst, LIMIT_CHECK_TOL)
 
 
 def verify_stability_bound(
@@ -92,10 +92,9 @@ def verify_stability_bound(
     rho: ModularSpec,
     bound_per_point: list[float],
     grid: Grid,
-    tol: float = 1e-9,
     shift: float = 0.0,
 ) -> CheckOutcome:
-    """Per-point domination ``rho(phi(x) - shift - a(x)) <= bound(x) + tol``.
+    """Per-point domination ``rho(phi(x) - shift - a(x)) <= bound(x) + BOUND_CHECK_TOL``.
 
     ``shift`` carries the ``q*phi(0)`` offset of the expand route; the
     contract and fixed-point routes use zero.  ``worst_value`` is the largest
@@ -111,15 +110,11 @@ def verify_stability_bound(
         excess = rho_eval(rho, phi(x) - shift - a(x)) - b
         if excess > worst:
             worst, worst_at = excess, x
-    return _outcome("stability_bound", worst_at, worst, tol)
+    return _outcome("stability_bound", worst_at, worst, BOUND_CHECK_TOL)
 
 
 def cross_check(
-    a1: FunctionHandle,
-    a2: FunctionHandle,
-    rho: ModularSpec,
-    grid: Grid,
-    tol: float = 1e-6,
+    a1: FunctionHandle, a2: FunctionHandle, rho: ModularSpec, grid: Grid
 ) -> CheckOutcome:
     """Pointwise agreement of two constructed limits on a shared grid."""
     worst, worst_at = -1.0, grid.lo
@@ -127,4 +122,4 @@ def cross_check(
         d = rho_eval(rho, a1(x) - a2(x))
         if d > worst:
             worst, worst_at = d, x
-    return _outcome("cross_method_agreement", worst_at, worst, tol)
+    return _outcome("cross_method_agreement", worst_at, worst, LIMIT_CHECK_TOL)

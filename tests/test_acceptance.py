@@ -77,7 +77,7 @@ def test_criterion_2_expand_route_reconstruction():
         alpha = ControlFunction.constant(0.1)
         bounds = [series_bound_expand(alpha, 3, x).upper for x in GRID.points()]
         assert bounds[0] == pytest.approx(0.1, rel=1e-9)
-        out = verify_stability_bound(phi, res.function, ABS1, bounds, GRID, tol=1e-9)
+        out = verify_stability_bound(phi, res.function, ABS1, bounds, GRID)
         assert out.passed, out
 
     _criterion(2, "expand-route reconstruction", body)
@@ -120,7 +120,7 @@ def test_criterion_4_contract_route_end_to_end():
         worst = max(abs(v - x**3) for v, x in zip(res.values, GRID.points()))
         assert worst <= 1e-6, worst
         bounds = [series_bound_contract(alpha, 2.0, 3, x).upper for x in GRID.points()]
-        out = verify_stability_bound(phi, res.function, ABS1, bounds, GRID, tol=1e-9)
+        out = verify_stability_bound(phi, res.function, ABS1, bounds, GRID)
         assert out.passed, out
 
     _criterion(4, "contract-route end to end", body)
@@ -135,14 +135,17 @@ def test_criterion_5_fixed_point_route():
         cert = estimate_contraction(alpha, 3, samples)
         assert cert.l_hat == pytest.approx(2.0 ** (-2 / 3), abs=1e-9)
         assert cert.valid
-        res = fixed_point_solve(phi, params, ABS1, alpha, GRID, tol=1e-9)
+        triples = seeded_triples(-10, 10, 500, seed=SEED) + corner_triples(-10, 10)
+        audit = audit_defect_hypothesis(phi, params, ABS1, alpha, triples)
+        res = fixed_point_solve(phi, params, ABS1, alpha, GRID, tol=1e-9, audit=audit)
         assert not res.saturated
         for g0, g1 in zip(res.gap_history, res.gap_history[1:]):
             assert g1 <= (res.l_hat + 1e-9) * g0 + 1e-9
         coeff = 0.02 * (2.0 + 2.0 ** (1 / 3)) / (2.0 * (1.0 - 2.0 ** (-2 / 3)))
         for x in GRID.points():
             assert abs(0.01 * x) <= coeff * abs(x) + 1e-15
-        assert all(res.bound_ok)
+        out = verify_stability_bound(phi, res.function, ABS1, list(res.bound), GRID)
+        assert out.passed, out
 
     _criterion(5, "fixed-point route", body)
 
@@ -153,10 +156,12 @@ def test_criterion_6_cross_method_uniqueness():
         phi = parse_expression("mono(1,3) + mono(0.01,1)")
         alpha = ControlFunction.power(0.02, 1.0)
         t2 = construct_limit(Mode.EXPAND, phi, params, ABS1, GRID, tol=1e-9)
-        fp = fixed_point_solve(phi, params, ABS1, alpha, GRID, tol=1e-9)
+        triples = seeded_triples(-10, 10, 500, seed=SEED) + corner_triples(-10, 10)
+        audit = audit_defect_hypothesis(phi, params, ABS1, alpha, triples)
+        fp = fixed_point_solve(phi, params, ABS1, alpha, GRID, tol=1e-9, audit=audit)
         worst = max(abs(a - b) for a, b in zip(t2.values, fp.values))
         assert worst <= 1e-6, worst
-        assert cross_check(t2.function, fp.function, ABS1, GRID, tol=1e-6).passed
+        assert cross_check(t2.function, fp.function, ABS1, GRID).passed
 
     _criterion(6, "cross-method uniqueness", body)
 

@@ -270,6 +270,8 @@ class TestUnrepresentableConfig:
         ("sine(1,1e400)", "number 1e400 in 'sine(1,1e400)' must be finite"),
         ("envnoise(0.1,1,1e400)", "number 1e400 in 'envnoise(0.1,1,1e400)' must be finite"),
         ("envnoise(0.1,1,-5)", "envnoise seed must be non-negative, got -5"),
+        ("mono(1,2.5)", "mono power must be an integer, got 2.5 in 'mono(1,2.5)'"),
+        ("envnoise(0.1,1,7.5)", "envnoise seed must be an integer, got 7.5"),
     ])
     def test_expression_numbers_must_be_usable(self, tmp_path, capsys, expr, message):
         code, err = self._run(tmp_path, capsys, "expr = mono(1,3) + sine(0.1,1)",
@@ -285,6 +287,16 @@ class TestUnrepresentableConfig:
         code, err = self._run(tmp_path, capsys, args=("--n-max", "1024"))
         assert code == 4
         assert "--n-max must be in 1..1023" in err
+
+
+    def test_seed_must_be_non_negative(self, tmp_path, capsys):
+        # numpy seeds only from non-negative integers
+        code, err = self._run(tmp_path, capsys, "seed = 42", "seed = -1")
+        assert code == 4
+        assert "[run] seed must be non-negative, got -1" in err
+        code, err = self._run(tmp_path, capsys, args=("--seed", "-1"))
+        assert code == 4
+        assert "--seed must be non-negative, got -1" in err
 
 
 class TestRegimeGates:

@@ -2,8 +2,9 @@
 
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modstab import (
@@ -43,15 +44,25 @@ def brute_contract_series(alpha, tau, s, x, terms=400):
 
 
 def brute_expand_series(alpha, s, x, terms=400):
-    """Independent oracle: direct summation of the expand-route series."""
-    total = 0.0
-    for j in range(terms):
-        a = control_eval(alpha, 2 ** (j / s) * x, 2 ** (j / s) * x, -(2 ** ((j + 1) / s)) * x)
-        term = 0.5 * 2.0**-j * a
-        total += term
-        if j > 4 and total > 0.0 and term < 1e-16 * total:
-            break  # below float resolution; avoids overflowing the control factor
-    return total
+    """Independent oracle: the expand-route series of a power control, summed
+    term by term in 50-digit mpmath.
+
+    Term ``j`` evaluates the control at the exact multiples ``2**(j/s)`` of
+    the floats ``x`` and ``fl(-(2**(1/s)) * x)`` that the closed form
+    receives, so no argument is rounded, not even to the subnormal spacing.
+    """
+    z = -(2.0 ** (1 / s)) * x
+    with mpmath.workdps(50):
+        theta, p = mpmath.mpf(alpha.theta), mpmath.mpf(alpha.p)
+        total = mpmath.mpf(0)
+        for j in range(terms):
+            scale = mpmath.mpf(2) ** (mpmath.mpf(j) / s)
+            a = theta * (2 * abs(scale * x) ** p + abs(scale * z) ** p)
+            term = a / 2 ** (j + 1)
+            total += term
+            if term <= mpmath.mpf(10) ** -30 * total:
+                break
+        return float(total)
 
 
 
@@ -233,6 +244,7 @@ class TestSeriesBounds:
     @given(theta=st.floats(min_value=0.01, max_value=3.0),
            p=st.floats(min_value=0.0, max_value=2.5),
            x=st.floats(min_value=-8.0, max_value=8.0))
+    @example(theta=1.0, p=0.015625, x=5e-324)
     def test_expand_brute_force_property(self, theta, p, x):
         alpha = ControlFunction.power(theta, p)
         sb = series_bound_expand(alpha, 3, x)

@@ -66,14 +66,15 @@ RUNS = st.fixed_dictionaries({
     "hi": st.sampled_from(["10", "1e60", "1e308"]),
     "tol": st.just("1e-9"),
 })
-# One number in four drawn configs is one a float cannot hold, so that most
-# draws run the routes and the rest exercise the config checks.
+# One number in four drawn configs is one a float cannot hold, or a power or
+# seed that is not an integer, so that most draws run the routes and the rest
+# exercise the config checks.
 UNREPRESENTABLE = st.sampled_from([
     {"lo": "-inf"}, {"hi": "inf"}, {"modular": "power:p=1024"}, {"tol": "nan"},
     {"alpha": "power:theta=nan,p=6"}, {"alpha": "power:theta=6,p=nan"},
     {"alpha": "const:eps=nan"}, {"phi": "mono(1,1e400)"}, {"phi": "mono(1e400,3)"},
     {"phi": "sine(1,1e400)"}, {"phi": "envnoise(0.1,1,1e400)"},
-    {"phi": "envnoise(0.1,1,-5)"},
+    {"phi": "envnoise(0.1,1,-5)"}, {"phi": "mono(1,2.5)"}, {"phi": "envnoise(0.1,1,7.5)"},
 ])
 CONFIGS = st.builds(lambda run, spoil: {**run, **spoil}, RUNS,
                     st.one_of(st.just({}), st.just({}), st.just({}), UNREPRESENTABLE))

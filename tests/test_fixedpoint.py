@@ -18,15 +18,17 @@ from modstab import (
     RegimeError,
     audit_defect_hypothesis,
     construct_limit,
+    corner_triples,
     estimate_contraction,
     fixed_point_solve,
-    lambda_apply,
     monomial,
     parse_expression,
     rho_hat_distance,
     route_ratio,
+    seeded_triples,
     series_bound_expand,
     standard_ladder,
+    verify_stability_bound,
 )
 from modstab.sampling import function_sample_points
 
@@ -35,27 +37,36 @@ P3 = EquationParams(3, 1.0)
 SAMPLES = standard_ladder(-3, 3) + [-x for x in standard_ladder(-3, 3)]
 
 
+def solve(phi, rho, alpha, grid, **kwargs):
+    """``fixed_point_solve`` audited on 500 seeded triples plus the box corners."""
+    triples = seeded_triples(grid.lo, grid.hi, 500, 0) + corner_triples(grid.lo, grid.hi)
+    audit = audit_defect_hypothesis(phi, P3, rho, alpha, triples)
+    return fixed_point_solve(phi, P3, rho, alpha, grid, audit=audit, **kwargs)
+
+
 class TestLambdaApply:
+    """One application of ``Lam(g)(x) = g(2**(1/s) * x) / 2``, built as
+    ``fixed_point_solve`` builds its iterates: ``g.scaled(outer=0.5, ...)``."""
+
+    @staticmethod
+    def lam(g, s):
+        return g.scaled(outer=0.5, inner=2.0 ** (1.0 / s))
+
     @pytest.mark.parametrize("s", [3, 5, 7])
     @pytest.mark.parametrize("c", [-2.0, 1.0, 5.0])
     def test_exact_solutions_are_fixed_points(self, s, c):
         g = monomial(c, s)
         for x in (0.5, 1.0, 5.0, -3.25):
-            assert lambda_apply(g, s, x) == pytest.approx(g(x), rel=1e-14)
+            assert self.lam(g, s)(x) == pytest.approx(g(x), rel=1e-14)
 
     def test_constant_halves(self):
-        g = monomial(4.0, 0)
-        assert lambda_apply(g, 3, 17.0) == 2.0
+        assert self.lam(monomial(4.0, 0), 3)(17.0) == 2.0
 
     def test_identity_map_value(self):
         # g(x) = x: (2^(1/3) * 1) / 2 = 2^(-2/3)
-        got = lambda_apply(monomial(1.0, 1), 3, 1.0)
+        got = self.lam(monomial(1.0, 1), 3)(1.0)
         assert got == pytest.approx(2.0 ** (-2 / 3), rel=1e-14)
         assert got == pytest.approx(0.62996, abs=1e-5)
-
-    def test_rejects_even_s(self):
-        with pytest.raises(ArgumentError):
-            lambda_apply(monomial(1.0, 3), 4, 1.0)
 
 
 class TestEstimateContraction:
@@ -157,19 +168,18 @@ class TestFixedPointSolve:
         phi = parse_expression("mono(1,3) + mono(0.01,1)")
         alpha = ControlFunction.power(0.02, 1.0)
         grid = Grid(-10, 10, 41)
-        res = fixed_point_solve(phi, P3, ABS1, alpha, grid)
+        res = solve(phi, ABS1, alpha, grid)
         assert not res.saturated
         worst = max(abs(v - x**3) for v, x in zip(res.values, grid.points()))
         assert worst <= 1e-6
-        assert all(res.bound_ok)
+        assert verify_stability_bound(phi, res.function, ABS1, list(res.bound), grid).passed
         # geometric decay of successive gaps at factor l_hat (absolute slack
         # absorbs the cancellation noise of the iterate differences)
         for g0, g1 in zip(res.gap_history, res.gap_history[1:]):
             assert g1 <= res.l_hat * g0 + 1e-9
 
     def test_exact_solution_converges_immediately(self):
-        res = fixed_point_solve(monomial(1.0, 3), P3, ABS1,
-                                ControlFunction.constant(0.1), Grid(-5, 5, 11))
+        res = solve(monomial(1.0, 3), ABS1, ControlFunction.constant(0.1), Grid(-5, 5, 11))
         assert res.iterations == 1
         assert res.rho_hat_gap <= 1e-12  # ulp-scale scaling residue only
         for v, x in zip(res.values, Grid(-5, 5, 11).points()):
@@ -179,22 +189,22 @@ class TestFixedPointSolve:
     def test_n_max_outside_float_powers_rejected(self, n_max):
         # 2.0**1024 overflows: the step count must stay in 1..1023
         with pytest.raises(ArgumentError, match="n_max must be in 1..1023"):
-            fixed_point_solve(monomial(1.0, 3), P3, ABS1, ControlFunction.constant(0.1),
-                              Grid(-5, 5, 11), n_max=n_max)
+            solve(monomial(1.0, 3), ABS1, ControlFunction.constant(0.1), Grid(-5, 5, 11),
+                  n_max=n_max)
 
     def test_invalid_certificate_is_regime_error(self):
         phi = parse_expression("mono(1,3) + envnoise(0.004,6,7)")
         alpha = ControlFunction.power(0.016, 6.0)
         with pytest.raises(RegimeError):
-            fixed_point_solve(phi, P3, ABS1, alpha, Grid(-10, 10, 11))
+            solve(phi, ABS1, alpha, Grid(-10, 10, 11))
 
     def test_boundary_exponent_is_regime_error(self):
         # L = 2^(p/s)/2 is exactly 1 at p = s: no contraction
         alpha = ControlFunction.power(0.01, 3.0)
         assert route_ratio(Mode.EXPAND, alpha, 3) == 1.0
         with pytest.raises(RegimeError):
-            fixed_point_solve(parse_expression("mono(1,3) + envnoise(0.001,3,5)"),
-                              P3, ABS1, alpha, Grid(-10, 10, 11))
+            solve(parse_expression("mono(1,3) + envnoise(0.001,3,5)"), ABS1, alpha,
+                  Grid(-10, 10, 11))
 
     @pytest.mark.parametrize("expr, alpha", [
         ("mono(1,3) + mono(0.01,1)", ControlFunction.power(0.02, 1.0)),
@@ -203,7 +213,7 @@ class TestFixedPointSolve:
     def test_closed_form_factor_and_expand_bounds(self, expr, alpha):
         phi = parse_expression(expr)
         grid = Grid(-10, 10, 21)
-        res = fixed_point_solve(phi, P3, ABS1, alpha, grid)
+        res = solve(phi, ABS1, alpha, grid)
         assert res.l_hat == route_ratio(Mode.EXPAND, alpha, 3)
         assert list(res.bound) == [series_bound_expand(alpha, 3, x).upper
                                    for x in grid.points()]
@@ -213,20 +223,20 @@ class TestFixedPointSolve:
         phi = parse_expression("mono(1,3) + sine(0.1,1)")
         alpha = ControlFunction.constant(0.05)
         with pytest.raises(DefectHypothesisError) as err:
-            fixed_point_solve(phi, P3, ABS1, alpha, Grid(-10, 10, 11))
+            solve(phi, ABS1, alpha, Grid(-10, 10, 11))
         assert err.value.worst_triple is not None
         assert err.value.ratio > 1.0
 
     def test_requires_doubling_constant(self):
         with pytest.raises(ContractViolation):
-            fixed_point_solve(monomial(1.0, 3), P3, ModularSpec.exp(),
-                              ControlFunction.constant(0.1), Grid(-5, 5, 11))
+            solve(monomial(1.0, 3), ModularSpec.exp(), ControlFunction.constant(0.1),
+                  Grid(-5, 5, 11))
 
     def test_bound_dominates_final_error(self):
         phi = parse_expression("mono(1,3) + mono(0.01,1)")
         alpha = ControlFunction.power(0.02, 1.0)
         grid = Grid(-10, 10, 41)
-        res = fixed_point_solve(phi, P3, ABS1, alpha, grid)
+        res = solve(phi, ABS1, alpha, grid)
         # bound(x) = alpha(x, x, -2^(1/3)x) / (2*(1-L))
         coeff = 0.02 * (2.0 + 2.0 ** (1 / 3)) / (2.0 * (1.0 - 2.0 ** (-2 / 3)))
         for x, b in zip(grid.points(), res.bound):
@@ -235,8 +245,7 @@ class TestFixedPointSolve:
 
     def test_quasi_contraction_diagnostic_below_one(self):
         phi = parse_expression("mono(1,3) + mono(0.01,1)")
-        res = fixed_point_solve(phi, P3, ABS1, ControlFunction.power(0.02, 1.0),
-                                Grid(-10, 10, 21))
+        res = solve(phi, ABS1, ControlFunction.power(0.02, 1.0), Grid(-10, 10, 21))
         assert res.quasi_contraction
         assert max(res.quasi_contraction) < 1.0
         assert res.delta_hat_window < math.inf
@@ -246,7 +255,7 @@ class TestFixedPointSolve:
         phi = parse_expression("mono(1,3) + mono(0.01,1)")
         alpha = ControlFunction.power(0.02, 1.0)
         grid = Grid(-10, 10, 41)
-        fp = fixed_point_solve(phi, P3, ABS1, alpha, grid)
+        fp = solve(phi, ABS1, alpha, grid)
         t2 = construct_limit(Mode.EXPAND, phi, P3, ABS1, grid)
         for a, b in zip(fp.values, t2.values):
             assert a == pytest.approx(b, abs=1e-6)

@@ -41,20 +41,24 @@ def test_parse_negative_coefficients():
     assert f(1.0) == pytest.approx(-2.0 - 0.5 * math.sin(1.5), rel=1e-15)
 
 
-def test_parse_envnoise_seed_metadata():
-    f = parse_expression("mono(1,3) + envnoise(0.004,6,7)")
-    assert f.seed == 7
-
-
 @pytest.mark.parametrize("bad", ["", "mono(1)", "mono(1,2,3)", "wave(1,2)",
                                  "mono(1,3) * sine(1,1)", "mono(a,3)",
                                  # numbers a float cannot hold, and a negative seed
                                  "mono(1,1e400)", "mono(1e400,3)", "sine(1,1e400)",
                                  "envnoise(0.1,1,1e400)", "envnoise(0.1,1,-5)",
-                                 "1e400*mono(1,3)"])
+                                 "1e400*mono(1,3)",
+                                 # a power or a seed that is not an integer
+                                 "mono(1,2.5)", "envnoise(0.1,1,7.5)"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ConfigError):
         parse_expression(bad)
+
+
+def test_parse_accepts_integral_spellings():
+    # a power or a seed written with a zero fraction is that integer
+    assert parse_expression("mono(1,3.0)").description == "mono(1,3)"
+    f, g = parse_expression("envnoise(0.1,1,7.0)"), parse_expression("envnoise(0.1,1,7)")
+    assert f.description == g.description and f(1.5) == g(1.5)
 
 
 @given(x=xs)
@@ -118,15 +122,6 @@ def test_sum_folds_left_on_every_python():
     # 0 + 1e16 + 1 rounds back to 1e16; a compensated sum() (3.12+) gives 1.0
     f = parse_expression("mono(1e16,0) + mono(1,0) + mono(-1e16,0)")
     assert f(0.5) == 0.0
-
-
-@pytest.mark.parametrize("expr, seed", [
-    ("mono(1,3)", 0),
-    ("2*envnoise(0.1,1,9) + envnoise(0.1,1,4)", 9),
-    ("envnoise(0.1,1,0) + envnoise(0.1,1,5)", 0),
-])
-def test_seed_is_the_first_envnoise_seed(expr, seed):
-    assert parse_expression(expr).seed == seed
 
 
 # -- closures against the node tree they replace -------------------------------

@@ -14,7 +14,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import modstab.fixedpoint as fixedpoint_mod
 import modstab.pipeline as pipeline_mod
 import modstab.verify as verify_mod
 from modstab import (
@@ -300,13 +299,12 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
 def test_run_experiment_audits_once_and_keeps_tuple_message(monkeypatch):
     cfg = parse_experiment(EXPERIMENT.format(noise="sine(0.5,1)", theta=0.01))
     calls = []
-    real = fixedpoint_mod.audit_defect_hypothesis
+    real = pipeline_mod.audit_defect_hypothesis
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fixedpoint_mod, "audit_defect_hypothesis", counted)
     monkeypatch.setattr(pipeline_mod, "audit_defect_hypothesis", counted)
     report, _ = pipeline_mod.run_experiment(cfg)
     assert len(calls) == 1

@@ -11,10 +11,13 @@ from modstab import (
     Grid,
     ModularSpec,
     Mode,
+    audit_defect_hypothesis,
     construct_limit,
+    corner_triples,
     fixed_point_solve,
     monomial,
     parse_expression,
+    seeded_triples,
     series_bound_expand,
     verify_oddness,
     verify_radical_additivity,
@@ -39,7 +42,7 @@ class TestRadicalAdditivity:
         # on the single-point grid {1} the worst pair is (1,1) with defect
         # 0.1*|sin(2^(1/3)) - 2 sin 1|
         phi = parse_expression("mono(1,3) + sine(0.1,1)")
-        out = verify_radical_additivity(phi, ABS1, 3, Grid(1 - 1e-12, 1, 2), tol=1e-6)
+        out = verify_radical_additivity(phi, ABS1, 3, Grid(1 - 1e-12, 1, 2))
         assert not out.passed
         expected = abs(0.1 * (math.sin(2.0 ** (1 / 3)) - 2.0 * math.sin(1.0)))
         assert out.worst_value == pytest.approx(expected, rel=1e-6)
@@ -57,7 +60,7 @@ class TestOddness:
 
     def test_constant_offset_fails_at_origin(self):
         phi = parse_expression("mono(1,3) + mono(1,0)")
-        out = verify_oddness(phi, ABS1, Grid(-10, 10, 21), tol=1e-6)
+        out = verify_oddness(phi, ABS1, Grid(-10, 10, 21))
         assert not out.passed
         assert out.worst_value >= 1.0  # rho(phi(0)) = 1 already fails
 
@@ -116,7 +119,7 @@ class TestCrossCheck:
     def test_offset_fails_tight_tolerance(self):
         a1 = monomial(1.0, 3)
         a2 = parse_expression("mono(1,3) + mono(0.001,0)")
-        out = cross_check(a1, a2, ABS1, Grid(-5, 5, 11), tol=1e-6)
+        out = cross_check(a1, a2, ABS1, Grid(-5, 5, 11))
         assert not out.passed
         assert out.worst_value == pytest.approx(1e-3, rel=1e-9)
 
@@ -125,8 +128,10 @@ class TestCrossCheck:
         alpha = ControlFunction.power(0.02, 1.0)
         grid = Grid(-10, 10, 41)
         t2 = construct_limit(Mode.EXPAND, phi, P3, ABS1, grid)
-        fp = fixed_point_solve(phi, P3, ABS1, alpha, grid)
-        assert cross_check(t2.function, fp.function, ABS1, grid, tol=1e-6).passed
+        triples = seeded_triples(-10, 10, 500, 0) + corner_triples(-10, 10)
+        audit = audit_defect_hypothesis(phi, P3, ABS1, alpha, triples)
+        fp = fixed_point_solve(phi, P3, ABS1, alpha, grid, audit=audit)
+        assert cross_check(t2.function, fp.function, ABS1, grid).passed
 
 
 class TestReproducibility:
