@@ -47,6 +47,8 @@ from .fixedpoint import (
     ContractionCertificate,
     FixedPointResult,
     audit_defect_hypothesis,
+    audit_defects,
+    audit_ratios,
     estimate_contraction,
     fixed_point_solve,
     rho_hat_distance,
@@ -92,7 +94,7 @@ __all__ = [
     # fixed point
     "ContractionCertificate", "FixedPointResult",
     "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",
-    "fixed_point_solve",
+    "audit_defects", "audit_ratios", "fixed_point_solve",
     # shared scaling iterates
     "IterateTable",
     # verification

@@ -19,7 +19,11 @@ supremum of ratios, so every reported distance is a certified lower bound of
 the true one and results are labelled accordingly.  ``rho_hat_distance`` is
 that estimate for one pair of functions, the scalar reference the tests hold
 the array gap kernels to.  ``fixed_point_solve`` is gated on a defect audit
-its caller runs.
+its caller runs.  The audit comes in two steps: ``audit_defects`` evaluates
+the equation defect at each triple without reading the control, and
+``audit_ratios`` compares those defects with one control; a caller auditing
+several controls on the same ``phi``, ``s``, ``q``, modular and triples
+computes the defects once.  ``audit_defect_hypothesis`` is the two composed.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ __all__ = [
     "FixedPointResult",
     "estimate_contraction",
     "rho_hat_distance",
+    "audit_defects",
+    "audit_ratios",
     "audit_defect_hypothesis",
     "fixed_point_solve",
 ]
@@ -139,28 +145,42 @@ def rho_hat_distance(
     return best
 
 
-def audit_defect_hypothesis(
+def audit_defects(
     phi: FunctionHandle,
     params: EquationParams,
     rho: ModularSpec,
+    triples: list[tuple[float, float, float]],
+) -> list[float]:
+    """The equation defect of ``phi`` at each triple: the audit's alpha-free step.
+
+    A triple whose ``x**s`` leaves the float range (``RangeError``) counts
+    as defect ``inf``.  Nothing here reads the control, so one list serves
+    every control function audited on the same triples.
+    """
+    defects = []
+    for (x, y, z) in triples:
+        try:
+            defects.append(defect(params, phi, rho, x, y, z))
+        except OverflowError:
+            defects.append(math.inf)
+    return defects
+
+
+def audit_ratios(
+    defects: list[float],
     alpha: ControlFunction,
     triples: list[tuple[float, float, float]],
 ) -> dict:
-    """Compare the equation defect of ``phi`` against the control on triples.
+    """Compare the defects ``audit_defects`` found against the control on the same triples.
 
     Returns max defect, max defect/alpha ratio and the worst triple.  Where
     the control vanishes, or overflows to ``inf`` and so certifies nothing,
-    the ratio is ``inf`` unless the defect vanishes too.  A triple whose ``x**s`` leaves the float range (``RangeError``)
-    counts as defect ``inf``.
+    the ratio is ``inf`` unless the defect vanishes too.
     """
     max_defect = 0.0
     max_ratio = 0.0
     worst = triples[0]
-    for (x, y, z) in triples:
-        try:
-            d = defect(params, phi, rho, x, y, z)
-        except OverflowError:
-            d = math.inf
+    for d, (x, y, z) in zip(defects, triples):
         if d > max_defect:
             max_defect = d
         a = control_eval(alpha, x, y, z)
@@ -174,6 +194,21 @@ def audit_defect_hypothesis(
         "worst_triple": worst,
         "hypothesis_ok": max_ratio <= 1.0 + 1e-9,
     }
+
+
+def audit_defect_hypothesis(
+    phi: FunctionHandle,
+    params: EquationParams,
+    rho: ModularSpec,
+    alpha: ControlFunction,
+    triples: list[tuple[float, float, float]],
+) -> dict:
+    """Compare the equation defect of ``phi`` against the control on triples.
+
+    ``audit_ratios`` of ``audit_defects``: see those for the result and for
+    how a vanishing or overflowing control and an out-of-range triple count.
+    """
+    return audit_ratios(audit_defects(phi, params, rho, triples), alpha, triples)
 
 
 def _rho_hat_rows(diffs: np.ndarray, denoms: np.ndarray, rho: ModularSpec) -> np.ndarray:

@@ -22,13 +22,14 @@ supported Python.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ArgumentError, ConfigError
 
 __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression"]
 
@@ -108,8 +109,28 @@ class FunctionHandle:
                               f"[{self.description}] + {offset:.6g}")
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int; a fractional or non-finite number is refused, not truncated."""
+    try:
+        return operator.index(value)  # int-like values stay exact, however large
+    except TypeError:
+        pass
+    value = float(value)
+    if not value.is_integer():
+        raise ArgumentError(f"{what} must be an integer, got {value:g}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    seed = _integral(value, "envnoise seed")
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise ArgumentError(f"envnoise seed must be non-negative, got {seed}")
+    return seed
+
+
 def monomial(coeff: float, power: int) -> FunctionHandle:
-    return FunctionHandle(*_monomial(float(coeff), int(power)))
+    """``coeff * x**power``; ``power`` must be an integer (``ArgumentError``)."""
+    return FunctionHandle(*_monomial(float(coeff), _integral(power, "mono power")))
 
 
 def sine(amplitude: float, frequency: float) -> FunctionHandle:
@@ -117,7 +138,8 @@ def sine(amplitude: float, frequency: float) -> FunctionHandle:
 
 
 def envelope_noise(amplitude: float, exponent: float, seed: int) -> FunctionHandle:
-    return FunctionHandle(*_envelope_noise(float(amplitude), float(exponent), int(seed)))
+    """``amplitude * |x|**exponent * u(x)``; ``seed`` must be a non-negative integer."""
+    return FunctionHandle(*_envelope_noise(float(amplitude), float(exponent), _seed(seed)))
 
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -133,12 +155,6 @@ def _finite(number: str, text: str) -> float:
     return value
 
 
-def _integral(value: float, what: str, text: str) -> int:
-    if not value.is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value:g} in {text!r}")
-    return int(value)
-
-
 def _parse_atom(text: str):
     """``(closure, description)`` of one atom."""
     m = _ATOM_RE.fullmatch(text.strip())
@@ -150,14 +166,14 @@ def _parse_atom(text: str):
     if len(args) != arity:
         raise ConfigError(f"{name} takes {arity} arguments, got {len(args)} in {text!r}")
     args = [_finite(a, text) for a in args]
-    if name == "mono":
-        return _monomial(args[0], _integral(args[1], "mono power", text))
-    if name == "sine":
-        return _sine(*args)
-    seed = _integral(args[2], "envnoise seed", text)
-    if seed < 0:
-        raise ConfigError(f"envnoise seed must be non-negative, got {seed} in {text!r}")
-    return _envelope_noise(args[0], args[1], seed)
+    try:  # the library constructors' checks, reported as config errors
+        if name == "mono":
+            args[1] = _integral(args[1], "mono power")
+        elif name == "envnoise":
+            args[2] = _seed(args[2])
+    except ArgumentError as exc:
+        raise ConfigError(f"{exc} in {text!r}") from exc
+    return {"mono": _monomial, "sine": _sine, "envnoise": _envelope_noise}[name](*args)
 
 
 def _parse_term(text: str):

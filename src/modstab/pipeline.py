@@ -5,6 +5,27 @@ an exit code; ``run_sweep`` fans a base experiment out over parameter axes
 and collects one summary row per cell and method.  Report dicts contain only
 deterministic content -- no timestamps, no absolute paths -- so identical
 configs yield identical bytes.
+
+Every result is a pure function of its inputs, so a run keeps a memo, a
+plain dict that lives as long as the run (``run_experiment``) or the sweep
+(``run_sweep``), keyed on exactly what each result depends on.  Within a
+sweep ``phi``, the grid, the seed, ``tol`` and ``n_max`` are fixed, so the
+keys are:
+
+* the ``IterateTable``: ``s``;
+* the audit's defects (``audit_defects``): ``s``, ``q`` and the modular;
+* a ``construct_limit`` result: the route, ``s``, ``q`` and the modular;
+* the additivity and oddness outcomes of a limit function: the function
+  (route family, ``s``, step ``n`` and ``q*phi(0)`` offset) and the
+  modular -- the fixed-point iterate at ``n`` is the expand limit at ``n``
+  with offset ``0``, the same closure, so the two share one entry even
+  within a single run;
+* a cross-check: both functions and the modular.
+
+What reads ``alpha`` -- the audit's ratios, the series bounds, the
+stability-bound check, the certificate and ``fixed_point_solve`` -- runs in
+every cell.  A shared result is the very value the cell would compute
+itself, so reports are byte-identical with or without sharing.
 """
 
 from __future__ import annotations
@@ -25,7 +46,8 @@ from .direct import (
 from .equation import ControlFunction, EquationParams, control_eval
 from .errors import ArgumentError, ConfigError, DefectHypothesisError, ModstabError
 from .fixedpoint import (
-    audit_defect_hypothesis,
+    audit_defects,
+    audit_ratios,
     estimate_contraction,
     fixed_point_solve,
 )
@@ -79,12 +101,39 @@ def _series_dict(sb) -> dict:
     }
 
 
-def _audit(cfg: ExperimentConfig) -> dict:
+def _once(memo: dict, key: tuple, compute):
+    """``memo[key]``, computed by ``compute()`` the first time it is asked for."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _table(cfg: ExperimentConfig, memo: dict) -> IterateTable:
+    # One table serves every route, so t2 and the fixed-point route share
+    # their evaluations of phi.
+    s = cfg.params.s
+    return _once(memo, ("table", s), lambda: IterateTable(cfg.phi, s, cfg.grid))
+
+
+def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
     # The one audit of a run: the report shows it and the fixed-point route
     # is gated on it.
-    triples = seeded_triples(cfg.grid.lo, cfg.grid.hi, AUDIT_TRIPLES, cfg.seed)
-    triples += corner_triples(cfg.grid.lo, cfg.grid.hi)
-    return audit_defect_hypothesis(cfg.phi, cfg.params, cfg.modular, cfg.alpha, triples)
+    def draw():
+        found = seeded_triples(cfg.grid.lo, cfg.grid.hi, AUDIT_TRIPLES, cfg.seed)
+        return found + corner_triples(cfg.grid.lo, cfg.grid.hi)
+
+    triples = _once(memo, ("triples",), draw)
+    defects = _once(memo, ("defects", cfg.params, cfg.modular),
+                    lambda: audit_defects(cfg.phi, cfg.params, cfg.modular, triples))
+    return audit_ratios(defects, cfg.alpha, triples)
+
+
+def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function) -> tuple:
+    """Additivity and oddness of the limit function ``key`` names; neither reads alpha."""
+    return _once(memo, ("checks", key, cfg.modular), lambda: (
+        verify_radical_additivity(function, cfg.modular, cfg.params.s, cfg.grid),
+        verify_oddness(function, cfg.modular, cfg.grid),
+    ))
 
 
 def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
@@ -110,7 +159,7 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
     }
 
 
-def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> dict:
+def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     """Run one direct route: regime gate, series bounds, limit, checks."""
     section: dict = {}
     s = cfg.params.s
@@ -148,8 +197,10 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> di
             "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
         }
 
-    limit = construct_limit(mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
-                            tol=cfg.tol, n_max=cfg.n_max, table=table)
+    table = _table(cfg, memo)
+    limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
+        mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
+        tol=cfg.tol, n_max=cfg.n_max, table=table))
     pts = cfg.grid.points()
     bounds = [series_at(x).upper for x in pts]
     section["limit"] = {
@@ -163,18 +214,18 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, table: IterateTable) -> di
     section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
 
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
+    key = (mode, s, limit.achieved_n, shift)
     checks = [
         verify_stability_bound(cfg.phi, limit.function, cfg.modular, bounds,
                                cfg.grid, shift=shift),
-        verify_radical_additivity(limit.function, cfg.modular, s, cfg.grid),
-        verify_oddness(limit.function, cfg.modular, cfg.grid),
+        *_limit_checks(cfg, memo, key, limit.function),
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = limit.function  # for cross-method checks; stripped later
+    section["_function"] = (key, limit.function)  # for cross-method checks; stripped later
     return section
 
 
-def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable) -> dict:
+def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
     section: dict = {}
     s = cfg.params.s
     if cfg.modular.delta2_tau is None:
@@ -184,6 +235,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable)
                      f"constant; {cfg.modular_spec} has none",
         }
         return section
+    table = _table(cfg, memo)
     try:  # the sampled certificate is a cross-check; the gate is l_factor
         cert = estimate_contraction(cfg.alpha, s, table.points)
     except ArgumentError as exc:
@@ -234,44 +286,51 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, table: IterateTable)
             for x, v, b, g in zip(pts, result.values, result.bound, result.point_gap)
         ],
     }
+    # Iterate n is the expand limit at n with no offset: the same function.
+    key = (Mode.EXPAND, s, result.iterations, 0.0)
     checks = [
         verify_stability_bound(cfg.phi, result.function, cfg.modular,
                                list(result.bound), cfg.grid),
-        verify_radical_additivity(result.function, cfg.modular, s, cfg.grid),
-        verify_oddness(result.function, cfg.modular, cfg.grid),
+        *_limit_checks(cfg, memo, key, result.function),
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = result.function
+    section["_function"] = (key, result.function)
     return section
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Run the configured method(s); return (report, exit_code)."""
+    """Run the configured method(s); return (report, exit_code).
+
+    Each call starts its own memo, so one run shares nothing with another.
+    """
+    return _run(cfg, {})
+
+
+def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int]:
     methods = ("t1", "t2", "fixedpoint") if cfg.method == "all" else (cfg.method,)
-    audit = _audit(cfg)
+    audit = _audit(cfg, memo)
     report: dict = {
         "schema": SCHEMA,
         "config": cfg.echo(),
         "audit": {**audit, "worst_triple": list(audit["worst_triple"])},
     }
-    # One table serves every route, so t2 and the fixed-point route share
-    # their evaluations of phi.
-    table = IterateTable(cfg.phi, cfg.params.s, cfg.grid)
     sections: dict[str, dict] = {}
     for m in methods:
         if m == "t1":
-            sections[m] = _limit_section(cfg, Mode.CONTRACT, table)
+            sections[m] = _limit_section(cfg, Mode.CONTRACT, memo)
         elif m == "t2":
-            sections[m] = _limit_section(cfg, Mode.EXPAND, table)
+            sections[m] = _limit_section(cfg, Mode.EXPAND, memo)
         else:
-            sections[m] = _fixedpoint_section(cfg, audit, table)
+            sections[m] = _fixedpoint_section(cfg, audit, memo)
 
     cross = []
     if cfg.method == "all":
         usable = {m: sec["_function"] for m, sec in sections.items() if "_function" in sec}
         names = sorted(usable)
         for a, b in itertools.combinations(names, 2):
-            out = cross_check(usable[a], usable[b], cfg.modular, cfg.grid)
+            (key_a, fa), (key_b, fb) = usable[a], usable[b]
+            out = _once(memo, ("cross", key_a, key_b, cfg.modular),
+                        lambda: cross_check(fa, fb, cfg.modular, cfg.grid))
             entry = _outcome_dict(out)
             entry["methods"] = [a, b]
             cross.append(entry)
@@ -411,7 +470,15 @@ def run_sweep(sweep: SweepConfig) -> tuple[list[list], list[tuple[str, dict]]]:
     Cell order is the product of the axes in canonical order (s, q, p,
     theta, modular) with each axis in its configured value order.  A cell
     that fails outright is recorded in-row and the sweep continues.
+
+    The cells share one memo (see the module docstring): each
+    ``IterateTable``, defect list, limit and alpha-free check is computed
+    once, for the first cell that needs it.  Only ``s``, ``q``, ``p``,
+    ``theta`` and the modular vary between cells, and every shared result is
+    keyed on all of those it reads, so a cell's report is byte-identical to
+    the one ``run_experiment`` gives for that cell alone.
     """
+    memo: dict = {}
     axes = [(axis, sweep.axes[axis]) for axis in SWEEP_AXES if axis in sweep.axes]
     combos = itertools.product(*[vals for _, vals in axes]) if axes else [()]
     rows: list[list] = []
@@ -421,7 +488,7 @@ def run_sweep(sweep: SweepConfig) -> tuple[list[list], list[tuple[str, dict]]]:
         name = f"cell_{idx:04d}"
         try:
             cfg = _cell_config(sweep.base, assignment)
-            report, _ = run_experiment(cfg)
+            report, _ = _run(cfg, memo)
             cells.append((name, report))
             rows.extend(_sweep_rows_for_cell(cfg, report))
         except (ModstabError, ValueError, OverflowError) as exc:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modstab import ConfigError, envelope_noise, monomial, parse_expression, sine
+from modstab import ArgumentError, ConfigError, envelope_noise, monomial, parse_expression, sine
 
 xs = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -59,6 +59,29 @@ def test_parse_accepts_integral_spellings():
     assert parse_expression("mono(1,3.0)").description == "mono(1,3)"
     f, g = parse_expression("envnoise(0.1,1,7.0)"), parse_expression("envnoise(0.1,1,7)")
     assert f.description == g.description and f(1.5) == g(1.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: monomial(1.0, 2.5), "mono power must be an integer, got 2.5"),
+    (lambda: monomial(1.0, -0.5), "mono power must be an integer, got -0.5"),
+    (lambda: monomial(1.0, math.inf), "mono power must be an integer, got inf"),
+    (lambda: envelope_noise(0.1, 1.0, 7.5), "envnoise seed must be an integer, got 7.5"),
+    (lambda: envelope_noise(0.1, 1.0, -1), "envnoise seed must be non-negative, got -1"),
+    (lambda: envelope_noise(0.1, 1.0, -2.0), "envnoise seed must be non-negative, got -2"),
+])
+def test_constructors_refuse_what_the_parser_refuses(build, message):
+    # a bare int() used to truncate: monomial(1, 2.5) was x**2
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        build()
+
+
+def test_constructors_accept_integral_values():
+    assert monomial(1.0, 3.0).description == "mono(1,3)" == monomial(1.0, np.int64(3)).description
+    assert monomial(1.0, 3.0)(4.0) == 64.0
+    f, g = envelope_noise(0.1, 1.0, 7.0), envelope_noise(0.1, 1.0, 7)
+    assert f.description == g.description and f(1.5) == g(1.5)
+    # an int seed past 2**53 stays exact instead of passing through a float
+    assert envelope_noise(0.1, 1.0, 2**60 + 1).description.endswith(f",{2**60 + 1})")
 
 
 @given(x=xs)

@@ -1,26 +1,33 @@
 """Byte-for-byte golden reports pinned from modstab 0.1.0.
 
 Each ``tests/golden/<name>.cfg`` is run through the CLI and its report must
-equal ``<name>.json`` (or ``.csv``) byte for byte; ``sweep_small/`` pins a
-whole sweep directory.  The configs cover every route both in and out of
-regime, a saturated fixed-point window and a libm-pow modular, so any change
-to a hot path that moves a single output bit shows here.
+equal ``<name>.json`` (or ``.csv``) byte for byte; ``sweep_small/`` and
+``sweep_axes/`` pin whole sweep directories.  The configs cover every route
+both in and out of regime, a saturated fixed-point window and a libm-pow
+modular, so any change to a hot path that moves a single output bit shows
+here.  ``sweep_axes`` varies all five sweep axes with ``phi(0) != 0``, so a
+result shared between cells under too coarse a key moves some cell's bytes,
+and each of its cells must also equal a standalone run of that cell.
 
 Regenerate a golden only for an intended output change, and list each
 changed field in CHANGES.md::
 
     PYTHONPATH=src python -m modstab.cli run tests/golden/NAME.cfg \\
         --out tests/golden/NAME.json
-    PYTHONPATH=src python -m modstab.cli sweep tests/golden/sweep_small/sweep.cfg \\
-        --out tests/golden/sweep_small/expected
+    PYTHONPATH=src python -m modstab.cli sweep tests/golden/SWEEP/sweep.cfg \\
+        --out tests/golden/SWEEP/expected
 """
 
+import itertools
 import os
 from pathlib import Path
 
 import pytest
 
 from modstab.cli import main
+from modstab.config import SWEEP_AXES, parse_sweep
+from modstab.pipeline import _cell_config, run_experiment
+from modstab.report import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
 RUN_CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
@@ -46,11 +53,33 @@ def test_run_report_is_byte_identical(name, tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
-def test_sweep_directory_is_byte_identical(tmp_path):
-    case = GOLDEN / "sweep_small"
+def _assert_sweep_matches(case: Path, tmp_path: Path) -> None:
     expected = case / "expected"
     out = tmp_path / "sweep"
     assert main(["sweep", str(case / "sweep.cfg"), "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
     for name in sorted(os.listdir(expected)):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_sweep_directory_is_byte_identical(tmp_path):
+    _assert_sweep_matches(GOLDEN / "sweep_small", tmp_path)
+
+
+def test_sweep_over_every_axis_is_byte_identical(tmp_path):
+    _assert_sweep_matches(GOLDEN / "sweep_axes", tmp_path)
+
+
+def test_each_sweep_cell_equals_a_standalone_run():
+    # A sweep shares results between cells; a standalone run shares nothing
+    # with other cells, so equal bytes show the sharing is exact.
+    case = GOLDEN / "sweep_axes"
+    sweep = parse_sweep((case / "sweep.cfg").read_text(encoding="utf-8"))
+    axes = [axis for axis in SWEEP_AXES if axis in sweep.axes]
+    assert axes == list(SWEEP_AXES)
+    combos = list(itertools.product(*[sweep.axes[axis] for axis in axes]))
+    assert len(combos) == len(list((case / "expected").glob("cell_*.json")))
+    for idx, combo in enumerate(combos):
+        report, _ = run_experiment(_cell_config(sweep.base, dict(zip(axes, combo))))
+        expected = (case / "expected" / f"cell_{idx:04d}.json").read_text(encoding="utf-8")
+        assert canonical_json(report) == expected, idx

@@ -3,7 +3,9 @@
 Equivalence tests keep an inline copy of the scalar reference and assert bit
 equality (``float.hex``), not closeness.  The counting tests show that one
 run evaluates ``phi`` once per scaling step and sample point across the
-expand and fixed-point routes, and audits the defect hypothesis once.
+expand and fixed-point routes and audits the defect hypothesis once, and that
+a sweep computes each result that does not read ``alpha`` once per distinct
+input it does read.
 """
 
 import dataclasses
@@ -33,7 +35,7 @@ from modstab import (
     rho_eval_array,
     verify_radical_additivity,
 )
-from modstab.config import parse_experiment
+from modstab.config import parse_experiment, parse_sweep
 from modstab.fixedpoint import _delta_hat_window, _quasi_contraction, _rho_hat_rows
 
 P3 = EquationParams(3, 1.0)
@@ -299,16 +301,134 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
 def test_run_experiment_audits_once_and_keeps_tuple_message(monkeypatch):
     cfg = parse_experiment(EXPERIMENT.format(noise="sine(0.5,1)", theta=0.01))
     calls = []
-    real = pipeline_mod.audit_defect_hypothesis
+    real = pipeline_mod.audit_defects
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod, "audit_defect_hypothesis", counted)
+    monkeypatch.setattr(pipeline_mod, "audit_defects", counted)
     report, _ = pipeline_mod.run_experiment(cfg)
     assert len(calls) == 1
     regime = report["methods"]["fixedpoint"]["regime"]
     worst = report["audit"]["worst_triple"]
     assert isinstance(worst, list) and regime["worst_triple"] == worst
     assert regime["error"].endswith(f"at triple {tuple(worst)}")
+
+
+# -- one computation per sweep for what does not read alpha --------------------
+
+SWEEP = """
+[equation]
+s = 3
+q = 1
+[modular]
+spec = power:p=1
+[phi]
+expr = {expr}
+[alpha]
+spec = power:theta=0.05,p=1
+[run]
+method = all
+grid = -10,10,11
+seed = 3
+[sweep]
+s = 3,5
+q = 1,-1
+p = 1,3.5
+theta = 0.001,0.05
+modular = power:p=1,exp
+"""
+
+
+def _spy_sweep_work(monkeypatch):
+    """Record the arguments of every call the sweep makes to its shared stages."""
+    calls = {name: [] for name in ("table", "defects", "limit", "additivity",
+                                   "oddness", "cross", "bound")}
+
+    def spy(attr, name, key):
+        real = getattr(pipeline_mod, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(key(*args, **kwargs))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline_mod, attr, wrapper)
+
+    spy("IterateTable", "table", lambda phi, s, grid: s)
+    spy("audit_defects", "defects", lambda phi, params, rho, triples: (params, rho))
+    spy("construct_limit", "limit", lambda mode, phi, params, rho, *a, **k: (mode, params, rho))
+    spy("verify_radical_additivity", "additivity", lambda a, rho, s, grid: (a, rho, s))
+    spy("verify_oddness", "oddness", lambda a, rho, grid: (a, rho))
+    spy("cross_check", "cross", lambda a1, a2, rho, grid: (a1, a2, rho))
+    spy("verify_stability_bound", "bound", lambda *a, **k: None)
+    return calls
+
+
+def _limit_keys(report, phi0):
+    """The limit function behind each route's checks, named by what defines it.
+
+    The fixed-point iterate ``n`` is the expand limit at ``n`` with no offset.
+    """
+    cfg = report["config"]
+    keys = {}
+    for method, sec in report["methods"].items():
+        if "checks" not in sec:
+            continue
+        if method == "t1":
+            keys[method] = ("contract", cfg["s"], sec["limit"]["achieved_n"], 0.0)
+        elif method == "t2":
+            keys[method] = ("expand", cfg["s"], sec["limit"]["achieved_n"], cfg["q"] * phi0)
+        else:
+            keys[method] = ("expand", cfg["s"], sec["iteration"]["iterations"], 0.0)
+    return keys
+
+
+@pytest.mark.parametrize("expr", ["mono(1,3) + envnoise(0.01,1,11)",
+                                  "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"],
+                         ids=["phi0_zero", "phi0_nonzero"])
+def test_sweep_computes_alpha_free_results_once(monkeypatch, expr):
+    sweep = parse_sweep(SWEEP.format(expr=expr))
+    calls = _spy_sweep_work(monkeypatch)
+    _, cells = pipeline_mod.run_sweep(sweep)
+    assert len(cells) == 32
+
+    def once_each(name, expected):
+        assert sorted(Counter(calls[name]).values()) == [1] * len(expected)
+        assert set(calls[name]) == expected
+
+    s_values = {int(v) for v in sweep.axes["s"]}
+    params = {EquationParams(s, float(q)) for s in s_values for q in sweep.axes["q"]}
+    modulars = {ModularSpec.power(1), ModularSpec.exp()}
+    once_each("table", s_values)
+    once_each("defects", {(p, m) for p in params for m in modulars})
+    # t1 runs only with a doubling constant, t2 only below p = s
+    assert set(calls["limit"]) <= {(mode, p, m) for mode in Mode for p in params
+                                   for m in modulars}
+    assert len(calls["limit"]) == len(set(calls["limit"])) > 0
+
+    phi0 = sweep.base.phi(0.0)
+    functions, pairs, sections = set(), set(), 0
+    for _, report in cells:
+        keys = _limit_keys(report, phi0)
+        modular = report["config"]["modular"]
+        sections += len(keys)
+        functions |= {(key, modular) for key in keys.values()}
+        pairs |= {(keys[a], keys[b], modular)
+                  for a, b in (c["methods"] for c in report.get("cross_checks", []))}
+    assert len(calls["additivity"]) == len(calls["oddness"]) == len(functions) < sections
+    assert len(calls["cross"]) == len(pairs) > 0
+    # The stability bound reads alpha: one check per route section, every cell.
+    assert len(calls["bound"]) == sections
+    if phi0 == 0.0:  # t2 and the fixed-point iterate are one function
+        assert any(_limit_keys(r, phi0).get("t2") == _limit_keys(r, phi0).get("fixedpoint")
+                   for _, r in cells)
+
+
+def test_sweeps_do_not_share_a_memo(monkeypatch):
+    sweep = parse_sweep(SWEEP.format(expr="mono(1,3) + envnoise(0.01,1,11)"))
+    calls = _spy_sweep_work(monkeypatch)
+    first = pipeline_mod.run_sweep(sweep)
+    once = {name: len(seen) for name, seen in calls.items()}
+    assert pipeline_mod.run_sweep(sweep) == first
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        name: 2 * n for name, n in once.items()}
