@@ -49,6 +49,7 @@ from .fixedpoint import (
     audit_defect_hypothesis,
     audit_defects,
     audit_ratios,
+    control_power_sums,
     estimate_contraction,
     fixed_point_solve,
     rho_hat_distance,
@@ -67,7 +68,10 @@ from .modular import (
 )
 from .sampling import Grid, corner_triples, seeded_triples, standard_ladder
 from .verify import (
+    AdditivityPairs,
     CheckOutcome,
+    Sampled,
+    additivity_pairs,
     cross_check,
     verify_oddness,
     verify_radical_additivity,
@@ -94,12 +98,12 @@ __all__ = [
     # fixed point
     "ContractionCertificate", "FixedPointResult",
     "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",
-    "audit_defects", "audit_ratios", "fixed_point_solve",
+    "audit_defects", "audit_ratios", "control_power_sums", "fixed_point_solve",
     # shared scaling iterates
     "IterateTable",
     # verification
-    "CheckOutcome", "verify_radical_additivity", "verify_oddness",
-    "verify_stability_bound", "cross_check",
+    "CheckOutcome", "Sampled", "AdditivityPairs", "additivity_pairs",
+    "verify_radical_additivity", "verify_oddness", "verify_stability_bound", "cross_check",
     # sampling
     "Grid", "standard_ladder", "seeded_triples", "corner_triples",
     # errors

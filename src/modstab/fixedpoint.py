@@ -23,7 +23,13 @@ its caller runs.  The audit comes in two steps: ``audit_defects`` evaluates
 the equation defect at each triple without reading the control, and
 ``audit_ratios`` compares those defects with one control; a caller auditing
 several controls on the same ``phi``, ``s``, ``q``, modular and triples
-computes the defects once.  ``audit_defect_hypothesis`` is the two composed.
+computes the defects once.  The power control ``theta * (|x|**p + |y|**p +
+|z|**p)`` reads only ``p`` and the triples inside the parentheses, so
+``control_power_sums`` computes that sum once per ``p`` with the scalar
+``**`` and ``audit_ratios`` takes it as ``sums=`` for every ``theta``; the
+rest is one IEEE multiply, divide or comparison per triple, which rounds
+the same in numpy as in Python.  ``audit_defect_hypothesis`` is the two
+steps composed.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .functions import FunctionHandle
 from .iterates import IterateTable
 from .modular import ModularSpec, rho_eval, rho_eval_array
 from .sampling import Grid
+from .verify import first_max
 
 __all__ = [
     "ContractionCertificate",
@@ -52,6 +59,7 @@ __all__ = [
     "estimate_contraction",
     "rho_hat_distance",
     "audit_defects",
+    "control_power_sums",
     "audit_ratios",
     "audit_defect_hypothesis",
     "fixed_point_solve",
@@ -166,32 +174,68 @@ def audit_defects(
     return defects
 
 
+def control_power_sums(
+    p: float, triples: list[tuple[float, float, float]]
+) -> np.ndarray:
+    """``|x|**p + |y|**p + |z|**p`` at each triple: the power control over ``theta``.
+
+    Computed with the scalar ``**`` and additions ``control_eval`` makes, so
+    ``theta`` times an entry has the bits ``control_eval`` gives.  ``nan``
+    marks a triple where a power overflows (``OverflowError``); a sum of
+    finite powers is never ``nan``, and one that overflows by addition is
+    ``inf``.
+    """
+    sums = []
+    for (x, y, z) in triples:
+        try:
+            sums.append(abs(x) ** p + abs(y) ** p + abs(z) ** p)
+        except OverflowError:
+            sums.append(math.nan)
+    return np.array(sums, dtype=float)
+
+
+def _controls(alpha: ControlFunction, triples: list, sums: np.ndarray | None) -> np.ndarray:
+    # control_eval at each triple: where a power overflowed it gives inf
+    # (0.0 for a zero control), while theta times an inf sum stays as
+    # computed, nan included.
+    if alpha.kind != "power":
+        return np.full(len(triples), alpha.eps)
+    if sums is None:
+        sums = control_power_sums(alpha.p, triples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = alpha.theta * sums
+    return np.where(np.isnan(sums), math.inf if alpha.theta else 0.0, scaled)
+
+
 def audit_ratios(
     defects: list[float],
     alpha: ControlFunction,
     triples: list[tuple[float, float, float]],
+    *,
+    sums: np.ndarray | None = None,
 ) -> dict:
     """Compare the defects ``audit_defects`` found against the control on the same triples.
 
-    Returns max defect, max defect/alpha ratio and the worst triple.  Where
-    the control vanishes, or overflows to ``inf`` and so certifies nothing,
-    the ratio is ``inf`` unless the defect vanishes too.
+    Returns max defect, max defect/alpha ratio and the worst triple: the
+    first triple with the largest ratio, ``triples[0]`` when no ratio is
+    above zero.  Where the control vanishes, or overflows to ``inf`` and so
+    certifies nothing, the ratio is ``inf`` unless the defect vanishes too.
+    ``sums``, when given, is ``control_power_sums(alpha.p, triples)``, which
+    a caller auditing several ``theta`` computes once.
     """
-    max_defect = 0.0
-    max_ratio = 0.0
-    worst = triples[0]
-    for d, (x, y, z) in zip(defects, triples):
-        if d > max_defect:
-            max_defect = d
-        a = control_eval(alpha, x, y, z)
-        ratio = d / a if 0.0 < a < math.inf else (math.inf if d > 0.0 else 0.0)
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, (x, y, z)
+    d = np.asarray(defects, dtype=float)
+    a = _controls(alpha, triples, sums)
+    live = (0.0 < a) & (a < math.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = np.where(live, d / np.where(live, a, 1.0),
+                         np.where(d > 0.0, math.inf, 0.0))
+    _, max_defect = first_max(d, 0.0)
+    k, max_ratio = first_max(ratio, 0.0)
     return {
         "triples": len(triples),
         "max_defect": max_defect,
         "max_ratio": max_ratio,
-        "worst_triple": worst,
+        "worst_triple": triples[0] if k is None else triples[k],
         "hypothesis_ok": max_ratio <= 1.0 + 1e-9,
     }
 

@@ -24,12 +24,15 @@ __all__ = ["IterateTable"]
 class IterateTable:
     """Lazily extended rows of ``phi`` on the rescaled sample points.
 
-    ``points`` is ``function_sample_points(grid)`` and ``grid_index`` the
-    position of each grid point in it.  ``expand(n)[i]`` is
+    ``points`` is ``function_sample_points(grid)``, sorted and distinct,
+    ``point_array`` the same as an array, and ``grid_index`` the position
+    of each grid point in it.  ``expand(n)[i]`` is
     ``phi(2**(n/s) * points[i])`` and ``contract(n)[i]`` is
     ``phi(2**(-n/s) * points[i])``, the arguments ``limit_function``'s
     handles compute; an evaluation that overflows is ``inf`` (see
-    ``FunctionHandle``), the saturation signal every route reads.
+    ``FunctionHandle``), the saturation signal every route reads.  Row 0 is
+    ``phi`` itself at the sample points in both directions, since
+    ``2**(0/s) = 2**(-0/s) = 1``; it is evaluated once.
     """
 
     def __init__(self, phi: FunctionHandle, s: int, grid: Grid):
@@ -37,6 +40,7 @@ class IterateTable:
         self.s = s
         self.grid = grid
         self.points = function_sample_points(grid)
+        self.point_array = np.array(self.points, dtype=float)
         position = {x: i for i, x in enumerate(self.points)}
         self.grid_index = np.array([position[x] for x in grid.points()], dtype=np.intp)
         self._expand: list[np.ndarray] = []
@@ -60,6 +64,8 @@ class IterateTable:
 
     def contract(self, n: int) -> np.ndarray:
         """Row ``n`` of ``phi(2**(-n/s) * x)``, extending the table as needed."""
+        if not self._contract:
+            self._contract.append(self.expand(0))
         while len(self._contract) <= n:
             scale = 2.0 ** (-len(self._contract) / self.s)
             self._contract.append(self._evaluate([scale * x for x in self.points]))

@@ -13,7 +13,10 @@ sweep ``phi``, the grid, the seed, ``tol`` and ``n_max`` are fixed, so the
 keys are:
 
 * the ``IterateTable``: ``s``;
+* the additivity check's pair geometry (``additivity_pairs``): ``s``;
 * the audit's defects (``audit_defects``): ``s``, ``q`` and the modular;
+* the power control's sums at the audit triples (``control_power_sums``):
+  ``p``, since the control is ``theta`` times that sum;
 * a ``construct_limit`` result: the route, ``s``, ``q`` and the modular;
 * the additivity and oddness outcomes of a limit function: the function
   (route family, ``s``, step ``n`` and ``q*phi(0)`` offset) and the
@@ -26,13 +29,23 @@ What reads ``alpha`` -- the audit's ratios, the series bounds, the
 stability-bound check, the certificate and ``fixed_point_solve`` -- runs in
 every cell.  A shared result is the very value the cell would compute
 itself, so reports are byte-identical with or without sharing.
+
+The checks read each limit function at the sample points off the table row
+it was built from (``_sampled``): ``phi`` is row 0, the expand limit at
+``n`` is ``(row - q*phi(0)) / 2**n``, the contract limit ``2**n * row`` and
+the fixed-point iterate ``row / 2**n``.  Those are the IEEE operations the
+limit handles perform, so the checks see the handles' bits (see
+``verify``); only points off the table call a handle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
+
+import numpy as np
 
 from .config import SWEEP_AXES, ExperimentConfig, SweepConfig
 from .direct import (
@@ -48,6 +61,7 @@ from .errors import ArgumentError, ConfigError, DefectHypothesisError, ModstabEr
 from .fixedpoint import (
     audit_defects,
     audit_ratios,
+    control_power_sums,
     estimate_contraction,
     fixed_point_solve,
 )
@@ -55,7 +69,14 @@ from .iterates import IterateTable
 from .modular import check_modular_axioms, estimate_delta2, parse_modular, pow_or_inf
 from .report import canonical_json, csv_lines
 from .sampling import corner_triples, seeded_triples, standard_ladder
-from .verify import cross_check, verify_oddness, verify_radical_additivity, verify_stability_bound
+from .verify import (
+    Sampled,
+    additivity_pairs,
+    cross_check,
+    verify_oddness,
+    verify_radical_additivity,
+    verify_stability_bound,
+)
 
 __all__ = [
     "run_experiment",
@@ -125,13 +146,35 @@ def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
     triples = _once(memo, ("triples",), draw)
     defects = _once(memo, ("defects", cfg.params, cfg.modular),
                     lambda: audit_defects(cfg.phi, cfg.params, cfg.modular, triples))
-    return audit_ratios(defects, cfg.alpha, triples)
+    sums = None
+    if cfg.alpha.kind == "power":
+        p = cfg.alpha.p
+        sums = _once(memo, ("control_sums", p), lambda: control_power_sums(p, triples))
+    return audit_ratios(defects, cfg.alpha, triples, sums=sums)
 
 
-def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function) -> tuple:
+def _sampled(table: IterateTable, key: tuple, function) -> Sampled:
+    """The limit function ``key`` names, with its values off the table rows."""
+    mode, _, n, offset = key
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode is Mode.CONTRACT:
+            values = 2.0**n * table.contract(n)
+        else:
+            values = (table.expand(n) - offset) / 2.0**n
+    return Sampled(function, table.point_array, values)
+
+
+def _phi_sampled(cfg: ExperimentConfig, table: IterateTable) -> Sampled:
+    # Row 0 of the table is phi itself at the sample points.
+    return Sampled(cfg.phi, table.point_array, table.expand(0))
+
+
+def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function: Sampled) -> tuple:
     """Additivity and oddness of the limit function ``key`` names; neither reads alpha."""
+    s = cfg.params.s
+    pairs = _once(memo, ("pairs", s), lambda: additivity_pairs(s, cfg.grid))
     return _once(memo, ("checks", key, cfg.modular), lambda: (
-        verify_radical_additivity(function, cfg.modular, cfg.params.s, cfg.grid),
+        verify_radical_additivity(function, cfg.modular, s, cfg.grid, pairs),
         verify_oddness(function, cfg.modular, cfg.grid),
     ))
 
@@ -179,23 +222,38 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     x_repr = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
     probe = series_at(x_repr)
     if not probe.converged:
+        why = ("term ratio is nan: its factors overflow and underflow together"
+               if math.isnan(probe.ratio) else f"term ratio {probe.ratio:.6g} >= 1")
         section["regime"] = {
             "ok": False,
             "ratio": probe.ratio,
-            "error": f"error-bound series diverges (term ratio {probe.ratio:.6g} >= 1); "
-                     "no bound exists in this regime",
+            "error": f"error-bound series diverges ({why}); no bound exists in this regime",
         }
         section["series"] = _series_dict(probe)
         return section
     section["regime"] = {"ok": True, "ratio": probe.ratio}
     section["series"] = _series_dict(probe)
+    representative = {"series bound": probe.upper}
     if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
+        closed = contract_bound_closed_form(
+            cfg.alpha.theta, cfg.alpha.p, s, cfg.modular.delta2_tau, x_repr)
         section["closed_form"] = {
-            "value_at_representative": contract_bound_closed_form(
-                cfg.alpha.theta, cfg.alpha.p, s, cfg.modular.delta2_tau, x_repr
-            ),
+            "value_at_representative": closed,
             "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
         }
+        representative["closed form"] = closed
+    # A ratio below 1 certifies nothing when the bound it sums is not a
+    # number: the control overflowed (inf), or inf met 0 (nan).
+    unusable = [f"{name} {v:.6g}" for name, v in representative.items() if not math.isfinite(v)]
+    if unusable:
+        section["regime"] = {
+            "ok": False,
+            "ratio": probe.ratio,
+            "error": f"error bound at the representative point {x_repr:.6g} is not finite "
+                     f"({', '.join(unusable)}) although the term ratio "
+                     f"{probe.ratio:.6g} < 1; no usable bound exists here",
+        }
+        return section
 
     table = _table(cfg, memo)
     limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
@@ -215,13 +273,14 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
 
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
     key = (mode, s, limit.achieved_n, shift)
+    function = _sampled(table, key, limit.function)
     checks = [
-        verify_stability_bound(cfg.phi, limit.function, cfg.modular, bounds,
+        verify_stability_bound(_phi_sampled(cfg, table), function, cfg.modular, bounds,
                                cfg.grid, shift=shift),
-        *_limit_checks(cfg, memo, key, limit.function),
+        *_limit_checks(cfg, memo, key, function),
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = (key, limit.function)  # for cross-method checks; stripped later
+    section["_function"] = (key, function)  # for cross-method checks; stripped later
     return section
 
 
@@ -288,13 +347,14 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
     }
     # Iterate n is the expand limit at n with no offset: the same function.
     key = (Mode.EXPAND, s, result.iterations, 0.0)
+    function = _sampled(table, key, result.function)
     checks = [
-        verify_stability_bound(cfg.phi, result.function, cfg.modular,
+        verify_stability_bound(_phi_sampled(cfg, table), function, cfg.modular,
                                list(result.bound), cfg.grid),
-        *_limit_checks(cfg, memo, key, result.function),
+        *_limit_checks(cfg, memo, key, function),
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = (key, result.function)
+    section["_function"] = (key, function)
     return section
 
 

@@ -338,6 +338,38 @@ class TestRegimeGates:
         assert not fixedpoint["regime"]["ok"] and fixedpoint["regime"]["l_hat"] == 1.0
         assert not fixedpoint["certificate"]["valid"]
 
+    def test_non_finite_bound_refuses_the_route(self, tmp_path):
+        # The contract ratio 2 * 2**(-1e300/3) underflows to 0, while
+        # |x|**1e300 overflows: the series bound is inf and the closed form
+        # inf * 0 = nan, so a ratio below 1 certifies nothing.
+        cfg = write_cfg(tmp_path, alpha="power:theta=1,p=1e300", method="t1")
+        out = tmp_path / "r.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        rep = json.loads(out.read_text())
+        sec = rep["methods"]["t1"]
+        assert sec["regime"] == {
+            "ok": False,
+            "ratio": 0,
+            "error": "error bound at the representative point 10 is not finite "
+                     "(series bound inf, closed form nan) although the term ratio "
+                     "0 < 1; no usable bound exists here",
+        }
+        assert sec["series"]["upper"] == "inf" and sec["series"]["converged"]
+        assert sec["closed_form"]["value_at_representative"] == "nan"
+        assert "limit" not in sec and "checks" not in sec
+        assert not rep["regime_ok"]
+
+    def test_nan_ratio_is_not_called_a_large_ratio(self, tmp_path):
+        # tau**2 = 2**1200 overflows and 2**(-1e300/3) underflows: inf * 0
+        cfg = write_cfg(tmp_path, alpha="power:theta=1,p=1e300", method="t1")
+        cfg.write_text(cfg.read_text().replace("spec = power:p=1\n", "spec = power:p=600\n"))
+        out = tmp_path / "r.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        regime = json.loads(out.read_text())["methods"]["t1"]["regime"]
+        assert regime["ratio"] == "nan" and not regime["ok"]
+        assert "nan >=" not in regime["error"]
+        assert regime["error"].startswith("error-bound series diverges (term ratio is nan")
+
     def test_fixedpoint_bounds_equal_expand_bounds(self, tmp_path):
         _, rep = self._run(tmp_path, phi="mono(1,3) + mono(0.01,1)",
                            alpha="power:theta=0.02,p=1")

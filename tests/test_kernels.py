@@ -11,6 +11,7 @@ input it does read.
 import dataclasses
 import itertools
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 import modstab.pipeline as pipeline_mod
 import modstab.verify as verify_mod
 from modstab import (
+    ControlFunction,
     EquationParams,
     FunctionHandle,
     Grid,
@@ -28,15 +30,24 @@ from modstab import (
     approximant_contract,
     approximant_expand,
     construct_limit,
+    control_eval,
     fixed_point_solve,
     limit_function,
+    pair_additivity_defect,
     parse_expression,
     rho_eval,
     rho_eval_array,
     verify_radical_additivity,
 )
 from modstab.config import parse_experiment, parse_sweep
-from modstab.fixedpoint import _delta_hat_window, _quasi_contraction, _rho_hat_rows
+from modstab.fixedpoint import (
+    _controls,
+    _delta_hat_window,
+    _quasi_contraction,
+    _rho_hat_rows,
+    audit_ratios,
+    control_power_sums,
+)
 
 P3 = EquationParams(3, 1.0)
 EXPERIMENT = """
@@ -74,15 +85,19 @@ def _old_pairs(pts):
 
 
 def _visited_pairs(monkeypatch, grid):
-    seen = []
+    # The pairs the check visits, in order, as the geometry it builds lists them.
+    built = []
+    real = verify_mod.additivity_pairs
 
-    def record(a, rho, s, x, y):
-        seen.append((x, y))
-        return 0.0
+    def record(s, grid):
+        built.append(real(s, grid))
+        return built[-1]
 
-    monkeypatch.setattr(verify_mod, "pair_additivity_defect", record)
+    monkeypatch.setattr(verify_mod, "additivity_pairs", record)
     verify_radical_additivity(parse_expression("mono(1,3)"), ABS1, 3, grid)
-    return seen
+    (pairs,) = built
+    pts = pairs.points.tolist()
+    return [(pts[i], pts[j]) for i, j in zip(pairs.first.tolist(), pairs.second.tolist())]
 
 
 @pytest.mark.parametrize("count", [2, 7, 44, 45, 47, 100])
@@ -108,7 +123,7 @@ def test_strided_check_outcome_matches_old_loop():
     a = parse_expression("mono(1,3) + sine(0.1,1)")
     worst, worst_at = -1.0, None
     for x, y in _old_pairs(grid.points()):
-        d = verify_mod.pair_additivity_defect(a, ABS1, 3, x, y)
+        d = pair_additivity_defect(a, ABS1, 3, x, y)
         if d > worst:
             worst, worst_at = d, (x, y)
     out = verify_radical_additivity(a, ABS1, 3, grid)
@@ -295,6 +310,222 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     assert not per_step - calls
 
 
+# -- the checks read the table ------------------------------------------------
+
+
+def _scalar_additivity(a, rho, s, grid):
+    # The check as one scalar loop over the strided pairs.
+    pts = grid.points()
+    n = len(pts)
+    stride = -(-n * n // verify_mod.MAX_ADDITIVITY_PAIRS)
+    worst, worst_at = -1.0, (pts[0], pts[0])
+    for k in range(0, n * n, stride):
+        x, y = pts[k // n], pts[k % n]
+        try:
+            d = pair_additivity_defect(a, rho, s, x, y)
+        except OverflowError:
+            d = math.inf
+        if d > worst:
+            worst, worst_at = d, (x, y)
+    return worst_at, worst
+
+
+def _scalar_oddness(a, rho, grid):
+    worst, worst_at = rho_eval(rho, a(0.0)), 0.0
+    for x in grid.points():
+        d = rho_eval(rho, a(x) + a(-x))
+        if d > worst:
+            worst, worst_at = d, x
+    return worst_at, worst
+
+
+def _scalar_bound(phi, a, rho, bounds, grid, shift=0.0):
+    pts = grid.points()
+    worst, worst_at = -math.inf, pts[0]
+    for x, b in zip(pts, bounds):
+        excess = rho_eval(rho, phi(x) - shift - a(x)) - b
+        if excess > worst:
+            worst, worst_at = excess, x
+    return worst_at, worst
+
+
+def _scalar_cross(a1, a2, rho, grid):
+    worst, worst_at = -1.0, grid.lo
+    for x in grid.points():
+        d = rho_eval(rho, a1(x) - a2(x))
+        if d > worst:
+            worst, worst_at = d, x
+    return worst_at, worst
+
+
+OFFSET_PHI = "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"
+TABLE_CASES = {
+    # q = -0.5 and phi(0) != 0: t2 and the fixed-point route, strided pairs
+    "offset_expand": EXPERIMENT.replace("q = 1", "q = -0.5").replace(
+        "grid = -10,10,41", "grid = -10,10,61").format(
+        noise="mono(0.01,0) + envnoise(0.01,1,11)", theta=0.05),
+    # the same on an asymmetric grid: -x leaves the table for x > 3
+    "offset_asymmetric": EXPERIMENT.replace("q = 1", "q = -0.5").replace(
+        "grid = -10,10,41", "grid = -3,5,21").replace(
+        "spec = power:p=1", "spec = power:p=2").format(
+        noise="mono(0.01,0) + envnoise(0.01,1,11)", theta=0.05),
+    # t1 in regime (p > s) with the same offset: 2**n * phi(0) runs away
+    "offset_contract": EXPERIMENT.replace("q = 1", "q = -0.5").replace(
+        "p=1\n[run]", "p=3.5\n[run]").format(
+        noise="mono(0.01,0) + envnoise(0.01,3.5,11)", theta=0.5),
+}
+
+
+def _table_case(name):
+    if name == "saturated_window":
+        path = pathlib.Path(__file__).parent / "golden" / "saturated_window.cfg"
+        return parse_experiment(path.read_text(encoding="utf-8"))
+    return parse_experiment(TABLE_CASES[name])
+
+
+def _spy_checks(monkeypatch):
+    """Run every check the pipeline makes against its scalar loop on the handles.
+
+    Returns the ``Sampled`` functions the checks were given, by check name.
+    """
+    seen = {"bound_phi": [], "bound": [], "additivity": [], "oddness": [], "cross": []}
+
+    def same(outcome, scalar):
+        worst_at, worst = scalar
+        assert outcome.worst_point == worst_at
+        assert outcome.worst_value.hex() == float(worst).hex()
+
+    def spy(attr, check):
+        real = getattr(pipeline_mod, attr)
+
+        def wrapper(*args, **kwargs):
+            outcome = real(*args, **kwargs)
+            check(outcome, *args, **kwargs)
+            return outcome
+        monkeypatch.setattr(pipeline_mod, attr, wrapper)
+
+    def bound(out, phi, a, rho, bounds, grid, shift=0.0):
+        seen["bound_phi"].append(phi)
+        seen["bound"].append(a)
+        same(out, _scalar_bound(phi.function, a.function, rho, bounds, grid, shift))
+
+    def additivity(out, a, rho, s, grid, pairs):
+        seen["additivity"].append(a)
+        same(out, _scalar_additivity(a.function, rho, s, grid))
+
+    def oddness(out, a, rho, grid):
+        seen["oddness"].append(a)
+        same(out, _scalar_oddness(a.function, rho, grid))
+
+    def cross(out, a1, a2, rho, grid):
+        seen["cross"] += [a1, a2]
+        same(out, _scalar_cross(a1.function, a2.function, rho, grid))
+
+    spy("verify_stability_bound", bound)
+    spy("verify_radical_additivity", additivity)
+    spy("verify_oddness", oddness)
+    spy("cross_check", cross)
+    return seen
+
+
+@pytest.mark.parametrize("name", [*TABLE_CASES, "saturated_window"])
+def test_checks_read_the_handles_bits_off_the_table(monkeypatch, name):
+    cfg = _table_case(name)
+    seen = _spy_checks(monkeypatch)
+    report, _ = pipeline_mod.run_experiment(cfg)
+    routes = {m for m, sec in report["methods"].items() if "checks" in sec}
+    assert routes == ({"t1"} if name == "offset_contract" else {"t2", "fixedpoint"})
+    assert len(seen["bound"]) == len(routes) and seen["additivity"] and seen["oddness"]
+    sampled = [f for group in seen.values() for f in group]
+    finite = non_finite = 0
+    for f in sampled:
+        handle = [f.function(x) for x in f.points.tolist()]
+        for table_value, value in zip(f.values.tolist(), handle):
+            if math.isfinite(table_value):
+                assert table_value.hex() == value.hex()
+                finite += 1
+            else:
+                assert not math.isfinite(value)
+                non_finite += 1
+    assert finite > 0
+    if name == "saturated_window":
+        assert non_finite > 0 and report["methods"]["fixedpoint"]["iteration"]["saturated"]
+    if name == "offset_asymmetric":  # some -x are off the table
+        pts = cfg.grid.points()
+        assert not set(-x for x in pts) <= set(sampled[0].points.tolist())
+
+
+def test_additivity_ties_go_to_the_first_pair_visited():
+    # A constant function has the same defect at every pair, so the worst
+    # pair is the first in row-major strided order, on the table and off it.
+    grid = Grid(-3.0, 5.0, 47)
+    a = parse_expression("mono(0.25,0)")
+    table = IterateTable(a, 3, grid)
+    sampled = verify_mod.Sampled(a, table.point_array, table.expand(0))
+    for f in (a, sampled):
+        out = verify_radical_additivity(f, ABS1, 3, grid)
+        assert out.worst_point == (grid.lo, grid.lo) and out.worst_value == 0.25
+
+
+# -- the audit's control sums, shared across theta ----------------------------
+
+
+def _scalar_audit_ratios(defects, alpha, triples):
+    # The audit's ratio step as one scalar loop over control_eval.
+    max_defect, max_ratio, worst = 0.0, 0.0, triples[0]
+    for d, (x, y, z) in zip(defects, triples):
+        if d > max_defect:
+            max_defect = d
+        a = control_eval(alpha, x, y, z)
+        ratio = d / a if 0.0 < a < math.inf else (math.inf if d > 0.0 else 0.0)
+        if ratio > max_ratio:
+            max_ratio, worst = ratio, (x, y, z)
+    return {"triples": len(triples), "max_defect": max_defect, "max_ratio": max_ratio,
+            "worst_triple": worst, "hypothesis_ok": max_ratio <= 1.0 + 1e-9}
+
+
+def _hexed(audit):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in audit.items()}
+
+
+def test_control_sums_keep_control_eval_bits():
+    rng = np.random.default_rng(2)
+    triples = [tuple(t) for t in rng.uniform(-40.0, 40.0, (60, 3)).tolist()]
+    triples += [(0.0, -0.0, 1e-300), (1e200, 1.0, 2.0), (1.5e154, 1.5e154, 0.0),
+                (1e308, -1e308, 1e308), (-3.0, 3.0, 0.0)]
+    for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0, 300.0):
+        sums = control_power_sums(p, triples)
+        for theta in (0.0, 1e-300, 0.05, 1.0, 1e300):
+            alpha = ControlFunction.power(theta, p)
+            got = _controls(alpha, triples, sums)
+            want = [control_eval(alpha, *t) for t in triples]
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_audit_ratios_match_the_scalar_loop():
+    # Defects with ties, zeros, an inf and a nan; controls that vanish, that
+    # overflow in a power (1e200**2) and that overflow by addition
+    # (2 * 1.5e154**2), at theta = 0 too.
+    rng = np.random.default_rng(4)
+    triples = [tuple(t) for t in rng.uniform(-10.0, 10.0, (80, 3)).tolist()]
+    triples += [(1e200, 1.0, 2.0), (1.5e154, 1.5e154, 0.0), (0.0, 0.0, 0.0)]
+    defects = rng.choice([0.0, 0.25, 1e-3, 7.0], len(triples)).tolist()
+    defects[5], defects[9], defects[-3], defects[-2] = math.inf, math.nan, 3.0, 2.0
+    controls = [ControlFunction.constant(e) for e in (0.0, 0.1, 7.0)]
+    controls += [ControlFunction.power(t, p) for p in (0.0, 1.0, 2.0, 3.5)
+                 for t in (0.0, 1e-300, 0.01, 1.0)]
+    sums = {}
+    for alpha in controls:
+        want = _hexed(_scalar_audit_ratios(defects, alpha, triples))
+        assert _hexed(audit_ratios(defects, alpha, triples)) == want
+        if alpha.kind == "power":
+            shared = sums.setdefault(alpha.p, control_power_sums(alpha.p, triples))
+            assert _hexed(audit_ratios(defects, alpha, triples, sums=shared)) == want
+    quiet = _scalar_audit_ratios([0.0] * len(triples), controls[1], triples)
+    assert quiet["worst_triple"] == triples[0]
+    assert audit_ratios([0.0] * len(triples), controls[1], triples) == quiet
+
+
 # -- one defect audit per experiment -------------------------------------------
 
 
@@ -343,8 +574,8 @@ modular = power:p=1,exp
 
 def _spy_sweep_work(monkeypatch):
     """Record the arguments of every call the sweep makes to its shared stages."""
-    calls = {name: [] for name in ("table", "defects", "limit", "additivity",
-                                   "oddness", "cross", "bound")}
+    calls = {name: [] for name in ("table", "defects", "sums", "pairs", "limit",
+                                   "additivity", "oddness", "cross", "bound")}
 
     def spy(attr, name, key):
         real = getattr(pipeline_mod, attr)
@@ -356,8 +587,10 @@ def _spy_sweep_work(monkeypatch):
 
     spy("IterateTable", "table", lambda phi, s, grid: s)
     spy("audit_defects", "defects", lambda phi, params, rho, triples: (params, rho))
+    spy("control_power_sums", "sums", lambda p, triples: p)
+    spy("additivity_pairs", "pairs", lambda s, grid: s)
     spy("construct_limit", "limit", lambda mode, phi, params, rho, *a, **k: (mode, params, rho))
-    spy("verify_radical_additivity", "additivity", lambda a, rho, s, grid: (a, rho, s))
+    spy("verify_radical_additivity", "additivity", lambda a, rho, s, grid, *_: (a, rho, s))
     spy("verify_oddness", "oddness", lambda a, rho, grid: (a, rho))
     spy("cross_check", "cross", lambda a1, a2, rho, grid: (a1, a2, rho))
     spy("verify_stability_bound", "bound", lambda *a, **k: None)
@@ -401,6 +634,10 @@ def test_sweep_computes_alpha_free_results_once(monkeypatch, expr):
     modulars = {ModularSpec.power(1), ModularSpec.exp()}
     once_each("table", s_values)
     once_each("defects", {(p, m) for p in params for m in modulars})
+    # the audit's control is theta times a sum that reads only p; the
+    # additivity pairs read only s (every s here has a route in regime)
+    once_each("sums", {float(p) for p in sweep.axes["p"]})
+    once_each("pairs", s_values)
     # t1 runs only with a doubling constant, t2 only below p = s
     assert set(calls["limit"]) <= {(mode, p, m) for mode in Mode for p in params
                                    for m in modulars}
