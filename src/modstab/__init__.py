@@ -23,11 +23,13 @@ from .direct import (
     route_ratio,
     series_bound_contract,
     series_bound_expand,
+    series_bounds,
 )
 from .equation import (
     ControlFunction,
     EquationParams,
     control_eval,
+    control_eval_many,
     defect,
     pair_additivity_defect,
     parse_control,
@@ -89,11 +91,12 @@ __all__ = [
     "FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression",
     # equation
     "EquationParams", "ControlFunction", "radical_root", "radical_combine",
-    "defect", "pair_additivity_defect", "control_eval", "parse_control",
+    "defect", "pair_additivity_defect", "control_eval", "control_eval_many",
+    "parse_control",
     # direct method
     "Mode", "route_ratio", "LimitResult", "SeriesBound", "approximant_contract",
     "approximant_expand", "limit_function", "construct_limit",
-    "series_bound_contract", "series_bound_expand",
+    "series_bound_contract", "series_bound_expand", "series_bounds",
     "contract_bound_closed_form",
     # fixed point
     "ContractionCertificate", "FixedPointResult",

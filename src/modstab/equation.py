@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ArgumentError, ConfigError, RangeError
 from .functions import FunctionHandle
@@ -26,6 +29,7 @@ __all__ = [
     "defect",
     "pair_additivity_defect",
     "control_eval",
+    "control_eval_many",
     "parse_control",
 ]
 
@@ -156,6 +160,29 @@ def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
         except OverflowError:
             return math.inf if alpha.theta else 0.0
     return alpha.eps
+
+
+def control_eval_many(
+    alpha: ControlFunction, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """``control_eval`` at each triple ``(x[i], y[i], z[i])`` of three 1-D arrays, bit for bit.
+
+    Each power maps the scalar ``**`` (builtin ``pow``) over the points;
+    ``((|x|**p + |y|**p) + |z|**p)`` and ``theta *`` run in numpy, which
+    rounds each IEEE operation as Python does.  A batch in which a power
+    overflows goes point by point through ``control_eval``, so those points
+    are ``inf`` (``0`` for a zero control) and the rest keep their bits.
+    """
+    if alpha.kind != "power":
+        return np.full(len(x), alpha.eps)
+    try:
+        px, py, pz = (np.fromiter(map(pow, abs(v).tolist(), repeat(alpha.p)), float, len(v))
+                      for v in (x, y, z))
+    except OverflowError:
+        return np.array([control_eval(alpha, *t)
+                         for t in zip(x.tolist(), y.tolist(), z.tolist())], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return alpha.theta * (px + py + pz)
 
 
 def parse_control(text: str) -> ControlFunction:

@@ -34,13 +34,14 @@ steps composed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .direct import MAX_N, Mode, route_ratio
-from .equation import ControlFunction, EquationParams, control_eval, defect
+from .equation import ControlFunction, EquationParams, control_eval, control_eval_many, defect
 from .errors import (
     ArgumentError,
     ContractViolation,
@@ -381,7 +382,8 @@ def fixed_point_solve(
         )
 
     s = params.s
-    line = np.array([_alpha_line(alpha, s, x) for x in table.points])
+    xs = table.point_array
+    line = control_eval_many(alpha, xs, xs, -(2.0 ** (1.0 / s)) * xs)  # _alpha_line at each
     samples = np.flatnonzero(line > 0.0)
     denoms = line[samples]
     cols = table.grid_index
@@ -413,8 +415,8 @@ def fixed_point_solve(
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
         bounds = line[cols] / (2.0 * (1.0 - l_factor))
-    final = FunctionHandle(
-        expr=phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)).expr,
+    final = dataclasses.replace(
+        phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)),
         description=f"fixed-point iterate {iterations} of [{phi.description}]",
     )
     return FixedPointResult(

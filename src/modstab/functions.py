@@ -17,6 +17,17 @@ same way.  A sum folds its terms left from the int ``0``, which is what
 ``sum()`` did before Python 3.12 made it compensated, so evaluation is a pure
 function of (expression, x) that gives identical output bits on every
 supported Python.
+
+Each atom also has an array twin, and ``FunctionHandle.many`` evaluates a
+whole array of points through it in one pass.  The twin makes the scalar
+closure's operations in the same order: ``*``, ``+`` and ``abs`` run in
+numpy, which rounds each IEEE operation as Python does, while every power,
+sine and cosine maps the scalar routine (builtin ``pow``, ``math.sin``,
+``math.cos``) over the points, because numpy's vectorised ``**``, ``sin``
+and ``cos`` may differ from libm in the last bit.  The scalar multiples,
+argument scales and sums are the same closures in both forms, since they
+only multiply and add.  A batch in which any point raises is evaluated
+point by point instead, so each value is bit for bit the scalar handle's.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -34,12 +46,21 @@ from .errors import ArgumentError, ConfigError
 __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression"]
 
 
+def _mapped(fn, *args) -> np.ndarray:
+    # The scalar routine fn mapped over a list of points (and repeat()ed
+    # constants), as a float array.
+    return np.fromiter(map(fn, *args), float, len(args[0]))
+
+
 def _monomial(coeff: float, power: int):
-    return (lambda x: coeff * x**power), f"mono({coeff:g},{power})"
+    return ((lambda x: coeff * x**power), f"mono({coeff:g},{power})",
+            lambda xs: coeff * _mapped(pow, xs.tolist(), repeat(power)))
 
 
 def _sine(amplitude: float, frequency: float):
-    return (lambda x: amplitude * math.sin(frequency * x)), f"sine({amplitude:g},{frequency:g})"
+    return ((lambda x: amplitude * math.sin(frequency * x)),
+            f"sine({amplitude:g},{frequency:g})",
+            lambda xs: amplitude * _mapped(math.sin, (frequency * xs).tolist()))
 
 
 def _envelope_noise(amplitude: float, exponent: float, seed: int):
@@ -47,10 +68,17 @@ def _envelope_noise(amplitude: float, exponent: float, seed: int):
     rng = np.random.default_rng(seed)
     freq = 0.5 + 1.5 * float(rng.random())
     phase = 2.0 * math.pi * float(rng.random())
+
+    def many(xs):
+        envelope = amplitude * _mapped(pow, abs(xs).tolist(), repeat(exponent))
+        return envelope * _mapped(math.cos, (freq * xs + phase).tolist())
+
     return ((lambda x: amplitude * abs(x) ** exponent * math.cos(freq * x + phase)),
-            f"envnoise({amplitude:g},{exponent:g},{seed})")
+            f"envnoise({amplitude:g},{exponent:g},{seed})", many)
 
 
+# The combinators only multiply and add, so each serves a scalar closure and
+# an array twin alike: x is a float or an array.
 def _scale(factor: float, f):
     return lambda x: factor * f(x)
 
@@ -71,10 +99,15 @@ def _sum(terms: tuple):
 
 @dataclass(frozen=True)
 class FunctionHandle:
-    """An evaluable real function with a reproducible description."""
+    """An evaluable real function with a reproducible description.
+
+    ``expr`` computes ``f(x)`` at one float; ``batch_expr``, when present,
+    is its array twin, which ``many`` calls on a whole array of points.
+    """
 
     expr: Callable[[float], float]
     description: str
+    batch_expr: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: float) -> float:
         """``f(x)``, or ``inf`` where the float arithmetic cannot hold it.
@@ -90,23 +123,43 @@ class FunctionHandle:
         except (ArithmeticError, ValueError):  # ValueError: math domain error
             return math.inf
 
+    def many(self, xs) -> np.ndarray:
+        """``f`` at each point of the 1-D array ``xs``: ``[f(x) for x in xs]``, bit for bit.
+
+        One pass of the array twin; a batch in which the twin raises (see
+        ``__call__`` for what raises) is evaluated point by point, so only
+        the points that raise are ``inf``.  A handle without a twin always
+        goes point by point.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.batch_expr is not None:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return self.batch_expr(xs)
+            except (ArithmeticError, ValueError):
+                pass
+        return np.array([self(x) for x in xs.tolist()], dtype=float)
+
     def scaled(self, outer: float = 1.0, inner: float = 1.0) -> "FunctionHandle":
         """The function ``x -> outer * f(inner * x)``."""
-        f = self.expr
-        if inner != 1.0:
-            f = _arg_scale(inner, f)
-        if outer != 1.0:
-            f = _scale(outer, f)
+        def wrap(f):
+            if inner != 1.0:
+                f = _arg_scale(inner, f)
+            if outer != 1.0:
+                f = _scale(outer, f)
+            return f
+        twin = None if self.batch_expr is None else wrap(self.batch_expr)
         desc = f"{outer:.6g}*[{self.description}](x*{inner:.6g})"
-        return FunctionHandle(f, desc)
+        return FunctionHandle(wrap(self.expr), desc, twin)
 
     def shifted(self, offset: float) -> "FunctionHandle":
         """The function ``x -> f(x) + offset``."""
         if offset == 0.0:
             return self
-        constant, _ = _monomial(float(offset), 0)
+        constant, _, constant_many = _monomial(float(offset), 0)
+        twin = None if self.batch_expr is None else _sum((self.batch_expr, constant_many))
         return FunctionHandle(_sum((self.expr, constant)),
-                              f"[{self.description}] + {offset:.6g}")
+                              f"[{self.description}] + {offset:.6g}", twin)
 
 
 def _integral(value, what: str) -> int:
@@ -156,7 +209,7 @@ def _finite(number: str, text: str) -> float:
 
 
 def _parse_atom(text: str):
-    """``(closure, description)`` of one atom."""
+    """``(closure, description, array twin)`` of one atom."""
     m = _ATOM_RE.fullmatch(text.strip())
     if m is None:
         raise ConfigError(f"malformed function atom {text!r}")
@@ -189,8 +242,8 @@ def _parse_term(text: str):
         else:
             raise ConfigError(f"scalar multiple must pair a number with an atom: {text!r}")
         factor = _finite(factor, text)
-        f, desc = _parse_atom(atom)
-        return _scale(factor, f), f"{factor:g}*({desc})"
+        f, desc, twin = _parse_atom(atom)
+        return _scale(factor, f), f"{factor:g}*({desc})", _scale(factor, twin)
     return _parse_atom(t)
 
 
@@ -205,5 +258,7 @@ def parse_expression(text: str) -> FunctionHandle:
     pieces = re.split(r"(?<=[)\d])\s*\+\s*(?=[a-zA-Z+-]|\d|\.)", text.strip())
     if not pieces or not text.strip():
         raise ConfigError("empty function expression")
-    fs, descs = zip(*(_parse_term(p) for p in pieces))
-    return FunctionHandle(fs[0] if len(fs) == 1 else _sum(fs), " + ".join(descs))
+    fs, descs, twins = zip(*(_parse_term(p) for p in pieces))
+    if len(fs) == 1:
+        return FunctionHandle(fs[0], descs[0], twins[0])
+    return FunctionHandle(_sum(fs), " + ".join(descs), _sum(twins))

@@ -6,8 +6,10 @@ built from the same values ``phi(2**(n/s) x)``; the contract route's
 approximants ``2**n * phi(2**(-n/s) x)`` from the dual rescaling.  An
 ``IterateTable`` holds those values as rows, one per step ``n``, over
 ``function_sample_points(grid)`` -- a superset of the grid -- and computes a
-row the first time any route asks for it.  Routes sharing a table never
-evaluate ``phi`` twice at the same ``(n, x)``.
+row the first time any route asks for it, in one ``FunctionHandle.many``
+pass over the rescaled points: the array twin of ``phi``, with the scalar
+libm routines, or point by point when a point of the row raises.  Routes
+sharing a table never evaluate ``phi`` twice at the same ``(n, x)``.
 """
 
 from __future__ import annotations
@@ -52,14 +54,14 @@ class IterateTable:
         if self.phi is not phi or self.s != s or self.grid != grid:
             raise ArgumentError("iterate table was built for a different phi, s or grid")
 
-    def _evaluate(self, args: list[float]) -> np.ndarray:
-        return np.array([self.phi(a) for a in args], dtype=float)
+    def _evaluate(self, scale: float) -> np.ndarray:
+        # phi(scale * x) at every sample point, bit for bit the scalar handle.
+        return self.phi.many(scale * self.point_array)
 
     def expand(self, n: int) -> np.ndarray:
         """Row ``n`` of ``phi(2**(n/s) * x)``, extending the table as needed."""
         while len(self._expand) <= n:
-            scale = 2.0 ** (len(self._expand) / self.s)
-            self._expand.append(self._evaluate([scale * x for x in self.points]))
+            self._expand.append(self._evaluate(2.0 ** (len(self._expand) / self.s)))
         return self._expand[n]
 
     def contract(self, n: int) -> np.ndarray:
@@ -67,8 +69,7 @@ class IterateTable:
         if not self._contract:
             self._contract.append(self.expand(0))
         while len(self._contract) <= n:
-            scale = 2.0 ** (-len(self._contract) / self.s)
-            self._contract.append(self._evaluate([scale * x for x in self.points]))
+            self._contract.append(self._evaluate(2.0 ** (-len(self._contract) / self.s)))
         return self._contract[n]
 
     def origin(self) -> float:

@@ -55,6 +55,7 @@ from .direct import (
     route_ratio,
     series_bound_contract,
     series_bound_expand,
+    series_bounds,
 )
 from .equation import ControlFunction, EquationParams, control_eval
 from .errors import ArgumentError, ConfigError, DefectHypothesisError, ModstabError
@@ -206,6 +207,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     """Run one direct route: regime gate, series bounds, limit, checks."""
     section: dict = {}
     s = cfg.params.s
+    x_repr = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
     if mode is Mode.CONTRACT:
         if cfg.modular.delta2_tau is None:
             section["regime"] = {
@@ -215,12 +217,10 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
             }
             return section
         tau = cfg.modular.delta2_tau
-        series_at = lambda x: series_bound_contract(cfg.alpha, tau, s, x)
+        probe = series_bound_contract(cfg.alpha, tau, s, x_repr)
     else:
-        series_at = lambda x: series_bound_expand(cfg.alpha, s, x)
-
-    x_repr = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
-    probe = series_at(x_repr)
+        tau = None
+        probe = series_bound_expand(cfg.alpha, s, x_repr)
     if not probe.converged:
         why = ("term ratio is nan: its factors overflow and underflow together"
                if math.isnan(probe.ratio) else f"term ratio {probe.ratio:.6g} >= 1")
@@ -260,7 +260,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
         mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
         tol=cfg.tol, n_max=cfg.n_max, table=table))
     pts = cfg.grid.points()
-    bounds = [series_at(x).upper for x in pts]
+    bounds = series_bounds(mode, cfg.alpha, s, np.array(pts), tau).tolist()
     section["limit"] = {
         "achieved_n": limit.achieved_n,
         "saturated": limit.saturated,

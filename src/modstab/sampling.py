@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,14 @@ class Grid:
                 f"grid needs lo < hi with a finite hi - lo, got [{self.lo}, {self.hi}]"
             )
 
+    @cached_property
+    def _points(self) -> tuple[float, ...]:
+        # Computed once per grid; a tuple, so no caller can change it.
+        return tuple(np.linspace(self.lo, self.hi, self.count).tolist())
+
     def points(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.lo, self.hi, self.count)]
+        """The ``count`` points of ``linspace(lo, hi, count)``, as a fresh list."""
+        return list(self._points)
 
 
 def standard_ladder(k_min: int = -3, k_max: int = 10) -> list[float]:

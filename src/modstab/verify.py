@@ -18,7 +18,7 @@ so every finite value has the handle's bits; the rest (a sign of zero,
 ``inf`` against ``nan``) cannot reach an outcome, because ``rho_eval`` is
 even and sends every non-finite value to ``inf``.  Points off the samples
 (``-x`` on an asymmetric grid, ``0.0``, an additivity root) take the
-handle.
+handle, in one ``FunctionHandle.many`` batch per check argument.
 
 The additivity pairs depend only on ``s`` and the grid: ``additivity_pairs``
 builds the strided pair indices, ``x**s`` once per grid point and the root
@@ -143,16 +143,20 @@ def first_max(values: np.ndarray, start: float) -> tuple[int | None, float]:
 
 
 def _at(f: FunctionHandle | Sampled, xs: np.ndarray) -> np.ndarray:
-    """``f`` at each of ``xs``: a sampled value where one exists, the handle elsewhere."""
+    """``f`` at each of ``xs``: a sampled value where one exists, the handle elsewhere.
+
+    The handle evaluates all the points it is asked for in one
+    ``FunctionHandle.many`` batch, which has the scalar handle's bits.
+    """
     if isinstance(f, FunctionHandle):
-        return np.array([f(x) for x in xs.tolist()], dtype=float)
+        return f.many(xs)
     if not len(f.points):
         return _at(f.function, xs)
     idx = np.minimum(np.searchsorted(f.points, xs), len(f.points) - 1)
     out = f.values[idx]
     miss = np.flatnonzero(f.points[idx] != xs)
     if miss.size:
-        out[miss] = [f.function(x) for x in xs[miss].tolist()]
+        out[miss] = f.function.many(xs[miss])
     return out
 
 

@@ -1,5 +1,6 @@
 """Expression grammar and deterministic evaluation of function handles."""
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -9,7 +10,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modstab import ArgumentError, ConfigError, envelope_noise, monomial, parse_expression, sine
+from modstab import (
+    ArgumentError,
+    ConfigError,
+    ControlFunction,
+    EquationParams,
+    FunctionHandle,
+    Grid,
+    ModularSpec,
+    Mode,
+    audit_defect_hypothesis,
+    corner_triples,
+    envelope_noise,
+    fixed_point_solve,
+    limit_function,
+    monomial,
+    parse_expression,
+    seeded_triples,
+    sine,
+)
 
 xs = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -317,3 +336,105 @@ def test_shifted_matches_tree(text, node, offset):
         assert g is f
     else:
         _assert_same_bits(g, _Sum((node, _Monomial(offset, 0))))
+
+
+# -- array twins against the scalar handle -------------------------------------
+#
+# ``FunctionHandle.many(xs)`` must give ``[f(x) for x in xs]`` bit for bit,
+# including every point where the scalar handle reads ``inf`` because its
+# arithmetic raised.
+
+SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300,
+                  1e200, -1e103, 1.0, -1.0, math.inf, -math.inf, math.nan]
+point_lists = st.lists(st.one_of(st.sampled_from(SPECIAL_POINTS),
+                                 st.floats(-50.0, 50.0),
+                                 st.floats(allow_nan=True, allow_infinity=True)),
+                       max_size=24)
+numbers = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1e300]),
+                    st.floats(-1e3, 1e3))
+atom_texts = st.one_of(
+    st.builds("mono({!r},{})".format, numbers, st.integers(-4, 120)),
+    st.builds("sine({!r},{!r})".format, numbers, numbers),
+    st.builds("envnoise({!r},{!r},{})".format, numbers,
+              st.one_of(st.sampled_from([-1.5, 0.0, 0.5, 2.9, 99.0]), st.floats(-3.0, 40.0)),
+              st.integers(0, 2**32 - 1)),
+)
+term_texts = st.one_of(atom_texts, st.builds("{!r}*{}".format, numbers, atom_texts))
+expression_texts = st.lists(term_texts, min_size=1, max_size=4).map(" + ".join)
+
+
+def _assert_many_is_scalar(f, points):
+    got = f.many(np.array(points, dtype=float))
+    assert got.dtype == np.float64 and got.shape == (len(points),)
+    assert [v.hex() for v in got.tolist()] == [f(x).hex() for x in points]
+
+
+@given(text=expression_texts, points=point_lists)
+def test_many_matches_scalar_handle(text, points):
+    f = parse_expression(text)
+    assert f.batch_expr is not None
+    _assert_many_is_scalar(f, points)
+
+
+@given(text=expression_texts, points=point_lists,
+       outer=numbers, inner=numbers, offset=numbers)
+def test_many_matches_scaled_and_shifted_handles(text, points, outer, inner, offset):
+    f = parse_expression(text)
+    for g in (f.scaled(outer, inner), f.scaled(inner=inner), f.shifted(offset),
+              f.shifted(offset).scaled(outer, inner)):
+        _assert_many_is_scalar(g, points)
+
+
+@given(text=expression_texts, points=point_lists, n=st.integers(0, 60),
+       q=st.sampled_from([1.0, 0.5, -1.0]), mode=st.sampled_from(list(Mode)))
+def test_many_matches_limit_function_handles(text, points, n, q, mode):
+    _assert_many_is_scalar(limit_function(mode, parse_expression(text), EquationParams(3, q), n),
+                           points)
+
+
+@functools.cache
+def _fixed_point_handle():
+    phi = parse_expression("mono(1,3) + mono(0.2,0) + envnoise(0.01,1,11)")
+    grid = Grid(-4.0, 4.0, 9)
+    alpha = ControlFunction.power(0.5, 1)
+    triples = seeded_triples(grid.lo, grid.hi, 200, 0) + corner_triples(grid.lo, grid.hi)
+    params = EquationParams(3, 1.0)
+    audit = audit_defect_hypothesis(phi, params, ModularSpec.power(1), alpha, triples)
+    return fixed_point_solve(phi, params, ModularSpec.power(1), alpha, grid,
+                             audit=audit).function
+
+
+@given(points=point_lists)
+def test_many_matches_the_fixed_point_handle(points):
+    f = _fixed_point_handle()
+    assert f.description.startswith("fixed-point iterate") and f.batch_expr is not None
+    _assert_many_is_scalar(f, points)
+
+
+@pytest.mark.parametrize("text, points, raising, at", [
+    ("mono(1,3) + envnoise(0.01,0.5,11)", [-2.0, 0.5, 1e200, 3.0, -0.0], OverflowError, 2),
+    ("mono(2,-1) + sine(0.1,1)", [-3.0, 0.0, 1e-300, 7.5], ZeroDivisionError, 1),
+    ("envnoise(0.01,1,11)", [1.0, -math.inf, 2.0], ValueError, 1),  # cos(-inf)
+])
+def test_batch_where_one_point_raises_goes_point_by_point(text, points, raising, at):
+    f = parse_expression(text)
+    xs = np.array(points)
+    with pytest.raises(raising):
+        f.batch_expr(xs)
+    got = f.many(xs).tolist()
+    assert [i for i, v in enumerate(got) if v == math.inf] == [at]
+    assert [v.hex() for v in got] == [f(x).hex() for x in points]
+
+
+def test_many_runs_the_twin_without_the_scalar_closure():
+    f = parse_expression("mono(1,3) + 0.5*sine(0.1,2) + envnoise(0.01,2.9,4)")
+
+    def refuse(x):
+        raise AssertionError("the scalar closure was called")
+
+    xs = np.linspace(-10.0, 10.0, 101)
+    twin_only = FunctionHandle(refuse, f.description, f.batch_expr)
+    assert [v.hex() for v in twin_only.many(xs).tolist()] == [f(x).hex() for x in xs.tolist()]
+    # a handle without a twin goes point by point
+    scalar_only = FunctionHandle(f.expr, f.description)
+    assert [v.hex() for v in scalar_only.many(xs).tolist()] == [f(x).hex() for x in xs.tolist()]

@@ -8,6 +8,9 @@ modular, so any change to a hot path that moves a single output bit shows
 here.  ``sweep_axes`` varies all five sweep axes with ``phi(0) != 0``, so a
 result shared between cells under too coarse a key moves some cell's bytes,
 and each of its cells must also equal a standalone run of that cell.
+``large_grid/`` pins the 4001-point run at two seeds by the sha256 of its
+868 kB report, so a one-ulp drift anywhere in its 4001 points and 34
+iterate rows fails here.
 
 Regenerate a golden only for an intended output change, and list each
 changed field in CHANGES.md::
@@ -16,8 +19,13 @@ changed field in CHANGES.md::
         --out tests/golden/NAME.json
     PYTHONPATH=src python -m modstab.cli sweep tests/golden/SWEEP/sweep.cfg \\
         --out tests/golden/SWEEP/expected
+    cd tests/golden/large_grid && for seed in 0 7; do \\
+        PYTHONPATH=../../../src python -m modstab.cli run large_grid.cfg \\
+        --seed $seed --out report_seed$seed.json; done && \\
+        sha256sum report_seed*.json > expected.sha256 && rm report_seed*.json
 """
 
+import hashlib
 import itertools
 import os
 from pathlib import Path
@@ -51,6 +59,20 @@ def test_run_report_is_byte_identical(name, tmp_path):
     out = tmp_path / expected.name
     assert main(["run", str(GOLDEN / f"{name}.cfg"), "--out", str(out)]) == 2
     assert out.read_bytes() == expected.read_bytes()
+
+
+LARGE_GRID = GOLDEN / "large_grid"
+LARGE_GRID_DIGESTS = dict(
+    line.split()[::-1] for line in (LARGE_GRID / "expected.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_large_grid_report_digest(seed, tmp_path):
+    name = f"report_seed{seed}.json"
+    out = tmp_path / name
+    assert main(["run", str(LARGE_GRID / "large_grid.cfg"), "--seed", str(seed),
+                 "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_GRID_DIGESTS[name]
 
 
 def _assert_sweep_matches(case: Path, tmp_path: Path) -> None:

@@ -31,16 +31,21 @@ from modstab import (
     approximant_expand,
     construct_limit,
     control_eval,
+    control_eval_many,
     fixed_point_solve,
     limit_function,
     pair_additivity_defect,
     parse_expression,
     rho_eval,
     rho_eval_array,
+    series_bound_contract,
+    series_bound_expand,
+    series_bounds,
     verify_radical_additivity,
 )
 from modstab.config import parse_experiment, parse_sweep
 from modstab.fixedpoint import (
+    _alpha_line,
     _controls,
     _delta_hat_window,
     _quasi_contraction,
@@ -262,6 +267,20 @@ def test_contract_handle_matches_table_rows():
     for n in range(1, 61):
         handle = limit_function(Mode.CONTRACT, phi, P3, n)
         assert bits(handle(x) for x in table.points) == bits(2.0**n * table.contract(n))
+
+
+@pytest.mark.parametrize("expr", [
+    *(f"mono(1,3) + envnoise(0.01,{p},11)" for p in (0.5, 1.0, 2.9, 3.1)),
+    "mono(1e-30,99) + sine(0.1,1)",  # rows overflow: batches go point by point
+])
+def test_table_rows_equal_the_scalar_handle_on_a_strided_grid(expr):
+    # Rows come from FunctionHandle.many; every 37th point against phi itself.
+    phi = parse_expression(expr)
+    table = IterateTable(phi, 3, Grid(-10.0, 10.0, 4001))
+    pts = table.points[::37]
+    for n in range(0, 34, 3):
+        assert bits(table.expand(n)[::37]) == bits(phi(2.0 ** (n / 3) * x) for x in pts)
+        assert bits(table.contract(n)[::37]) == bits(phi(2.0 ** (-n / 3) * x) for x in pts)
 
 
 def test_table_refuses_a_different_grid():
@@ -500,6 +519,33 @@ def test_control_sums_keep_control_eval_bits():
             got = _controls(alpha, triples, sums)
             want = [control_eval(alpha, *t) for t in triples]
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_control_twin_and_series_bounds_keep_the_scalar_bits():
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.uniform(-40.0, 40.0, 120),
+                         [0.0, -0.0, 5e-324, 1e-300, 1e100, -1e200, 1.5e154, 1e308, -1e308]])
+    ys, zs = rng.permutation(xs), -xs
+    alphas = [ControlFunction.power(theta, p) for theta in (0.0, 1e-300, 0.5, 1e300)
+              for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0, 300.0)]
+    alphas += [ControlFunction.constant(0.0), ControlFunction.constant(0.25)]
+    for alpha in alphas:
+        want = [control_eval(alpha, *t) for t in zip(xs.tolist(), ys.tolist(), zs.tolist())]
+        assert bits(control_eval_many(alpha, xs, ys, zs)) == bits(want)
+        for s in (3, 5):
+            line = control_eval_many(alpha, xs, xs, -(2.0 ** (1.0 / s)) * xs)
+            assert bits(line) == bits(_alpha_line(alpha, s, x) for x in xs.tolist())
+            assert bits(series_bounds(Mode.EXPAND, alpha, s, xs)) == bits(
+                series_bound_expand(alpha, s, x).upper for x in xs.tolist())
+            for tau in (2.0, 4.0):
+                assert bits(series_bounds(Mode.CONTRACT, alpha, s, xs, tau)) == bits(
+                    series_bound_contract(alpha, tau, s, x).upper for x in xs.tolist())
+    # the draws reach the overflow fallback, and a zero control stays 0 there
+    big = np.array([1.0, 1e300, 2.0])
+    assert bits(control_eval_many(ControlFunction.power(0.5, 6.0), big, big, big)) == bits(
+        [1.5, math.inf, 96.0])
+    assert bits(control_eval_many(ControlFunction.power(0.0, 6.0), big, big, big)) == bits(
+        [0.0, 0.0, 0.0])
 
 
 def test_audit_ratios_match_the_scalar_loop():
