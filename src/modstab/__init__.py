@@ -23,13 +23,13 @@ from .direct import (
     route_ratio,
     series_bound_contract,
     series_bound_expand,
-    series_bounds,
 )
 from .equation import (
     ControlFunction,
     EquationParams,
     control_eval,
     control_eval_many,
+    control_power_sums,
     defect,
     pair_additivity_defect,
     parse_control,
@@ -51,7 +51,6 @@ from .fixedpoint import (
     audit_defect_hypothesis,
     audit_defects,
     audit_ratios,
-    control_power_sums,
     estimate_contraction,
     fixed_point_solve,
     rho_hat_distance,
@@ -92,16 +91,16 @@ __all__ = [
     # equation
     "EquationParams", "ControlFunction", "radical_root", "radical_combine",
     "defect", "pair_additivity_defect", "control_eval", "control_eval_many",
-    "parse_control",
+    "control_power_sums", "parse_control",
     # direct method
     "Mode", "route_ratio", "LimitResult", "SeriesBound", "approximant_contract",
     "approximant_expand", "limit_function", "construct_limit",
-    "series_bound_contract", "series_bound_expand", "series_bounds",
+    "series_bound_contract", "series_bound_expand",
     "contract_bound_closed_form",
     # fixed point
     "ContractionCertificate", "FixedPointResult",
     "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",
-    "audit_defects", "audit_ratios", "control_power_sums", "fixed_point_solve",
+    "audit_defects", "audit_ratios", "fixed_point_solve",
     # shared scaling iterates
     "IterateTable",
     # verification

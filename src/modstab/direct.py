@@ -13,8 +13,6 @@ Each route carries an error-bound series.  Both built-in control kinds make
 it exactly geometric, so it is summed in closed form as its first term over
 ``1 - ratio``; ``contract_bound_closed_form`` writes the contract-route sum
 out in the control's parameters for power-type control functions.
-``series_bound_contract`` and ``series_bound_expand`` bound one point;
-``series_bounds`` makes the same operations over a whole array of points.
 
 ``construct_limit`` reads the approximants off an ``IterateTable``;
 ``approximant_contract`` and ``approximant_expand`` compute one approximant
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equation import ControlFunction, EquationParams, control_eval, control_eval_many
+from .equation import ControlFunction, EquationParams, control_eval
 from .errors import ArgumentError, ContractViolation, RegimeError
 from .functions import FunctionHandle
 from .iterates import IterateTable
@@ -48,7 +46,6 @@ __all__ = [
     "construct_limit",
     "series_bound_contract",
     "series_bound_expand",
-    "series_bounds",
     "contract_bound_closed_form",
 ]
 
@@ -284,29 +281,6 @@ def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound
     """
     a = control_eval(alpha, x, x, -(2.0 ** (1 / s)) * x)
     return _geometric_sum(0.5 * a, route_ratio(Mode.EXPAND, alpha, s))
-
-
-def series_bounds(
-    mode: Mode, alpha: ControlFunction, s: int, xs: np.ndarray, tau: float | None = None
-) -> np.ndarray:
-    """``upper`` of the route's series bound at each of ``xs``, bit for bit.
-
-    ``series_bound_contract(alpha, tau, s, x)`` or ``series_bound_expand(alpha,
-    s, x)`` over a 1-D array: the control by ``control_eval_many``, then the
-    same first term and closed-form sum in numpy.
-    """
-    if mode is Mode.CONTRACT and tau < 2.0:
-        raise ArgumentError(f"doubling constant must be >= 2, got {tau}")
-    ratio = route_ratio(mode, alpha, s, tau)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mode is Mode.CONTRACT:
-            shrunk = xs / 2.0 ** (1 / s)
-            first = 0.5 * (tau * tau / 2.0) * control_eval_many(alpha, shrunk, shrunk, -xs)
-        else:
-            first = 0.5 * control_eval_many(alpha, xs, xs, -(2.0 ** (1 / s)) * xs)
-        if not ratio < 1.0:
-            return np.where(first == 0.0, 0.0, math.inf)
-        return first / (1.0 - ratio) + 0.0  # value + tail_estimate
 
 
 def contract_bound_closed_form(

@@ -30,6 +30,7 @@ __all__ = [
     "pair_additivity_defect",
     "control_eval",
     "control_eval_many",
+    "control_power_sums",
     "parse_control",
 ]
 
@@ -162,27 +163,56 @@ def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
     return alpha.eps
 
 
+def _pow_or_nan(v: float, p: float) -> float:
+    try:
+        return v**p
+    except OverflowError:
+        return math.nan
+
+
+def control_power_sums(p: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``|x|**p + |y|**p + |z|**p`` at each triple of three 1-D arrays: the power control over ``theta``.
+
+    Each power maps the scalar ``**`` (builtin ``pow``) over the points and
+    the two additions run in numpy, which rounds each IEEE operation as
+    Python does, so ``theta`` times an entry has the bits ``control_eval``
+    gives.  ``nan`` marks a triple where a power overflows
+    (``OverflowError``); a sum of finite powers is never ``nan``, and one
+    that overflows by addition is ``inf``.
+    """
+    def powers(v: np.ndarray) -> np.ndarray:
+        bases = abs(v).tolist()
+        try:
+            return np.fromiter(map(pow, bases, repeat(p)), float, len(bases))
+        except OverflowError:
+            return np.fromiter(map(_pow_or_nan, bases, repeat(p)), float, len(bases))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return powers(x) + powers(y) + powers(z)
+
+
 def control_eval_many(
-    alpha: ControlFunction, x: np.ndarray, y: np.ndarray, z: np.ndarray
+    alpha: ControlFunction,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+    sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """``control_eval`` at each triple ``(x[i], y[i], z[i])`` of three 1-D arrays, bit for bit.
 
-    Each power maps the scalar ``**`` (builtin ``pow``) over the points;
-    ``((|x|**p + |y|**p) + |z|**p)`` and ``theta *`` run in numpy, which
-    rounds each IEEE operation as Python does.  A batch in which a power
-    overflows goes point by point through ``control_eval``, so those points
-    are ``inf`` (``0`` for a zero control) and the rest keep their bits.
+    A power control is ``theta`` times ``control_power_sums``: a caller that
+    evaluates several ``theta`` on the same triples passes that array as
+    ``sums``.  Where a power overflowed the value is ``inf`` (``0`` for a
+    zero control); ``theta`` times a sum that overflowed by addition stays
+    as computed, ``nan`` included, as in ``control_eval``.
     """
     if alpha.kind != "power":
         return np.full(len(x), alpha.eps)
-    try:
-        px, py, pz = (np.fromiter(map(pow, abs(v).tolist(), repeat(alpha.p)), float, len(v))
-                      for v in (x, y, z))
-    except OverflowError:
-        return np.array([control_eval(alpha, *t)
-                         for t in zip(x.tolist(), y.tolist(), z.tolist())], dtype=float)
+    if sums is None:
+        sums = control_power_sums(alpha.p, x, y, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        return alpha.theta * (px + py + pz)
+        scaled = alpha.theta * sums
+    return np.where(np.isnan(sums), math.inf if alpha.theta else 0.0, scaled)
 
 
 def parse_control(text: str) -> ControlFunction:

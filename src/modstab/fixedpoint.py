@@ -21,15 +21,12 @@ that estimate for one pair of functions, the scalar reference the tests hold
 the array gap kernels to.  ``fixed_point_solve`` is gated on a defect audit
 its caller runs.  The audit comes in two steps: ``audit_defects`` evaluates
 the equation defect at each triple without reading the control, and
-``audit_ratios`` compares those defects with one control; a caller auditing
-several controls on the same ``phi``, ``s``, ``q``, modular and triples
-computes the defects once.  The power control ``theta * (|x|**p + |y|**p +
-|z|**p)`` reads only ``p`` and the triples inside the parentheses, so
-``control_power_sums`` computes that sum once per ``p`` with the scalar
-``**`` and ``audit_ratios`` takes it as ``sums=`` for every ``theta``; the
-rest is one IEEE multiply, divide or comparison per triple, which rounds
-the same in numpy as in Python.  ``audit_defect_hypothesis`` is the two
-steps composed.
+``audit_ratios`` compares those defects with the control's values at the
+same triples; a caller auditing several controls on the same ``phi``, ``s``,
+``q``, modular and triples computes the defects once.  The control's values
+come from ``control_eval_many``, which a caller auditing several ``theta``
+hands the power sums ``control_power_sums`` computed once per ``p``.
+``audit_defect_hypothesis`` is the two steps composed.
 """
 
 from __future__ import annotations
@@ -60,7 +57,6 @@ __all__ = [
     "estimate_contraction",
     "rho_hat_distance",
     "audit_defects",
-    "control_power_sums",
     "audit_ratios",
     "audit_defect_hypothesis",
     "fixed_point_solve",
@@ -101,25 +97,20 @@ def estimate_contraction(
     if not samples:
         raise ArgumentError("estimate_contraction needs a nonempty sample list")
     root = 2.0 ** (1.0 / s)
-    l_hat = -math.inf
-    worst = None
-    skipped = 0
-    for x in samples:
-        denom = 2.0 * _alpha_line(alpha, s, x)
-        if denom <= 0.0:
-            skipped += 1
-            continue
-        num = control_eval(alpha, root * x, root * x, -(root * root) * x)
-        ratio = num / denom
-        if ratio > l_hat:
-            l_hat, worst = ratio, x
-    if worst is None:
+    xs = np.asarray(samples, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = 2.0 * control_eval_many(alpha, xs, xs, -root * xs)  # 2 * _alpha_line
+        num = control_eval_many(alpha, root * xs, root * xs, -(root * root) * xs)
+        skip = denom <= 0.0
+        k, l_hat = first_max(np.where(skip, math.nan, num / denom), -math.inf)
+    if k is None:
         raise ArgumentError(
             "estimate_contraction: control vanished at every sample; nothing to certify"
         )
+    skipped = int(np.count_nonzero(skip))
     return ContractionCertificate(
         l_hat=l_hat,
-        worst_sample=worst,
+        worst_sample=samples[k],
         valid=l_hat < 1.0,
         samples_checked=len(samples) - skipped,
         samples_skipped=skipped,
@@ -175,60 +166,23 @@ def audit_defects(
     return defects
 
 
-def control_power_sums(
-    p: float, triples: list[tuple[float, float, float]]
-) -> np.ndarray:
-    """``|x|**p + |y|**p + |z|**p`` at each triple: the power control over ``theta``.
-
-    Computed with the scalar ``**`` and additions ``control_eval`` makes, so
-    ``theta`` times an entry has the bits ``control_eval`` gives.  ``nan``
-    marks a triple where a power overflows (``OverflowError``); a sum of
-    finite powers is never ``nan``, and one that overflows by addition is
-    ``inf``.
-    """
-    sums = []
-    for (x, y, z) in triples:
-        try:
-            sums.append(abs(x) ** p + abs(y) ** p + abs(z) ** p)
-        except OverflowError:
-            sums.append(math.nan)
-    return np.array(sums, dtype=float)
-
-
-def _controls(alpha: ControlFunction, triples: list, sums: np.ndarray | None) -> np.ndarray:
-    # control_eval at each triple: where a power overflowed it gives inf
-    # (0.0 for a zero control), while theta times an inf sum stays as
-    # computed, nan included.
-    if alpha.kind != "power":
-        return np.full(len(triples), alpha.eps)
-    if sums is None:
-        sums = control_power_sums(alpha.p, triples)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = alpha.theta * sums
-    return np.where(np.isnan(sums), math.inf if alpha.theta else 0.0, scaled)
-
-
 def audit_ratios(
     defects: list[float],
-    alpha: ControlFunction,
+    controls: np.ndarray,
     triples: list[tuple[float, float, float]],
-    *,
-    sums: np.ndarray | None = None,
 ) -> dict:
-    """Compare the defects ``audit_defects`` found against the control on the same triples.
+    """Compare the defects ``audit_defects`` found with the control's values on the same triples.
 
-    Returns max defect, max defect/alpha ratio and the worst triple: the
-    first triple with the largest ratio, ``triples[0]`` when no ratio is
-    above zero.  Where the control vanishes, or overflows to ``inf`` and so
-    certifies nothing, the ratio is ``inf`` unless the defect vanishes too.
-    ``sums``, when given, is ``control_power_sums(alpha.p, triples)``, which
-    a caller auditing several ``theta`` computes once.
+    ``controls`` is ``control_eval_many`` at the triples.  Returns max
+    defect, max defect/alpha ratio and the worst triple: the first triple
+    with the largest ratio, ``triples[0]`` when no ratio is above zero.
+    Where the control vanishes, or overflows to ``inf`` and so certifies
+    nothing, the ratio is ``inf`` unless the defect vanishes too.
     """
     d = np.asarray(defects, dtype=float)
-    a = _controls(alpha, triples, sums)
-    live = (0.0 < a) & (a < math.inf)
+    live = (0.0 < controls) & (controls < math.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = np.where(live, d / np.where(live, a, 1.0),
+        ratio = np.where(live, d / np.where(live, controls, 1.0),
                          np.where(d > 0.0, math.inf, 0.0))
     _, max_defect = first_max(d, 0.0)
     k, max_ratio = first_max(ratio, 0.0)
@@ -253,7 +207,9 @@ def audit_defect_hypothesis(
     ``audit_ratios`` of ``audit_defects``: see those for the result and for
     how a vanishing or overflowing control and an out-of-range triple count.
     """
-    return audit_ratios(audit_defects(phi, params, rho, triples), alpha, triples)
+    x, y, z = np.array(triples, dtype=float).reshape(-1, 3).T
+    return audit_ratios(audit_defects(phi, params, rho, triples),
+                        control_eval_many(alpha, x, y, z), triples)
 
 
 def _rho_hat_rows(diffs: np.ndarray, denoms: np.ndarray, rho: ModularSpec) -> np.ndarray:

@@ -55,14 +55,18 @@ from .direct import (
     route_ratio,
     series_bound_contract,
     series_bound_expand,
-    series_bounds,
 )
-from .equation import ControlFunction, EquationParams, control_eval
+from .equation import (
+    ControlFunction,
+    EquationParams,
+    control_eval,
+    control_eval_many,
+    control_power_sums,
+)
 from .errors import ArgumentError, ConfigError, DefectHypothesisError, ModstabError
 from .fixedpoint import (
     audit_defects,
     audit_ratios,
-    control_power_sums,
     estimate_contraction,
     fixed_point_solve,
 )
@@ -147,11 +151,13 @@ def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
     triples = _once(memo, ("triples",), draw)
     defects = _once(memo, ("defects", cfg.params, cfg.modular),
                     lambda: audit_defects(cfg.phi, cfg.params, cfg.modular, triples))
+    x, y, z = _once(memo, ("triple_columns",),
+                    lambda: np.array(triples, dtype=float).reshape(-1, 3).T)
     sums = None
     if cfg.alpha.kind == "power":
         p = cfg.alpha.p
-        sums = _once(memo, ("control_sums", p), lambda: control_power_sums(p, triples))
-    return audit_ratios(defects, cfg.alpha, triples, sums=sums)
+        sums = _once(memo, ("control_sums", p), lambda: control_power_sums(p, x, y, z))
+    return audit_ratios(defects, control_eval_many(cfg.alpha, x, y, z, sums), triples)
 
 
 def _sampled(table: IterateTable, key: tuple, function) -> Sampled:
@@ -201,6 +207,20 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
         "final": final,
         "vanishing": final <= 1e-6 * max(1.0, initial),
     }
+
+
+def _series_uppers(mode: Mode, alpha: ControlFunction, s: int, tau: float | None,
+                   xs: np.ndarray, ratio: float) -> np.ndarray:
+    # series_bound_contract / series_bound_expand(...).upper at each of xs
+    # for a converging ratio (which does not read x): the same first term
+    # and closed-form sum, over the array.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode is Mode.CONTRACT:
+            shrunk = xs / 2.0 ** (1 / s)
+            first = 0.5 * (tau * tau / 2.0) * control_eval_many(alpha, shrunk, shrunk, -xs)
+        else:
+            first = 0.5 * control_eval_many(alpha, xs, xs, -(2.0 ** (1 / s)) * xs)
+        return first / (1.0 - ratio) + 0.0  # value + tail_estimate
 
 
 def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
@@ -260,7 +280,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
         mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
         tol=cfg.tol, n_max=cfg.n_max, table=table))
     pts = cfg.grid.points()
-    bounds = series_bounds(mode, cfg.alpha, s, np.array(pts), tau).tolist()
+    bounds = _series_uppers(mode, cfg.alpha, s, tau, np.array(pts), probe.ratio).tolist()
     section["limit"] = {
         "achieved_n": limit.achieved_n,
         "saturated": limit.saturated,

@@ -20,6 +20,7 @@ import pytest
 import modstab.pipeline as pipeline_mod
 import modstab.verify as verify_mod
 from modstab import (
+    ArgumentError,
     ControlFunction,
     EquationParams,
     FunctionHandle,
@@ -32,6 +33,8 @@ from modstab import (
     construct_limit,
     control_eval,
     control_eval_many,
+    control_power_sums,
+    estimate_contraction,
     fixed_point_solve,
     limit_function,
     pair_additivity_defect,
@@ -40,18 +43,15 @@ from modstab import (
     rho_eval_array,
     series_bound_contract,
     series_bound_expand,
-    series_bounds,
     verify_radical_additivity,
 )
 from modstab.config import parse_experiment, parse_sweep
 from modstab.fixedpoint import (
     _alpha_line,
-    _controls,
     _delta_hat_window,
     _quasi_contraction,
     _rho_hat_rows,
     audit_ratios,
-    control_power_sums,
 )
 
 P3 = EquationParams(3, 1.0)
@@ -503,6 +503,10 @@ def _scalar_audit_ratios(defects, alpha, triples):
             "worst_triple": worst, "hypothesis_ok": max_ratio <= 1.0 + 1e-9}
 
 
+def _columns(triples):
+    return np.array(triples, dtype=float).reshape(-1, 3).T
+
+
 def _hexed(audit):
     return {k: v.hex() if isinstance(v, float) else v for k, v in audit.items()}
 
@@ -512,11 +516,12 @@ def test_control_sums_keep_control_eval_bits():
     triples = [tuple(t) for t in rng.uniform(-40.0, 40.0, (60, 3)).tolist()]
     triples += [(0.0, -0.0, 1e-300), (1e200, 1.0, 2.0), (1.5e154, 1.5e154, 0.0),
                 (1e308, -1e308, 1e308), (-3.0, 3.0, 0.0)]
+    x, y, z = _columns(triples)
     for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0, 300.0):
-        sums = control_power_sums(p, triples)
+        sums = control_power_sums(p, x, y, z)
         for theta in (0.0, 1e-300, 0.05, 1.0, 1e300):
             alpha = ControlFunction.power(theta, p)
-            got = _controls(alpha, triples, sums)
+            got = control_eval_many(alpha, x, y, z, sums)
             want = [control_eval(alpha, *t) for t in triples]
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
@@ -529,23 +534,65 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
     alphas = [ControlFunction.power(theta, p) for theta in (0.0, 1e-300, 0.5, 1e300)
               for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0, 300.0)]
     alphas += [ControlFunction.constant(0.0), ControlFunction.constant(0.25)]
+    converged = 0
     for alpha in alphas:
         want = [control_eval(alpha, *t) for t in zip(xs.tolist(), ys.tolist(), zs.tolist())]
         assert bits(control_eval_many(alpha, xs, ys, zs)) == bits(want)
         for s in (3, 5):
             line = control_eval_many(alpha, xs, xs, -(2.0 ** (1.0 / s)) * xs)
             assert bits(line) == bits(_alpha_line(alpha, s, x) for x in xs.tolist())
-            assert bits(series_bounds(Mode.EXPAND, alpha, s, xs)) == bits(
-                series_bound_expand(alpha, s, x).upper for x in xs.tolist())
+            want = [series_bound_expand(alpha, s, x) for x in xs.tolist()]
+            if want[0].converged:
+                converged += 1
+                got = pipeline_mod._series_uppers(Mode.EXPAND, alpha, s, None, xs,
+                                                  want[0].ratio)
+                assert bits(got) == bits(b.upper for b in want)
             for tau in (2.0, 4.0):
-                assert bits(series_bounds(Mode.CONTRACT, alpha, s, xs, tau)) == bits(
-                    series_bound_contract(alpha, tau, s, x).upper for x in xs.tolist())
+                want = [series_bound_contract(alpha, tau, s, x) for x in xs.tolist()]
+                if want[0].converged:
+                    converged += 1
+                    got = pipeline_mod._series_uppers(Mode.CONTRACT, alpha, s, tau, xs,
+                                                      want[0].ratio)
+                    assert bits(got) == bits(b.upper for b in want)
+    assert converged > 40
     # the draws reach the overflow fallback, and a zero control stays 0 there
     big = np.array([1.0, 1e300, 2.0])
     assert bits(control_eval_many(ControlFunction.power(0.5, 6.0), big, big, big)) == bits(
         [1.5, math.inf, 96.0])
     assert bits(control_eval_many(ControlFunction.power(0.0, 6.0), big, big, big)) == bits(
         [0.0, 0.0, 0.0])
+
+
+def _scalar_contraction(alpha, s, samples):
+    # estimate_contraction as one scalar loop over control_eval.
+    root = 2.0 ** (1.0 / s)
+    l_hat, worst, skipped = -math.inf, None, 0
+    for x in samples:
+        denom = 2.0 * _alpha_line(alpha, s, x)
+        if denom <= 0.0:
+            skipped += 1
+            continue
+        ratio = control_eval(alpha, root * x, root * x, -(root * root) * x) / denom
+        if ratio > l_hat:
+            l_hat, worst = ratio, x
+    return worst, l_hat, skipped
+
+
+def test_estimate_contraction_matches_the_scalar_loop():
+    # Zero samples are skipped; 1e200 overflows its powers (inf / inf is
+    # nan, passed over) and 1e300 too; theta = 0 skips every sample.
+    samples = [0.0, -0.0, 5e-324, 1e-300, -3.0, 2.5, 1e200, -1e300, 7.0, -7.0, 40.0]
+    for alpha in [ControlFunction.power(t, p) for t in (0.0, 1e-300, 0.5, 1e300)
+                  for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0)] + [ControlFunction.constant(0.25)]:
+        for s in (3, 5):
+            worst, l_hat, skipped = _scalar_contraction(alpha, s, samples)
+            if worst is None:
+                with pytest.raises(ArgumentError, match="control vanished"):
+                    estimate_contraction(alpha, s, samples)
+                continue
+            cert = estimate_contraction(alpha, s, samples)
+            assert (cert.worst_sample, cert.l_hat.hex(), cert.samples_skipped) == (
+                worst, l_hat.hex(), skipped)
 
 
 def test_audit_ratios_match_the_scalar_loop():
@@ -560,16 +607,20 @@ def test_audit_ratios_match_the_scalar_loop():
     controls = [ControlFunction.constant(e) for e in (0.0, 0.1, 7.0)]
     controls += [ControlFunction.power(t, p) for p in (0.0, 1.0, 2.0, 3.5)
                  for t in (0.0, 1e-300, 0.01, 1.0)]
+    x, y, z = _columns(triples)
     sums = {}
     for alpha in controls:
         want = _hexed(_scalar_audit_ratios(defects, alpha, triples))
-        assert _hexed(audit_ratios(defects, alpha, triples)) == want
+        got = audit_ratios(defects, control_eval_many(alpha, x, y, z), triples)
+        assert _hexed(got) == want
         if alpha.kind == "power":
-            shared = sums.setdefault(alpha.p, control_power_sums(alpha.p, triples))
-            assert _hexed(audit_ratios(defects, alpha, triples, sums=shared)) == want
+            shared = sums.setdefault(alpha.p, control_power_sums(alpha.p, x, y, z))
+            got = audit_ratios(defects, control_eval_many(alpha, x, y, z, shared), triples)
+            assert _hexed(got) == want
     quiet = _scalar_audit_ratios([0.0] * len(triples), controls[1], triples)
     assert quiet["worst_triple"] == triples[0]
-    assert audit_ratios([0.0] * len(triples), controls[1], triples) == quiet
+    assert audit_ratios([0.0] * len(triples), control_eval_many(controls[1], x, y, z),
+                        triples) == quiet
 
 
 # -- one defect audit per experiment -------------------------------------------
@@ -633,7 +684,7 @@ def _spy_sweep_work(monkeypatch):
 
     spy("IterateTable", "table", lambda phi, s, grid: s)
     spy("audit_defects", "defects", lambda phi, params, rho, triples: (params, rho))
-    spy("control_power_sums", "sums", lambda p, triples: p)
+    spy("control_power_sums", "sums", lambda p, x, y, z: p)
     spy("additivity_pairs", "pairs", lambda s, grid: s)
     spy("construct_limit", "limit", lambda mode, phi, params, rho, *a, **k: (mode, params, rho))
     spy("verify_radical_additivity", "additivity", lambda a, rho, s, grid, *_: (a, rho, s))
