@@ -17,9 +17,11 @@ from .direct import (
     SeriesBound,
     approximant_contract,
     approximant_expand,
+    approximant_row,
     construct_limit,
     contract_bound_closed_form,
     limit_function,
+    route_line,
     route_ratio,
     series_bound_contract,
     series_bound_expand,
@@ -95,7 +97,7 @@ __all__ = [
     # direct method
     "Mode", "route_ratio", "LimitResult", "SeriesBound", "approximant_contract",
     "approximant_expand", "limit_function", "construct_limit",
-    "series_bound_contract", "series_bound_expand",
+    "series_bound_contract", "series_bound_expand", "route_line", "approximant_row",
     "contract_bound_closed_form",
     # fixed point
     "ContractionCertificate", "FixedPointResult",

@@ -14,9 +14,9 @@ it exactly geometric, so it is summed in closed form as its first term over
 ``1 - ratio``; ``contract_bound_closed_form`` writes the contract-route sum
 out in the control's parameters for power-type control functions.
 
-``construct_limit`` reads the approximants off an ``IterateTable``;
-``approximant_contract`` and ``approximant_expand`` compute one approximant
-at one point, the scalar reference the tests hold the table rows to.
+Each route formula lives in one array kernel: ``route_line``, the control
+along a route's line, or ``approximant_row``, the n-th approximant off an
+``IterateTable``; the scalar ``approximant_*`` are the tests' reference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equation import ControlFunction, EquationParams, control_eval
+from .equation import ControlFunction, EquationParams, control_eval_many
 from .errors import ArgumentError, ContractViolation, RegimeError
 from .functions import FunctionHandle
 from .iterates import IterateTable
@@ -38,6 +38,8 @@ from .sampling import Grid
 __all__ = [
     "Mode",
     "route_ratio",
+    "route_line",
+    "approximant_row",
     "LimitResult",
     "SeriesBound",
     "approximant_contract",
@@ -79,6 +81,34 @@ def route_ratio(
     if alpha.kind == "power":
         return weight * pow_or_inf(2.0, exponent)
     return weight
+
+
+def route_line(mode: Mode, alpha: ControlFunction, s: int, xs: np.ndarray) -> np.ndarray:
+    """``control_eval`` along a route's line at each of ``xs``, bit for bit.
+
+    Expand: ``alpha(x, x, -root*x)``; contract: ``alpha(x/root, x/root,
+    -x)``; ``root = 2**(1/s)``.
+    """
+    root = 2.0 ** (1 / s)
+    with np.errstate(over="ignore"):
+        if mode is Mode.CONTRACT:
+            shrunk = xs / root
+            return control_eval_many(alpha, shrunk, shrunk, -xs)
+        return control_eval_many(alpha, xs, xs, -root * xs)
+
+
+def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0) -> np.ndarray:
+    """The n-th approximant at every sample point of ``table``.
+
+    Contract: ``2**n * phi(2**(-n/s) x)``; expand: ``(phi(2**(n/s) x) -
+    offset) / 2**n``, the expand approximant at ``offset = q*phi(0)`` and
+    the fixed-point iterate at ``0``.  ``limit_function``'s handles make the
+    same operations, so the two agree bit for bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode is Mode.CONTRACT:
+            return 2.0**n * table.contract(n)
+        return (table.expand(n) - offset) / 2.0**n
 
 
 def approximant_contract(
@@ -157,8 +187,8 @@ def construct_limit(
     The approximants are read off the grid columns of an ``IterateTable``
     (expand rows for ``t2``, contract rows for ``t1``), with ``q*phi(0)``
     taken once; pass the table the other routes of a run use so that no
-    ``phi`` value is computed twice.  Each step is one array operation over
-    the grid and gives the same bits as the scalar ``approximant_*``.
+    ``phi`` value is computed twice.  Each step is one ``approximant_row``
+    and gives the same bits as the scalar ``approximant_*``.
     """
     if tol <= 0:
         raise ArgumentError(f"tol must be positive, got {tol}")
@@ -174,17 +204,9 @@ def construct_limit(
     else:
         table.check_serves(phi, params.s, grid)
     cols = table.grid_index
-    if mode is Mode.CONTRACT:
-        def approx(n: int) -> np.ndarray:
-            return 2.0**n * table.contract(n)[cols]
-    else:
-        offset = params.q * table.origin()
-
-        def approx(n: int) -> np.ndarray:
-            return (table.expand(n)[cols] - offset) / 2.0**n
-
+    offset = params.q * table.origin() if mode is Mode.EXPAND else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        current = approx(0)
+        current = approximant_row(table, mode, 0, offset)[cols]
         frozen = ~np.isfinite(current)
         current[frozen] = 0.0
         gaps = np.full(len(cols), math.inf)
@@ -193,7 +215,7 @@ def construct_limit(
         achieved = 0
 
         for n in range(n_max):
-            nxt = approx(n + 1)
+            nxt = approximant_row(table, mode, n + 1, offset)[cols]
             diff = nxt - current
             broken = ~frozen & ~(np.isfinite(nxt) & np.isfinite(diff))
             moved = ~frozen & ~broken
@@ -265,7 +287,7 @@ def series_bound_contract(
     if tau < 2.0:
         raise ArgumentError(f"doubling constant must be >= 2, got {tau}")
     ratio = route_ratio(Mode.CONTRACT, alpha, s, tau)
-    a = control_eval(alpha, x / 2.0 ** (1 / s), x / 2.0 ** (1 / s), -x)
+    a = float(route_line(Mode.CONTRACT, alpha, s, np.array([x]))[0])
     return _geometric_sum(0.5 * (tau * tau / 2.0) * a, ratio)
 
 
@@ -279,7 +301,7 @@ def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound
     ``route_ratio(Mode.EXPAND, alpha, s)`` (divergent once ``p >= s`` for
     power control).
     """
-    a = control_eval(alpha, x, x, -(2.0 ** (1 / s)) * x)
+    a = float(route_line(Mode.EXPAND, alpha, s, np.array([x]))[0])
     return _geometric_sum(0.5 * a, route_ratio(Mode.EXPAND, alpha, s))
 
 

@@ -13,6 +13,8 @@ error at most ``alpha(x, x, -2**(1/s)x) / (2*(1-L))``.
 
 Both built-in controls meet it with equality at ``L = route_ratio(Mode.EXPAND,
 ...)``; ``estimate_contraction`` samples ``L`` independently, as a cross-check.
+The section ``alpha(x, x, -2**(1/s)x)`` is ``direct.route_line`` and the
+iterates are ``direct.approximant_row``, both of the expand route.
 
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
 supremum of ratios, so every reported distance is a certified lower bound of
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import MAX_N, Mode, route_ratio
-from .equation import ControlFunction, EquationParams, control_eval, control_eval_many, defect
+from .direct import MAX_N, Mode, approximant_row, route_line, route_ratio
+from .equation import ControlFunction, EquationParams, control_eval_many, defect
 from .errors import (
     ArgumentError,
     ContractViolation,
@@ -81,11 +83,6 @@ class ContractionCertificate:
     samples_skipped: int = 0
 
 
-def _alpha_line(alpha: ControlFunction, s: int, x: float) -> float:
-    # The one-variable section alpha(x, x, -2**(1/s) x) used throughout.
-    return control_eval(alpha, x, x, -(2.0 ** (1.0 / s)) * x)
-
-
 def estimate_contraction(
     alpha: ControlFunction, s: int, samples: list[float]
 ) -> ContractionCertificate:
@@ -99,7 +96,7 @@ def estimate_contraction(
     root = 2.0 ** (1.0 / s)
     xs = np.asarray(samples, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        denom = 2.0 * control_eval_many(alpha, xs, xs, -root * xs)  # 2 * _alpha_line
+        denom = 2.0 * route_line(Mode.EXPAND, alpha, s, xs)
         num = control_eval_many(alpha, root * xs, root * xs, -(root * root) * xs)
         skip = denom <= 0.0
         k, l_hat = first_max(np.where(skip, math.nan, num / denom), -math.inf)
@@ -131,8 +128,8 @@ def rho_hat_distance(
     zero-denominator samples are skipped.
     """
     best = None
-    for x in samples:
-        denom = _alpha_line(alpha, s, x)
+    denoms = route_line(Mode.EXPAND, alpha, s, np.asarray(samples, dtype=float))
+    for x, denom in zip(samples, denoms.tolist()):
         if denom <= 0.0:
             continue
         ratio = rho_eval(rho, f(x) - g(x)) / denom
@@ -303,8 +300,8 @@ def fixed_point_solve(
     triples, upholds.  The bounds ``alpha(x, x, -2**(1/s)x) / (2*(1-L))``
     are the expand route's series bounds.
 
-    The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are read off
-    the expand rows of an ``IterateTable`` -- the rows the expand route
+    The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are expand
+    rows of ``approximant_row`` with no offset -- the rows the expand route
     reads, so a shared table evaluates ``phi`` once for both routes.  The
     gap history, the quasi-contraction ratios and ``delta_hat_window`` are
     array reductions over the stacked iterate window.
@@ -339,7 +336,7 @@ def fixed_point_solve(
 
     s = params.s
     xs = table.point_array
-    line = control_eval_many(alpha, xs, xs, -(2.0 ** (1.0 / s)) * xs)  # _alpha_line at each
+    line = route_line(Mode.EXPAND, alpha, s, xs)
     samples = np.flatnonzero(line > 0.0)
     denoms = line[samples]
     cols = table.grid_index
@@ -347,7 +344,7 @@ def fixed_point_solve(
     def iterate(n: int, idx: np.ndarray) -> np.ndarray:
         # Lam^n(phi) at the given sample columns; an overflowed phi value is
         # inf already, so a runaway iterate saturates instead of aborting.
-        return table.expand(n)[idx] / 2.0**n
+        return approximant_row(table, Mode.EXPAND, n)[idx]
 
     with np.errstate(over="ignore", invalid="ignore"):
         rows = [iterate(0, samples)]

@@ -1,15 +1,15 @@
 """The scaling-iterate table: every route's evaluations of ``phi``, made once.
 
-The expand route's approximants ``(phi(2**(n/s) x) - q*phi(0)) / 2**n`` and
-the fixed-point iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are
-built from the same values ``phi(2**(n/s) x)``; the contract route's
-approximants ``2**n * phi(2**(-n/s) x)`` from the dual rescaling.  An
-``IterateTable`` holds those values as rows, one per step ``n``, over
-``function_sample_points(grid)`` -- a superset of the grid -- and computes a
-row the first time any route asks for it, in one ``FunctionHandle.many``
-pass over the rescaled points: the array twin of ``phi``, with the scalar
-libm routines, or point by point when a point of the row raises.  Routes
-sharing a table never evaluate ``phi`` twice at the same ``(n, x)``.
+The expand route's approximants and the fixed-point iterates are built from
+the same values ``phi(2**(n/s) x)``, the contract route's approximants from
+``phi(2**(-n/s) x)``; ``direct.approximant_row`` is the one place that turns
+a row into approximants.  An ``IterateTable`` holds those values as rows,
+one per step ``n``, over ``function_sample_points(grid)`` -- a superset of
+the grid -- and computes a row the first time any route asks for it, in one
+``FunctionHandle.many`` pass over the rescaled points: the array twin of
+``phi``, with the scalar libm routines, or point by point when a point of
+the row raises.  Routes sharing a table never evaluate ``phi`` twice at the
+same ``(n, x)``.
 """
 
 from __future__ import annotations

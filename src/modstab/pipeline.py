@@ -31,11 +31,9 @@ every cell.  A shared result is the very value the cell would compute
 itself, so reports are byte-identical with or without sharing.
 
 The checks read each limit function at the sample points off the table row
-it was built from (``_sampled``): ``phi`` is row 0, the expand limit at
-``n`` is ``(row - q*phi(0)) / 2**n``, the contract limit ``2**n * row`` and
-the fixed-point iterate ``row / 2**n``.  Those are the IEEE operations the
-limit handles perform, so the checks see the handles' bits (see
-``verify``); only points off the table call a handle.
+it was built from (``_sampled``), through ``direct.approximant_row``, the
+one place the approximant formula lives; so they see the handles' bits
+(see ``verify``), and only points off the table call a handle.
 """
 
 from __future__ import annotations
@@ -50,8 +48,10 @@ import numpy as np
 from .config import SWEEP_AXES, ExperimentConfig, SweepConfig
 from .direct import (
     Mode,
+    approximant_row,
     construct_limit,
     contract_bound_closed_form,
+    route_line,
     route_ratio,
     series_bound_contract,
     series_bound_expand,
@@ -163,17 +163,7 @@ def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
 def _sampled(table: IterateTable, key: tuple, function) -> Sampled:
     """The limit function ``key`` names, with its values off the table rows."""
     mode, _, n, offset = key
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mode is Mode.CONTRACT:
-            values = 2.0**n * table.contract(n)
-        else:
-            values = (table.expand(n) - offset) / 2.0**n
-    return Sampled(function, table.point_array, values)
-
-
-def _phi_sampled(cfg: ExperimentConfig, table: IterateTable) -> Sampled:
-    # Row 0 of the table is phi itself at the sample points.
-    return Sampled(cfg.phi, table.point_array, table.expand(0))
+    return Sampled(function, table.point_array, approximant_row(table, mode, n, offset))
 
 
 def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function: Sampled) -> tuple:
@@ -212,15 +202,32 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
 def _series_uppers(mode: Mode, alpha: ControlFunction, s: int, tau: float | None,
                    xs: np.ndarray, ratio: float) -> np.ndarray:
     # series_bound_contract / series_bound_expand(...).upper at each of xs
-    # for a converging ratio (which does not read x): the same first term
-    # and closed-form sum, over the array.
+    # for a converging ratio, which does not read x.
+    line = route_line(mode, alpha, s, xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        if mode is Mode.CONTRACT:
-            shrunk = xs / 2.0 ** (1 / s)
-            first = 0.5 * (tau * tau / 2.0) * control_eval_many(alpha, shrunk, shrunk, -xs)
-        else:
-            first = 0.5 * control_eval_many(alpha, xs, xs, -(2.0 ** (1 / s)) * xs)
+        first = 0.5 * (tau * tau / 2.0) * line if mode is Mode.CONTRACT else 0.5 * line
         return first / (1.0 - ratio) + 0.0  # value + tail_estimate
+
+
+def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, section: dict,
+                  body: dict, key: tuple, function, values, bounds: list[float], gaps) -> dict:
+    """Every route's ending: per-point rows in ``body``, the checks, the function.
+
+    ``key`` names the limit function (see ``_sampled``); table row 0 is ``phi``.
+    """
+    body["points"] = [
+        {"x": x, "value": v, "bound": b, "gap": g}
+        for x, v, b, g in zip(cfg.grid.points(), values, bounds, gaps)
+    ]
+    sampled = _sampled(table, key, function)
+    phi = Sampled(cfg.phi, table.point_array, table.expand(0))
+    checks = [
+        verify_stability_bound(phi, sampled, cfg.modular, bounds, cfg.grid, shift=key[3]),
+        *_limit_checks(cfg, memo, key, sampled),
+    ]
+    section["checks"] = [_outcome_dict(c) for c in checks]
+    section["_function"] = (key, sampled)  # for cross-method checks; stripped later
+    return section
 
 
 def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
@@ -228,18 +235,17 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     section: dict = {}
     s = cfg.params.s
     x_repr = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
+    tau = cfg.modular.delta2_tau  # read by the contract route only
     if mode is Mode.CONTRACT:
-        if cfg.modular.delta2_tau is None:
+        if tau is None:
             section["regime"] = {
                 "ok": False,
                 "error": "contract route needs a modular with a finite doubling "
                          f"constant; {cfg.modular_spec} has none",
             }
             return section
-        tau = cfg.modular.delta2_tau
         probe = series_bound_contract(cfg.alpha, tau, s, x_repr)
     else:
-        tau = None
         probe = series_bound_expand(cfg.alpha, s, x_repr)
     if not probe.converged:
         why = ("term ratio is nan: its factors overflow and underflow together"
@@ -255,8 +261,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     section["series"] = _series_dict(probe)
     representative = {"series bound": probe.upper}
     if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
-        closed = contract_bound_closed_form(
-            cfg.alpha.theta, cfg.alpha.p, s, cfg.modular.delta2_tau, x_repr)
+        closed = contract_bound_closed_form(cfg.alpha.theta, cfg.alpha.p, s, tau, x_repr)
         section["closed_form"] = {
             "value_at_representative": closed,
             "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
@@ -279,29 +284,14 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
         mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
         tol=cfg.tol, n_max=cfg.n_max, table=table))
-    pts = cfg.grid.points()
-    bounds = _series_uppers(mode, cfg.alpha, s, tau, np.array(pts), probe.ratio).tolist()
-    section["limit"] = {
-        "achieved_n": limit.achieved_n,
-        "saturated": limit.saturated,
-        "points": [
-            {"x": x, "value": v, "bound": b, "gap": g}
-            for x, v, b, g in zip(pts, limit.values, bounds, limit.cauchy_gap)
-        ],
-    }
+    bounds = _series_uppers(mode, cfg.alpha, s, tau, table.point_array[table.grid_index],
+                            probe.ratio).tolist()
+    section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
     section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
-
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
-    key = (mode, s, limit.achieved_n, shift)
-    function = _sampled(table, key, limit.function)
-    checks = [
-        verify_stability_bound(_phi_sampled(cfg, table), function, cfg.modular, bounds,
-                               cfg.grid, shift=shift),
-        *_limit_checks(cfg, memo, key, function),
-    ]
-    section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = (key, function)  # for cross-method checks; stripped later
-    return section
+    return _finish_route(cfg, memo, table, section, section["limit"],
+                         (mode, s, limit.achieved_n, shift), limit.function,
+                         limit.values, bounds, limit.cauchy_gap)
 
 
 def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
@@ -350,7 +340,6 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
         }
         return section
     section["regime"] = {"ok": True, "l_hat": result.l_hat}
-    pts = cfg.grid.points()
     section["iteration"] = {
         "iterations": result.iterations,
         "saturated": result.saturated,
@@ -360,22 +349,11 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
         "quasi_contraction_max": max(result.quasi_contraction)
         if result.quasi_contraction else None,
         "origin_offset": result.origin_offset,
-        "points": [
-            {"x": x, "value": v, "bound": b, "gap": g}
-            for x, v, b, g in zip(pts, result.values, result.bound, result.point_gap)
-        ],
     }
     # Iterate n is the expand limit at n with no offset: the same function.
-    key = (Mode.EXPAND, s, result.iterations, 0.0)
-    function = _sampled(table, key, result.function)
-    checks = [
-        verify_stability_bound(_phi_sampled(cfg, table), function, cfg.modular,
-                               list(result.bound), cfg.grid),
-        *_limit_checks(cfg, memo, key, function),
-    ]
-    section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = (key, function)
-    return section
+    return _finish_route(cfg, memo, table, section, section["iteration"],
+                         (Mode.EXPAND, s, result.iterations, 0.0), result.function,
+                         result.values, list(result.bound), result.point_gap)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, int]:

@@ -306,7 +306,7 @@ class TestRegimeGates:
         code = main(["run", str(cfg), "--out", str(out)])
         return code, json.loads(out.read_text())
 
-    @pytest.mark.parametrize("alpha", ["const:eps=0", "power:theta=0,p=1"])
+    @pytest.mark.parametrize("alpha", ["const:eps=0", "power:theta=0,p=1", "const:eps=-0"])
     def test_zero_control_refuses_fixedpoint(self, tmp_path, alpha):
         code, rep = self._run(tmp_path, phi="mono(1,3)", alpha=alpha)
         assert code == 2
@@ -317,6 +317,11 @@ class TestRegimeGates:
                      "nothing to certify",
         }
         assert "certificate" not in sec and "iteration" not in sec
+        # t2 still runs.  Its series value keeps the sign of eps = -0, but
+        # every printed bound is +0: the bound array adds 0.0.
+        raw = json.loads((tmp_path / "r.json").read_text(), parse_int=str)["methods"]["t2"]
+        assert raw["series"]["value"] == ("-0" if alpha == "const:eps=-0" else "0")
+        assert {pt["bound"] for pt in raw["limit"]["points"]} == {"0"}
 
     def test_zero_control_refutes_the_audit(self, tmp_path):
         # alpha = 0 allows no defect, so the sine defect is an infinite ratio

@@ -6,9 +6,12 @@ frequencies whose products overflow into ``sin(inf)``, control parameters
 that overflow or are not numbers, and a modular whose doubling constant is
 not a float.  Whatever the draw, ``main`` must return normally with an exit
 code of the contract, and a run that exits 0 or 2 must leave a JSON report.
+Small sweeps over extreme control parameters, modulars, functions and grids
+must do the same and leave their summary.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -131,6 +134,62 @@ def test_run_ends_in_a_contract_exit_code(fields):
 def test_check_modular_ends_in_a_contract_exit_code(spec):
     with tempfile.TemporaryDirectory() as workdir:
         run_contract(["check-modular", spec], os.path.join(workdir, "m.json"))
+
+
+SWEEP_CONFIG = """\
+[equation]
+s = 3
+q = 1
+
+[modular]
+spec = power:p=1
+
+[phi]
+expr = {phi}
+
+[alpha]
+spec = power:theta=1,p=1
+
+[run]
+method = all
+grid = {lo},{hi},{count}
+seed = 3
+
+[sweep]
+{axes}
+"""
+
+
+def _axis(values):
+    return st.lists(st.sampled_from(values), max_size=len(values), unique=True)
+
+
+SWEEPS = st.fixed_dictionaries({
+    "phi": st.lists(ATOMS, min_size=1, max_size=2).map(" + ".join),
+    "lo": st.sampled_from(["-10", "-1e300"]),
+    "hi": st.sampled_from(["10", "1e300"]),
+    "count": st.integers(2, 11),
+    "axes": st.fixed_dictionaries({
+        "p": _axis(["0", "6", "1e300"]),
+        "theta": _axis(["0", "1e300"]),
+        "modular": _axis(["power:p=1", "power:p=2", "exp"]),
+    }).filter(lambda axes: math.prod(len(v) or 1 for v in axes.values()) <= 8),
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(fields=SWEEPS)
+def test_sweep_ends_in_a_contract_exit_code(fields):
+    # A cell that fails is an error row; whether that row should turn the
+    # exit code to 2 is left open here.
+    axes = "\n".join(f"{k} = {','.join(v)}" for k, v in fields["axes"].items() if v)
+    with tempfile.TemporaryDirectory() as workdir:
+        cfg = os.path.join(workdir, "sweep.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(SWEEP_CONFIG.format(**{**fields, "axes": axes}))
+        out = os.path.join(workdir, "out")
+        assert main(["sweep", cfg, "--out", out]) in (0, 2, 3, 4)
+        assert os.path.exists(os.path.join(out, "summary.csv"))
 
 
 @pytest.mark.parametrize("fields", REPORTED_REPROS)

@@ -30,6 +30,7 @@ from modstab import (
     Mode,
     approximant_contract,
     approximant_expand,
+    approximant_row,
     construct_limit,
     control_eval,
     control_eval_many,
@@ -41,13 +42,13 @@ from modstab import (
     parse_expression,
     rho_eval,
     rho_eval_array,
+    route_line,
     series_bound_contract,
     series_bound_expand,
     verify_radical_additivity,
 )
 from modstab.config import parse_experiment, parse_sweep
 from modstab.fixedpoint import (
-    _alpha_line,
     _delta_hat_window,
     _quasi_contraction,
     _rho_hat_rows,
@@ -250,12 +251,20 @@ def test_table_rows_match_scalar_approximants():
     grid = Grid(-4.0, 4.0, 9)
     table = IterateTable(phi, params.s, grid)
     offset = params.q * phi(0.0)
+    phi0 = parse_expression("mono(1,3) + sine(0.1,1)")  # phi0(0) = 0.0
+    table0 = IterateTable(phi0, 3, grid)
     for n in (0, 1, 5, 17):
-        expand = (table.expand(n) - offset) / 2.0**n
-        contract = 2.0**n * table.contract(n)
+        expand = approximant_row(table, Mode.EXPAND, n, offset)
+        contract = approximant_row(table, Mode.CONTRACT, n)
         assert bits(expand) == bits(approximant_expand(phi, params, n, x) for x in table.points)
         assert bits(contract) == bits(approximant_contract(phi, params, n, x)
                                       for x in table.points)
+        # offset 0 is the fixed-point iterate Lam**n(phi), and the expand
+        # approximant where q*phi(0) is 0.0
+        iterate = approximant_row(table0, Mode.EXPAND, n)
+        assert bits(iterate) == bits(phi0(2.0 ** (n / 3) * x) / 2.0**n for x in table0.points)
+        assert bits(iterate) == bits(approximant_expand(phi0, params, n, x)
+                                     for x in table0.points)
     assert [table.points[i] for i in table.grid_index] == grid.points()
 
 
@@ -526,6 +535,16 @@ def test_control_sums_keep_control_eval_bits():
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
+def _alpha_line(alpha, s, x):
+    # The expand route's line alpha(x, x, -2**(1/s) x), written out at one point.
+    return control_eval(alpha, x, x, -(2.0 ** (1.0 / s)) * x)
+
+
+def _contract_line(alpha, s, x):
+    # The contract route's line alpha(x/2**(1/s), x/2**(1/s), -x) at one point.
+    return control_eval(alpha, x / 2.0 ** (1 / s), x / 2.0 ** (1 / s), -x)
+
+
 def test_control_twin_and_series_bounds_keep_the_scalar_bits():
     rng = np.random.default_rng(3)
     xs = np.concatenate([rng.uniform(-40.0, 40.0, 120),
@@ -539,8 +558,10 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
         want = [control_eval(alpha, *t) for t in zip(xs.tolist(), ys.tolist(), zs.tolist())]
         assert bits(control_eval_many(alpha, xs, ys, zs)) == bits(want)
         for s in (3, 5):
-            line = control_eval_many(alpha, xs, xs, -(2.0 ** (1.0 / s)) * xs)
+            line = route_line(Mode.EXPAND, alpha, s, xs)
             assert bits(line) == bits(_alpha_line(alpha, s, x) for x in xs.tolist())
+            line = route_line(Mode.CONTRACT, alpha, s, xs)
+            assert bits(line) == bits(_contract_line(alpha, s, x) for x in xs.tolist())
             want = [series_bound_expand(alpha, s, x) for x in xs.tolist()]
             if want[0].converged:
                 converged += 1
