@@ -21,6 +21,7 @@ from .direct import (
     construct_limit,
     contract_bound_closed_form,
     limit_function,
+    route_bounds,
     route_line,
     route_ratio,
     series_bound_contract,
@@ -97,7 +98,8 @@ __all__ = [
     # direct method
     "Mode", "route_ratio", "LimitResult", "SeriesBound", "approximant_contract",
     "approximant_expand", "limit_function", "construct_limit",
-    "series_bound_contract", "series_bound_expand", "route_line", "approximant_row",
+    "series_bound_contract", "series_bound_expand", "route_line", "route_bounds",
+    "approximant_row",
     "contract_bound_closed_form",
     # fixed point
     "ContractionCertificate", "FixedPointResult",

@@ -77,49 +77,23 @@ def _apply_overrides(cfg, args):
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = _apply_overrides(parse_experiment(_read(args.config)), args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = _apply_overrides(parse_experiment(_read(args.config)), args)
     report, code = run_experiment(cfg)
-    try:
-        _write(cfg.out, write_report_text(report, cfg.fmt))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(cfg.out, write_report_text(report, cfg.fmt))
     return code
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        sweep = parse_sweep(_read(args.config))
-        sweep = dataclasses.replace(sweep, base=_apply_overrides(sweep.base, args))
-        outdir = args.out if args.out is not None else sweep.outdir
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        summary_path, code = write_sweep(sweep, outdir)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sweep = parse_sweep(_read(args.config))
+    sweep = dataclasses.replace(sweep, base=_apply_overrides(sweep.base, args))
+    outdir = args.out if args.out is not None else sweep.outdir
+    summary_path, code = write_sweep(sweep, outdir)
     print(f"wrote {summary_path}")
     return code
 
 
 def _cmd_check_modular(args) -> int:
-    try:
-        report, code = run_modular_check(args.spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report, code = run_modular_check(args.spec)
     if args.fmt == "csv":
         header = ["name", "passed", "worst_sample", "worst_value", "tolerance"]
         rows = [[e["name"], e["passed"], str(e["worst_sample"]),
@@ -127,11 +101,7 @@ def _cmd_check_modular(args) -> int:
         text = csv_lines(header, rows)
     else:
         text = canonical_json(report)
-    try:
-        _write(args.out, text)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write(args.out, text)
     return code
 
 
@@ -143,6 +113,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_check_modular(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ModstabError as exc:
         # Anything that escapes the structured paths is a failed check.
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,10 @@ it exactly geometric, so it is summed in closed form as its first term over
 out in the control's parameters for power-type control functions.
 
 Each route formula lives in one array kernel: ``route_line``, the control
-along a route's line, or ``approximant_row``, the n-th approximant off an
-``IterateTable``; the scalar ``approximant_*`` are the tests' reference.
+along a route's line, ``route_bounds``, the stability bound summed over that
+line (for both direct routes and the fixed-point route), or
+``approximant_row``, the n-th approximant off an ``IterateTable``; the
+scalar ``approximant_*`` are the tests' reference.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "Mode",
     "route_ratio",
     "route_line",
+    "route_bounds",
     "approximant_row",
     "LimitResult",
     "SeriesBound",
@@ -95,6 +98,22 @@ def route_line(mode: Mode, alpha: ControlFunction, s: int, xs: np.ndarray) -> np
             shrunk = xs / root
             return control_eval_many(alpha, shrunk, shrunk, -xs)
         return control_eval_many(alpha, xs, xs, -root * xs)
+
+
+def route_bounds(mode: Mode, tau: float | None, ratio: float, line: np.ndarray) -> np.ndarray:
+    """A route's stability bound at each value of its ``route_line``.
+
+    The one bound formula: the series' first term, ``(1/2) * (tau**2/2) *
+    line`` (contract) or ``(1/2) * line`` (expand), over ``1 - ratio``.
+    With ``ratio = L`` the expand bound is the fixed-point bound ``line /
+    (2*(1-L))``.  A ratio not below 1 (``nan`` included) has no finite
+    bound: ``inf``, or ``0`` where the first term vanishes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = 0.5 * (tau * tau / 2.0) * line if mode is Mode.CONTRACT else 0.5 * line
+        if not ratio < 1.0:
+            return np.where(first == 0.0, 0.0, math.inf)
+        return first / (1.0 - ratio)
 
 
 def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0) -> np.ndarray:
@@ -242,15 +261,15 @@ def construct_limit(
 
 @dataclass(frozen=True)
 class SeriesBound:
-    """A stability-bound series summed in closed form.
+    """A stability-bound series summed in closed form at one point.
 
     Every term of the series is the previous one times ``ratio``, so the
-    whole sum is ``first_term / (1 - ratio)``; ``value`` and ``upper`` are
-    that sum.  ``terms_used`` is pinned at ``1`` and ``tail_estimate`` at
-    ``0``: nothing is truncated, and both stay only to keep the report
-    schema.  ``converged`` is false whenever the ratio is >= 1; no finite
-    bound exists there, and the value is ``inf`` (``0`` when the first term
-    vanishes).
+    whole sum is ``first_term / (1 - ratio)``, as ``route_bounds`` computes
+    it; ``value`` and ``upper`` are that sum.  ``terms_used`` is pinned at
+    ``1`` and ``tail_estimate`` at ``0``: nothing is truncated, and both
+    stay only to keep the report schema.  ``converged`` is false whenever
+    the ratio is >= 1; no finite bound exists there, and the value is
+    ``inf`` (``0`` when the first term vanishes).
     """
 
     value: float
@@ -264,14 +283,6 @@ class SeriesBound:
         return self.value + self.tail_estimate
 
 
-def _geometric_sum(first: float, ratio: float) -> SeriesBound:
-    # Terms of both built-in control kinds are exactly geometric with the
-    # given ratio.  A nan ratio is out of regime, as at every other gate.
-    if not ratio < 1.0:
-        return SeriesBound(0.0 if first == 0.0 else math.inf, 1, 0.0, False, ratio)
-    return SeriesBound(first / (1.0 - ratio), 1, 0.0, True, ratio)
-
-
 def series_bound_contract(
     alpha: ControlFunction, tau: float, s: int, x: float
 ) -> SeriesBound:
@@ -280,15 +291,13 @@ def series_bound_contract(
         (1/2) * sum_{j>=1} (tau**2/2)**j
               * alpha(x/2**(j/s), x/2**(j/s), -x/2**((j-1)/s))
 
-    summed as its ``j = 1`` term over ``1 - ratio``, with the ratio from
+    summed by ``route_bounds`` with the ratio from
     ``route_ratio(Mode.CONTRACT, alpha, s, tau)``; divergent ratios yield an
     infinite flagged bound, never a finite number.
     """
     if tau < 2.0:
         raise ArgumentError(f"doubling constant must be >= 2, got {tau}")
-    ratio = route_ratio(Mode.CONTRACT, alpha, s, tau)
-    a = float(route_line(Mode.CONTRACT, alpha, s, np.array([x]))[0])
-    return _geometric_sum(0.5 * (tau * tau / 2.0) * a, ratio)
+    return _series_at(Mode.CONTRACT, alpha, s, tau, x)
 
 
 def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound:
@@ -297,12 +306,19 @@ def series_bound_expand(alpha: ControlFunction, s: int, x: float) -> SeriesBound
         (1/2) * sum_{j>=0} 2**(-j)
               * alpha(2**(j/s)*x, 2**(j/s)*x, -2**((j+1)/s)*x)
 
-    summed as its ``j = 0`` term over ``1 - ratio``, with the ratio from
+    summed by ``route_bounds`` with the ratio from
     ``route_ratio(Mode.EXPAND, alpha, s)`` (divergent once ``p >= s`` for
     power control).
     """
-    a = float(route_line(Mode.EXPAND, alpha, s, np.array([x]))[0])
-    return _geometric_sum(0.5 * a, route_ratio(Mode.EXPAND, alpha, s))
+    return _series_at(Mode.EXPAND, alpha, s, None, x)
+
+
+def _series_at(mode: Mode, alpha: ControlFunction, s: int, tau: float | None,
+               x: float) -> SeriesBound:
+    # route_bounds at the one point x.
+    ratio = route_ratio(mode, alpha, s, tau)
+    value = route_bounds(mode, tau, ratio, route_line(mode, alpha, s, np.array([x])))
+    return SeriesBound(float(value[0]), 1, 0.0, ratio < 1.0, ratio)
 
 
 def contract_bound_closed_form(

@@ -9,7 +9,8 @@ induced function-space modular
     rho_hat(g) = inf{ lam > 0 : rho(g(x)) <= lam * alpha(x, x, -2**(1/s)x) }
 
 and iterating it from a perturbed solution converges to an exact one with
-error at most ``alpha(x, x, -2**(1/s)x) / (2*(1-L))``.
+error at most ``(alpha(x, x, -2**(1/s)x) / 2) / (1-L)``: the expand route's
+series bound at ratio ``L``, which ``direct.route_bounds`` computes for both.
 
 Both built-in controls meet it with equality at ``L = route_ratio(Mode.EXPAND,
 ...)``; ``estimate_contraction`` samples ``L`` independently, as a cross-check.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import MAX_N, Mode, approximant_row, route_line, route_ratio
+from .direct import MAX_N, Mode, approximant_row, route_bounds, route_line, route_ratio
 from .equation import ControlFunction, EquationParams, control_eval_many, defect
 from .errors import (
     ArgumentError,
@@ -297,8 +298,8 @@ def fixed_point_solve(
     ``L = route_ratio(Mode.EXPAND, alpha, s) < 1``, a modular with a finite
     doubling constant, and a defect hypothesis ``defect <= alpha`` that
     ``audit``, the result of ``audit_defect_hypothesis`` on the caller's
-    triples, upholds.  The bounds ``alpha(x, x, -2**(1/s)x) / (2*(1-L))``
-    are the expand route's series bounds.
+    triples, upholds.  The bounds are ``route_bounds`` of the expand route at
+    ratio ``L``: the expand route's series bounds.
 
     The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are expand
     rows of ``approximant_row`` with no offset -- the rows the expand route
@@ -367,7 +368,7 @@ def fixed_point_solve(
 
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
-        bounds = line[cols] / (2.0 * (1.0 - l_factor))
+        bounds = route_bounds(Mode.EXPAND, None, l_factor, line[cols])
     final = dataclasses.replace(
         phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)),
         description=f"fixed-point iterate {iterations} of [{phi.description}]",

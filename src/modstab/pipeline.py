@@ -30,6 +30,10 @@ stability-bound check, the certificate and ``fixed_point_solve`` -- runs in
 every cell.  A shared result is the very value the cell would compute
 itself, so reports are byte-identical with or without sharing.
 
+A direct route's series bounds are one ``direct.route_bounds`` row over the
+grid, which gives the route its regime probe, its ``series`` section and
+its per-point bounds; ``fixed_point_solve`` reads the same formula.
+
 The checks read each limit function at the sample points off the table row
 it was built from (``_sampled``), through ``direct.approximant_row``, the
 one place the approximant formula lives; so they see the handles' bits
@@ -51,10 +55,9 @@ from .direct import (
     approximant_row,
     construct_limit,
     contract_bound_closed_form,
+    route_bounds,
     route_line,
     route_ratio,
-    series_bound_contract,
-    series_bound_expand,
 )
 from .equation import (
     ControlFunction,
@@ -113,17 +116,6 @@ def _outcome_dict(o) -> dict:
         "worst_point": point,
         "worst_value": o.worst_value,
         "tolerance": o.tolerance,
-    }
-
-
-def _series_dict(sb) -> dict:
-    return {
-        "value": sb.value,
-        "terms_used": sb.terms_used,
-        "tail_estimate": sb.tail_estimate,
-        "upper": sb.upper,
-        "converged": sb.converged,
-        "ratio": sb.ratio,
     }
 
 
@@ -199,16 +191,6 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
     }
 
 
-def _series_uppers(mode: Mode, alpha: ControlFunction, s: int, tau: float | None,
-                   xs: np.ndarray, ratio: float) -> np.ndarray:
-    # series_bound_contract / series_bound_expand(...).upper at each of xs
-    # for a converging ratio, which does not read x.
-    line = route_line(mode, alpha, s, xs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = 0.5 * (tau * tau / 2.0) * line if mode is Mode.CONTRACT else 0.5 * line
-        return first / (1.0 - ratio) + 0.0  # value + tail_estimate
-
-
 def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, section: dict,
                   body: dict, key: tuple, function, values, bounds: list[float], gaps) -> dict:
     """Every route's ending: per-point rows in ``body``, the checks, the function.
@@ -234,32 +216,44 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     """Run one direct route: regime gate, series bounds, limit, checks."""
     section: dict = {}
     s = cfg.params.s
-    x_repr = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
+    lo, hi = abs(cfg.grid.lo), abs(cfg.grid.hi)
+    x_repr = max(lo, hi)
     tau = cfg.modular.delta2_tau  # read by the contract route only
-    if mode is Mode.CONTRACT:
-        if tau is None:
-            section["regime"] = {
-                "ok": False,
-                "error": "contract route needs a modular with a finite doubling "
-                         f"constant; {cfg.modular_spec} has none",
-            }
-            return section
-        probe = series_bound_contract(cfg.alpha, tau, s, x_repr)
-    else:
-        probe = series_bound_expand(cfg.alpha, s, x_repr)
-    if not probe.converged:
-        why = ("term ratio is nan: its factors overflow and underflow together"
-               if math.isnan(probe.ratio) else f"term ratio {probe.ratio:.6g} >= 1")
+    if mode is Mode.CONTRACT and tau is None:
         section["regime"] = {
             "ok": False,
-            "ratio": probe.ratio,
+            "error": "contract route needs a modular with a finite doubling "
+                     f"constant; {cfg.modular_spec} has none",
+        }
+        return section
+    ratio = route_ratio(mode, cfg.alpha, s, tau)
+    converged = ratio < 1.0
+    # One bound row over the grid.  Every coordinate of the line enters
+    # control_eval_many through abs, so the line is even in x bit for bit and
+    # the grid end of largest magnitude gives the bound at x_repr.  A refused
+    # route needs that one point only.
+    if converged:
+        table = _table(cfg, memo)
+        xs, end = table.point_array[table.grid_index], (0 if lo >= hi else -1)
+    else:
+        xs, end = np.array([x_repr]), 0
+    row = route_bounds(mode, tau, ratio, route_line(mode, cfg.alpha, s, xs))
+    value = float(row[end])
+    series = {"value": value, "terms_used": 1, "tail_estimate": 0.0, "upper": value + 0.0,
+              "converged": converged, "ratio": ratio}
+    if not converged:
+        why = ("term ratio is nan: its factors overflow and underflow together"
+               if math.isnan(ratio) else f"term ratio {ratio:.6g} >= 1")
+        section["regime"] = {
+            "ok": False,
+            "ratio": ratio,
             "error": f"error-bound series diverges ({why}); no bound exists in this regime",
         }
-        section["series"] = _series_dict(probe)
+        section["series"] = series
         return section
-    section["regime"] = {"ok": True, "ratio": probe.ratio}
-    section["series"] = _series_dict(probe)
-    representative = {"series bound": probe.upper}
+    section["regime"] = {"ok": True, "ratio": ratio}
+    section["series"] = series
+    representative = {"series bound": series["upper"]}
     if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
         closed = contract_bound_closed_form(cfg.alpha.theta, cfg.alpha.p, s, tau, x_repr)
         section["closed_form"] = {
@@ -273,19 +267,17 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     if unusable:
         section["regime"] = {
             "ok": False,
-            "ratio": probe.ratio,
+            "ratio": ratio,
             "error": f"error bound at the representative point {x_repr:.6g} is not finite "
                      f"({', '.join(unusable)}) although the term ratio "
-                     f"{probe.ratio:.6g} < 1; no usable bound exists here",
+                     f"{ratio:.6g} < 1; no usable bound exists here",
         }
         return section
 
-    table = _table(cfg, memo)
     limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
         mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
         tol=cfg.tol, n_max=cfg.n_max, table=table))
-    bounds = _series_uppers(mode, cfg.alpha, s, tau, table.point_array[table.grid_index],
-                            probe.ratio).tolist()
+    bounds = (row + 0.0).tolist()  # upper = value + tail_estimate
     section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
     section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0

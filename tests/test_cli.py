@@ -300,8 +300,9 @@ class TestUnrepresentableConfig:
 
 
 class TestRegimeGates:
-    def _run(self, tmp_path, **kw):
+    def _run(self, tmp_path, grid="-10,10,41", **kw):
         cfg = write_cfg(tmp_path, method="all", **kw)
+        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", f"grid = {grid}"))
         out = tmp_path / "r.json"
         code = main(["run", str(cfg), "--out", str(out)])
         return code, json.loads(out.read_text())
@@ -376,13 +377,18 @@ class TestRegimeGates:
         assert regime["error"].startswith("error-bound series diverges (term ratio is nan")
 
     def test_fixedpoint_bounds_equal_expand_bounds(self, tmp_path):
-        _, rep = self._run(tmp_path, phi="mono(1,3) + mono(0.01,1)",
-                           alpha="power:theta=0.02,p=1")
-        t2, fixedpoint = rep["methods"]["t2"], rep["methods"]["fixedpoint"]
-        assert t2["regime"]["ok"] and fixedpoint["regime"]["ok"]
-        assert fixedpoint["regime"]["l_hat"] == t2["regime"]["ratio"]
-        t2_bounds = [pt["bound"] for pt in t2["limit"]["points"]]
-        assert [pt["bound"] for pt in fixedpoint["iteration"]["points"]] == t2_bounds
+        for phi, alpha, grid in [
+            ("mono(1,3) + mono(0.01,1)", "power:theta=0.02,p=1", "-10,10,41"),
+            # a = 1.5e-323 is subnormal with an odd last bit, so (0.5*a)/(1-L)
+            # and a/(2*(1-L)) round apart: 2e-323 against 1.5e-323
+            ("mono(0,3)", "power:theta=5e-324,p=0", "-2,2,5"),
+        ]:
+            _, rep = self._run(tmp_path, phi=phi, alpha=alpha, grid=grid)
+            t2, fixedpoint = rep["methods"]["t2"], rep["methods"]["fixedpoint"]
+            assert t2["regime"]["ok"] and fixedpoint["regime"]["ok"]
+            assert fixedpoint["regime"]["l_hat"] == t2["regime"]["ratio"]
+            t2_bounds = [pt["bound"] for pt in t2["limit"]["points"]]
+            assert [pt["bound"] for pt in fixedpoint["iteration"]["points"]] == t2_bounds
 
 
 def test_astral_characters_round_trip(tmp_path):

@@ -42,7 +42,9 @@ from modstab import (
     parse_expression,
     rho_eval,
     rho_eval_array,
+    route_bounds,
     route_line,
+    route_ratio,
     series_bound_contract,
     series_bound_expand,
     verify_radical_additivity,
@@ -545,15 +547,45 @@ def _contract_line(alpha, s, x):
     return control_eval(alpha, x / 2.0 ** (1 / s), x / 2.0 ** (1 / s), -x)
 
 
+def _series_sum(first, ratio):
+    # The geometric series summed in closed form at one point: its first
+    # term over 1 - ratio, or no finite bound once the ratio is not below 1.
+    if not ratio < 1.0:
+        return 0.0 if first == 0.0 else math.inf
+    return first / (1.0 - ratio)
+
+
 def test_control_twin_and_series_bounds_keep_the_scalar_bits():
     rng = np.random.default_rng(3)
     xs = np.concatenate([rng.uniform(-40.0, 40.0, 120),
                          [0.0, -0.0, 5e-324, 1e-300, 1e100, -1e200, 1.5e154, 1e308, -1e308]])
+    tiny = xs.tolist().index(5e-324)
     ys, zs = rng.permutation(xs), -xs
     alphas = [ControlFunction.power(theta, p) for theta in (0.0, 1e-300, 0.5, 1e300)
               for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0, 300.0)]
     alphas += [ControlFunction.constant(0.0), ControlFunction.constant(0.25)]
     converged = 0
+    divergent = {Mode.EXPAND: set(), Mode.CONTRACT: set()}
+    underflowed = {Mode.EXPAND: set(), Mode.CONTRACT: set()}
+
+    def check_bounds(mode, alpha, s, tau, firsts):
+        nonlocal converged
+        ratio = route_ratio(mode, alpha, s, tau)
+        want = [_series_sum(first, ratio) for first in firsts]
+        got = route_bounds(mode, tau, ratio, route_line(mode, alpha, s, xs))
+        assert bits(got) == bits(want)
+        if mode is Mode.CONTRACT:
+            at_one_point = [series_bound_contract(alpha, tau, s, x) for x in xs.tolist()]
+        else:
+            at_one_point = [series_bound_expand(alpha, s, x) for x in xs.tolist()]
+        assert bits(b.value for b in at_one_point) == bits(want)
+        if ratio < 1.0:
+            converged += 1
+        else:
+            divergent[mode].update(want)
+            if math.inf in want:
+                underflowed[mode].add(want[tiny])
+
     for alpha in alphas:
         want = [control_eval(alpha, *t) for t in zip(xs.tolist(), ys.tolist(), zs.tolist())]
         assert bits(control_eval_many(alpha, xs, ys, zs)) == bits(want)
@@ -562,19 +594,16 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
             assert bits(line) == bits(_alpha_line(alpha, s, x) for x in xs.tolist())
             line = route_line(Mode.CONTRACT, alpha, s, xs)
             assert bits(line) == bits(_contract_line(alpha, s, x) for x in xs.tolist())
-            want = [series_bound_expand(alpha, s, x) for x in xs.tolist()]
-            if want[0].converged:
-                converged += 1
-                got = pipeline_mod._series_uppers(Mode.EXPAND, alpha, s, None, xs,
-                                                  want[0].ratio)
-                assert bits(got) == bits(b.upper for b in want)
+            check_bounds(Mode.EXPAND, alpha, s, None,
+                         [0.5 * _alpha_line(alpha, s, x) for x in xs.tolist()])
             for tau in (2.0, 4.0):
-                want = [series_bound_contract(alpha, tau, s, x) for x in xs.tolist()]
-                if want[0].converged:
-                    converged += 1
-                    got = pipeline_mod._series_uppers(Mode.CONTRACT, alpha, s, tau, xs,
-                                                      want[0].ratio)
-                    assert bits(got) == bits(b.upper for b in want)
+                check_bounds(Mode.CONTRACT, alpha, s, tau,
+                             [0.5 * (tau * tau / 2.0) * _contract_line(alpha, s, x)
+                              for x in xs.tolist()])
+    # A divergent series has no finite bound, but a vanishing first term sums
+    # to 0, also where it underflows at 5e-324 while the rest of the row is inf.
+    assert divergent == {Mode.EXPAND: {0.0, math.inf}, Mode.CONTRACT: {0.0, math.inf}}
+    assert underflowed == {Mode.EXPAND: {0.0}, Mode.CONTRACT: {0.0, math.inf}}
     assert converged > 40
     # the draws reach the overflow fallback, and a zero control stays 0 there
     big = np.array([1.0, 1e300, 2.0])
