@@ -10,7 +10,9 @@ result shared between cells under too coarse a key moves some cell's bytes,
 and each of its cells must also equal a standalone run of that cell.
 ``large_grid/`` pins the 4001-point run at two seeds by the sha256 of its
 868 kB report, so a one-ulp drift anywhere in its 4001 points and 34
-iterate rows fails here.
+iterate rows fails here.  ``check_modular/`` pins ``modstab check-modular``
+in JSON and CSV for two power modulars, one whose doubling excess is ``nan``
+at a ladder sample (``power:p=100``) and the ``exp`` modular.
 
 Regenerate a golden only for an intended output change, and list each
 changed field in CHANGES.md::
@@ -23,6 +25,12 @@ changed field in CHANGES.md::
         PYTHONPATH=../../../src python -m modstab.cli run large_grid.cfg \\
         --seed $seed --out report_seed$seed.json; done && \\
         sha256sum report_seed*.json > expected.sha256 && rm report_seed*.json
+    cd tests/golden/check_modular && for spec in power:p=1 power:p=2 \\
+        power:p=100 exp; do name=$(echo $spec | tr ':=' '__'); \\
+        PYTHONPATH=../../../src python -m modstab.cli check-modular $spec \\
+        --out $name.json; \\
+        PYTHONPATH=../../../src python -m modstab.cli check-modular $spec \\
+        --format csv --out $name.csv; done
 """
 
 import hashlib
@@ -105,3 +113,15 @@ def test_each_sweep_cell_equals_a_standalone_run():
         report, _ = run_experiment(_cell_config(sweep.base, dict(zip(axes, combo))))
         expected = (case / "expected" / f"cell_{idx:04d}.json").read_text(encoding="utf-8")
         assert canonical_json(report) == expected, idx
+
+
+CHECK_MODULAR = GOLDEN / "check_modular"
+
+
+@pytest.mark.parametrize("spec", ["power:p=1", "power:p=2", "power:p=100", "exp"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_check_modular_report_is_byte_identical(spec, fmt, tmp_path):
+    name = f"{spec.replace(':', '_').replace('=', '_')}.{fmt}"
+    out = tmp_path / name
+    assert main(["check-modular", spec, "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (CHECK_MODULAR / name).read_bytes()

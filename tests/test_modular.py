@@ -55,6 +55,17 @@ class TestRhoEval:
             assert rho_eval(spec, a * u) <= abs(a) * r + 1e-12 * (1.0 + r)
 
 
+# (tau_hat, diverged) per modular spec and sample list.
+DELTA2_PINS = [
+    ("power:p=2", [1, 2, -1], (4.0, False)),
+    ("exp", [1, 2, -1], (8.38905609893065, False)),
+    ("power:p=2", [-1e+308, 0.5, 3, math.inf], (math.inf, True)),
+    ("power:p=1", [3, -0.25, 1e+200, math.nan], (math.inf, True)),
+    ("power:p=3", [-2, 0.5, 1e-120], (math.inf, False)),
+    ("exp", [-0.5, 0.25, 800.0], (math.inf, True)),
+]
+
+
 class TestEstimateDelta2:
     def test_power_one(self):
         tau, diverged = estimate_delta2(ModularSpec.power(1), [1.0, 2.0, 5.0])
@@ -83,6 +94,12 @@ class TestEstimateDelta2:
         _, diverged = estimate_delta2(ModularSpec.exp(), standard_ladder())
         assert diverged
 
+    @pytest.mark.parametrize("spec, samples, expected", DELTA2_PINS)
+    def test_estimate_is_pinned(self, spec, samples, expected):
+        # An underflowed or overflowed ratio counts as inf, and divergence
+        # compares the ratios at the smallest and largest magnitude.
+        assert repr(estimate_delta2(parse_modular(spec), samples)) == repr(expected)
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ArgumentError):
             estimate_delta2(ModularSpec.power(2), [])
@@ -90,6 +107,84 @@ class TestEstimateDelta2:
     def test_zero_sample_rejected(self):
         with pytest.raises(ArgumentError):
             estimate_delta2(ModularSpec.power(2), [1.0, 0.0])
+
+
+# (name, passed, worst_sample, worst_value) per axiom.  The worst sample is
+# the caller's own object, ties go to the first sample in visiting order,
+# a nan excess is passed over, and where no excess is above the start value
+# the first sample stands in.
+AXIOM_PINS = [
+    ("power:p=1", [1, 2, -1], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 1, 1.0),
+        ("sign_symmetry", True, 1, 0.0),
+        ("convex_combination", True, (1, 1, 0.0), 0.0),
+        ("scaling_monotonicity", True, (1, (0.25, 0.5)), -0.25),
+        ("doubling_bound", True, 1, 0.0),
+    ]),
+    ("power:p=2", [1, 2, -1], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 1, 1.0),
+        ("sign_symmetry", True, 1, 0.0),
+        ("convex_combination", True, (1, 1, 0.0), 0.0),
+        ("scaling_monotonicity", True, (1, (0.25, 0.5)), -0.1875),
+        ("doubling_bound", True, 1, 0.0),
+    ]),
+    ("power:p=100", [1, 2, -1], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 1, 1.0),
+        ("sign_symmetry", True, 1, 0.0),
+        ("convex_combination", True, (1, 1, 0.0), 0.0),
+        ("scaling_monotonicity", True, (1, (0.25, 0.5)), -7.888609052210118e-31),
+        ("doubling_bound", True, 1, 0.0),
+    ]),
+    ("exp", [1, 2, -1], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 1, 1.718281828459045),
+        ("sign_symmetry", True, 1, 0.0),
+        ("convex_combination", True, (1, 1, 0.0), 0.0),
+        ("scaling_monotonicity", True, (1, (0.25, 0.5)), -0.3646958540123867),
+    ]),
+    ("power:p=2.5", [0.1, 0.7, -0.3, 1.3, -2.9], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 0.1, 0.00316227766016838),
+        ("sign_symmetry", True, 0.1, 0.0),
+        ("convex_combination", True, (0.1, 0.1, 0.0), 0.0),
+        ("scaling_monotonicity", True, (0.1, (0.25, 0.5)), -0.0004601958174946856),
+        ("doubling_bound", True, -0.3, 0.0),
+    ]),
+    ("power:p=2", [3, -0.25, 2, 0.5], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, -0.25, 0.0625),
+        ("sign_symmetry", True, 3, 0.0),
+        ("convex_combination", True, (3, 3, 0.0), 0.0),
+        ("scaling_monotonicity", True, (-0.25, (0.25, 0.5)), -0.01171875),
+        ("doubling_bound", True, 3, 0.0),
+    ]),
+    ("power:p=2", [math.nan], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, math.nan, math.inf),
+        ("sign_symmetry", True, math.nan, 0.0),
+        ("convex_combination", True, (math.nan, math.nan, 0.5), -math.inf),
+        ("scaling_monotonicity", True, (math.nan, (0.25, 0.5)), -math.inf),
+        ("doubling_bound", True, math.nan, -math.inf),
+    ]),
+    ("exp", [math.nan, 1.0], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 1.0, 1.718281828459045),
+        ("sign_symmetry", True, math.nan, 0.0),
+        ("convex_combination", True, (1.0, 1.0, 0.0), 0.0),
+        ("scaling_monotonicity", True, (1.0, (0.25, 0.5)), -0.3646958540123867),
+    ]),
+    ("power:p=2", [-0.0, 3, 1e+308, -1e+308], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 3, 9.0),
+        ("sign_symmetry", True, -0.0, 0.0),
+        ("convex_combination", True, (-0.0, -0.0, 0.0), 0.0),
+        ("scaling_monotonicity", True, (-0.0, (0.25, 0.5)), 0.0),
+        ("doubling_bound", True, -0.0, 0.0),
+    ]),
+]
 
 
 class TestAxioms:
@@ -114,6 +209,13 @@ class TestAxioms:
         report = check_modular_axioms(ModularSpec.power(1), [1.0, -1.0])
         conv = next(e for e in report.entries if e.name == "convex_combination")
         assert conv.passed
+
+    @pytest.mark.parametrize("spec, samples, expected", AXIOM_PINS)
+    def test_worst_samples_are_pinned(self, spec, samples, expected):
+        # repr tells an int sample from a float one and -0.0 from 0.0.
+        report = check_modular_axioms(parse_modular(spec), samples)
+        got = [(e.name, e.passed, e.worst_sample, e.worst_value) for e in report.entries]
+        assert repr(got) == repr(expected)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ArgumentError):
