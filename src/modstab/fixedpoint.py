@@ -50,9 +50,8 @@ from .errors import (
 )
 from .functions import FunctionHandle
 from .iterates import IterateTable
-from .modular import ModularSpec, rho_eval, rho_eval_array
+from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
 from .sampling import Grid
-from .verify import first_max
 
 __all__ = [
     "ContractionCertificate",

@@ -10,7 +10,12 @@ kinds cover the behaviours the stability constructions need:
   finite doubling constant (the ratio ``rho(2u)/rho(u)`` grows without bound).
 
 Axioms are certified numerically on finite sample sets; nothing here proves
-anything symbolically.
+anything symbolically.  Each check is one ``rho_eval_array`` expression over
+the samples, and its worst value is a sampled supremum taken by
+``first_max``, the rule every check in modstab reduces by: the first strict
+maximum above the check's start value, in visiting order, with ``nan``
+passed over.  An excess of ``inf - inf`` is therefore ``nan`` and counts as
+no violation.
 """
 
 from __future__ import annotations
@@ -125,6 +130,20 @@ def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def first_max(values: np.ndarray, start: float) -> tuple[int | None, float]:
+    """Index and value a scalar running maximum from ``start`` ends with.
+
+    That loop replaces its maximum only on a strictly larger value and
+    passes over ``nan``, so the result is the first index of the largest
+    value above ``start``, or ``(None, start)`` when no value is above it.
+    """
+    above = np.flatnonzero(values > start)
+    if not above.size:
+        return None, start
+    k = int(above[np.argmax(values[above])])
+    return k, float(values[k])
+
+
 DIVERGENCE_FACTOR = 10.0
 AXIOM_TOL = 1e-9
 
@@ -141,19 +160,15 @@ def estimate_delta2(spec: ModularSpec, samples: list[float]) -> tuple[float, boo
         raise ArgumentError("estimate_delta2 needs a nonempty sample list")
     if any(s == 0 for s in samples):
         raise ArgumentError("estimate_delta2 samples must be nonzero")
-    ordered = sorted(samples, key=abs)
-    ratios = []
-    for u in ordered:
-        denom = rho_eval(spec, u)
-        num = rho_eval(spec, 2.0 * u)
-        if denom <= 0.0 or math.isinf(num) or math.isinf(denom):
-            # An overflowing ratio is divergence evidence, not an error.
-            ratios.append(math.inf)
-        else:
-            ratios.append(num / denom)
-    tau_hat = max(ratios)
-    diverged = ratios[-1] > DIVERGENCE_FACTOR * ratios[0]
-    return tau_hat, diverged
+    u = np.array(sorted(samples, key=abs), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        denom = rho_eval_array(spec, u)
+        num = rho_eval_array(spec, 2.0 * u)
+        # An overflowing ratio is divergence evidence, not an error.
+        ratios = np.where((denom <= 0.0) | np.isinf(num) | np.isinf(denom), math.inf,
+                          num / denom)
+    _, tau_hat = first_max(ratios, -math.inf)
+    return tau_hat, bool(ratios[-1] > DIVERGENCE_FACTOR * ratios[0])
 
 
 @dataclass(frozen=True)
@@ -188,61 +203,56 @@ def check_modular_axioms(spec: ModularSpec, samples: list[float]) -> AxiomReport
     Entries: zero-at-zero, positivity off zero, sign symmetry, convex
     combination, monotonicity under scaling, and -- only when ``delta2_tau``
     is present -- the doubling inequality, each within ``AXIOM_TOL``.
-    Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions.  Each worst sample is
+    the caller's own sample object, or a tuple of them with the weights.
     """
-    if not samples:
-        raise ArgumentError("check_modular_axioms needs a nonempty sample list")
-    entries: list[AxiomCheck] = []
-
+    u = np.array(samples, dtype=float)
+    nonzero = np.flatnonzero(u != 0)
+    if not nonzero.size:
+        raise ArgumentError("check_modular_axioms needs a nonzero sample")
     zero_val = rho_eval(spec, 0.0)
-    entries.append(AxiomCheck("zero_at_zero", zero_val <= AXIOM_TOL, 0.0, zero_val, AXIOM_TOL))
+    entries = [AxiomCheck("zero_at_zero", zero_val <= AXIOM_TOL, 0.0, zero_val, AXIOM_TOL)]
 
-    nonzero = [u for u in samples if u != 0]
-    min_rho, min_u = min(((rho_eval(spec, u), u) for u in nonzero), key=lambda t: t[0])
-    entries.append(AxiomCheck("positive_off_zero", min_rho > 0.0, min_u, min_rho, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_u = rho_eval_array(spec, u)
+        # The least rho off zero is the first maximum of -rho.
+        k, _ = first_max(-rho_u[nonzero], -math.inf)
+        i = nonzero[k or 0]
+        min_rho = float(rho_u[i])
+        entries.append(AxiomCheck("positive_off_zero", min_rho > 0.0, samples[i], min_rho, 0.0))
 
-    worst_sym, worst_sym_u = 0.0, samples[0]
-    for u in samples:
-        gap = abs(rho_eval(spec, -u) - rho_eval(spec, u))
-        if gap > worst_sym:
-            worst_sym, worst_sym_u = gap, u
-    entries.append(AxiomCheck("sign_symmetry", worst_sym <= AXIOM_TOL, worst_sym_u,
-                              worst_sym, AXIOM_TOL))
+        k, worst = first_max(np.abs(rho_eval_array(spec, -u) - rho_u), 0.0)
+        entries.append(AxiomCheck("sign_symmetry", worst <= AXIOM_TOL, samples[k or 0],
+                                  worst, AXIOM_TOL))
 
-    # Convex combination rho(a*u + b*v) <= a*rho(u) + b*rho(v), a + b = 1.
-    worst_cvx, worst_cvx_at = -math.inf, (samples[0], samples[0], 0.5)
-    for u in samples:
-        for v in samples:
-            ru, rv = rho_eval(spec, u), rho_eval(spec, v)
-            for a in _CONVEX_WEIGHTS:
-                b = 1.0 - a
-                lhs = rho_eval(spec, a * u + b * v)
-                excess = lhs - (a * ru + b * rv)
-                if excess > worst_cvx:
-                    worst_cvx, worst_cvx_at = excess, (u, v, a)
-    scale = 1.0 + max(abs(worst_cvx), 1.0)
-    entries.append(AxiomCheck("convex_combination", worst_cvx <= AXIOM_TOL * scale,
-                              worst_cvx_at, worst_cvx, AXIOM_TOL))
+        # Convex combination rho(a*u + b*v) <= a*rho(u) + b*rho(v), a + b = 1,
+        # on axes (u, v, a).
+        a = np.array(_CONVEX_WEIGHTS)
+        b = 1.0 - a
+        excess = (rho_eval_array(spec, a * u[:, None, None] + b * u[None, :, None])
+                  - (a * rho_u[:, None, None] + b * rho_u[None, :, None]))
+        k, worst = first_max(excess.ravel(), -math.inf)
+        # With no excess above -inf, flat index 2, (samples[0], samples[0], 0.5), stands in.
+        i, j, w = np.unravel_index(2 if k is None else k, excess.shape)
+        scale = 1.0 + max(abs(worst), 1.0)
+        entries.append(AxiomCheck("convex_combination", worst <= AXIOM_TOL * scale,
+                                  (samples[i], samples[j], _CONVEX_WEIGHTS[w]), worst,
+                                  AXIOM_TOL))
 
-    worst_mono, worst_mono_at = -math.inf, (samples[0], _SCALE_LADDER[:2])
-    for u in samples:
-        for a, b in zip(_SCALE_LADDER, _SCALE_LADDER[1:]):
-            excess = rho_eval(spec, a * u) - rho_eval(spec, b * u)
-            if excess > worst_mono:
-                worst_mono, worst_mono_at = excess, (u, (a, b))
-    entries.append(AxiomCheck("scaling_monotonicity", worst_mono <= AXIOM_TOL,
-                              worst_mono_at, worst_mono, AXIOM_TOL))
+        # rho(a*u) - rho(b*u) for consecutive a < b on the ladder, on axes (u, a).
+        scaled = rho_eval_array(spec, np.array(_SCALE_LADDER) * u[:, None])
+        excess = scaled[:, :-1] - scaled[:, 1:]
+        k, worst = first_max(excess.ravel(), -math.inf)
+        i, j = divmod(k or 0, excess.shape[1])
+        entries.append(AxiomCheck("scaling_monotonicity", worst <= AXIOM_TOL,
+                                  (samples[i], _SCALE_LADDER[j:j + 2]), worst, AXIOM_TOL))
 
-    if spec.delta2_tau is not None:
-        tau = spec.delta2_tau
-        worst_d2, worst_d2_u = -math.inf, samples[0]
-        for u in samples:
-            excess = rho_eval(spec, 2.0 * u) - tau * rho_eval(spec, u)
-            if excess > worst_d2:
-                worst_d2, worst_d2_u = excess, u
-        scale = 1.0 + max(rho_eval(spec, 2.0 * u) for u in samples)
-        entries.append(AxiomCheck("doubling_bound", worst_d2 <= AXIOM_TOL * scale,
-                                  worst_d2_u, worst_d2, AXIOM_TOL))
+        if spec.delta2_tau is not None:
+            rho_2u = rho_eval_array(spec, 2.0 * u)
+            k, worst = first_max(rho_2u - spec.delta2_tau * rho_u, -math.inf)
+            scale = 1.0 + first_max(rho_2u, -math.inf)[1]
+            entries.append(AxiomCheck("doubling_bound", worst <= AXIOM_TOL * scale,
+                                      samples[k or 0], worst, AXIOM_TOL))
 
     return AxiomReport(tuple(entries))
 

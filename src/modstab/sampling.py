@@ -61,11 +61,8 @@ def function_sample_points(grid: Grid) -> list[float]:
     Used wherever a function-space quantity is estimated by a sampled
     supremum; the ladder adds sub-unit magnitudes a coarse grid misses.
     """
-    pts = set(grid.points())
-    for k in range(-3, 4):
-        pts.add(float(2.0**k))
-        pts.add(float(-(2.0**k)))
-    return sorted(pts)
+    ladder = standard_ladder(-3, 3)
+    return sorted({*grid.points(), *ladder, *(-v for v in ladder)})
 
 
 def seeded_triples(

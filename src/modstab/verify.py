@@ -38,7 +38,7 @@ import numpy as np
 from .equation import radical_root
 from .errors import ArgumentError
 from .functions import FunctionHandle
-from .modular import ModularSpec, pow_or_inf, rho_eval, rho_eval_array
+from .modular import ModularSpec, first_max, pow_or_inf, rho_eval, rho_eval_array
 from .sampling import Grid
 
 __all__ = [
@@ -126,20 +126,6 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     roots = [radical_root(powers[i] + powers[j], s) for i, j in unordered]
     return AdditivityPairs(np.array(pts), first, second, finite,
                            np.array(roots, dtype=float), np.array(root_of, dtype=np.intp))
-
-
-def first_max(values: np.ndarray, start: float) -> tuple[int | None, float]:
-    """Index and value a scalar running maximum from ``start`` ends with.
-
-    That loop replaces its maximum only on a strictly larger value and
-    passes over ``nan``, so the result is the first index of the largest
-    value above ``start``, or ``(None, start)`` when no value is above it.
-    """
-    above = np.flatnonzero(values > start)
-    if not above.size:
-        return None, start
-    k = int(above[np.argmax(values[above])])
-    return k, float(values[k])
 
 
 def _at(f: FunctionHandle | Sampled, xs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from modstab import (
     rho_eval,
     standard_ladder,
 )
+from modstab.modular import first_max
 
 finite_reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 nonzero_reals = finite_reals.filter(lambda v: abs(v) > 1e-6)
@@ -176,6 +178,15 @@ AXIOM_PINS = [
         ("convex_combination", True, (1.0, 1.0, 0.0), 0.0),
         ("scaling_monotonicity", True, (1.0, (0.25, 0.5)), -0.3646958540123867),
     ]),
+    # The doubling excess at 12345.6 passes only on its tolerance scaled by rho(2u).
+    ("power:p=3.3", [1000.1, 12345.6, -98765.4, 3.3, 0.7], [
+        ("zero_at_zero", True, 0.0, 0.0),
+        ("positive_off_zero", True, 0.7, 0.3081935405341894),
+        ("sign_symmetry", True, 1000.1, 0.0),
+        ("convex_combination", True, (1000.1, 1000.1, 0.0), 0.0),
+        ("scaling_monotonicity", True, (0.7, (0.25, 0.5)), -0.028114306677051237),
+        ("doubling_bound", True, 12345.6, 0.0625),
+    ]),
     ("power:p=2", [-0.0, 3, 1e+308, -1e+308], [
         ("zero_at_zero", True, 0.0, 0.0),
         ("positive_off_zero", True, 3, 9.0),
@@ -218,8 +229,46 @@ class TestAxioms:
         assert repr(got) == repr(expected)
 
     def test_empty_samples_rejected(self):
-        with pytest.raises(ArgumentError):
-            check_modular_axioms(ModularSpec.power(2), [])
+        # Zero is no sample for positivity off zero, whatever its sign.
+        for samples in ([], [0.0], [-0.0]):
+            with pytest.raises(ArgumentError):
+                check_modular_axioms(ModularSpec.power(2), samples)
+
+
+class TestFirstMax:
+    def test_ties_go_to_the_first_index(self):
+        k, value = first_max(np.array([1.0, 3.0, 2.0, 3.0]), -math.inf)
+        assert (k, value) == (1, 3.0)
+        assert type(k) is int and type(value) is float
+
+    def test_nan_is_passed_over(self):
+        assert first_max(np.array([math.nan, 2.0, math.nan, 1.0]), -math.inf) == (1, 2.0)
+        assert first_max(np.array([1.0, math.nan, 4.0]), 0.0) == (2, 4.0)
+
+    def test_nothing_above_start_gives_start(self):
+        # A value equal to the start is not above it.
+        assert first_max(np.array([0.5, math.nan, -1.0]), 0.5) == (None, 0.5)
+        assert first_max(np.array([-math.inf, math.nan]), -math.inf) == (None, -math.inf)
+        assert first_max(np.array([]), 0.0) == (None, 0.0)
+
+    def test_raveled_2d_array(self):
+        values = np.array([[0.0, 2.0, math.nan], [2.0, 5.0, 5.0]])
+        k, value = first_max(values.ravel(), -math.inf)
+        assert (k, value) == (4, 5.0)
+        assert np.unravel_index(k, values.shape) == (1, 1)
+
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=True), st.just(math.nan)), max_size=8),
+           start=st.sampled_from([-math.inf, -1.0, 0.0]))
+    def test_matches_a_running_maximum(self, values, start):
+        k, worst = None, start
+        for i, v in enumerate(values):
+            if v > worst:
+                k, worst = i, v
+        assert repr(first_max(np.array(values, dtype=float), start)) == repr((k, worst))
+
+    def test_every_check_module_uses_the_one_definition(self):
+        from modstab import fixedpoint, modular, verify
+        assert verify.first_max is modular.first_max is fixedpoint.first_max
 
 
 class TestSpecValidation:
