@@ -83,20 +83,33 @@ class ContractionCertificate:
     samples_skipped: int = 0
 
 
+def _expand_line(alpha: ControlFunction, s: int, xs: np.ndarray,
+                 line: np.ndarray | None) -> np.ndarray:
+    """The expand ``route_line`` at ``xs``: the caller's ``line``, or computed."""
+    if line is None:
+        return route_line(Mode.EXPAND, alpha, s, xs)
+    if line.shape != xs.shape:
+        raise ArgumentError(f"line has shape {line.shape}, the samples {xs.shape}")
+    return line
+
+
 def estimate_contraction(
-    alpha: ControlFunction, s: int, samples: list[float]
+    alpha: ControlFunction, s: int, samples: list[float], *, line: np.ndarray | None = None
 ) -> ContractionCertificate:
     """Estimate the contraction factor of the scaling operator from samples.
 
     Samples with a vanishing denominator are skipped; if everything is
-    skipped there is nothing to certify and an error is raised.
+    skipped there is nothing to certify and an error is raised.  ``line``,
+    if given, is ``route_line(Mode.EXPAND, alpha, s, samples)`` computed by
+    the caller.
     """
     if not samples:
         raise ArgumentError("estimate_contraction needs a nonempty sample list")
     root = 2.0 ** (1.0 / s)
     xs = np.asarray(samples, dtype=float)
+    line = _expand_line(alpha, s, xs, line)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        denom = 2.0 * route_line(Mode.EXPAND, alpha, s, xs)
+        denom = 2.0 * line
         num = control_eval_many(alpha, root * xs, root * xs, -(root * root) * xs)
         skip = denom <= 0.0
         k, l_hat = first_max(np.where(skip, math.nan, num / denom), -math.inf)
@@ -290,6 +303,7 @@ def fixed_point_solve(
     *,
     audit: dict,
     table: IterateTable | None = None,
+    line: np.ndarray | None = None,
 ) -> FixedPointResult:
     """Iterate the scaling operator on ``phi`` until the sampled gap drops below ``tol``.
 
@@ -304,7 +318,9 @@ def fixed_point_solve(
     rows of ``approximant_row`` with no offset -- the rows the expand route
     reads, so a shared table evaluates ``phi`` once for both routes.  The
     gap history, the quasi-contraction ratios and ``delta_hat_window`` are
-    array reductions over the stacked iterate window.
+    array reductions over the stacked iterate window.  ``line``, if given, is
+    ``route_line(Mode.EXPAND, alpha, s, table.point_array)`` computed by the
+    caller.
     """
     if tol <= 0:
         raise ArgumentError(f"tol must be positive, got {tol}")
@@ -335,8 +351,7 @@ def fixed_point_solve(
         )
 
     s = params.s
-    xs = table.point_array
-    line = route_line(Mode.EXPAND, alpha, s, xs)
+    line = _expand_line(alpha, s, table.point_array, line)
     samples = np.flatnonzero(line > 0.0)
     denoms = line[samples]
     cols = table.grid_index

@@ -7,10 +7,12 @@ deterministic content -- no timestamps, no absolute paths -- so identical
 configs yield identical bytes.
 
 Every result is a pure function of its inputs, so a run keeps a memo, a
-plain dict that lives as long as the run (``run_experiment``) or the sweep
-(``run_sweep``), keyed on exactly what each result depends on.  Within a
-sweep ``phi``, the grid, the seed, ``tol`` and ``n_max`` are fixed, so the
-keys are:
+plain dict that lives as long as the run (``run_experiment``) or the chunk
+of sweep cells that one process runs, keyed on exactly what each result
+depends on.  ``run_sweep`` runs all cells as one chunk; ``write_sweep``
+cuts them into one contiguous chunk per CPU and forks a worker per chunk
+after the first, so each chunk has its own memo.  Within a sweep ``phi``,
+the grid, the seed, ``tol`` and ``n_max`` are fixed, so the keys are:
 
 * the ``IterateTable``: ``s``;
 * the additivity check's pair geometry (``additivity_pairs``): ``s``;
@@ -27,8 +29,11 @@ keys are:
 
 What reads ``alpha`` -- the audit's ratios, the series bounds, the
 stability-bound check, the certificate and ``fixed_point_solve`` -- runs in
-every cell.  A shared result is the very value the cell would compute
-itself, so reports are byte-identical with or without sharing.
+every cell; the expand route's control line over the table points, which
+t2, the certificate and ``fixed_point_solve`` all read, is computed once per
+cell.  A shared result is the very value the cell would compute itself, so
+reports are byte-identical with or without sharing, and the bytes a sweep
+writes do not depend on how its cells are chunked.
 
 A direct route's series bounds are one ``direct.route_bounds`` row over the
 grid, which gives the route its regime probe, its ``series`` section and
@@ -43,9 +48,11 @@ one place the approximant formula lives; so they see the handles' bits
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
+import pickle
 
 import numpy as np
 
@@ -212,8 +219,11 @@ def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, sectio
     return section
 
 
-def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
-    """Run one direct route: regime gate, series bounds, limit, checks."""
+def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -> dict:
+    """Run one direct route: regime gate, series bounds, limit, checks.
+
+    ``expand_line()`` is the cell's expand ``route_line`` over the table points.
+    """
     section: dict = {}
     s = cfg.params.s
     lo, hi = abs(cfg.grid.lo), abs(cfg.grid.hi)
@@ -232,12 +242,15 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
     # control_eval_many through abs, so the line is even in x bit for bit and
     # the grid end of largest magnitude gives the bound at x_repr.  A refused
     # route needs that one point only.
-    if converged:
-        table = _table(cfg, memo)
-        xs, end = table.point_array[table.grid_index], (0 if lo >= hi else -1)
+    if not converged:
+        line, end = route_line(mode, cfg.alpha, s, np.array([x_repr])), 0
     else:
-        xs, end = np.array([x_repr]), 0
-    row = route_bounds(mode, tau, ratio, route_line(mode, cfg.alpha, s, xs))
+        table = _table(cfg, memo)
+        cols = table.grid_index
+        line = (expand_line()[cols] if mode is Mode.EXPAND
+                else route_line(mode, cfg.alpha, s, table.point_array[cols]))
+        end = 0 if lo >= hi else -1
+    row = route_bounds(mode, tau, ratio, line)
     value = float(row[end])
     series = {"value": value, "terms_used": 1, "tail_estimate": 0.0, "upper": value + 0.0,
               "converged": converged, "ratio": ratio}
@@ -286,7 +299,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> dict:
                          limit.values, bounds, limit.cauchy_gap)
 
 
-def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
+def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_line) -> dict:
     section: dict = {}
     s = cfg.params.s
     if cfg.modular.delta2_tau is None:
@@ -298,7 +311,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
         return section
     table = _table(cfg, memo)
     try:  # the sampled certificate is a cross-check; the gate is l_factor
-        cert = estimate_contraction(cfg.alpha, s, table.points)
+        cert = estimate_contraction(cfg.alpha, s, table.points, line=expand_line())
     except ArgumentError as exc:
         section["regime"] = {"ok": False, "error": str(exc)}
         return section
@@ -321,7 +334,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> dict:
     try:
         result = fixed_point_solve(
             cfg.phi, cfg.params, cfg.modular, cfg.alpha, cfg.grid,
-            tol=cfg.tol, n_max=cfg.n_max, audit=audit, table=table,
+            tol=cfg.tol, n_max=cfg.n_max, audit=audit, table=table, line=expand_line(),
         )
     except DefectHypothesisError as exc:
         section["regime"] = {
@@ -364,14 +377,19 @@ def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int]:
         "config": cfg.echo(),
         "audit": {**audit, "worst_triple": list(audit["worst_triple"])},
     }
+    # t2 reads the expand line at the grid points, the certificate and
+    # fixed_point_solve at every table point.  It reads alpha, so it is
+    # computed at most once per cell and shared with no other.
+    expand_line = functools.cache(lambda: route_line(
+        Mode.EXPAND, cfg.alpha, cfg.params.s, _table(cfg, memo).point_array))
     sections: dict[str, dict] = {}
     for m in methods:
         if m == "t1":
-            sections[m] = _limit_section(cfg, Mode.CONTRACT, memo)
+            sections[m] = _limit_section(cfg, Mode.CONTRACT, memo, expand_line)
         elif m == "t2":
-            sections[m] = _limit_section(cfg, Mode.EXPAND, memo)
+            sections[m] = _limit_section(cfg, Mode.EXPAND, memo, expand_line)
         else:
-            sections[m] = _fixedpoint_section(cfg, audit, memo)
+            sections[m] = _fixedpoint_section(cfg, audit, memo, expand_line)
 
     cross = []
     if cfg.method == "all":
@@ -514,6 +532,36 @@ def _sweep_rows_for_cell(cfg: ExperimentConfig, report: dict) -> list[list]:
     return rows
 
 
+def _sweep_cells(sweep: SweepConfig) -> list[tuple[str, dict[str, str]]]:
+    """Each cell's name and axis assignment, in canonical order."""
+    axes = [(axis, sweep.axes[axis]) for axis in SWEEP_AXES if axis in sweep.axes]
+    combos = itertools.product(*[vals for _, vals in axes]) if axes else [()]
+    return [(f"cell_{idx:04d}", {axis: value for (axis, _), value in zip(axes, combo)})
+            for idx, combo in enumerate(combos)]
+
+
+def _run_cells(sweep: SweepConfig, cells: list) -> tuple[list[list], list[tuple[str, dict]]]:
+    """Run ``cells`` in order with one memo; return (summary rows, named reports)."""
+    memo: dict = {}
+    rows: list[list] = []
+    reports: list[tuple[str, dict]] = []
+    for name, assignment in cells:
+        try:
+            cfg = _cell_config(sweep.base, assignment)
+            report, _ = _run(cfg, memo)
+            reports.append((name, report))
+            rows.extend(_sweep_rows_for_cell(cfg, report))
+        except (ModstabError, ValueError, OverflowError) as exc:
+            rows.append([
+                assignment.get("s", sweep.base.params.s),
+                assignment.get("q", sweep.base.params.q),
+                assignment.get("p"), assignment.get("theta"),
+                assignment.get("modular", sweep.base.modular_spec),
+                sweep.base.method, False, None, None, None, str(exc),
+            ])
+    return rows, reports
+
+
 def run_sweep(sweep: SweepConfig) -> tuple[list[list], list[tuple[str, dict]]]:
     """Run every sweep cell; return (summary rows, named per-cell reports).
 
@@ -528,37 +576,113 @@ def run_sweep(sweep: SweepConfig) -> tuple[list[list], list[tuple[str, dict]]]:
     keyed on all of those it reads, so a cell's report is byte-identical to
     the one ``run_experiment`` gives for that cell alone.
     """
-    memo: dict = {}
-    axes = [(axis, sweep.axes[axis]) for axis in SWEEP_AXES if axis in sweep.axes]
-    combos = itertools.product(*[vals for _, vals in axes]) if axes else [()]
-    rows: list[list] = []
-    cells: list[tuple[str, dict]] = []
-    for idx, combo in enumerate(combos):
-        assignment = {axis: value for (axis, _), value in zip(axes, combo)}
-        name = f"cell_{idx:04d}"
+    return _run_cells(sweep, _sweep_cells(sweep))
+
+
+def _write_chunk(sweep: SweepConfig, cells: list, outdir: str) -> list[list]:
+    """Run ``cells``, then write their reports to ``outdir``; return their summary rows."""
+    rows, reports = _run_cells(sweep, cells)
+    for name, report in reports:
+        with open(os.path.join(outdir, f"{name}.json"), "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(report))
+    return rows
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask; 1 where that or ``fork`` is unavailable."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_chunk(run):
+    """Call ``run()`` in a forked worker; return its pid and the read end of its pipe.
+
+    The worker sends ``("rows", run())``, or ``("raised", exception)``, as
+    one pickle and ends with ``os._exit``: it never returns into its caller.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
         try:
-            cfg = _cell_config(sweep.base, assignment)
-            report, _ = _run(cfg, memo)
-            cells.append((name, report))
-            rows.extend(_sweep_rows_for_cell(cfg, report))
-        except (ModstabError, ValueError, OverflowError) as exc:
-            rows.append([
-                assignment.get("s", sweep.base.params.s),
-                assignment.get("q", sweep.base.params.q),
-                assignment.get("p"), assignment.get("theta"),
-                assignment.get("modular", sweep.base.modular_spec),
-                sweep.base.method, False, None, None, None, str(exc),
-            ])
-    return rows, cells
+            os.close(read_fd)
+            try:
+                result = ("rows", run())
+            except BaseException as exc:
+                result = ("raised", exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _join(workers: list) -> list[bytes]:
+    """Every worker's pipe contents, in order; every worker is reaped on every path.
+
+    A pipe is drained before its worker is waited for, since a worker whose
+    rows overflow the pipe buffer blocks until they are read.
+    """
+    sent: list[bytes] = []
+    try:
+        for pid, pipe in workers:
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            sent.append(data)
+    finally:
+        for pid, pipe in workers[len(sent):]:
+            pipe.close()  # a worker still writing gets EPIPE and exits
+            os.waitpid(pid, 0)
+    return sent
+
+
+def _worker_rows(pid: int, data: bytes) -> list[list]:
+    """A worker's rows, or what it raised, raised here."""
+    try:
+        kind, value = pickle.loads(data)
+    except Exception:
+        raise ChildProcessError(f"sweep worker {pid} ended without sending its rows") from None
+    if kind == "raised":
+        raise value
+    return value
 
 
 def write_sweep(sweep: SweepConfig, outdir: str) -> tuple[str, int]:
-    """Execute a sweep and write summary.csv plus per-cell JSON reports."""
-    rows, cells = run_sweep(sweep)
+    """Execute a sweep and write summary.csv plus per-cell JSON reports.
+
+    The cells, in ``run_sweep``'s order, are cut into contiguous chunks, one
+    per CPU in this process's affinity mask and never more than there are
+    cells.  This process runs chunk 0; each other chunk runs in a forked
+    worker with its own memo, which writes its cells' reports itself and
+    sends back its summary rows.  The rows are joined in chunk order, and a
+    failure raises the error of the first chunk that failed, after every
+    worker has ended.  With one CPU nothing forks.  Every report is the one
+    ``run_experiment`` gives for its cell alone, so the bytes written do not
+    depend on the chunking.
+    """
+    cells = _sweep_cells(sweep)
+    count = min(_cpu_count(), len(cells))
+    bounds = [len(cells) * i // count for i in range(count + 1)]
+    chunks = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
     os.makedirs(outdir, exist_ok=True)
-    for name, report in cells:
-        with open(os.path.join(outdir, f"{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report))
+    workers: list = []
+    try:
+        for chunk in chunks[1:]:
+            workers.append(_fork_chunk(functools.partial(_write_chunk, sweep, chunk, outdir)))
+        rows = _write_chunk(sweep, chunks[0], outdir)
+    finally:
+        sent = _join(workers)
+    for (pid, _), data in zip(workers, sent):
+        rows.extend(_worker_rows(pid, data))
     summary_path = os.path.join(outdir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(csv_lines(SWEEP_HEADER, rows))

@@ -240,7 +240,7 @@ class TestSeriesBounds:
         sb = series_bound_expand(ControlFunction.power(1.0, 3.0), 3, 1.0)
         assert not sb.converged and sb.ratio == pytest.approx(1.0, rel=1e-12)
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(theta=st.floats(min_value=0.01, max_value=3.0),
            p=st.floats(min_value=0.0, max_value=2.5),
            x=st.floats(min_value=-8.0, max_value=8.0))
