@@ -38,6 +38,7 @@ from .equation import (
     parse_control,
     radical_combine,
     radical_root,
+    radical_root_many,
 )
 from .errors import (
     ArgumentError,
@@ -92,7 +93,8 @@ __all__ = [
     # functions
     "FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression",
     # equation
-    "EquationParams", "ControlFunction", "radical_root", "radical_combine",
+    "EquationParams", "ControlFunction", "radical_root", "radical_root_many",
+    "radical_combine",
     "defect", "pair_additivity_defect", "control_eval", "control_eval_many",
     "control_power_sums", "parse_control",
     # direct method

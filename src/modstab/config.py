@@ -30,6 +30,7 @@ A sweep config adds a ``[sweep]`` section with value lists over the axes
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ from .functions import FunctionHandle, parse_expression
 from .modular import ModularSpec, parse_modular
 from .sampling import Grid
 
-__all__ = ["ExperimentConfig", "SweepConfig", "parse_experiment", "parse_sweep"]
+__all__ = ["ExperimentConfig", "SweepConfig", "cell_config", "parse_experiment", "parse_sweep"]
 
 METHODS = ("t1", "t2", "fixedpoint", "all")
 SWEEP_AXES = ("s", "q", "p", "theta", "modular")
@@ -233,8 +234,51 @@ def parse_experiment(text: str) -> ExperimentConfig:
     return _build_experiment(sections)
 
 
+def cell_config(base: ExperimentConfig, assignment: dict[str, str]) -> ExperimentConfig:
+    """The experiment of one sweep cell: ``base`` with the axis values ``assignment``.
+
+    Each value goes through the parser of its axis: ``s`` and ``q`` through
+    ``EquationParams``, ``p`` and ``theta`` through ``ControlFunction.power``
+    (which needs a power control in ``base``), ``modular`` through
+    ``parse_modular``.
+    """
+    params = base.params
+    alpha = base.alpha
+    alpha_spec = base.alpha_spec
+    modular = base.modular
+    modular_spec = base.modular_spec
+    if "s" in assignment or "q" in assignment:
+        params = EquationParams(
+            s=int(assignment.get("s", params.s)),
+            q=float(assignment.get("q", params.q)),
+        )
+    if "p" in assignment or "theta" in assignment:
+        if alpha.kind != "power":
+            raise ConfigError(
+                "sweep axes 'p'/'theta' need a power control function, "
+                f"got {alpha_spec!r}"
+            )
+        alpha = ControlFunction.power(
+            float(assignment.get("theta", alpha.theta)),
+            float(assignment.get("p", alpha.p)),
+        )
+        alpha_spec = alpha.spec_string()
+    if "modular" in assignment:
+        modular_spec = assignment["modular"]
+        modular = parse_modular(modular_spec)
+    return dataclasses.replace(
+        base, params=params, alpha=alpha, alpha_spec=alpha_spec,
+        modular=modular, modular_spec=modular_spec,
+    )
+
+
 def parse_sweep(text: str) -> SweepConfig:
-    """Parse a sweep config document: an experiment plus a [sweep] section."""
+    """Parse a sweep config document: an experiment plus a [sweep] section.
+
+    Every axis value is checked with the parser a cell uses (see
+    ``cell_config``), so a value no cell could run is a ``ConfigError``
+    before any cell runs.
+    """
     sections = _parse_sections(text)
     if "sweep" not in sections:
         raise ConfigError("sweep config needs a [sweep] section")
@@ -261,5 +305,13 @@ def parse_sweep(text: str) -> SweepConfig:
         total *= len(values)
     if total > cap:
         raise ConfigError(f"sweep has {total} cells, exceeding the cap of {cap}")
+    # Each axis checks its values independently of the others, so a value
+    # that parses with the base experiment parses in every cell.
+    for axis, values in axes.items():
+        for value in values:
+            try:
+                cell_config(base, {axis: value})
+            except ValueError as exc:  # ConfigError and ArgumentError included
+                raise ConfigError(f"[sweep] {axis} = {value}: {exc}") from exc
     outdir = sweep_raw.get("outdir", "sweep")
     return SweepConfig(base=base, axes=axes, outdir=outdir)

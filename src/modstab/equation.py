@@ -18,13 +18,14 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, RangeError
-from .functions import FunctionHandle
+from .functions import FunctionHandle, mapped
 from .modular import ModularSpec, pow_or_inf, rho_eval
 
 __all__ = [
     "EquationParams",
     "ControlFunction",
     "radical_root",
+    "radical_root_many",
     "radical_combine",
     "defect",
     "pair_additivity_defect",
@@ -100,6 +101,48 @@ def radical_root(t: float, s: int) -> float:
     return math.copysign(r, t)
 
 
+def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
+    """``radical_root`` at each entry of the 1-D float array ``t``, bit for bit.
+
+    The powers ``|t|**(1/s)``, ``r**s`` and ``r**(s-1)`` map the builtin
+    ``pow`` over the entries, and the Newton step and the sign run in
+    numpy, which rounds each IEEE operation as Python does.  A zero entry
+    gives ``+0.0``.  ``OverflowError`` is raised exactly when
+    ``radical_root`` raises it for some entry: where ``r**s`` leaves the
+    float range.
+    """
+    if s < 3 or s % 2 == 0:
+        raise ArgumentError(f"radical_root_many needs an odd integer s >= 3, got {s}")
+    t = np.asarray(t, dtype=float)
+    mag = abs(t)
+    r = mapped(pow, mag.tolist(), repeat(1.0 / s))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        live = np.flatnonzero(np.isfinite(r) & (r > 0.0))
+        rs = r[live].tolist()
+        r[live] -= ((mapped(pow, rs, repeat(s)) - mag[live])
+                    / (float(s) * mapped(pow, rs, repeat(s - 1))))
+        return np.where(t == 0.0, 0.0, np.copysign(r, t))
+
+
+def _pow_or_nan(v: float, p: float) -> float:
+    try:
+        return v**p
+    except OverflowError:
+        return math.nan
+
+
+def pow_many(bases: list[float], exponent) -> np.ndarray:
+    """Builtin ``pow(b, exponent)`` at each of ``bases``, as a float array.
+
+    ``nan`` marks a power that overflows (``OverflowError``); a power of a
+    finite base is otherwise never ``nan``.
+    """
+    try:
+        return mapped(pow, bases, repeat(exponent))
+    except OverflowError:
+        return mapped(_pow_or_nan, bases, repeat(exponent))
+
+
 def _powers(s: int, **coords: float) -> list[float]:
     # v**s for each named coordinate; RangeError names the first that overflows.
     out = []
@@ -163,13 +206,6 @@ def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
     return alpha.eps
 
 
-def _pow_or_nan(v: float, p: float) -> float:
-    try:
-        return v**p
-    except OverflowError:
-        return math.nan
-
-
 def control_power_sums(p: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``|x|**p + |y|**p + |z|**p`` at each triple of three 1-D arrays: the power control over ``theta``.
 
@@ -180,15 +216,9 @@ def control_power_sums(p: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) ->
     (``OverflowError``); a sum of finite powers is never ``nan``, and one
     that overflows by addition is ``inf``.
     """
-    def powers(v: np.ndarray) -> np.ndarray:
-        bases = abs(v).tolist()
-        try:
-            return np.fromiter(map(pow, bases, repeat(p)), float, len(bases))
-        except OverflowError:
-            return np.fromiter(map(_pow_or_nan, bases, repeat(p)), float, len(bases))
-
     with np.errstate(over="ignore", invalid="ignore"):
-        return powers(x) + powers(y) + powers(z)
+        return (pow_many(abs(x).tolist(), p) + pow_many(abs(y).tolist(), p)
+                + pow_many(abs(z).tolist(), p))
 
 
 def control_eval_many(

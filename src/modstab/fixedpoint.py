@@ -41,7 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .direct import MAX_N, Mode, approximant_row, route_bounds, route_line, route_ratio
-from .equation import ControlFunction, EquationParams, control_eval_many, defect
+from .equation import (
+    ControlFunction,
+    EquationParams,
+    control_eval_many,
+    defect,
+    pow_many,
+    radical_root_many,
+)
 from .errors import (
     ArgumentError,
     ContractViolation,
@@ -163,17 +170,41 @@ def audit_defects(
 ) -> list[float]:
     """The equation defect of ``phi`` at each triple: the audit's alpha-free step.
 
-    A triple whose ``x**s`` leaves the float range (``RangeError``) counts
-    as defect ``inf``.  Nothing here reads the control, so one list serves
-    every control function audited on the same triples.
+    ``defect`` at each triple, bit for bit, as array code: the powers
+    ``x**s`` map the builtin ``pow``, the combined arguments are
+    ``radical_root_many`` of ``((x**s + y**s) + z**s) / q``, ``phi`` takes
+    the coordinates and the combined arguments in one ``FunctionHandle.many``
+    batch, and the residual ``((phi(x) + phi(y)) + phi(z)) - q*phi(w)`` goes
+    through ``rho_eval_array``.  A triple whose ``x**s`` leaves the float
+    range counts as defect ``inf``.  Where a root raises ``OverflowError``
+    the whole batch runs ``defect`` triple by triple, and such a triple
+    counts as ``inf`` too.  Nothing here reads the control, so one list
+    serves every control function audited on the same triples.
     """
-    defects = []
-    for (x, y, z) in triples:
+    s, q = params.s, params.q
+    coords = np.array(triples, dtype=float).reshape(-1, 3)
+    powers = pow_many(coords.ravel().tolist(), s).reshape(-1, 3)
+    live = np.flatnonzero(np.isfinite(powers).all(axis=1))
+    x, y, z = coords[live].T
+    px, py, pz = powers[live].T
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            defects.append(defect(params, phi, rho, x, y, z))
+            w = radical_root_many((px + py + pz) / q, s)
         except OverflowError:
-            defects.append(math.inf)
-    return defects
+            return [_defect_or_inf(params, phi, rho, triple) for triple in triples]
+        fx, fy, fz, fw = phi.many(np.concatenate((x, y, z, w))).reshape(4, -1)
+        defects = np.full(len(coords), math.inf)
+        defects[live] = rho_eval_array(rho, fx + fy + fz - q * fw)
+    return defects.tolist()
+
+
+def _defect_or_inf(params: EquationParams, phi: FunctionHandle, rho: ModularSpec,
+                   triple: tuple[float, float, float]) -> float:
+    # The scalar reference of one audit_defects entry.
+    try:
+        return defect(params, phi, rho, *triple)
+    except OverflowError:
+        return math.inf
 
 
 def audit_ratios(

@@ -46,21 +46,24 @@ from .errors import ArgumentError, ConfigError
 __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression"]
 
 
-def _mapped(fn, *args) -> np.ndarray:
-    # The scalar routine fn mapped over a list of points (and repeat()ed
-    # constants), as a float array.
+def mapped(fn, *args) -> np.ndarray:
+    """The scalar routine ``fn`` mapped over a list (and ``repeat()``ed constants), as a float array.
+
+    This is how every array twin in modstab takes a power, sine, cosine or
+    ``expm1``: numpy's own may differ from libm in the last bit.
+    """
     return np.fromiter(map(fn, *args), float, len(args[0]))
 
 
 def _monomial(coeff: float, power: int):
     return ((lambda x: coeff * x**power), f"mono({coeff:g},{power})",
-            lambda xs: coeff * _mapped(pow, xs.tolist(), repeat(power)))
+            lambda xs: coeff * mapped(pow, xs.tolist(), repeat(power)))
 
 
 def _sine(amplitude: float, frequency: float):
     return ((lambda x: amplitude * math.sin(frequency * x)),
             f"sine({amplitude:g},{frequency:g})",
-            lambda xs: amplitude * _mapped(math.sin, (frequency * xs).tolist()))
+            lambda xs: amplitude * mapped(math.sin, (frequency * xs).tolist()))
 
 
 def _envelope_noise(amplitude: float, exponent: float, seed: int):
@@ -70,8 +73,8 @@ def _envelope_noise(amplitude: float, exponent: float, seed: int):
     phase = 2.0 * math.pi * float(rng.random())
 
     def many(xs):
-        envelope = amplitude * _mapped(pow, abs(xs).tolist(), repeat(exponent))
-        return envelope * _mapped(math.cos, (freq * xs + phase).tolist())
+        envelope = amplitude * mapped(pow, abs(xs).tolist(), repeat(exponent))
+        return envelope * mapped(math.cos, (freq * xs + phase).tolist())
 
     return ((lambda x: amplitude * abs(x) ** exponent * math.cos(freq * x + phase)),
             f"envnoise({amplitude:g},{exponent:g},{seed})", many)

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
+from .functions import mapped
 
 __all__ = [
     "ModularSpec",
@@ -115,18 +117,24 @@ def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
     """``rho_eval`` over a float array.
 
     Every entry gets exactly the bits ``rho_eval`` gives it (``inf`` where it
-    is not finite).  For the
-    ``power:p=1`` modular that is ``abs(u)`` (``pow(v, 1)`` is exact), taken
-    as one numpy ``abs``; every other modular goes through ``rho_eval``
-    entry by entry, because numpy's vector ``power`` and ``expm1`` may differ
-    from libm in the last ulp.
+    is not finite).  For the ``power:p=1`` modular that is ``abs(u)``
+    (``pow(v, 1)`` is exact), taken as one numpy ``abs``.  Every other
+    modular maps the scalar ``math.expm1`` or builtin ``pow`` over the
+    finite ``|u|``, because numpy's vector ``expm1`` and ``power`` may differ
+    from libm in the last ulp; a batch in which one of them overflows goes
+    through ``rho_eval`` entry by entry instead.
     """
     u = np.asarray(u, dtype=float)
     finite = np.isfinite(u)
     if spec.kind == "power" and spec.p == 1.0:
         return np.where(finite, np.abs(u), math.inf)
     out = np.full(u.shape, math.inf)
-    out[finite] = [rho_eval(spec, v) for v in u[finite].tolist()]
+    mags = np.abs(u[finite]).tolist()
+    try:
+        out[finite] = (mapped(math.expm1, mags) if spec.kind == "exp"
+                       else mapped(pow, mags, repeat(spec.p)))
+    except OverflowError:
+        out[finite] = [rho_eval(spec, v) for v in mags]
     return out
 
 

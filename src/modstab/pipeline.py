@@ -47,7 +47,6 @@ one place the approximant formula lives; so they see the handles' bits
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -56,7 +55,7 @@ import pickle
 
 import numpy as np
 
-from .config import SWEEP_AXES, ExperimentConfig, SweepConfig
+from .config import SWEEP_AXES, ExperimentConfig, SweepConfig, cell_config
 from .direct import (
     Mode,
     approximant_row,
@@ -67,13 +66,11 @@ from .direct import (
     route_ratio,
 )
 from .equation import (
-    ControlFunction,
-    EquationParams,
     control_eval,
     control_eval_many,
     control_power_sums,
 )
-from .errors import ArgumentError, ConfigError, DefectHypothesisError, ModstabError
+from .errors import ArgumentError, DefectHypothesisError, ModstabError
 from .fixedpoint import (
     audit_defects,
     audit_ratios,
@@ -469,37 +466,6 @@ def write_report_text(report: dict, fmt: str) -> str:
     return canonical_json(report) if fmt == "json" else report_csv(report)
 
 
-def _cell_config(base: ExperimentConfig, assignment: dict[str, str]) -> ExperimentConfig:
-    params = base.params
-    alpha = base.alpha
-    alpha_spec = base.alpha_spec
-    modular = base.modular
-    modular_spec = base.modular_spec
-    if "s" in assignment or "q" in assignment:
-        params = EquationParams(
-            s=int(assignment.get("s", params.s)),
-            q=float(assignment.get("q", params.q)),
-        )
-    if "p" in assignment or "theta" in assignment:
-        if alpha.kind != "power":
-            raise ConfigError(
-                "sweep axes 'p'/'theta' need a power control function, "
-                f"got {alpha_spec!r}"
-            )
-        alpha = ControlFunction.power(
-            float(assignment.get("theta", alpha.theta)),
-            float(assignment.get("p", alpha.p)),
-        )
-        alpha_spec = alpha.spec_string()
-    if "modular" in assignment:
-        modular_spec = assignment["modular"]
-        modular = parse_modular(modular_spec)
-    return dataclasses.replace(
-        base, params=params, alpha=alpha, alpha_spec=alpha_spec,
-        modular=modular, modular_spec=modular_spec,
-    )
-
-
 SWEEP_HEADER = ["s", "q", "p", "theta", "modular", "method", "converged",
                 "rate", "worst_slack", "achieved_n", "error"]
 
@@ -547,7 +513,7 @@ def _run_cells(sweep: SweepConfig, cells: list) -> tuple[list[list], list[tuple[
     reports: list[tuple[str, dict]] = []
     for name, assignment in cells:
         try:
-            cfg = _cell_config(sweep.base, assignment)
+            cfg = cell_config(sweep.base, assignment)
             report, _ = _run(cfg, memo)
             reports.append((name, report))
             rows.extend(_sweep_rows_for_cell(cfg, report))

@@ -21,11 +21,12 @@ even and sends every non-finite value to ``inf``.  Points off the samples
 handle, in one ``FunctionHandle.many`` batch per check argument.
 
 The additivity pairs depend only on ``s`` and the grid: ``additivity_pairs``
-builds the strided pair indices, ``x**s`` once per grid point and the root
-``w = radical_root(x**s + y**s, s)`` once per unordered pair, and a caller
-checking several functions passes it as ``pairs=``.  ``a(w)`` then costs
-one evaluation per unordered pair, and ``pair_additivity_defect`` stays the
-scalar reference the tests hold the check to.
+builds the strided pair indices, ``x**s`` once per grid point (the builtin
+``pow`` mapped over the points) and the root ``w = radical_root(x**s +
+y**s, s)`` once per unordered pair (``radical_root_many``, bit for bit),
+and a caller checking several functions passes it as ``pairs=``.  ``a(w)``
+then costs one evaluation per unordered pair, and ``pair_additivity_defect``
+stays the scalar reference the tests hold the check to.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equation import radical_root
+from .equation import pow_many, radical_root_many
 from .errors import ArgumentError
 from .functions import FunctionHandle
-from .modular import ModularSpec, first_max, pow_or_inf, rho_eval, rho_eval_array
+from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
 from .sampling import Grid
 
 __all__ = [
@@ -91,7 +92,8 @@ class AdditivityPairs:
     ``finite[k]`` says whether both ``x**s`` and ``y**s`` are floats, and
     for those pairs ``roots[root_of[k']]`` is ``radical_root(x**s + y**s,
     s)``, one root per unordered pair (the sum commutes, bit for bit);
-    ``k'`` counts the finite pairs only.
+    ``k'`` counts the finite pairs only.  The roots are in ascending order of
+    the unordered pair's point indices ``(min, max)``.
     """
 
     points: np.ndarray
@@ -117,15 +119,15 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     stride = -(-n * n // MAX_ADDITIVITY_PAIRS)  # 1 whenever the square fits
     flat = np.arange(0, n * n, stride)
     first, second = flat // n, flat % n
-    powers = [pow_or_inf(x, s) for x in pts]  # the scalar x**s the reference takes
+    powers = pow_many(pts, s)  # the scalar x**s the reference takes; nan past the range
     in_range = np.isfinite(powers)
     finite = in_range[first] & in_range[second]
-    unordered: dict[tuple[int, int], int] = {}  # (i <= j) -> its root's index
-    root_of = [unordered.setdefault((min(i, j), max(i, j)), len(unordered))
-               for i, j in zip(first[finite].tolist(), second[finite].tolist())]
-    roots = [radical_root(powers[i] + powers[j], s) for i, j in unordered]
-    return AdditivityPairs(np.array(pts), first, second, finite,
-                           np.array(roots, dtype=float), np.array(root_of, dtype=np.intp))
+    i, j = first[finite], second[finite]
+    # One key per unordered pair, min * n + max; the roots follow the sorted keys.
+    keys, root_of = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
+    with np.errstate(over="ignore"):
+        roots = radical_root_many(powers[keys // n] + powers[keys % n], s)
+    return AdditivityPairs(np.array(pts), first, second, finite, roots, root_of)
 
 
 def _at(f: FunctionHandle | Sampled, xs: np.ndarray) -> np.ndarray:

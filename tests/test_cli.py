@@ -441,14 +441,31 @@ class TestSweep:
         assert float(by_s[3][8]) <= 1e-9
         assert float(by_s[5][8]) > 1.0
 
-    def test_cell_error_recorded_in_row(self, tmp_path):
-        # theta axis on a constant control cannot be applied
+    def test_theta_axis_on_constant_control_is_config_error(self, tmp_path, capsys):
+        # A theta axis cannot be applied to a constant control: no cell could run.
         cfg = write_cfg(tmp_path, extra="\n[sweep]\ntheta = 0.1,0.2\noutdir = "
                                         + str(tmp_path / "sw") + "\n")
-        assert main(["sweep", str(cfg)]) == 0
-        lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
-        assert len(lines) == 3
-        assert all("power control" in line for line in lines[1:])
+        assert main(["sweep", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sweep] theta = 0.1: ")
+        assert "need a power control function" in err
+        assert not (tmp_path / "sw").exists()
+
+    def test_bad_modular_axis_value_is_config_error(self, tmp_path, capsys):
+        # The same spec under [modular] is a config error; under [sweep] too,
+        # before any cell runs or any file is written.
+        out = tmp_path / "sw"
+        cfg = write_cfg(tmp_path, alpha="power:theta=0.5,p=1",
+                        extra="\n[sweep]\nmodular = power:p=1,bogus\n")
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "config error: [sweep] modular = bogus: unknown modular spec 'bogus' "
+            "(expected 'power:p=...' or 'exp')\n")
+        assert not out.exists()
+        run_cfg = write_cfg(tmp_path, name="run.cfg").read_text().replace(
+            "spec = power:p=1", "spec = bogus")
+        (tmp_path / "run.cfg").write_text(run_cfg)
+        assert main(["run", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "r.json")]) == 4
 
     def test_empty_axes_single_cell(self, tmp_path):
         cfg = write_cfg(tmp_path, extra="\n[sweep]\noutdir = "

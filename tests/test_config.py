@@ -93,8 +93,12 @@ def test_duplicate_key_rejected():
         parse_experiment(GOOD.replace("s = 3", "s = 3\ns = 5"))
 
 
+POWER_GOOD = GOOD.replace("spec = const:eps=0.1", "spec = power:theta=0.5,p=1")
+
+
 def test_sweep_axes_and_order():
-    text = GOOD + "\n[sweep]\np = 1,2,4\ns = 3,5\noutdir = out\n"
+    # A p axis needs a power control in the base experiment.
+    text = POWER_GOOD + "\n[sweep]\np = 1,2,4\ns = 3,5\noutdir = out\n"
     sw = parse_sweep(text)
     assert list(sw.axes.keys()) == ["s", "p"]  # canonical axis order
     assert sw.axes["p"] == ["1", "2", "4"]
@@ -120,3 +124,36 @@ def test_sweep_cap_enforced():
 def test_empty_axis_rejected():
     with pytest.raises(ConfigError):
         parse_sweep(GOOD + "\n[sweep]\np = ,\n")
+
+
+@pytest.mark.parametrize("axis, values, message", [
+    ("s", "3,4", "s must be an odd integer >= 3, got 4"),
+    ("s", "3,5.0", "invalid literal for int()"),
+    ("q", "1,0", "q must satisfy 0 < |q| <= 1, got 0.0"),
+    ("q", "0.5,-2", "q must satisfy 0 < |q| <= 1, got -2.0"),
+    ("q", "1,x", "could not convert string to float"),
+    ("p", "1,-1", "control parameters must be finite and >= 0"),
+    ("p", "1,inf", "control parameters must be finite and >= 0"),
+    ("theta", "0.5,nan", "control parameters must be finite and >= 0"),
+    ("modular", "power:p=1,bogus", "unknown modular spec 'bogus'"),
+    ("modular", "exp,power:p=0.5", "power modular needs exponent p >= 1"),
+])
+def test_sweep_axis_value_a_cell_cannot_parse_is_config_error(axis, values, message):
+    bad = values.split(",")[-1]
+    with pytest.raises(ConfigError, match=r"^\[sweep\] " + axis + " = ") as caught:
+        parse_sweep(POWER_GOOD + f"\n[sweep]\n{axis} = {values}\n")
+    assert f"[sweep] {axis} = {bad}: " in str(caught.value)
+    assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("axis", ["p", "theta"])
+def test_control_axis_needs_a_power_control(axis):
+    with pytest.raises(ConfigError, match="need a power control function"):
+        parse_sweep(GOOD + f"\n[sweep]\n{axis} = 1,2\n")
+
+
+def test_sweep_axis_values_that_every_cell_parses_are_kept_as_text():
+    sw = parse_sweep(POWER_GOOD + "\n[sweep]\ns = 3, 5\nq = -1,0.05\np = 0,1e300\n"
+                     "theta = 0\nmodular = power:p=1,exp\n")
+    assert sw.axes == {"s": ["3", "5"], "q": ["-1", "0.05"], "p": ["0", "1e300"],
+                       "theta": ["0"], "modular": ["power:p=1", "exp"]}

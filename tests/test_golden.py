@@ -10,7 +10,8 @@ result shared between cells under too coarse a key moves some cell's bytes,
 and each of its cells must also equal a standalone run of that cell.
 ``large_grid/`` pins the 4001-point run at two seeds by the sha256 of its
 868 kB report, so a one-ulp drift anywhere in its 4001 points and 34
-iterate rows fails here.  ``check_modular/`` pins ``modstab check-modular``
+iterate rows fails here; ``regime_edge/`` pins both sides of the
+benchmark's ``regime_edge`` workload the same way, at the same two seeds.  ``check_modular/`` pins ``modstab check-modular``
 in JSON and CSV for two power modulars, one whose doubling excess is ``nan``
 at a ladder sample (``power:p=100``) and the ``exp`` modular.
 
@@ -25,6 +26,11 @@ changed field in CHANGES.md::
         PYTHONPATH=../../../src python -m modstab.cli run large_grid.cfg \\
         --seed $seed --out report_seed$seed.json; done && \\
         sha256sum report_seed*.json > expected.sha256 && rm report_seed*.json
+    cd tests/golden/regime_edge && for side in expand contract; do \\
+        for seed in 0 7; do PYTHONPATH=../../../src python -m modstab.cli run \\
+        regime_edge_$side.cfg --seed $seed --out regime_edge_${side}_seed$seed.json; \\
+        done; done && sha256sum regime_edge_*.json > expected.sha256 && \\
+        rm regime_edge_*.json
     cd tests/golden/check_modular && for spec in power:p=1 power:p=2 \\
         power:p=100 exp; do name=$(echo $spec | tr ':=' '__'); \\
         PYTHONPATH=../../../src python -m modstab.cli check-modular $spec \\
@@ -41,8 +47,8 @@ from pathlib import Path
 import pytest
 
 from modstab.cli import main
-from modstab.config import SWEEP_AXES, parse_sweep
-from modstab.pipeline import _cell_config, run_experiment
+from modstab.config import SWEEP_AXES, cell_config, parse_sweep
+from modstab.pipeline import run_experiment
 from modstab.report import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,6 +89,21 @@ def test_large_grid_report_digest(seed, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_GRID_DIGESTS[name]
 
 
+REGIME_EDGE = GOLDEN / "regime_edge"
+REGIME_EDGE_DIGESTS = dict(
+    line.split()[::-1] for line in (REGIME_EDGE / "expected.sha256").read_text().splitlines())
+
+
+@pytest.mark.parametrize("side", ["expand", "contract"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_regime_edge_report_digest(side, seed, tmp_path):
+    name = f"regime_edge_{side}_seed{seed}.json"
+    out = tmp_path / name
+    assert main(["run", str(REGIME_EDGE / f"regime_edge_{side}.cfg"), "--seed", str(seed),
+                 "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REGIME_EDGE_DIGESTS[name]
+
+
 def _assert_sweep_matches(case: Path, tmp_path: Path) -> None:
     expected = case / "expected"
     out = tmp_path / "sweep"
@@ -110,7 +131,7 @@ def test_each_sweep_cell_equals_a_standalone_run():
     combos = list(itertools.product(*[sweep.axes[axis] for axis in axes]))
     assert len(combos) == len(list((case / "expected").glob("cell_*.json")))
     for idx, combo in enumerate(combos):
-        report, _ = run_experiment(_cell_config(sweep.base, dict(zip(axes, combo))))
+        report, _ = run_experiment(cell_config(sweep.base, dict(zip(axes, combo))))
         expected = (case / "expected" / f"cell_{idx:04d}.json").read_text(encoding="utf-8")
         assert canonical_json(report) == expected, idx
 

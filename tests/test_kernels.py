@@ -142,13 +142,23 @@ def test_strided_check_outcome_matches_old_loop():
 # -- rho over arrays ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", [ABS1, SQUARE, ModularSpec.power(1.5), ModularSpec.exp()])
+# Where expm1 overflows (709.78...) and where |u|**100 does (about 1.2e3).
+OVERFLOW_EDGES = [709.78, 709.782712893384, -709.782712893384, math.nextafter(709.782712893384, 800),
+                  710.0, -710.0, 1.2e3, -1.2e3, 1.3e3, 1e300, 5e-324]
+
+
+@pytest.mark.parametrize("spec", [ABS1, SQUARE, ModularSpec.power(1.5), ModularSpec.exp(),
+                                  ModularSpec.power(100)])
 def test_rho_eval_array_matches_scalar(spec):
     rng = np.random.default_rng(5)
-    u = np.concatenate([rng.normal(0.0, 30.0, 400), [0.0, -0.0, math.inf, -math.inf, math.nan]])
-    got = rho_eval_array(spec, u)
-    want = [rho_eval(spec, v) if math.isfinite(v) else math.inf for v in u.tolist()]
-    assert bits(got) == bits(want)
+    normal = rng.normal(0.0, 30.0, 400)
+    for u in (np.concatenate([normal, [0.0, -0.0, math.inf, -math.inf, math.nan]]),
+              np.concatenate([normal, OVERFLOW_EDGES])):
+        got = rho_eval_array(spec, u)
+        want = [rho_eval(spec, v) if math.isfinite(v) else math.inf for v in u.tolist()]
+        assert bits(got) == bits(want)
+    # The same entries laid out in two dimensions, as the axiom checks pass them.
+    assert bits(rho_eval_array(spec, normal.reshape(20, 20)).ravel()) == bits(want[:400])
 
 
 # -- fixed-point gap window --------------------------------------------------
