@@ -64,10 +64,6 @@ def test_radical_root_many_matches_scalar(s):
         [w for w in want if w is not None])
 
 
-def test_radical_root_many_zero_is_positive_zero():
-    assert raw_bits(radical_root_many(np.array([-0.0, 0.0]), 3)) == raw_bits([0.0, 0.0])
-
-
 @pytest.mark.parametrize("s", [3, 5])
 def test_radical_root_many_raises_exactly_where_the_scalar_raises(s):
     # Within some hundred ulps of the largest float, r**s rounds past it.
