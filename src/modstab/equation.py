@@ -107,9 +107,9 @@ def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
     The powers ``|t|**(1/s)``, ``r**s`` and ``r**(s-1)`` map the builtin
     ``pow`` over the entries, and the Newton step and the sign run in
     numpy, which rounds each IEEE operation as Python does.  A zero entry
-    gives ``+0.0``.  ``OverflowError`` is raised exactly when
-    ``radical_root`` raises it for some entry: where ``r**s`` leaves the
-    float range.
+    gives ``+0.0``.  An entry is ``nan`` where ``radical_root`` raises
+    ``OverflowError`` for it, at ``r**s`` past the float range, since
+    ``mapped`` gives ``nan`` there and the Newton step carries it.
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"radical_root_many needs an odd integer s >= 3, got {s}")
@@ -122,25 +122,6 @@ def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
         r[live] -= ((mapped(pow, rs, repeat(s)) - mag[live])
                     / (float(s) * mapped(pow, rs, repeat(s - 1))))
         return np.where(t == 0.0, 0.0, np.copysign(r, t))
-
-
-def _pow_or_nan(v: float, p: float) -> float:
-    try:
-        return v**p
-    except OverflowError:
-        return math.nan
-
-
-def pow_many(bases: list[float], exponent) -> np.ndarray:
-    """Builtin ``pow(b, exponent)`` at each of ``bases``, as a float array.
-
-    ``nan`` marks a power that overflows (``OverflowError``); a power of a
-    finite base is otherwise never ``nan``.
-    """
-    try:
-        return mapped(pow, bases, repeat(exponent))
-    except OverflowError:
-        return mapped(_pow_or_nan, bases, repeat(exponent))
 
 
 def _powers(s: int, **coords: float) -> list[float]:
@@ -212,13 +193,14 @@ def control_power_sums(p: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) ->
     Each power maps the scalar ``**`` (builtin ``pow``) over the points and
     the two additions run in numpy, which rounds each IEEE operation as
     Python does, so ``theta`` times an entry has the bits ``control_eval``
-    gives.  ``nan`` marks a triple where a power overflows
-    (``OverflowError``); a sum of finite powers is never ``nan``, and one
-    that overflows by addition is ``inf``.
+    gives.  ``nan`` marks a triple where a power overflows: ``mapped``
+    gives ``nan`` where ``pow`` raises ``OverflowError``.  A sum of finite
+    powers is never ``nan``, and one that overflows by addition is ``inf``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return (pow_many(abs(x).tolist(), p) + pow_many(abs(y).tolist(), p)
-                + pow_many(abs(z).tolist(), p))
+        return (mapped(pow, abs(x).tolist(), repeat(p))
+                + mapped(pow, abs(y).tolist(), repeat(p))
+                + mapped(pow, abs(z).tolist(), repeat(p)))
 
 
 def control_eval_many(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,8 +46,6 @@ from .equation import (
     ControlFunction,
     EquationParams,
     control_eval_many,
-    defect,
-    pow_many,
     radical_root_many,
 )
 from .errors import (
@@ -55,7 +54,7 @@ from .errors import (
     DefectHypothesisError,
     RegimeError,
 )
-from .functions import FunctionHandle
+from .functions import FunctionHandle, mapped
 from .iterates import IterateTable
 from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
 from .sampling import Grid
@@ -175,36 +174,25 @@ def audit_defects(
     ``radical_root_many`` of ``((x**s + y**s) + z**s) / q``, ``phi`` takes
     the coordinates and the combined arguments in one ``FunctionHandle.many``
     batch, and the residual ``((phi(x) + phi(y)) + phi(z)) - q*phi(w)`` goes
-    through ``rho_eval_array``.  A triple whose ``x**s`` leaves the float
-    range counts as defect ``inf``.  Where a root raises ``OverflowError``
-    the whole batch runs ``defect`` triple by triple, and such a triple
-    counts as ``inf`` too.  Nothing here reads the control, so one list
-    serves every control function audited on the same triples.
+    through ``rho_eval_array``.  A triple where ``defect`` raises
+    ``OverflowError`` counts as defect ``inf``: one whose ``x**s`` leaves
+    the float range, and one whose root is ``nan`` because ``radical_root``
+    raises there.  Nothing here reads the control, so one list serves every
+    control function audited on the same triples.
     """
     s, q = params.s, params.q
     coords = np.array(triples, dtype=float).reshape(-1, 3)
-    powers = pow_many(coords.ravel().tolist(), s).reshape(-1, 3)
+    powers = mapped(pow, coords.ravel().tolist(), repeat(s)).reshape(-1, 3)
     live = np.flatnonzero(np.isfinite(powers).all(axis=1))
     x, y, z = coords[live].T
     px, py, pz = powers[live].T
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            w = radical_root_many((px + py + pz) / q, s)
-        except OverflowError:
-            return [_defect_or_inf(params, phi, rho, triple) for triple in triples]
+        w = radical_root_many((px + py + pz) / q, s)
         fx, fy, fz, fw = phi.many(np.concatenate((x, y, z, w))).reshape(4, -1)
         defects = np.full(len(coords), math.inf)
-        defects[live] = rho_eval_array(rho, fx + fy + fz - q * fw)
+        defects[live] = np.where(np.isnan(w), math.inf,
+                                 rho_eval_array(rho, fx + fy + fz - q * fw))
     return defects.tolist()
-
-
-def _defect_or_inf(params: EquationParams, phi: FunctionHandle, rho: ModularSpec,
-                   triple: tuple[float, float, float]) -> float:
-    # The scalar reference of one audit_defects entry.
-    try:
-        return defect(params, phi, rho, *triple)
-    except OverflowError:
-        return math.inf
 
 
 def audit_ratios(

@@ -23,11 +23,13 @@ whole array of points through it in one pass.  The twin makes the scalar
 closure's operations in the same order: ``*``, ``+`` and ``abs`` run in
 numpy, which rounds each IEEE operation as Python does, while every power,
 sine and cosine maps the scalar routine (builtin ``pow``, ``math.sin``,
-``math.cos``) over the points, because numpy's vectorised ``**``, ``sin``
-and ``cos`` may differ from libm in the last bit.  The scalar multiples,
-argument scales and sums are the same closures in both forms, since they
-only multiply and add.  A batch in which any point raises is evaluated
-point by point instead, so each value is bit for bit the scalar handle's.
+``math.cos``) over the points through ``mapped``, because numpy's vectorised
+``**``, ``sin`` and ``cos`` may differ from libm in the last bit.  The
+scalar multiples, argument scales and sums are the same closures in both
+forms, since they only multiply and add.  A twin takes ``(xs, raised)``:
+``mapped`` marks in the bool array ``raised`` each point where the scalar
+routine raises, and ``many`` reads ``inf`` there, as the scalar handle does,
+so each value is bit for bit the scalar handle's.
 """
 
 from __future__ import annotations
@@ -46,24 +48,47 @@ from .errors import ArgumentError, ConfigError
 __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression"]
 
 
-def mapped(fn, *args) -> np.ndarray:
+def mapped(fn, *args, raised: np.ndarray | None = None) -> np.ndarray:
     """The scalar routine ``fn`` mapped over a list (and ``repeat()``ed constants), as a float array.
 
     This is how every array twin in modstab takes a power, sine, cosine or
-    ``expm1``: numpy's own may differ from libm in the last bit.
+    ``expm1``: numpy's own may differ from libm in the last bit.  It is
+    total: an entry where ``fn`` raises ``ArithmeticError`` (a power that
+    overflows, ``0.0`` to a negative power) or ``ValueError`` (``cos`` of
+    ``inf``) is ``nan``, and is set in the bool array ``raised`` when the
+    caller passes one.  A batch where nothing raises is one plain map.
     """
-    return np.fromiter(map(fn, *args), float, len(args[0]))
+    n = len(args[0])
+    try:
+        return np.fromiter(map(fn, *args), float, n)
+    except (ArithmeticError, ValueError):
+        pass
+    hit = []
+
+    def total(i, *point):
+        try:
+            return fn(*point)
+        except (ArithmeticError, ValueError):
+            hit.append(i)
+            return math.nan
+
+    out = np.fromiter(map(total, range(n), *args), float, n)
+    if raised is not None:
+        raised[hit] = True
+    return out
 
 
+# Each atom's twin takes (xs, raised) and passes raised on to mapped.
 def _monomial(coeff: float, power: int):
     return ((lambda x: coeff * x**power), f"mono({coeff:g},{power})",
-            lambda xs: coeff * mapped(pow, xs.tolist(), repeat(power)))
+            lambda xs, raised: coeff * mapped(pow, xs.tolist(), repeat(power), raised=raised))
 
 
 def _sine(amplitude: float, frequency: float):
     return ((lambda x: amplitude * math.sin(frequency * x)),
             f"sine({amplitude:g},{frequency:g})",
-            lambda xs: amplitude * mapped(math.sin, (frequency * xs).tolist()))
+            lambda xs, raised: amplitude * mapped(math.sin, (frequency * xs).tolist(),
+                                                  raised=raised))
 
 
 def _envelope_noise(amplitude: float, exponent: float, seed: int):
@@ -72,30 +97,30 @@ def _envelope_noise(amplitude: float, exponent: float, seed: int):
     freq = 0.5 + 1.5 * float(rng.random())
     phase = 2.0 * math.pi * float(rng.random())
 
-    def many(xs):
-        envelope = amplitude * mapped(pow, abs(xs).tolist(), repeat(exponent))
-        return envelope * mapped(math.cos, (freq * xs + phase).tolist())
+    def many(xs, raised):
+        envelope = amplitude * mapped(pow, abs(xs).tolist(), repeat(exponent), raised=raised)
+        return envelope * mapped(math.cos, (freq * xs + phase).tolist(), raised=raised)
 
     return ((lambda x: amplitude * abs(x) ** exponent * math.cos(freq * x + phase)),
             f"envnoise({amplitude:g},{exponent:g},{seed})", many)
 
 
 # The combinators only multiply and add, so each serves a scalar closure and
-# an array twin alike: x is a float or an array.
+# an array twin alike: x is a float, or an array followed by its raised mask.
 def _scale(factor: float, f):
-    return lambda x: factor * f(x)
+    return lambda x, *raised: factor * f(x, *raised)
 
 
 def _arg_scale(factor: float, f):
-    return lambda x: f(factor * x)
+    return lambda x, *raised: f(factor * x, *raised)
 
 
 def _sum(terms: tuple):
-    def total(x):
+    def total(x, *raised):
         # Not sum(): since Python 3.12 it is compensated and rounds differently.
         acc = 0
         for term in terms:
-            acc = acc + term(x)
+            acc = acc + term(x, *raised)
         return acc
     return total
 
@@ -105,12 +130,13 @@ class FunctionHandle:
     """An evaluable real function with a reproducible description.
 
     ``expr`` computes ``f(x)`` at one float; ``batch_expr``, when present,
-    is its array twin, which ``many`` calls on a whole array of points.
+    is its array twin, which ``many`` calls on a whole array of points and
+    the bool array it marks where a scalar routine raised.
     """
 
     expr: Callable[[float], float]
     description: str
-    batch_expr: Callable[[np.ndarray], np.ndarray] | None = None
+    batch_expr: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: float) -> float:
         """``f(x)``, or ``inf`` where the float arithmetic cannot hold it.
@@ -129,19 +155,18 @@ class FunctionHandle:
     def many(self, xs) -> np.ndarray:
         """``f`` at each point of the 1-D array ``xs``: ``[f(x) for x in xs]``, bit for bit.
 
-        One pass of the array twin; a batch in which the twin raises (see
-        ``__call__`` for what raises) is evaluated point by point, so only
-        the points that raise are ``inf``.  A handle without a twin always
-        goes point by point.
+        One pass of the array twin; the points where one of its scalar
+        routines raised (see ``__call__`` for what raises) are ``inf``, and
+        only those.  A handle without a twin goes point by point.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.batch_expr is not None:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    return self.batch_expr(xs)
-            except (ArithmeticError, ValueError):
-                pass
-        return np.array([self(x) for x in xs.tolist()], dtype=float)
+        if self.batch_expr is None:
+            return np.array([self(x) for x in xs.tolist()], dtype=float)
+        raised = np.zeros(len(xs), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.batch_expr(xs, raised)
+        out[raised] = math.inf
+        return out
 
     def scaled(self, outer: float = 1.0, inner: float = 1.0) -> "FunctionHandle":
         """The function ``x -> outer * f(inner * x)``."""

@@ -7,9 +7,9 @@ a row into approximants.  An ``IterateTable`` holds those values as rows,
 one per step ``n``, over ``function_sample_points(grid)`` -- a superset of
 the grid -- and computes a row the first time any route asks for it, in one
 ``FunctionHandle.many`` pass over the rescaled points: the array twin of
-``phi``, with the scalar libm routines, or point by point when a point of
-the row raises.  Routes sharing a table never evaluate ``phi`` twice at the
-same ``(n, x)``.
+``phi``, with the scalar libm routines, reading ``inf`` at each point where
+one of them raises.  Routes sharing a table never evaluate ``phi`` twice at
+the same ``(n, x)``.
 """
 
 from __future__ import annotations

@@ -121,8 +121,9 @@ def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
     (``pow(v, 1)`` is exact), taken as one numpy ``abs``.  Every other
     modular maps the scalar ``math.expm1`` or builtin ``pow`` over the
     finite ``|u|``, because numpy's vector ``expm1`` and ``power`` may differ
-    from libm in the last ulp; a batch in which one of them overflows goes
-    through ``rho_eval`` entry by entry instead.
+    from libm in the last ulp.  Where one of them overflows ``mapped`` gives
+    ``nan``, which a power or ``expm1`` of a finite ``|u|`` never is, and
+    that entry reads ``inf``.
     """
     u = np.asarray(u, dtype=float)
     finite = np.isfinite(u)
@@ -130,11 +131,9 @@ def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
         return np.where(finite, np.abs(u), math.inf)
     out = np.full(u.shape, math.inf)
     mags = np.abs(u[finite]).tolist()
-    try:
-        out[finite] = (mapped(math.expm1, mags) if spec.kind == "exp"
-                       else mapped(pow, mags, repeat(spec.p)))
-    except OverflowError:
-        out[finite] = [rho_eval(spec, v) for v in mags]
+    out[finite] = (mapped(math.expm1, mags) if spec.kind == "exp"
+                   else mapped(pow, mags, repeat(spec.p)))
+    out[np.isnan(out)] = math.inf
     return out
 
 

@@ -6,7 +6,8 @@ Checks never raise on mathematical failure -- only on malformed arguments.
 A per-point measure that overflows (a saturated limit evaluated far out)
 counts as a violation of ``inf``: the handles and ``rho_eval`` evaluate to
 ``inf`` there themselves, and an additivity pair whose ``x**s`` leaves the
-float range is counted the same way.
+float range, or whose root does (``radical_root`` raises), is counted the
+same way.
 
 Every check is one array expression over its sample points followed by
 ``first_max``, the first maximum a scalar running maximum would keep.  A
@@ -33,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .equation import pow_many, radical_root_many
+from .equation import radical_root_many
 from .errors import ArgumentError
-from .functions import FunctionHandle
+from .functions import FunctionHandle, mapped
 from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
 from .sampling import Grid
 
@@ -91,9 +93,10 @@ class AdditivityPairs:
     order over the Cartesian square, every ``stride``-th flat index.
     ``finite[k]`` says whether both ``x**s`` and ``y**s`` are floats, and
     for those pairs ``roots[root_of[k']]`` is ``radical_root(x**s + y**s,
-    s)``, one root per unordered pair (the sum commutes, bit for bit);
-    ``k'`` counts the finite pairs only.  The roots are in ascending order of
-    the unordered pair's point indices ``(min, max)``.
+    s)``, one root per unordered pair (the sum commutes, bit for bit), or
+    ``nan`` where ``radical_root`` raises; ``k'`` counts the finite pairs
+    only.  The roots are in ascending order of the unordered pair's point
+    indices ``(min, max)``.
     """
 
     points: np.ndarray
@@ -119,7 +122,7 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     stride = -(-n * n // MAX_ADDITIVITY_PAIRS)  # 1 whenever the square fits
     flat = np.arange(0, n * n, stride)
     first, second = flat // n, flat % n
-    powers = pow_many(pts, s)  # the scalar x**s the reference takes; nan past the range
+    powers = mapped(pow, pts, repeat(s))  # the scalar x**s the reference takes; nan past the range
     in_range = np.isfinite(powers)
     finite = in_range[first] & in_range[second]
     i, j = first[finite], second[finite]
@@ -163,14 +166,14 @@ def verify_radical_additivity(
 
     Over the pairs of ``additivity_pairs(s, grid)`` (pass them as ``pairs``
     to share them between functions), ``rho(a(w) - a(x) - a(y))`` in that
-    order of operations; a pair whose ``x**s`` or ``y**s`` is not a float
-    counts as ``inf``.  The worst pair is the first largest in visiting
-    order, starting from ``-1.0``.
+    order of operations; a pair whose ``x**s``, ``y**s`` or root is not a
+    float counts as ``inf``.  The worst pair is the first largest in
+    visiting order, starting from ``-1.0``.
     """
     if pairs is None:
         pairs = additivity_pairs(s, grid)
     at_points = _at(a, pairs.points)
-    at_roots = _at(a, pairs.roots)
+    at_roots = np.where(np.isnan(pairs.roots), math.nan, _at(a, pairs.roots))
     first, second = pairs.first[pairs.finite], pairs.second[pairs.finite]
     d = np.full(len(pairs.first), math.inf)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,9 @@ must do the same and leave their summary.
 import json
 import math
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -197,3 +199,20 @@ def test_extreme_run_exits_2_with_report(fields, tmp_path):
     assert run_config(fields, str(tmp_path)) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["exit_code"] == 2
+
+
+def test_additivity_root_that_overflows_exits_2_with_report(tmp_path):
+    # The benchmark's regime_edge expand config at s = 5 on a 3-point grid:
+    # x**5 + x**5 at the ends lands where radical_root raises OverflowError.
+    # The additivity check reads inf there, and the run exits 2 with its report.
+    text = (Path(__file__).parents[1] / "perfbench/workloads/regime_edge_expand.cfg").read_text()
+    text = re.sub(r"(?m)^s = .*$", "s = 5", text)
+    text = re.sub(r"(?m)^grid = .*$",
+                  "grid = -3.897060184062643e+61,3.897060184062643e+61,3", text)
+    cfg = tmp_path / "root_overflow.cfg"
+    cfg.write_text(text)
+    assert run_contract(["run", str(cfg)], str(tmp_path / "report.json")) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["s"] == 5 and report["exit_code"] == 2
+    (check,) = [c for c in report["methods"]["t2"]["checks"] if c["name"] == "radical_additivity"]
+    assert check["worst_value"] == "inf" and not check["passed"]

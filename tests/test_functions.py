@@ -29,6 +29,7 @@ from modstab import (
     seeded_triples,
     sine,
 )
+from modstab.functions import mapped
 
 xs = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -411,30 +412,93 @@ def test_many_matches_the_fixed_point_handle(points):
     _assert_many_is_scalar(f, points)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("fn, args, raising", [
+    (pow, ([2.0, 1e200, -3.0, 1e103, math.nan], [3, 2, 5, 3, 2]), OverflowError),
+    (pow, ([1.0, 0.0, -0.0, 2.0], [-1, -1, -3, -1]), ZeroDivisionError),
+    (math.cos, ([1.0, math.inf, math.nan, -math.inf, -0.0],), ValueError),
+])
+def test_mapped_marks_exactly_the_entries_that_raise(fn, args, raising):
+    want, hit = [], []
+    for i, point in enumerate(zip(*args)):
+        try:
+            want.append(fn(*point))
+        except raising:
+            want.append(math.nan)
+            hit.append(i)
+    assert hit and len(hit) < len(want)
+    raised = np.zeros(len(want), dtype=bool)
+    raised[0] = True  # a mark set before the call stays set
+    got = mapped(fn, *args, raised=raised)
+    assert got.dtype == np.float64 and _bits(got) == _bits(want)
+    assert np.flatnonzero(raised).tolist() == sorted({0, *hit})
+    # without a mask to mark, the same values; with nothing raising, no mark
+    assert _bits(mapped(fn, *args)) == _bits(want)
+    calm = np.zeros(len(want), dtype=bool)
+    kept = [list(a)[:hit[0]] for a in args]
+    assert _bits(mapped(fn, *kept, raised=calm)) == _bits(want[:hit[0]]) and not calm.any()
+
+
 @pytest.mark.parametrize("text, points, raising, at", [
     ("mono(1,3) + envnoise(0.01,0.5,11)", [-2.0, 0.5, 1e200, 3.0, -0.0], OverflowError, 2),
     ("mono(2,-1) + sine(0.1,1)", [-3.0, 0.0, 1e-300, 7.5], ZeroDivisionError, 1),
     ("envnoise(0.01,1,11)", [1.0, -math.inf, 2.0], ValueError, 1),  # cos(-inf)
 ])
 def test_batch_where_one_point_raises_goes_point_by_point(text, points, raising, at):
+    # The scalar closure raises at point `at` only.  The twin does not go
+    # point by point: it gives nan there, marks it, and the scalar bits at
+    # every other point; many then reads inf there, as the scalar handle.
     f = parse_expression(text)
+    for i, x in enumerate(points):
+        if i == at:
+            with pytest.raises(raising):
+                f.expr(x)
+        else:
+            f.expr(x)
     xs = np.array(points)
-    with pytest.raises(raising):
-        f.batch_expr(xs)
+    raised = np.zeros(len(points), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        twin = f.batch_expr(xs, raised).tolist()
+    assert np.flatnonzero(raised).tolist() == [at] and math.isnan(twin[at])
+    del twin[at]
+    assert _bits(twin) == _bits([f(x) for i, x in enumerate(points) if i != at])
     got = f.many(xs).tolist()
     assert [i for i, v in enumerate(got) if v == math.inf] == [at]
-    assert [v.hex() for v in got] == [f(x).hex() for x in points]
+    assert _bits(got) == _bits([f(x) for x in points])
 
 
 def test_many_runs_the_twin_without_the_scalar_closure():
+    # On the far grids x**3 and |x|**2.9 overflow at many points (on the
+    # +-1e102 one once the argument is scaled by 1e3): the refusing scalar
+    # closure shows that no batch goes point by point.
     f = parse_expression("mono(1,3) + 0.5*sine(0.1,2) + envnoise(0.01,2.9,4)")
 
     def refuse(x):
         raise AssertionError("the scalar closure was called")
 
-    xs = np.linspace(-10.0, 10.0, 101)
     twin_only = FunctionHandle(refuse, f.description, f.batch_expr)
-    assert [v.hex() for v in twin_only.many(xs).tolist()] == [f(x).hex() for x in xs.tolist()]
+    for end in (10.0, 1e102, 1e200):
+        xs = np.linspace(-end, end, 101)
+        for wrap in (lambda h: h, lambda h: h.scaled(3.0, 1e-100), lambda h: h.scaled(inner=1e3),
+                     lambda h: h.shifted(-2.5), lambda h: h.shifted(7.0).scaled(0.5, 2.0)):
+            g = wrap(f)
+            assert _bits(wrap(twin_only).many(xs)) == _bits([g(x) for x in xs.tolist()]), end
+        assert np.isinf(twin_only.scaled(inner=1e3).many(xs)).any() == (end > 10.0)
     # a handle without a twin goes point by point
+    xs = np.linspace(-10.0, 10.0, 101)
     scalar_only = FunctionHandle(f.expr, f.description)
     assert [v.hex() for v in scalar_only.many(xs).tolist()] == [f(x).hex() for x in xs.tolist()]
+
+
+def test_a_sum_that_overflows_by_multiplication_stays_nan():
+    # At 1e100 both powers are floats, 1e10 times them is +-inf, and the sum
+    # is a real nan: no scalar routine raised, so it must not read inf.  At
+    # 1e103 the power itself raises, and the handle reads inf.
+    f = parse_expression("mono(1e10,3) + mono(-1e10,3)")
+    xs = np.array([1e100, -1e100, 1e103, -1e103, 2.0])
+    want = [f(x) for x in xs.tolist()]
+    assert math.isnan(want[0]) and math.isnan(want[1]) and want[2] == want[3] == math.inf
+    assert _bits(f.many(xs)) == _bits(want)

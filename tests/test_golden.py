@@ -10,8 +10,11 @@ result shared between cells under too coarse a key moves some cell's bytes,
 and each of its cells must also equal a standalone run of that cell.
 ``large_grid/`` pins the 4001-point run at two seeds by the sha256 of its
 868 kB report, so a one-ulp drift anywhere in its 4001 points and 34
-iterate rows fails here; ``regime_edge/`` pins both sides of the
-benchmark's ``regime_edge`` workload the same way, at the same two seeds.  ``check_modular/`` pins ``modstab check-modular``
+iterate rows fails here; ``large_grid_cliff/`` pins the same config on a
+grid of +-1e102, where most of phi's batches hold points whose power
+overflows and reads ``inf``; ``regime_edge/`` pins both sides of the
+benchmark's ``regime_edge`` workload the same way, at the same two seeds.
+``check_modular/`` pins ``modstab check-modular``
 in JSON and CSV for two power modulars, one whose doubling excess is ``nan``
 at a ladder sample (``power:p=100``) and the ``exp`` modular.
 
@@ -26,6 +29,7 @@ changed field in CHANGES.md::
         PYTHONPATH=../../../src python -m modstab.cli run large_grid.cfg \\
         --seed $seed --out report_seed$seed.json; done && \\
         sha256sum report_seed*.json > expected.sha256 && rm report_seed*.json
+    (the same in tests/golden/large_grid_cliff, with large_grid_cliff.cfg)
     cd tests/golden/regime_edge && for side in expand contract; do \\
         for seed in 0 7; do PYTHONPATH=../../../src python -m modstab.cli run \\
         regime_edge_$side.cfg --seed $seed --out regime_edge_${side}_seed$seed.json; \\
@@ -75,33 +79,34 @@ def test_run_report_is_byte_identical(name, tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
-LARGE_GRID = GOLDEN / "large_grid"
-LARGE_GRID_DIGESTS = dict(
-    line.split()[::-1] for line in (LARGE_GRID / "expected.sha256").read_text().splitlines())
+def _digests(case: Path) -> dict:
+    return dict(line.split()[::-1]
+                for line in (case / "expected.sha256").read_text().splitlines())
+
+
+def _assert_digest(case: Path, cfg: str, seed: int, name: str, tmp_path: Path) -> None:
+    out = tmp_path / name
+    assert main(["run", str(case / cfg), "--seed", str(seed), "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests(case)[name]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_large_grid_report_digest(seed, tmp_path):
-    name = f"report_seed{seed}.json"
-    out = tmp_path / name
-    assert main(["run", str(LARGE_GRID / "large_grid.cfg"), "--seed", str(seed),
-                 "--out", str(out)]) == 2
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_GRID_DIGESTS[name]
+    _assert_digest(GOLDEN / "large_grid", "large_grid.cfg", seed, f"report_seed{seed}.json",
+                   tmp_path)
 
 
-REGIME_EDGE = GOLDEN / "regime_edge"
-REGIME_EDGE_DIGESTS = dict(
-    line.split()[::-1] for line in (REGIME_EDGE / "expected.sha256").read_text().splitlines())
+@pytest.mark.parametrize("seed", [0, 7])
+def test_large_grid_cliff_report_digest(seed, tmp_path):
+    _assert_digest(GOLDEN / "large_grid_cliff", "large_grid_cliff.cfg", seed,
+                   f"report_seed{seed}.json", tmp_path)
 
 
 @pytest.mark.parametrize("side", ["expand", "contract"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_regime_edge_report_digest(side, seed, tmp_path):
-    name = f"regime_edge_{side}_seed{seed}.json"
-    out = tmp_path / name
-    assert main(["run", str(REGIME_EDGE / f"regime_edge_{side}.cfg"), "--seed", str(seed),
-                 "--out", str(out)]) == 2
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == REGIME_EDGE_DIGESTS[name]
+    _assert_digest(GOLDEN / "regime_edge", f"regime_edge_{side}.cfg", seed,
+                   f"regime_edge_{side}_seed{seed}.json", tmp_path)
 
 
 def _assert_sweep_matches(case: Path, tmp_path: Path) -> None:

@@ -292,7 +292,7 @@ def test_contract_handle_matches_table_rows():
 
 @pytest.mark.parametrize("expr", [
     *(f"mono(1,3) + envnoise(0.01,{p},11)" for p in (0.5, 1.0, 2.9, 3.1)),
-    "mono(1e-30,99) + sine(0.1,1)",  # rows overflow: batches go point by point
+    "mono(1e-30,99) + sine(0.1,1)",  # rows overflow: the twin marks those points
 ])
 def test_table_rows_equal_the_scalar_handle_on_a_strided_grid(expr):
     # Rows come from FunctionHandle.many; every 37th point against phi itself.
@@ -615,7 +615,7 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
     assert divergent == {Mode.EXPAND: {0.0, math.inf}, Mode.CONTRACT: {0.0, math.inf}}
     assert underflowed == {Mode.EXPAND: {0.0}, Mode.CONTRACT: {0.0, math.inf}}
     assert converged > 40
-    # the draws reach the overflow fallback, and a zero control stays 0 there
+    # the draws reach a power that overflows, and a zero control stays 0 there
     big = np.array([1.0, 1e300, 2.0])
     assert bits(control_eval_many(ControlFunction.power(0.5, 6.0), big, big, big)) == bits(
         [1.5, math.inf, 96.0])

@@ -3,8 +3,9 @@
 ``radical_root_many`` is ``radical_root`` over an array, ``audit_defects``
 is the per-triple ``defect`` loop and ``additivity_pairs`` with the check
 over it is the per-pair ``pair_additivity_defect`` loop.  Every comparison
-is of the raw IEEE bits, so a sign of zero or of ``nan`` counts, and an
-``OverflowError`` must come exactly where the scalar routine raises one.
+is of the raw IEEE bits, so a sign of zero or of ``nan`` counts.  A twin
+never raises: where the scalar routine raises ``OverflowError`` a root is
+``nan``, and a defect ``inf``.
 """
 
 import math
@@ -50,37 +51,40 @@ def _scale_values():
     return (mantissas * 10.0 ** rng.integers(-320, 300, 3000)).tolist()
 
 
+def _scalar_roots(values, s):
+    # radical_root at each value, nan where it raises: the nan its Newton
+    # step would carry from r**s, signed by its final copysign.
+    out = []
+    for v in values:
+        try:
+            out.append(radical_root(v, s))
+        except OverflowError:
+            out.append(math.copysign(math.nan, v))
+    return out
+
+
 @pytest.mark.parametrize("s", [3, 5, 7, 9, 101])
 def test_radical_root_many_matches_scalar(s):
     values = SPECIAL + _scale_values()
-    want = []
-    for v in values:
-        try:
-            want.append(radical_root(v, s))
-        except OverflowError:
-            want.append(None)
-    kept = [v for v, w in zip(values, want) if w is not None]
-    assert raw_bits(radical_root_many(np.array(kept), s)) == raw_bits(
-        [w for w in want if w is not None])
+    assert raw_bits(radical_root_many(np.array(values), s)) == raw_bits(_scalar_roots(values, s))
 
 
 @pytest.mark.parametrize("s", [3, 5])
 def test_radical_root_many_raises_exactly_where_the_scalar_raises(s):
     # Within some hundred ulps of the largest float, r**s rounds past it.
+    # There the scalar raises and the twin gives nan, and nowhere else: the
+    # twin itself never raises, and its other entries keep their bits.
     t, raised = MAX, 0
     for _ in range(600):
         for v in (t, -t):
             try:
-                radical_root(v, s)
+                want = radical_root(v, s)
                 scalar_raises = False
             except OverflowError:
-                scalar_raises = True
-            try:
-                radical_root_many(np.array([1.0, v, 2.0]), s)
-                twin_raises = False
-            except OverflowError:
-                twin_raises = True
-            assert twin_raises == scalar_raises, (v, s)
+                want, scalar_raises = math.copysign(math.nan, v), True
+            got = radical_root_many(np.array([1.0, v, 2.0]), s)
+            assert math.isnan(got[1]) == scalar_raises, (v, s)
+            assert raw_bits(got) == raw_bits([radical_root(1.0, s), want, radical_root(2.0, s)])
             raised += scalar_raises
         t = math.nextafter(t, 0.0)
     if s == 5:
@@ -112,7 +116,7 @@ def _triples(lo, hi, seed):
 PHIS = [
     "mono(1,3) + envnoise(0.01,1,11)",
     "mono(2,5) + sine(0.1,1)",
-    "mono(1,3) + mono(1e-30,99)",  # overflows, so the twin falls back point by point
+    "mono(1,3) + mono(1e-30,99)",  # overflows: the twin marks those points, which read inf
 ]
 
 
@@ -143,18 +147,21 @@ def test_audit_defects_where_powers_overflow(rho):
     assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, rho, triples))
 
 
-def test_audit_defects_fall_back_where_a_root_overflows():
+def test_audit_defects_read_inf_where_a_root_overflows():
     # x**5 / q lands within a few ulps of the largest float, where
     # radical_root raises: that triple counts as inf, the rest as the loop.
+    # The constant phi is a float even at the nan root, so only the root
+    # itself can tell the audit that the triple overflowed.
     x = 3.897060184062673e+61
     params = EquationParams(5, 0.5)
     with pytest.raises(OverflowError):
         radical_root(x**5 / 0.5, 5)
     triples = [(1.0, 2.0, 3.0), (x, 0.0, 0.0), (-4.0, 0.5, 7.0)]
-    phi = parse_expression(PHIS[1])
-    got = audit_defects(phi, params, MODULARS[1], triples)
-    assert got[1] == math.inf
-    assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, MODULARS[1], triples))
+    for expr in (PHIS[1], "mono(3,0)"):
+        phi = parse_expression(expr)
+        got = audit_defects(phi, params, MODULARS[1], triples)
+        assert got[1] == math.inf
+        assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, MODULARS[1], triples))
 
 
 # -- additivity pairs --------------------------------------------------------
@@ -167,12 +174,16 @@ def _scalar_pair_defect(a, rho, s, x, y):
         return math.inf
 
 
+# At s = 5 the sum x**5 + x**5 of the end points lands where radical_root raises.
+ROOT_OVERFLOW_GRID = Grid(-3.897060184062643e+61, 3.897060184062643e+61, 3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("s", [3, 5])
 @pytest.mark.parametrize("grid", [Grid(-10.0, 10.0, 41), Grid(-3.0, 5.0, 47),
                                   Grid(-1e103, 1e103, 41), Grid(-1e62, 1e62, 101),
-                                  Grid(-10.0, 10.0, 4001)],
-                         ids=["41", "47", "1e103", "1e62", "4001"])
+                                  Grid(-10.0, 10.0, 4001), ROOT_OVERFLOW_GRID],
+                         ids=["41", "47", "1e103", "1e62", "4001", "root-overflow"])
 @pytest.mark.parametrize("rho", MODULARS, ids=lambda m: m.spec_string())
 def test_additivity_outcomes_match_pair_loop(s, grid, rho):
     a = parse_expression("mono(1,3) + sine(0.1,1)")
@@ -183,7 +194,7 @@ def test_additivity_outcomes_match_pair_loop(s, grid, rho):
     finite = [(i, j) for (i, j), ok in zip(visited, pairs.finite.tolist()) if ok]
     unordered = sorted({(min(i, j), max(i, j)) for i, j in finite})
     assert len(pairs.roots) == len(unordered)
-    want_roots = [radical_root(pts[i] ** s + pts[j] ** s, s) for i, j in unordered]
+    want_roots = _scalar_roots([pts[i] ** s + pts[j] ** s for i, j in unordered], s)
     assert raw_bits(pairs.roots) == raw_bits(want_roots)
     assert [unordered[k] for k in pairs.root_of.tolist()] == [
         (min(i, j), max(i, j)) for i, j in finite]
@@ -205,3 +216,18 @@ def test_additivity_grid_where_power_sums_overflow():
     pairs = additivity_pairs(3, grid)
     assert 0 < int(pairs.finite.sum()) < len(pairs.first)
     assert np.isinf(pairs.roots).any() and np.isfinite(pairs.roots).any()
+
+
+def test_additivity_counts_a_root_that_overflows_as_inf():
+    # A constant function is a float at the nan root too; the pair still
+    # counts as inf, as in the pair loop, where radical_root raises.
+    pairs = additivity_pairs(5, ROOT_OVERFLOW_GRID)
+    assert pairs.finite.all() and np.isnan(pairs.roots).any()
+    a, rho = parse_expression("mono(3,0)"), MODULARS[0]
+    pts = pairs.points.tolist()
+    want = [_scalar_pair_defect(a, rho, 5, pts[i], pts[j])
+            for i, j in zip(pairs.first.tolist(), pairs.second.tolist())]
+    assert math.inf in want
+    out = verify_radical_additivity(a, rho, 5, ROOT_OVERFLOW_GRID, pairs)
+    assert out.worst_value == math.inf == max(want)
+    assert out.worst_point == (pts[0], pts[0])
