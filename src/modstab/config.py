@@ -288,7 +288,7 @@ def parse_sweep(text: str) -> SweepConfig:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
     base = _build_experiment(sections)
 
-    allowed = set(SWEEP_AXES) | {"outdir", "cap"}
+    allowed = set(SWEEP_AXES) | {"outdir"}
     bad = set(sweep_raw) - allowed
     if bad:
         raise ConfigError(f"unknown key(s) {sorted(bad)} in [sweep]")
@@ -299,12 +299,12 @@ def parse_sweep(text: str) -> SweepConfig:
             if not values:
                 raise ConfigError(f"[sweep] {axis}: empty value list")
             axes[axis] = values
-    cap = _int({"sweep": sweep_raw}, "sweep", "cap", default=DEFAULT_SWEEP_CAP)
     total = 1
     for values in axes.values():
         total *= len(values)
-    if total > cap:
-        raise ConfigError(f"sweep has {total} cells, exceeding the cap of {cap}")
+    if total > DEFAULT_SWEEP_CAP:
+        raise ConfigError(
+            f"sweep has {total} cells, exceeding the cap of {DEFAULT_SWEEP_CAP}")
     # Each axis checks its values independently of the others, so a value
     # that parses with the base experiment parses in every cell.
     for axis, values in axes.items():

@@ -18,7 +18,9 @@ Each route formula lives in one array kernel: ``route_line``, the control
 along a route's line, ``route_bounds``, the stability bound summed over that
 line (for both direct routes and the fixed-point route), or
 ``approximant_row``, the n-th approximant off an ``IterateTable``; the
-scalar ``approximant_*`` are the tests' reference.
+scalar ``approximant_*`` are the tests' reference.  Every route that
+iterates, the fixed-point route included, enters through ``route_entry``
+and ends in a ``limit_function`` handle.
 """
 
 from __future__ import annotations
@@ -119,15 +121,16 @@ def route_bounds(mode: Mode, tau: float | None, ratio: float, line: np.ndarray) 
 def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0) -> np.ndarray:
     """The n-th approximant at every sample point of ``table``.
 
-    Contract: ``2**n * phi(2**(-n/s) x)``; expand: ``(phi(2**(n/s) x) -
-    offset) / 2**n``, the expand approximant at ``offset = q*phi(0)`` and
-    the fixed-point iterate at ``0``.  ``limit_function``'s handles make the
-    same operations, so the two agree bit for bit.
+    Contract: ``2**n * phi(2**(-n/s) x)``, off ``table.row(-n)``; expand:
+    ``(phi(2**(n/s) x) - offset) / 2**n``, off ``table.row(n)``, the expand
+    approximant at ``offset = q*phi(0)`` and the fixed-point iterate at
+    ``0``.  ``limit_function(mode, phi, params, n, offset)`` makes the same
+    operations, so the two agree bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if mode is Mode.CONTRACT:
-            return 2.0**n * table.contract(n)
-        return (table.expand(n) - offset) / 2.0**n
+            return 2.0**n * table.row(-n)
+        return (table.row(n) - offset) / 2.0**n
 
 
 def approximant_contract(
@@ -159,13 +162,41 @@ def approximant_expand(
 
 
 def limit_function(
-    mode: Mode, phi: FunctionHandle, params: EquationParams, n: int
+    mode: Mode, phi: FunctionHandle, params: EquationParams, n: int, offset: float
 ) -> FunctionHandle:
-    """The n-th approximant as an evaluable handle (usable off-grid)."""
+    """The n-th approximant as an evaluable handle (usable off-grid).
+
+    ``approximant_row(table, mode, n, offset)`` as a function of ``x``.
+    """
     if mode is Mode.CONTRACT:
         return phi.scaled(outer=2.0**n, inner=2.0 ** (-n / params.s))
-    offset = params.q * phi(0.0)
     return phi.shifted(-offset).scaled(outer=2.0**-n, inner=2.0 ** (n / params.s))
+
+
+def route_entry(tau_route: str | None, phi: FunctionHandle, params: EquationParams,
+                rho: ModularSpec, grid: Grid, tol: float, n_max: int,
+                table: IterateTable | None) -> IterateTable:
+    """Every iterating route's argument check; returns the table the route reads.
+
+    ``tol`` must be positive and ``n_max`` in ``1..MAX_N``.  ``tau_route``
+    names a route that needs a finite doubling constant, for the refusal
+    (``None`` for the expand route).  A ``table`` passed in must have been
+    built for the same ``phi``, ``s`` and grid; with none, one is built.
+    """
+    if tol <= 0:
+        raise ArgumentError(f"tol must be positive, got {tol}")
+    if not 1 <= n_max <= MAX_N:
+        raise ArgumentError(f"n_max must be in 1..{MAX_N}, got {n_max}")
+    if tau_route is not None and rho.delta2_tau is None:
+        raise ContractViolation(
+            f"{tau_route} route needs a modular with a finite doubling constant "
+            f"(delta2_tau); {rho.spec_string()} has none"
+        )
+    if table is None:
+        return IterateTable(phi, params.s, grid)
+    if table.phi is not phi or table.s != params.s or table.grid != grid:
+        raise ArgumentError("iterate table was built for a different phi, s or grid")
+    return table
 
 
 @dataclass(frozen=True)
@@ -204,24 +235,13 @@ def construct_limit(
     marks the result saturated instead of aborting the sweep.
 
     The approximants are read off the grid columns of an ``IterateTable``
-    (expand rows for ``t2``, contract rows for ``t1``), with ``q*phi(0)``
-    taken once; pass the table the other routes of a run use so that no
-    ``phi`` value is computed twice.  Each step is one ``approximant_row``
-    and gives the same bits as the scalar ``approximant_*``.
+    (rows ``n`` for ``t2``, rows ``-n`` for ``t1``), with ``q*phi(0)``
+    taken once, from ``table.origin()``; pass the table the other routes of
+    a run use so that no ``phi`` value is computed twice.  Each step is one
+    ``approximant_row`` and gives the same bits as the scalar ``approximant_*``.
     """
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
-    if not 1 <= n_max <= MAX_N:
-        raise ArgumentError(f"n_max must be in 1..{MAX_N}, got {n_max}")
-    if mode is Mode.CONTRACT and rho.delta2_tau is None:
-        raise ContractViolation(
-            "contract route needs a modular with a finite doubling constant "
-            f"(delta2_tau); {rho.spec_string()} has none"
-        )
-    if table is None:
-        table = IterateTable(phi, params.s, grid)
-    else:
-        table.check_serves(phi, params.s, grid)
+    table = route_entry("contract" if mode is Mode.CONTRACT else None,
+                        phi, params, rho, grid, tol, n_max, table)
     cols = table.grid_index
     offset = params.q * table.origin() if mode is Mode.EXPAND else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,7 +275,7 @@ def construct_limit(
         achieved_n=achieved,
         cauchy_gap=tuple(gaps.tolist()),
         saturated=saturated,
-        function=limit_function(mode, phi, params, achieved),
+        function=limit_function(mode, phi, params, achieved, offset),
     )
 
 

@@ -87,7 +87,8 @@ def radical_root(t: float, s: int) -> float:
     """The real s-th root ``sign(t) * |t|**(1/s)`` for odd ``s >= 3``.
 
     One Newton step polishes the float power so exact powers come back
-    exact up to ulp scale.
+    exact up to ulp scale; where ``r**s`` overflows, the step is taken as
+    ``r - (r - |t| / r**(s-1)) / s``, so every finite ``t`` has a finite root.
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"radical_root needs an odd integer s >= 3, got {s}")
@@ -97,7 +98,10 @@ def radical_root(t: float, s: int) -> float:
     mag = abs(t)
     r = mag ** (1.0 / s)
     if math.isfinite(r) and r > 0.0:
-        r -= (r**s - mag) / (s * r ** (s - 1))
+        try:
+            r -= (r**s - mag) / (s * r ** (s - 1))
+        except OverflowError:  # r**s past the float range
+            r -= (r - mag / r ** (s - 1)) / s
     return math.copysign(r, t)
 
 
@@ -107,9 +111,9 @@ def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
     The powers ``|t|**(1/s)``, ``r**s`` and ``r**(s-1)`` map the builtin
     ``pow`` over the entries, and the Newton step and the sign run in
     numpy, which rounds each IEEE operation as Python does.  A zero entry
-    gives ``+0.0``.  An entry is ``nan`` where ``radical_root`` raises
-    ``OverflowError`` for it, at ``r**s`` past the float range, since
-    ``mapped`` gives ``nan`` there and the Newton step carries it.
+    gives ``+0.0``.  The entries where ``r**s`` leaves the float range,
+    which ``mapped`` marks, take the Newton step in ``radical_root``'s
+    other form.
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"radical_root_many needs an odd integer s >= 3, got {s}")
@@ -118,9 +122,12 @@ def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
     r = mapped(pow, mag.tolist(), repeat(1.0 / s))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         live = np.flatnonzero(np.isfinite(r) & (r > 0.0))
-        rs = r[live].tolist()
-        r[live] -= ((mapped(pow, rs, repeat(s)) - mag[live])
-                    / (float(s) * mapped(pow, rs, repeat(s - 1))))
+        rl, ml = r[live], mag[live]
+        raised = np.zeros(len(live), dtype=bool)
+        power = mapped(pow, rl.tolist(), repeat(s), raised=raised)
+        below = mapped(pow, rl.tolist(), repeat(s - 1))
+        r[live] = rl - np.where(raised, (rl - ml / below) / float(s),
+                                (power - ml) / (float(s) * below))
         return np.where(t == 0.0, 0.0, np.copysign(r, t))
 
 

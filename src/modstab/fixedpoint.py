@@ -15,7 +15,9 @@ series bound at ratio ``L``, which ``direct.route_bounds`` computes for both.
 Both built-in controls meet it with equality at ``L = route_ratio(Mode.EXPAND,
 ...)``; ``estimate_contraction`` samples ``L`` independently, as a cross-check.
 The section ``alpha(x, x, -2**(1/s)x)`` is ``direct.route_line`` and the
-iterates are ``direct.approximant_row``, both of the expand route.
+iterates are ``direct.approximant_row``, both of the expand route, at offset
+``0``; as ``construct_limit`` does, the route enters through
+``direct.route_entry`` and returns a ``direct.limit_function`` handle.
 
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
 supremum of ratios, so every reported distance is a certified lower bound of
@@ -34,26 +36,21 @@ hands the power sums ``control_power_sums`` computed once per ``p``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .direct import MAX_N, Mode, approximant_row, route_bounds, route_line, route_ratio
+from .direct import (Mode, approximant_row, limit_function, route_bounds, route_entry,
+                     route_line, route_ratio)
 from .equation import (
     ControlFunction,
     EquationParams,
     control_eval_many,
     radical_root_many,
 )
-from .errors import (
-    ArgumentError,
-    ContractViolation,
-    DefectHypothesisError,
-    RegimeError,
-)
+from .errors import ArgumentError, DefectHypothesisError, RegimeError
 from .functions import FunctionHandle, mapped
 from .iterates import IterateTable
 from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
@@ -175,9 +172,8 @@ def audit_defects(
     the coordinates and the combined arguments in one ``FunctionHandle.many``
     batch, and the residual ``((phi(x) + phi(y)) + phi(z)) - q*phi(w)`` goes
     through ``rho_eval_array``.  A triple where ``defect`` raises
-    ``OverflowError`` counts as defect ``inf``: one whose ``x**s`` leaves
-    the float range, and one whose root is ``nan`` because ``radical_root``
-    raises there.  Nothing here reads the control, so one list serves every
+    ``OverflowError``, one whose ``x**s`` leaves the float range, counts as
+    defect ``inf``.  Nothing here reads the control, so one list serves every
     control function audited on the same triples.
     """
     s, q = params.s, params.q
@@ -334,26 +330,15 @@ def fixed_point_solve(
     ratio ``L``: the expand route's series bounds.
 
     The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are expand
-    rows of ``approximant_row`` with no offset -- the rows the expand route
-    reads, so a shared table evaluates ``phi`` once for both routes.  The
-    gap history, the quasi-contraction ratios and ``delta_hat_window`` are
+    rows of ``approximant_row`` with no offset -- the rows ``table.row(n)``
+    the expand route reads, so a shared table evaluates ``phi`` once for both
+    routes -- and ``function`` is the expand ``limit_function`` at offset 0.
+    The gap history, the quasi-contraction ratios and ``delta_hat_window`` are
     array reductions over the stacked iterate window.  ``line``, if given, is
     ``route_line(Mode.EXPAND, alpha, s, table.point_array)`` computed by the
     caller.
     """
-    if tol <= 0:
-        raise ArgumentError(f"tol must be positive, got {tol}")
-    if not 1 <= n_max <= MAX_N:
-        raise ArgumentError(f"n_max must be in 1..{MAX_N}, got {n_max}")
-    if rho.delta2_tau is None:
-        raise ContractViolation(
-            "fixed-point route needs a modular with a finite doubling constant "
-            f"(delta2_tau); {rho.spec_string()} has none"
-        )
-    if table is None:
-        table = IterateTable(phi, params.s, grid)
-    else:
-        table.check_serves(phi, params.s, grid)
+    table = route_entry("fixed-point", phi, params, rho, grid, tol, n_max, table)
     l_factor = route_ratio(Mode.EXPAND, alpha, params.s)
     if not l_factor < 1.0:
         raise RegimeError(
@@ -402,10 +387,6 @@ def fixed_point_solve(
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
         bounds = route_bounds(Mode.EXPAND, None, l_factor, line[cols])
-    final = dataclasses.replace(
-        phi.scaled(outer=2.0**-iterations, inner=2.0 ** (iterations / s)),
-        description=f"fixed-point iterate {iterations} of [{phi.description}]",
-    )
     return FixedPointResult(
         values=tuple(values.tolist()),
         point_gap=tuple(point_gap.tolist()),
@@ -418,5 +399,5 @@ def fixed_point_solve(
         origin_offset=table.origin(),
         delta_hat_window=delta_hat,
         quasi_contraction=tuple(quasi.tolist()),
-        function=final,
+        function=limit_function(Mode.EXPAND, phi, params, iterations, 0.0),
     )

@@ -1,22 +1,22 @@
 """The scaling-iterate table: every route's evaluations of ``phi``, made once.
 
-The expand route's approximants and the fixed-point iterates are built from
-the same values ``phi(2**(n/s) x)``, the contract route's approximants from
-``phi(2**(-n/s) x)``; ``direct.approximant_row`` is the one place that turns
-a row into approximants.  An ``IterateTable`` holds those values as rows,
-one per step ``n``, over ``function_sample_points(grid)`` -- a superset of
+Every route reads the one sequence of values ``phi(2**(k/s) x)``: the
+expand route's approximants and the fixed-point iterates at step ``k = n``,
+the contract route's approximants at step ``k = -n``;
+``direct.approximant_row`` is the one place that turns a row into
+approximants.  An ``IterateTable`` holds those values as rows, one per
+signed step ``k``, over ``function_sample_points(grid)`` -- a superset of
 the grid -- and computes a row the first time any route asks for it, in one
 ``FunctionHandle.many`` pass over the rescaled points: the array twin of
 ``phi``, with the scalar libm routines, reading ``inf`` at each point where
 one of them raises.  Routes sharing a table never evaluate ``phi`` twice at
-the same ``(n, x)``.
+the same ``(k, x)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError
 from .functions import FunctionHandle
 from .sampling import Grid, function_sample_points
 
@@ -24,17 +24,15 @@ __all__ = ["IterateTable"]
 
 
 class IterateTable:
-    """Lazily extended rows of ``phi`` on the rescaled sample points.
+    """Lazily computed rows of ``phi`` on the rescaled sample points.
 
     ``points`` is ``function_sample_points(grid)``, sorted and distinct,
     ``point_array`` the same as an array, and ``grid_index`` the position
-    of each grid point in it.  ``expand(n)[i]`` is
-    ``phi(2**(n/s) * points[i])`` and ``contract(n)[i]`` is
-    ``phi(2**(-n/s) * points[i])``, the arguments ``limit_function``'s
-    handles compute; an evaluation that overflows is ``inf`` (see
-    ``FunctionHandle``), the saturation signal every route reads.  Row 0 is
-    ``phi`` itself at the sample points in both directions, since
-    ``2**(0/s) = 2**(-0/s) = 1``; it is evaluated once.
+    of each grid point in it.  ``row(k)[i]`` is ``phi(2**(k/s) *
+    points[i])``, the argument ``limit_function``'s handles compute: expand
+    step ``n`` is ``row(n)`` and contract step ``n`` is ``row(-n)``.  An
+    evaluation that overflows is ``inf``, the saturation signal every route
+    reads.
     """
 
     def __init__(self, phi: FunctionHandle, s: int, grid: Grid):
@@ -45,32 +43,14 @@ class IterateTable:
         self.point_array = np.array(self.points, dtype=float)
         position = {x: i for i, x in enumerate(self.points)}
         self.grid_index = np.array([position[x] for x in grid.points()], dtype=np.intp)
-        self._expand: list[np.ndarray] = []
-        self._contract: list[np.ndarray] = []
+        self._rows: dict[int, np.ndarray] = {}
         self._origin: float | None = None
 
-    def check_serves(self, phi: FunctionHandle, s: int, grid: Grid) -> None:
-        """Refuse a table built for another function, exponent or grid."""
-        if self.phi is not phi or self.s != s or self.grid != grid:
-            raise ArgumentError("iterate table was built for a different phi, s or grid")
-
-    def _evaluate(self, scale: float) -> np.ndarray:
-        # phi(scale * x) at every sample point, bit for bit the scalar handle.
-        return self.phi.many(scale * self.point_array)
-
-    def expand(self, n: int) -> np.ndarray:
-        """Row ``n`` of ``phi(2**(n/s) * x)``, extending the table as needed."""
-        while len(self._expand) <= n:
-            self._expand.append(self._evaluate(2.0 ** (len(self._expand) / self.s)))
-        return self._expand[n]
-
-    def contract(self, n: int) -> np.ndarray:
-        """Row ``n`` of ``phi(2**(-n/s) * x)``, extending the table as needed."""
-        if not self._contract:
-            self._contract.append(self.expand(0))
-        while len(self._contract) <= n:
-            self._contract.append(self._evaluate(2.0 ** (-len(self._contract) / self.s)))
-        return self._contract[n]
+    def row(self, k: int) -> np.ndarray:
+        """``phi(2**(k/s) * x)`` at every sample point, evaluated once."""
+        if k not in self._rows:
+            self._rows[k] = self.phi.many(2.0 ** (k / self.s) * self.point_array)
+        return self._rows[k]
 
     def origin(self) -> float:
         """``phi(0)``, evaluated once."""

@@ -206,7 +206,7 @@ def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, sectio
         for x, v, b, g in zip(cfg.grid.points(), values, bounds, gaps)
     ]
     sampled = _sampled(table, key, function)
-    phi = Sampled(cfg.phi, table.point_array, table.expand(0))
+    phi = Sampled(cfg.phi, table.point_array, table.row(0))
     checks = [
         verify_stability_bound(phi, sampled, cfg.modular, bounds, cfg.grid, shift=key[3]),
         *_limit_checks(cfg, memo, key, sampled),
@@ -214,6 +214,17 @@ def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, sectio
     section["checks"] = [_outcome_dict(c) for c in checks]
     section["_function"] = (key, sampled)  # for cross-method checks; stripped later
     return section
+
+
+def _unusable_bound(x_repr: float, bounds: dict, factor: str, ratio: float) -> str | None:
+    # A route's refusal when its ratio is below 1 but a bound it sums is not a
+    # number, which certifies nothing: the control overflowed (inf), or inf met 0.
+    unusable = [f"{name} {v:.6g}" for name, v in bounds.items() if not math.isfinite(v)]
+    if not unusable:
+        return None
+    return (f"error bound at the representative point {x_repr:.6g} is not finite "
+            f"({', '.join(unusable)}) although the {factor} {ratio:.6g} < 1; "
+            "no usable bound exists here")
 
 
 def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -> dict:
@@ -271,17 +282,9 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
             "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
         }
         representative["closed form"] = closed
-    # A ratio below 1 certifies nothing when the bound it sums is not a
-    # number: the control overflowed (inf), or inf met 0 (nan).
-    unusable = [f"{name} {v:.6g}" for name, v in representative.items() if not math.isfinite(v)]
-    if unusable:
-        section["regime"] = {
-            "ok": False,
-            "ratio": ratio,
-            "error": f"error bound at the representative point {x_repr:.6g} is not finite "
-                     f"({', '.join(unusable)}) although the term ratio "
-                     f"{ratio:.6g} < 1; no usable bound exists here",
-        }
+    error = _unusable_bound(x_repr, representative, "term ratio", ratio)
+    if error:
+        section["regime"] = {"ok": False, "ratio": ratio, "error": error}
         return section
 
     limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
@@ -340,6 +343,15 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_l
             "worst_triple": list(exc.worst_triple),
             "ratio": exc.ratio,
         }
+        return section
+    # The fixed-point bound row is t2's, so it is gated as t2's is: at the
+    # grid end of largest magnitude.
+    lo, hi = abs(cfg.grid.lo), abs(cfg.grid.hi)
+    end = 0 if lo >= hi else -1
+    error = _unusable_bound(max(lo, hi), {"fixed-point bound": result.bound[end]},
+                            "contraction factor", result.l_hat)
+    if error:
+        section["regime"] = {"ok": False, "l_hat": result.l_hat, "error": error}
         return section
     section["regime"] = {"ok": True, "l_hat": result.l_hat}
     section["iteration"] = {

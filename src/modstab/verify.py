@@ -6,8 +6,7 @@ Checks never raise on mathematical failure -- only on malformed arguments.
 A per-point measure that overflows (a saturated limit evaluated far out)
 counts as a violation of ``inf``: the handles and ``rho_eval`` evaluate to
 ``inf`` there themselves, and an additivity pair whose ``x**s`` leaves the
-float range, or whose root does (``radical_root`` raises), is counted the
-same way.
+float range is counted the same way.
 
 Every check is one array expression over its sample points followed by
 ``first_max``, the first maximum a scalar running maximum would keep.  A
@@ -93,9 +92,8 @@ class AdditivityPairs:
     order over the Cartesian square, every ``stride``-th flat index.
     ``finite[k]`` says whether both ``x**s`` and ``y**s`` are floats, and
     for those pairs ``roots[root_of[k']]`` is ``radical_root(x**s + y**s,
-    s)``, one root per unordered pair (the sum commutes, bit for bit), or
-    ``nan`` where ``radical_root`` raises; ``k'`` counts the finite pairs
-    only.  The roots are in ascending order of the unordered pair's point
+    s)``, one root per unordered pair (the sum commutes, bit for bit);
+    ``k'`` counts the finite pairs only.  The roots are in ascending order of the unordered pair's point
     indices ``(min, max)``.
     """
 

@@ -365,6 +365,32 @@ class TestRegimeGates:
         assert "limit" not in sec and "checks" not in sec
         assert not rep["regime_ok"]
 
+    @pytest.mark.parametrize("method", ["fixedpoint", "t2"])
+    def test_non_finite_bound_refuses_the_fixed_point_route_as_t2(self, tmp_path, method):
+        # theta = 1e307 overflows the control at |x| = 10: the bound there is
+        # inf on both routes, which share it, so a factor below 1 certifies
+        # nothing on either.
+        cfg = write_cfg(tmp_path, phi="mono(0,3)", alpha="power:theta=1e307,p=2",
+                        method=method)
+        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", "grid = -10,10,5"))
+        out = tmp_path / "r.json"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        rep = json.loads(out.read_text())
+        sec = rep["methods"][method]
+        factor, key, name = (("contraction factor", "l_hat", "fixed-point bound")
+                             if method == "fixedpoint" else ("term ratio", "ratio", "series bound"))
+        assert sec["regime"] == {
+            "ok": False,
+            key: 0.7937005259840997,
+            "error": "error bound at the representative point 10 is not finite "
+                     f"({name} inf) although the {factor} 0.793701 < 1; "
+                     "no usable bound exists here",
+        }
+        assert "iteration" not in sec and "limit" not in sec and "checks" not in sec
+        if method == "fixedpoint":
+            assert sec["certificate"]["valid"]
+        assert not rep["regime_ok"]
+
     def test_nan_ratio_is_not_called_a_large_ratio(self, tmp_path):
         # tau**2 = 2**1200 overflows and 2**(-1e300/3) underflows: inf * 0
         cfg = write_cfg(tmp_path, alpha="power:theta=1,p=1e300", method="t1")
@@ -475,12 +501,13 @@ class TestSweep:
         assert len(lines) == 2  # header + the base experiment row
 
     def test_non_integer_cap_is_config_error(self, tmp_path, capsys):
+        # The cap is fixed: a cap key, whatever its value, is an unknown key.
         cfg = write_cfg(tmp_path, extra="\n[sweep]\np = 1,2\ncap = abc\noutdir = "
                                         + str(tmp_path / "sw") + "\n")
         assert main(["sweep", str(cfg)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        assert "[sweep] cap: not an integer: 'abc'" in err
+        assert "unknown key(s) ['cap'] in [sweep]" in err
         assert not (tmp_path / "sw").exists()
 
     def test_sweep_determinism(self, tmp_path):

@@ -116,8 +116,11 @@ def test_run_rejects_sweep_section():
 
 
 def test_sweep_cap_enforced():
-    text = GOOD + "\n[sweep]\np = 1,2,3,4\ntheta = 1,2,3\ncap = 10\n"
-    with pytest.raises(ConfigError):
+    # 101 * 100 cells, one past the fixed cap of 10000, refused at parse time.
+    p = ",".join(str(v) for v in range(1, 102))
+    theta = ",".join(str(v / 100) for v in range(1, 101))
+    text = POWER_GOOD + f"\n[sweep]\np = {p}\ntheta = {theta}\n"
+    with pytest.raises(ConfigError, match="sweep has 10100 cells, exceeding the cap of 10000"):
         parse_sweep(text)
 
 

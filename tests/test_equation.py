@@ -1,6 +1,7 @@
 """Radical arithmetic, equation defect, and control functions."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -42,6 +43,27 @@ class TestRadicalRoot:
     @given(x=coords, s=st.sampled_from([3, 5, 7]))
     def test_inverts_odd_power(self, x, s):
         assert radical_root(x**s, s) == pytest.approx(x, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [5, 101])
+    def test_root_within_one_ulp_where_the_polish_overflows(self, s):
+        # Among the 4000 largest floats, the ones whose first estimate r has
+        # r**s past the float range: the Newton step there is taken in its
+        # rewritten form, and the root is still within 1 ulp of the exact one.
+        t, hit = sys.float_info.max, []
+        for _ in range(4000):
+            try:
+                (t ** (1.0 / s)) ** s
+            except OverflowError:
+                hit.append(t)
+            t = math.nextafter(t, 0.0)
+        assert len(hit) > 50
+        with mpmath.workprec(200):
+            for v in hit:
+                for signed in (v, -v):
+                    r = radical_root(signed, s)
+                    exact = mpmath.root(mpmath.mpf(abs(signed)), s)
+                    assert math.copysign(1.0, r) == math.copysign(1.0, signed)
+                    assert abs(mpmath.mpf(abs(r)) - exact) <= math.ulp(r), (signed, s)
 
 
 class TestRadicalCombine:

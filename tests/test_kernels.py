@@ -21,6 +21,7 @@ import modstab.pipeline as pipeline_mod
 import modstab.verify as verify_mod
 from modstab import (
     ArgumentError,
+    ContractViolation,
     ControlFunction,
     EquationParams,
     FunctionHandle,
@@ -286,8 +287,25 @@ def test_contract_handle_matches_table_rows():
     phi = parse_expression("mono(1,3) + sine(0.1,1) + envnoise(0.01,1,11)")
     table = IterateTable(phi, 3, Grid(-10.0, 10.0, 401))
     for n in range(1, 61):
-        handle = limit_function(Mode.CONTRACT, phi, P3, n)
-        assert bits(handle(x) for x in table.points) == bits(2.0**n * table.contract(n))
+        handle = limit_function(Mode.CONTRACT, phi, P3, n, 0.0)
+        assert bits(handle(x) for x in table.points) == bits(2.0**n * table.row(-n))
+
+
+@pytest.mark.parametrize("mode, shifted", [
+    (Mode.CONTRACT, False), (Mode.EXPAND, True), (Mode.EXPAND, False),
+], ids=["t1", "t2", "fixedpoint"])
+def test_limit_function_is_the_approximant_row(mode, shifted):
+    # Every route's final handle and its table rows are one sequence.  phi
+    # and q are the asymmetric_offset golden's, so t2's q*phi(0) is not 0.
+    phi = parse_expression("mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)")
+    params = EquationParams(3, -0.5)
+    offset = params.q * phi(0.0) if shifted else 0.0
+    assert offset != 0.0 or not shifted
+    table = IterateTable(phi, 3, Grid(-3.0, 5.0, 61))
+    for n in (0, 1, 7, 30, 60):
+        handle = limit_function(mode, phi, params, n, offset)
+        assert bits(handle(x) for x in table.points) == bits(
+            approximant_row(table, mode, n, offset))
 
 
 @pytest.mark.parametrize("expr", [
@@ -300,8 +318,8 @@ def test_table_rows_equal_the_scalar_handle_on_a_strided_grid(expr):
     table = IterateTable(phi, 3, Grid(-10.0, 10.0, 4001))
     pts = table.points[::37]
     for n in range(0, 34, 3):
-        assert bits(table.expand(n)[::37]) == bits(phi(2.0 ** (n / 3) * x) for x in pts)
-        assert bits(table.contract(n)[::37]) == bits(phi(2.0 ** (-n / 3) * x) for x in pts)
+        assert bits(table.row(n)[::37]) == bits(phi(2.0 ** (n / 3) * x) for x in pts)
+        assert bits(table.row(-n)[::37]) == bits(phi(2.0 ** (-n / 3) * x) for x in pts)
 
 
 def test_table_refuses_a_different_grid():
@@ -309,6 +327,24 @@ def test_table_refuses_a_different_grid():
     table = IterateTable(phi, 3, Grid(-1.0, 1.0, 5))
     with pytest.raises(ValueError):
         construct_limit(Mode.EXPAND, phi, P3, ABS1, Grid(-1.0, 1.0, 7), table=table)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": 0.0}, {"n_max": 0}, {"n_max": 1024},
+    {"rho": ModularSpec.exp()},          # no doubling constant
+    {"grid": Grid(-1.0, 1.0, 7)},        # the table was built for another grid
+], ids=["tol", "n_max-0", "n_max-1024", "no-doubling-constant", "foreign-table"])
+def test_contract_and_fixed_point_routes_refuse_alike(bad):
+    phi = parse_expression("mono(1,3)")
+    table = IterateTable(phi, 3, Grid(-1.0, 1.0, 5))
+    args = {"rho": ABS1, "grid": table.grid, "tol": 1e-9, "n_max": 60, **bad}
+    with pytest.raises((ArgumentError, ContractViolation)) as t1:
+        construct_limit(Mode.CONTRACT, phi, P3, table=table, **args)
+    with pytest.raises((ArgumentError, ContractViolation)) as fp:
+        fixed_point_solve(phi, P3, alpha=ControlFunction.power(0.5, 1),
+                          audit={"hypothesis_ok": True}, table=table, **args)
+    assert type(fp.value) is type(t1.value)
+    assert str(fp.value) == str(t1.value).replace("contract route", "fixed-point route")
 
 
 def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
@@ -344,9 +380,9 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     points = IterateTable(base, 3, cfg.grid).points
     per_step = Counter(2.0 ** (n / 3) * x for n in range(max(t2, fp) + 1) for x in points)
     # Each (n, x) is evaluated exactly once across t2 and the fixed-point
-    # route; beyond that, phi(0) is taken once by the table (the q*phi(0)
-    # offset and origin_offset) and once by limit_function.
-    assert calls - per_step == Counter({0.0: 2})
+    # route; beyond that, phi(0) is taken once, by the table, for the
+    # q*phi(0) offset, the limit handle and origin_offset alike.
+    assert calls - per_step == Counter({0.0: 1})
     assert not per_step - calls
 
 
@@ -501,7 +537,7 @@ def test_additivity_ties_go_to_the_first_pair_visited():
     grid = Grid(-3.0, 5.0, 47)
     a = parse_expression("mono(0.25,0)")
     table = IterateTable(a, 3, grid)
-    sampled = verify_mod.Sampled(a, table.point_array, table.expand(0))
+    sampled = verify_mod.Sampled(a, table.point_array, table.row(0))
     for f in (a, sampled):
         out = verify_radical_additivity(f, ABS1, 3, grid)
         assert out.worst_point == (grid.lo, grid.lo) and out.worst_value == 0.25

@@ -4,8 +4,9 @@
 is the per-triple ``defect`` loop and ``additivity_pairs`` with the check
 over it is the per-pair ``pair_additivity_defect`` loop.  Every comparison
 is of the raw IEEE bits, so a sign of zero or of ``nan`` counts.  A twin
-never raises: where the scalar routine raises ``OverflowError`` a root is
-``nan``, and a defect ``inf``.
+never raises: where the scalar routine raises ``OverflowError`` (a power
+``x**s`` leaves the float range) a defect is ``inf``.  Every finite input
+has a finite root, the largest floats included.
 """
 
 import math
@@ -52,15 +53,7 @@ def _scale_values():
 
 
 def _scalar_roots(values, s):
-    # radical_root at each value, nan where it raises: the nan its Newton
-    # step would carry from r**s, signed by its final copysign.
-    out = []
-    for v in values:
-        try:
-            out.append(radical_root(v, s))
-        except OverflowError:
-            out.append(math.copysign(math.nan, v))
-    return out
+    return [radical_root(v, s) for v in values]
 
 
 @pytest.mark.parametrize("s", [3, 5, 7, 9, 101])
@@ -70,25 +63,25 @@ def test_radical_root_many_matches_scalar(s):
 
 
 @pytest.mark.parametrize("s", [3, 5])
-def test_radical_root_many_raises_exactly_where_the_scalar_raises(s):
-    # Within some hundred ulps of the largest float, r**s rounds past it.
-    # There the scalar raises and the twin gives nan, and nowhere else: the
-    # twin itself never raises, and its other entries keep their bits.
-    t, raised = MAX, 0
+def test_radical_root_many_matches_scalar_where_r_to_the_s_overflows(s):
+    # Within some hundred ulps of the largest float, the first estimate r
+    # has r**s past the float range, and both forms take the rewritten
+    # Newton step there: the roots are finite and keep the scalar's bits,
+    # and the entries beside them keep theirs.
+    t, overflowed = MAX, 0
     for _ in range(600):
         for v in (t, -t):
-            try:
-                want = radical_root(v, s)
-                scalar_raises = False
-            except OverflowError:
-                want, scalar_raises = math.copysign(math.nan, v), True
+            want = radical_root(v, s)
             got = radical_root_many(np.array([1.0, v, 2.0]), s)
-            assert math.isnan(got[1]) == scalar_raises, (v, s)
+            assert math.isfinite(got[1]), (v, s)
             assert raw_bits(got) == raw_bits([radical_root(1.0, s), want, radical_root(2.0, s)])
-            raised += scalar_raises
+            try:
+                (abs(v) ** (1.0 / s)) ** s
+            except OverflowError:
+                overflowed += 1
         t = math.nextafter(t, 0.0)
     if s == 5:
-        assert raised > 0  # the loop saw the raising case at all
+        assert overflowed > 0  # the loop saw the rewritten step at all
 
 
 def test_radical_root_many_refuses_an_even_exponent():
@@ -147,20 +140,22 @@ def test_audit_defects_where_powers_overflow(rho):
     assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, rho, triples))
 
 
-def test_audit_defects_read_inf_where_a_root_overflows():
-    # x**5 / q lands within a few ulps of the largest float, where
-    # radical_root raises: that triple counts as inf, the rest as the loop.
-    # The constant phi is a float even at the nan root, so only the root
-    # itself can tell the audit that the triple overflowed.
+def test_audit_defects_match_scalar_where_the_root_polish_overflows():
+    # x**5 / q lands within a few ulps of the largest float, where the
+    # root's first estimate r has r**5 past the float range: the root w is
+    # still finite, and that triple's defect is the scalar loop's.  The
+    # constant phi is a float at w, so its defect is too; mono(2,5) is not.
     x = 3.897060184062673e+61
     params = EquationParams(5, 0.5)
+    r = (x**5 / 0.5) ** (1 / 5)
     with pytest.raises(OverflowError):
-        radical_root(x**5 / 0.5, 5)
+        r**5
+    assert math.isfinite(radical_root(x**5 / 0.5, 5))
     triples = [(1.0, 2.0, 3.0), (x, 0.0, 0.0), (-4.0, 0.5, 7.0)]
-    for expr in (PHIS[1], "mono(3,0)"):
+    for expr, finite in ((PHIS[1], False), ("mono(3,0)", True)):
         phi = parse_expression(expr)
         got = audit_defects(phi, params, MODULARS[1], triples)
-        assert got[1] == math.inf
+        assert math.isfinite(got[1]) == finite
         assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, MODULARS[1], triples))
 
 
@@ -174,7 +169,8 @@ def _scalar_pair_defect(a, rho, s, x, y):
         return math.inf
 
 
-# At s = 5 the sum x**5 + x**5 of the end points lands where radical_root raises.
+# At s = 5 the sum x**5 + x**5 of the end points lands where the root's
+# first estimate r has r**5 past the float range.
 ROOT_OVERFLOW_GRID = Grid(-3.897060184062643e+61, 3.897060184062643e+61, 3)
 
 
@@ -218,16 +214,17 @@ def test_additivity_grid_where_power_sums_overflow():
     assert np.isinf(pairs.roots).any() and np.isfinite(pairs.roots).any()
 
 
-def test_additivity_counts_a_root_that_overflows_as_inf():
-    # A constant function is a float at the nan root too; the pair still
-    # counts as inf, as in the pair loop, where radical_root raises.
+def test_additivity_where_the_root_polish_overflows_matches_pair_loop():
+    # Every pair's root is finite, the end points' included, and the check
+    # is the pair loop's: a constant function has defect 3 at every pair,
+    # and the first pair visited is the worst.
     pairs = additivity_pairs(5, ROOT_OVERFLOW_GRID)
-    assert pairs.finite.all() and np.isnan(pairs.roots).any()
+    assert pairs.finite.all() and np.isfinite(pairs.roots).all()
     a, rho = parse_expression("mono(3,0)"), MODULARS[0]
     pts = pairs.points.tolist()
     want = [_scalar_pair_defect(a, rho, 5, pts[i], pts[j])
             for i, j in zip(pairs.first.tolist(), pairs.second.tolist())]
-    assert math.inf in want
+    assert set(want) == {3.0}
     out = verify_radical_additivity(a, rho, 5, ROOT_OVERFLOW_GRID, pairs)
-    assert out.worst_value == math.inf == max(want)
+    assert out.worst_value == 3.0
     assert out.worst_point == (pts[0], pts[0])
