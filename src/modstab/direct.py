@@ -125,12 +125,13 @@ def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0
     ``(phi(2**(n/s) x) - offset) / 2**n``, off ``table.row(n)``, the expand
     approximant at ``offset = q*phi(0)`` and the fixed-point iterate at
     ``0``.  ``limit_function(mode, phi, params, n, offset)`` makes the same
-    operations, so the two agree bit for bit.
+    operations, so the two agree bit for bit.  The caller holds
+    ``np.errstate(over="ignore", invalid="ignore")`` around its batch of
+    rows, once, not once per row.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mode is Mode.CONTRACT:
-            return 2.0**n * table.row(-n)
-        return (table.row(n) - offset) / 2.0**n
+    if mode is Mode.CONTRACT:
+        return 2.0**n * table.row(-n)
+    return (table.row(n) - offset) / 2.0**n
 
 
 def approximant_contract(

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, RangeError
-from .functions import FunctionHandle, mapped
+from .functions import FunctionHandle, power
 from .modular import ModularSpec, pow_or_inf, rho_eval
 
 __all__ = [
@@ -108,26 +107,26 @@ def radical_root(t: float, s: int) -> float:
 def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
     """``radical_root`` at each entry of the 1-D float array ``t``, bit for bit.
 
-    The powers ``|t|**(1/s)``, ``r**s`` and ``r**(s-1)`` map the builtin
-    ``pow`` over the entries, and the Newton step and the sign run in
-    numpy, which rounds each IEEE operation as Python does.  A zero entry
-    gives ``+0.0``.  The entries where ``r**s`` leaves the float range,
-    which ``mapped`` marks, take the Newton step in ``radical_root``'s
-    other form.
+    The powers ``|t|**(1/s)``, ``r**s`` and ``r**(s-1)`` are
+    ``functions.power``, builtin ``pow`` bit for bit, and the Newton step
+    and the sign run in numpy, which rounds each IEEE operation as Python
+    does.  A zero entry gives ``+0.0``.  The entries where ``r**s`` leaves
+    the float range, which ``power`` marks, take the Newton step in
+    ``radical_root``'s other form.
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"radical_root_many needs an odd integer s >= 3, got {s}")
     t = np.asarray(t, dtype=float)
     mag = abs(t)
-    r = mapped(pow, mag.tolist(), repeat(1.0 / s))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = power(mag, 1.0 / s)
         live = np.flatnonzero(np.isfinite(r) & (r > 0.0))
         rl, ml = r[live], mag[live]
         raised = np.zeros(len(live), dtype=bool)
-        power = mapped(pow, rl.tolist(), repeat(s), raised=raised)
-        below = mapped(pow, rl.tolist(), repeat(s - 1))
+        top = power(rl, s, raised)
+        below = power(rl, s - 1)
         r[live] = rl - np.where(raised, (rl - ml / below) / float(s),
-                                (power - ml) / (float(s) * below))
+                                (top - ml) / (float(s) * below))
         return np.where(t == 0.0, 0.0, np.copysign(r, t))
 
 
@@ -197,17 +196,16 @@ def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
 def control_power_sums(p: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``|x|**p + |y|**p + |z|**p`` at each triple of three 1-D arrays: the power control over ``theta``.
 
-    Each power maps the scalar ``**`` (builtin ``pow``) over the points and
-    the two additions run in numpy, which rounds each IEEE operation as
-    Python does, so ``theta`` times an entry has the bits ``control_eval``
-    gives.  ``nan`` marks a triple where a power overflows: ``mapped``
-    gives ``nan`` where ``pow`` raises ``OverflowError``.  A sum of finite
-    powers is never ``nan``, and one that overflows by addition is ``inf``.
+    Each power is ``functions.power``, the scalar ``**`` (builtin ``pow``)
+    bit for bit, and the two additions run in numpy, which rounds each IEEE
+    operation as Python does, so ``theta`` times an entry has the bits
+    ``control_eval`` gives.  ``nan`` marks a triple where a power overflows:
+    ``power`` gives ``nan`` where ``pow`` raises ``OverflowError``.  A sum
+    of finite powers is never ``nan``, and one that overflows by addition
+    is ``inf``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return (mapped(pow, abs(x).tolist(), repeat(p))
-                + mapped(pow, abs(y).tolist(), repeat(p))
-                + mapped(pow, abs(z).tolist(), repeat(p)))
+        return power(abs(x), p) + power(abs(y), p) + power(abs(z), p)
 
 
 def control_eval_many(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .equation import (
     radical_root_many,
 )
 from .errors import ArgumentError, DefectHypothesisError, RegimeError
-from .functions import FunctionHandle, mapped
+from .functions import FunctionHandle, power
 from .iterates import IterateTable
 from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
 from .sampling import Grid
@@ -167,27 +166,28 @@ def audit_defects(
     """The equation defect of ``phi`` at each triple: the audit's alpha-free step.
 
     ``defect`` at each triple, bit for bit, as array code: the powers
-    ``x**s`` map the builtin ``pow``, the combined arguments are
-    ``radical_root_many`` of ``((x**s + y**s) + z**s) / q``, ``phi`` takes
-    the coordinates and the combined arguments in one ``FunctionHandle.many``
-    batch, and the residual ``((phi(x) + phi(y)) + phi(z)) - q*phi(w)`` goes
-    through ``rho_eval_array``.  A triple where ``defect`` raises
-    ``OverflowError``, one whose ``x**s`` leaves the float range, counts as
-    defect ``inf``.  Nothing here reads the control, so one list serves every
-    control function audited on the same triples.
+    ``x**s`` are ``functions.power`` (builtin ``pow`` bit for bit), the
+    combined arguments are ``radical_root_many`` of ``((x**s + y**s) +
+    z**s) / q``, ``phi`` takes the coordinates and the combined arguments in
+    one ``FunctionHandle.many`` batch, and the residual ``((phi(x) + phi(y))
+    + phi(z)) - q*phi(w)`` goes through ``rho_eval_array``.  A triple where
+    ``defect`` raises ``OverflowError``, one whose ``x**s`` leaves the float
+    range, counts as defect ``inf``.  A sum of finite powers over a nonzero
+    ``q`` is finite or ``+-inf``, and so is its root.  Nothing here reads the
+    control, so one list serves every control function audited on the same
+    triples.
     """
     s, q = params.s, params.q
     coords = np.array(triples, dtype=float).reshape(-1, 3)
-    powers = mapped(pow, coords.ravel().tolist(), repeat(s)).reshape(-1, 3)
-    live = np.flatnonzero(np.isfinite(powers).all(axis=1))
-    x, y, z = coords[live].T
-    px, py, pz = powers[live].T
     with np.errstate(over="ignore", invalid="ignore"):
+        powers = power(coords, s)
+        live = np.flatnonzero(np.isfinite(powers).all(axis=1))
+        x, y, z = coords[live].T
+        px, py, pz = powers[live].T
         w = radical_root_many((px + py + pz) / q, s)
         fx, fy, fz, fw = phi.many(np.concatenate((x, y, z, w))).reshape(4, -1)
         defects = np.full(len(coords), math.inf)
-        defects[live] = np.where(np.isnan(w), math.inf,
-                                 rho_eval_array(rho, fx + fy + fz - q * fw))
+        defects[live] = rho_eval_array(rho, fx + fy + fz - q * fw)
     return defects.tolist()
 
 

@@ -21,15 +21,17 @@ supported Python.
 Each atom also has an array twin, and ``FunctionHandle.many`` evaluates a
 whole array of points through it in one pass.  The twin makes the scalar
 closure's operations in the same order: ``*``, ``+`` and ``abs`` run in
-numpy, which rounds each IEEE operation as Python does, while every power,
-sine and cosine maps the scalar routine (builtin ``pow``, ``math.sin``,
-``math.cos``) over the points through ``mapped``, because numpy's vectorised
-``**``, ``sin`` and ``cos`` may differ from libm in the last bit.  The
-scalar multiples, argument scales and sums are the same closures in both
-forms, since they only multiply and add.  A twin takes ``(xs, raised)``:
-``mapped`` marks in the bool array ``raised`` each point where the scalar
-routine raises, and ``many`` reads ``inf`` there, as the scalar handle does,
-so each value is bit for bit the scalar handle's.
+numpy, which rounds each IEEE operation as Python does.  Every power goes
+through ``power``, one ``np.float_power`` loop that calls libm ``pow`` per
+element as builtin ``pow`` does, and every sine and cosine maps the scalar
+``math.sin`` or ``math.cos`` over the points through ``mapped``: numpy's
+``**``, ``np.power``, ``sin`` and ``cos`` are vectorised loops that may
+differ from libm in the last bit.  The scalar multiples, argument scales
+and sums are the same closures in both forms, since they only multiply and
+add.  A twin takes ``(xs, raised)``: ``power`` and ``mapped`` mark in the
+bool array ``raised`` each point where the scalar routine raises, and
+``many`` reads ``inf`` there, as the scalar handle does, so each value is
+bit for bit the scalar handle's.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -49,14 +50,15 @@ __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expres
 
 
 def mapped(fn, *args, raised: np.ndarray | None = None) -> np.ndarray:
-    """The scalar routine ``fn`` mapped over a list (and ``repeat()``ed constants), as a float array.
+    """The scalar routine ``fn`` mapped over lists of its arguments, as a float array.
 
-    This is how every array twin in modstab takes a power, sine, cosine or
-    ``expm1``: numpy's own may differ from libm in the last bit.  It is
-    total: an entry where ``fn`` raises ``ArithmeticError`` (a power that
-    overflows, ``0.0`` to a negative power) or ``ValueError`` (``cos`` of
-    ``inf``) is ``nan``, and is set in the bool array ``raised`` when the
-    caller passes one.  A batch where nothing raises is one plain map.
+    This is how every array twin in modstab takes a sine, cosine or
+    ``expm1``: numpy's vector ``sin``, ``cos`` and ``expm1`` may differ
+    from libm in the last bit.  (Powers take ``power``, one C loop.)  It is
+    total: an entry where ``fn`` raises ``ArithmeticError`` or
+    ``ValueError`` (``cos`` of ``inf``) is ``nan``, and is set in the bool
+    array ``raised`` when the caller passes one.  A batch where nothing
+    raises is one plain map.
     """
     n = len(args[0])
     try:
@@ -78,10 +80,50 @@ def mapped(fn, *args, raised: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-# Each atom's twin takes (xs, raised) and passes raised on to mapped.
-def _monomial(coeff: float, power: int):
-    return ((lambda x: coeff * x**power), f"mono({coeff:g},{power})",
-            lambda xs, raised: coeff * mapped(pow, xs.tolist(), repeat(power), raised=raised))
+def power(bases, exponent, raised: np.ndarray | None = None) -> np.ndarray:
+    """Builtin ``pow(b, exponent)`` at each entry ``b`` of ``bases``, bit for bit.
+
+    ``bases`` is a float array of one or more dimensions, and the result
+    has its shape.  One ``np.float_power`` loop, which calls libm ``pow``
+    per element as builtin ``pow`` does; numpy's ``**`` and ``np.power``
+    are vectorised loops that may differ from libm in the last bit.  A
+    ``nan`` base comes back as it went in, sign included, as ``pow``
+    returns it.  Total as ``mapped`` is: where ``pow`` raises -- a finite
+    base whose power leaves the float range, ``0.0`` to a negative power,
+    an int exponent past the float range -- the entry is ``nan`` and is set
+    in ``raised`` when the caller passes one.  A fractional exponent needs
+    non-negative bases (``pow`` gives a complex number for a negative one).
+
+    The caller holds ``np.errstate(over="ignore", invalid="ignore")``
+    around its batch, once rather than once per power: a power that
+    overflows sets the flag and is then made ``nan`` here.
+    """
+    bases = np.asarray(bases, dtype=float)
+    try:
+        exponent = float(exponent)
+    except OverflowError:  # pow converts the exponent first, and raises at every base
+        if raised is not None:
+            raised[...] = True
+        return np.full(bases.shape, math.nan)
+    if exponent < 0.0:
+        with np.errstate(divide="ignore"):  # 0.0 to a negative power, made nan below
+            out = np.float_power(bases, exponent)
+    else:
+        out = np.float_power(bases, exponent)
+    if not math.isfinite(np.add.reduce(out, axis=None)):  # finite only if every entry is
+        nan = np.isnan(bases)
+        out[nan] = bases[nan]  # libm flips the sign of -nan at odd exponents; pow does not
+        hit = ~np.isfinite(out) & np.isfinite(bases)
+        out[hit] = math.nan
+        if raised is not None:
+            raised |= hit
+    return out
+
+
+# Each atom's twin takes (xs, raised) and passes raised on to power or mapped.
+def _monomial(coeff: float, exponent: int):
+    return ((lambda x: coeff * x**exponent), f"mono({coeff:g},{exponent})",
+            lambda xs, raised: coeff * power(xs, exponent, raised))
 
 
 def _sine(amplitude: float, frequency: float):
@@ -98,7 +140,7 @@ def _envelope_noise(amplitude: float, exponent: float, seed: int):
     phase = 2.0 * math.pi * float(rng.random())
 
     def many(xs, raised):
-        envelope = amplitude * mapped(pow, abs(xs).tolist(), repeat(exponent), raised=raised)
+        envelope = amplitude * power(abs(xs), exponent, raised)
         return envelope * mapped(math.cos, (freq * xs + phase).tolist(), raised=raised)
 
     return ((lambda x: amplitude * abs(x) ** exponent * math.cos(freq * x + phase)),

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
-from .functions import mapped
+from .functions import mapped, power
 
 __all__ = [
     "ModularSpec",
@@ -119,20 +118,23 @@ def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
     Every entry gets exactly the bits ``rho_eval`` gives it (``inf`` where it
     is not finite).  For the ``power:p=1`` modular that is ``abs(u)``
     (``pow(v, 1)`` is exact), taken as one numpy ``abs``.  Every other
-    modular maps the scalar ``math.expm1`` or builtin ``pow`` over the
-    finite ``|u|``, because numpy's vector ``expm1`` and ``power`` may differ
-    from libm in the last ulp.  Where one of them overflows ``mapped`` gives
-    ``nan``, which a power or ``expm1`` of a finite ``|u|`` never is, and
-    that entry reads ``inf``.
+    modular takes the finite ``|u|`` through ``functions.power`` (builtin
+    ``pow`` bit for bit) or maps the scalar ``math.expm1`` over them,
+    because numpy's vector ``expm1`` may differ from libm in the last ulp.
+    Where one of them overflows it gives ``nan``, which a power or ``expm1``
+    of a finite ``|u|`` never is, and that entry reads ``inf``.
     """
     u = np.asarray(u, dtype=float)
     finite = np.isfinite(u)
     if spec.kind == "power" and spec.p == 1.0:
         return np.where(finite, np.abs(u), math.inf)
     out = np.full(u.shape, math.inf)
-    mags = np.abs(u[finite]).tolist()
-    out[finite] = (mapped(math.expm1, mags) if spec.kind == "exp"
-                   else mapped(pow, mags, repeat(spec.p)))
+    mags = np.abs(u[finite])
+    if spec.kind == "exp":
+        out[finite] = mapped(math.expm1, mags.tolist())
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[finite] = power(mags, spec.p)
     out[np.isnan(out)] = math.inf
     return out
 

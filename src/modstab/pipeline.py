@@ -159,7 +159,8 @@ def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
 def _sampled(table: IterateTable, key: tuple, function) -> Sampled:
     """The limit function ``key`` names, with its values off the table rows."""
     mode, _, n, offset = key
-    return Sampled(function, table.point_array, approximant_row(table, mode, n, offset))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Sampled(function, table.point_array, approximant_row(table, mode, n, offset))
 
 
 def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function: Sampled) -> tuple:

@@ -21,9 +21,10 @@ even and sends every non-finite value to ``inf``.  Points off the samples
 handle, in one ``FunctionHandle.many`` batch per check argument.
 
 The additivity pairs depend only on ``s`` and the grid: ``additivity_pairs``
-builds the strided pair indices, ``x**s`` once per grid point (the builtin
-``pow`` mapped over the points) and the root ``w = radical_root(x**s +
-y**s, s)`` once per unordered pair (``radical_root_many``, bit for bit),
+builds the strided pair indices, ``x**s`` once per grid point
+(``functions.power``, the builtin ``pow`` bit for bit) and the root ``w =
+radical_root(x**s + y**s, s)`` once per unordered pair
+(``radical_root_many``, bit for bit),
 and a caller checking several functions passes it as ``pairs=``.  ``a(w)``
 then costs one evaluation per unordered pair, and ``pair_additivity_defect``
 stays the scalar reference the tests hold the check to.
@@ -33,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .equation import radical_root_many
 from .errors import ArgumentError
-from .functions import FunctionHandle, mapped
+from .functions import FunctionHandle, power
 from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
 from .sampling import Grid
 
@@ -115,20 +115,20 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"additivity pairs need odd s >= 3, got {s}")
-    pts = grid.points()
+    pts = np.array(grid.points())
     n = len(pts)
     stride = -(-n * n // MAX_ADDITIVITY_PAIRS)  # 1 whenever the square fits
     flat = np.arange(0, n * n, stride)
     first, second = flat // n, flat % n
-    powers = mapped(pow, pts, repeat(s))  # the scalar x**s the reference takes; nan past the range
-    in_range = np.isfinite(powers)
-    finite = in_range[first] & in_range[second]
-    i, j = first[finite], second[finite]
-    # One key per unordered pair, min * n + max; the roots follow the sorted keys.
-    keys, root_of = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = power(pts, s)  # the scalar x**s the reference takes; nan past the range
+        in_range = np.isfinite(powers)
+        finite = in_range[first] & in_range[second]
+        i, j = first[finite], second[finite]
+        # One key per unordered pair, min * n + max; the roots follow the sorted keys.
+        keys, root_of = np.unique(np.minimum(i, j) * n + np.maximum(i, j), return_inverse=True)
         roots = radical_root_many(powers[keys // n] + powers[keys % n], s)
-    return AdditivityPairs(np.array(pts), first, second, finite, roots, root_of)
+    return AdditivityPairs(pts, first, second, finite, roots, root_of)
 
 
 def _at(f: FunctionHandle | Sampled, xs: np.ndarray) -> np.ndarray:
@@ -164,14 +164,14 @@ def verify_radical_additivity(
 
     Over the pairs of ``additivity_pairs(s, grid)`` (pass them as ``pairs``
     to share them between functions), ``rho(a(w) - a(x) - a(y))`` in that
-    order of operations; a pair whose ``x**s``, ``y**s`` or root is not a
-    float counts as ``inf``.  The worst pair is the first largest in
-    visiting order, starting from ``-1.0``.
+    order of operations; a pair whose ``x**s`` or ``y**s`` is not a float
+    counts as ``inf``.  The worst pair is the first largest in visiting
+    order, starting from ``-1.0``.
     """
     if pairs is None:
         pairs = additivity_pairs(s, grid)
     at_points = _at(a, pairs.points)
-    at_roots = np.where(np.isnan(pairs.roots), math.nan, _at(a, pairs.roots))
+    at_roots = _at(a, pairs.roots)
     first, second = pairs.first[pairs.finite], pairs.second[pairs.finite]
     d = np.full(len(pairs.first), math.inf)
     with np.errstate(over="ignore", invalid="ignore"):

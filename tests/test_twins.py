@@ -1,8 +1,10 @@
 """The array twins of the radical equation's scalar routines, held to them bit for bit.
 
-``radical_root_many`` is ``radical_root`` over an array, ``audit_defects``
-is the per-triple ``defect`` loop and ``additivity_pairs`` with the check
-over it is the per-pair ``pair_additivity_defect`` loop.  Every comparison
+``functions.power`` is builtin ``pow`` over an array, with a mask of the
+entries where ``pow`` raises.  ``radical_root_many`` is ``radical_root``
+over an array, ``audit_defects`` is the per-triple ``defect`` loop and
+``additivity_pairs`` with the check over it is the per-pair
+``pair_additivity_defect`` loop.  Every comparison
 is of the raw IEEE bits, so a sign of zero or of ``nan`` counts.  A twin
 never raises: where the scalar routine raises ``OverflowError`` (a power
 ``x**s`` leaves the float range) a defect is ``inf``.  Every finite input
@@ -29,6 +31,7 @@ from modstab import (
     seeded_triples,
     verify_radical_additivity,
 )
+from modstab.functions import power
 
 MODULARS = [ModularSpec.power(1), ModularSpec.power(2), ModularSpec.exp()]
 MAX = 1.7976931348623157e308
@@ -36,9 +39,6 @@ MAX = 1.7976931348623157e308
 
 def raw_bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
-
-
-# -- radical_root_many -------------------------------------------------------
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
@@ -50,6 +50,76 @@ def _scale_values():
     rng = np.random.default_rng(15)
     mantissas = rng.uniform(-10.0, 10.0, 3000)
     return (mantissas * 10.0 ** rng.integers(-320, 300, 3000)).tolist()
+
+
+# -- functions.power ---------------------------------------------------------
+
+
+def _walk(t, count, toward):
+    out = []
+    for _ in range(count):
+        out.append(t)
+        t = math.nextafter(t, toward)
+    return out
+
+
+def _overflow_edge(k):
+    # The 600 floats below the largest, their k-th roots, and 300 ulps on
+    # each side of the largest float's k-th root: x**k leaves the float
+    # range among these bases.
+    tops = _walk(MAX, 600, 0.0)
+    edge = pow(MAX, 1.0 / k)
+    return (tops + [pow(t, 1.0 / k) for t in tops]
+            + _walk(edge, 300, 0.0) + _walk(edge, 300, math.inf))
+
+
+def _check_power(bases, exponent):
+    want, hit = [], []
+    for i, b in enumerate(bases):
+        try:
+            want.append(pow(b, exponent))
+        except ArithmeticError:  # out of range, 0.0 to a negative power
+            want.append(math.nan)
+            hit.append(i)
+    raised = np.zeros(len(bases), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # what every caller holds
+        got = power(np.array(bases), exponent, raised)
+        bare = power(np.array(bases), exponent)
+    assert raw_bits(got) == raw_bits(want), exponent
+    assert np.flatnonzero(raised).tolist() == hit, exponent
+    assert raw_bits(bare) == raw_bits(want), exponent
+    return hit
+
+
+POWER_BASES = SPECIAL + _scale_values() + _overflow_edge(3) + _overflow_edge(5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [3, 5, 2, 4, 1, 0, 7, 100, -1, -2, -3,
+                                      pytest.param(2**1100, id="2**1100")])
+def test_power_matches_builtin_pow_at_integer_exponents(exponent):
+    # Negative bases included: pow takes the sign from an odd exponent.
+    hit = _check_power(POWER_BASES, exponent)
+    if exponent in (3, 5):
+        assert 0 < len(hit) < len(POWER_BASES)
+    if exponent < 0:  # 0.0 and -0.0 to a negative power, without a divide warning
+        assert {0, 1} <= set(hit)
+    if exponent == 2**1100:  # pow cannot convert the exponent, at any base
+        assert len(hit) == len(POWER_BASES)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [0.5, 2.9, 3.1, 1 / 3, 1 / 5, 1 / 101, 100.0])
+def test_power_matches_builtin_pow_at_fractional_exponents(exponent):
+    # On non-negative bases: pow gives a complex number for a negative one.
+    # A nan base keeps its sign either way.
+    bases = [b if math.isnan(b) else abs(b) for b in POWER_BASES]
+    hit = _check_power(bases, exponent)
+    if exponent in (2.9, 3.1, 100.0):
+        assert hit
+
+
+# -- radical_root_many -------------------------------------------------------
 
 
 def _scalar_roots(values, s):
