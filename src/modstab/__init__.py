@@ -15,8 +15,6 @@ from .direct import (
     LimitResult,
     Mode,
     SeriesBound,
-    approximant_contract,
-    approximant_expand,
     approximant_row,
     construct_limit,
     contract_bound_closed_form,
@@ -34,10 +32,9 @@ from .equation import (
     control_eval_many,
     control_power_sums,
     defect,
+    defect_many,
     pair_additivity_defect,
     parse_control,
-    radical_combine,
-    radical_root,
     radical_root_many,
 )
 from .errors import (
@@ -46,7 +43,6 @@ from .errors import (
     ContractViolation,
     DefectHypothesisError,
     ModstabError,
-    RangeError,
     RegimeError,
 )
 from .fixedpoint import (
@@ -57,7 +53,6 @@ from .fixedpoint import (
     audit_ratios,
     estimate_contraction,
     fixed_point_solve,
-    rho_hat_distance,
 )
 from .functions import FunctionHandle, envelope_noise, monomial, parse_expression, sine
 from .iterates import IterateTable
@@ -93,19 +88,17 @@ __all__ = [
     # functions
     "FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression",
     # equation
-    "EquationParams", "ControlFunction", "radical_root", "radical_root_many",
-    "radical_combine",
-    "defect", "pair_additivity_defect", "control_eval", "control_eval_many",
+    "EquationParams", "ControlFunction", "radical_root_many",
+    "defect", "defect_many", "pair_additivity_defect", "control_eval", "control_eval_many",
     "control_power_sums", "parse_control",
     # direct method
-    "Mode", "route_ratio", "LimitResult", "SeriesBound", "approximant_contract",
-    "approximant_expand", "limit_function", "construct_limit",
+    "Mode", "route_ratio", "LimitResult", "SeriesBound", "limit_function", "construct_limit",
     "series_bound_contract", "series_bound_expand", "route_line", "route_bounds",
     "approximant_row",
     "contract_bound_closed_form",
     # fixed point
     "ContractionCertificate", "FixedPointResult",
-    "estimate_contraction", "rho_hat_distance", "audit_defect_hypothesis",
+    "estimate_contraction", "audit_defect_hypothesis",
     "audit_defects", "audit_ratios", "fixed_point_solve",
     # shared scaling iterates
     "IterateTable",
@@ -115,6 +108,6 @@ __all__ = [
     # sampling
     "Grid", "standard_ladder", "seeded_triples", "corner_triples",
     # errors
-    "ModstabError", "ArgumentError", "RangeError", "RegimeError",
+    "ModstabError", "ArgumentError", "RegimeError",
     "ContractViolation", "DefectHypothesisError", "ConfigError",
 ]

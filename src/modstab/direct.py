@@ -17,10 +17,9 @@ out in the control's parameters for power-type control functions.
 Each route formula lives in one array kernel: ``route_line``, the control
 along a route's line, ``route_bounds``, the stability bound summed over that
 line (for both direct routes and the fixed-point route), or
-``approximant_row``, the n-th approximant off an ``IterateTable``; the
-scalar ``approximant_*`` are the tests' reference.  Every route that
-iterates, the fixed-point route included, enters through ``route_entry``
-and ends in a ``limit_function`` handle.
+``approximant_row``, the n-th approximant off an ``IterateTable``.  Every
+route that iterates, the fixed-point route included, enters through
+``route_entry`` and ends in a ``limit_function`` handle.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ __all__ = [
     "approximant_row",
     "LimitResult",
     "SeriesBound",
-    "approximant_contract",
-    "approximant_expand",
     "limit_function",
     "construct_limit",
     "series_bound_contract",
@@ -134,34 +131,6 @@ def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0
     return (table.row(n) - offset) / 2.0**n
 
 
-def approximant_contract(
-    phi: FunctionHandle, params: EquationParams, n: int, x: float
-) -> float:
-    """n-th contract-route approximant ``2**n * phi(2**(-n/s) * x)``.
-
-    Computed as ``limit_function`` computes it, so the two agree bit for bit.
-    An evaluation of ``phi`` that overflows is ``inf`` already: the
-    saturation signal ``construct_limit`` freezes on.
-    """
-    if n < 0:
-        raise ArgumentError(f"approximant index must be >= 0, got {n}")
-    return 2.0**n * phi(2.0 ** (-n / params.s) * x)
-
-
-def approximant_expand(
-    phi: FunctionHandle, params: EquationParams, n: int, x: float
-) -> float:
-    """n-th expand-route approximant ``(phi(2**(n/s)*x) - q*phi(0)) / 2**n``.
-
-    An evaluation of ``phi`` that overflows is ``inf`` already: the
-    saturation signal.
-    """
-    if n < 0:
-        raise ArgumentError(f"approximant index must be >= 0, got {n}")
-    offset = params.q * phi(0.0)
-    return (phi(2.0 ** (n / params.s) * x) - offset) / 2.0**n
-
-
 def limit_function(
     mode: Mode, phi: FunctionHandle, params: EquationParams, n: int, offset: float
 ) -> FunctionHandle:
@@ -239,7 +208,7 @@ def construct_limit(
     (rows ``n`` for ``t2``, rows ``-n`` for ``t1``), with ``q*phi(0)``
     taken once, from ``table.origin()``; pass the table the other routes of
     a run use so that no ``phi`` value is computed twice.  Each step is one
-    ``approximant_row`` and gives the same bits as the scalar ``approximant_*``.
+    ``approximant_row``.
     """
     table = route_entry("contract" if mode is Mode.CONTRACT else None,
                         phi, params, rho, grid, tol, n_max, table)

@@ -7,6 +7,14 @@ The equation under study, for an odd integer ``s >= 3`` and a real
 
 Exact solutions are exactly the maps ``c * x**s``; the defect of a candidate
 ``phi`` at a triple is the modular of the left-minus-right side.
+
+Each formula is one array kernel: ``radical_root_many`` the real root,
+``defect_many`` the defect at a batch of triples and ``control_eval_many``
+the control.  ``defect`` and ``pair_additivity_defect`` evaluate at one
+point through those kernels.  Only ``control_eval`` is written out for one
+triple, because its caller evaluates it a few hundred times per sweep at
+single triples, where a scalar call is about 50 times cheaper than a batch
+of one.
 """
 
 from __future__ import annotations
@@ -16,17 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, RangeError
+from .errors import ArgumentError, ConfigError
 from .functions import FunctionHandle, power
-from .modular import ModularSpec, pow_or_inf, rho_eval
+from .modular import ModularSpec, rho_eval_array
 
 __all__ = [
     "EquationParams",
     "ControlFunction",
-    "radical_root",
     "radical_root_many",
-    "radical_combine",
     "defect",
+    "defect_many",
     "pair_additivity_defect",
     "control_eval",
     "control_eval_many",
@@ -82,37 +89,16 @@ class ControlFunction:
         return f"const:eps={self.eps:g}"
 
 
-def radical_root(t: float, s: int) -> float:
-    """The real s-th root ``sign(t) * |t|**(1/s)`` for odd ``s >= 3``.
-
-    One Newton step polishes the float power so exact powers come back
-    exact up to ulp scale; where ``r**s`` overflows, the step is taken as
-    ``r - (r - |t| / r**(s-1)) / s``, so every finite ``t`` has a finite root.
-    """
-    if s < 3 or s % 2 == 0:
-        raise ArgumentError(f"radical_root needs an odd integer s >= 3, got {s}")
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    mag = abs(t)
-    r = mag ** (1.0 / s)
-    if math.isfinite(r) and r > 0.0:
-        try:
-            r -= (r**s - mag) / (s * r ** (s - 1))
-        except OverflowError:  # r**s past the float range
-            r -= (r - mag / r ** (s - 1)) / s
-    return math.copysign(r, t)
-
-
 def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
-    """``radical_root`` at each entry of the 1-D float array ``t``, bit for bit.
+    """The real s-th root ``sign(t) * |t|**(1/s)`` at each entry of the 1-D float array ``t``.
 
-    The powers ``|t|**(1/s)``, ``r**s`` and ``r**(s-1)`` are
-    ``functions.power``, builtin ``pow`` bit for bit, and the Newton step
-    and the sign run in numpy, which rounds each IEEE operation as Python
-    does.  A zero entry gives ``+0.0``.  The entries where ``r**s`` leaves
-    the float range, which ``power`` marks, take the Newton step in
-    ``radical_root``'s other form.
+    One Newton step polishes the power ``r = |t|**(1/s)``, so exact powers
+    come back exact up to ulp scale: ``r - (r**s - |t|) / (s * r**(s-1))``,
+    or ``r - (r - |t| / r**(s-1)) / s`` where ``r**s`` leaves the float
+    range, so every finite ``t`` has a finite root.  The powers are
+    ``functions.power``, builtin ``pow`` bit for bit, and the step and the
+    sign run in numpy, which rounds each IEEE operation as Python does.  A
+    zero entry gives ``+0.0``.
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"radical_root_many needs an odd integer s >= 3, got {s}")
@@ -130,21 +116,36 @@ def radical_root_many(t: np.ndarray, s: int) -> np.ndarray:
         return np.where(t == 0.0, 0.0, np.copysign(r, t))
 
 
-def _powers(s: int, **coords: float) -> list[float]:
-    # v**s for each named coordinate; RangeError names the first that overflows.
-    out = []
-    for name, v in coords.items():
-        pw = pow_or_inf(float(v), s)
-        if not math.isfinite(pw):
-            raise RangeError(f"{name}**{s} overflows for {name}={v!r}", coordinate=name)
-        out.append(pw)
-    return out
+def defect_many(
+    params: EquationParams,
+    phi: FunctionHandle,
+    rho: ModularSpec,
+    x: np.ndarray,
+    y: np.ndarray,
+    z: np.ndarray,
+) -> np.ndarray:
+    """Modular of the equation residual of ``phi`` at each triple of three 1-D arrays.
 
-
-def radical_combine(params: EquationParams, x: float, y: float, z: float) -> float:
-    """The combined argument ``((x**s + y**s + z**s) / q) ** (1/s)``."""
-    px, py, pz = _powers(params.s, x=x, y=y, z=z)
-    return radical_root((px + py + pz) / params.q, params.s)
+    The residual is ``((phi(x) + phi(y)) + phi(z)) - q*phi(w)`` with the
+    combined argument ``w = radical_root_many(((x**s + y**s) + z**s) / q)``;
+    the powers ``x**s`` are ``functions.power`` (builtin ``pow`` bit for
+    bit), and ``phi`` takes the coordinates and the combined arguments in
+    one ``FunctionHandle.many`` batch.  A triple where some ``x**s`` is not
+    a float has defect ``inf``.  A sum of finite powers over a nonzero
+    ``q`` is finite or ``+-inf``, and so is its root.
+    """
+    s, q = params.s, params.q
+    coords = np.array([x, y, z], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = power(coords, s)
+        live = np.flatnonzero(np.isfinite(powers).all(axis=0))
+        x, y, z = coords[:, live]
+        px, py, pz = powers[:, live]
+        w = radical_root_many((px + py + pz) / q, s)
+        fx, fy, fz, fw = phi.many(np.concatenate((x, y, z, w))).reshape(4, -1)
+        defects = np.full(coords.shape[1], math.inf)
+        defects[live] = rho_eval_array(rho, fx + fy + fz - q * fw)
+    return defects
 
 
 def defect(
@@ -155,10 +156,13 @@ def defect(
     y: float,
     z: float,
 ) -> float:
-    """Modular of the equation residual of ``phi`` at the triple ``(x, y, z)``."""
-    w = radical_combine(params, x, y, z)
-    residual = phi(x) + phi(y) + phi(z) - params.q * phi(w)
-    return rho_eval(rho, residual)
+    """Modular of the equation residual of ``phi`` at the triple ``(x, y, z)``.
+
+    ``defect_many`` at the one triple: ``inf`` where some ``x**s`` is not a
+    float.
+    """
+    x, y, z = (np.array([float(v)]) for v in (x, y, z))
+    return float(defect_many(params, phi, rho, x, y, z)[0])
 
 
 def pair_additivity_defect(
@@ -170,20 +174,30 @@ def pair_additivity_defect(
 ) -> float:
     """Modular of ``phi((x**s + y**s)**(1/s)) - phi(x) - phi(y)``.
 
-    Vanishes for every exact solution of the radical equation.
+    Vanishes for every exact solution of the radical equation.  The one
+    pair of ``verify.verify_radical_additivity``, through the same kernels:
+    ``inf`` where ``x**s`` or ``y**s`` is not a float.
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"pair_additivity_defect needs odd s >= 3, got {s}")
-    px, py = _powers(s, x=x, y=y)
-    w = radical_root(px + py, s)
-    return rho_eval(rho, phi(w) - phi(x) - phi(y))
+    pair = np.array([float(x), float(y)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        px, py = power(pair, s)
+        if not (math.isfinite(px) and math.isfinite(py)):
+            return math.inf
+        fw, fx, fy = phi.many(np.concatenate((radical_root_many(np.array([px + py]), s), pair)))
+        return float(rho_eval_array(rho, np.array([fw - fx - fy]))[0])
 
 
 def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
     """Evaluate the control function at a triple.
 
     Where a power overflows the value is ``inf`` (``0`` for a zero control),
-    so no caller guards the call.
+    so no caller guards the call.  This stays a scalar beside
+    ``control_eval_many``: ``pipeline._scaling_check`` makes 510 calls per
+    round of the benchmark's 360-cell sweep, each at a single triple, and on
+    a 2-vCPU x86-64 host a scalar call took about 0.25 us where a batch of
+    one took about 13 us.
     """
     if alpha.kind == "power":
         try:
@@ -205,7 +219,8 @@ def control_power_sums(p: float, x: np.ndarray, y: np.ndarray, z: np.ndarray) ->
     is ``inf``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return power(abs(x), p) + power(abs(y), p) + power(abs(z), p)
+        px, py, pz = power(abs(np.array([x, y, z], dtype=float)), p)  # one batch of powers
+        return px + py + pz
 
 
 def control_eval_many(

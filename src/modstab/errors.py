@@ -13,17 +13,6 @@ class ArgumentError(ModstabError, ValueError):
     """An operation was called with arguments outside its contract."""
 
 
-class RangeError(ModstabError, OverflowError):
-    """An intermediate quantity left the representable range.
-
-    ``coordinate`` names the offending input when known.
-    """
-
-    def __init__(self, message: str, coordinate: str | None = None):
-        super().__init__(message)
-        self.coordinate = coordinate
-
-
 class RegimeError(ModstabError):
     """Parameters fall outside the convergent regime of a construction."""
 

@@ -21,11 +21,10 @@ iterates are ``direct.approximant_row``, both of the expand route, at offset
 
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
 supremum of ratios, so every reported distance is a certified lower bound of
-the true one and results are labelled accordingly.  ``rho_hat_distance`` is
-that estimate for one pair of functions, the scalar reference the tests hold
-the array gap kernels to.  ``fixed_point_solve`` is gated on a defect audit
-its caller runs.  The audit comes in two steps: ``audit_defects`` evaluates
-the equation defect at each triple without reading the control, and
+the true one and results are labelled accordingly.  ``fixed_point_solve``
+is gated on a defect audit its caller runs.  The audit comes in two steps:
+``audit_defects`` evaluates the equation defect at each triple
+(``equation.defect_many``) without reading the control, and
 ``audit_ratios`` compares those defects with the control's values at the
 same triples; a caller auditing several controls on the same ``phi``, ``s``,
 ``q``, modular and triples computes the defects once.  The control's values
@@ -43,23 +42,17 @@ import numpy as np
 
 from .direct import (Mode, approximant_row, limit_function, route_bounds, route_entry,
                      route_line, route_ratio)
-from .equation import (
-    ControlFunction,
-    EquationParams,
-    control_eval_many,
-    radical_root_many,
-)
+from .equation import ControlFunction, EquationParams, control_eval_many, defect_many
 from .errors import ArgumentError, DefectHypothesisError, RegimeError
-from .functions import FunctionHandle, power
+from .functions import FunctionHandle
 from .iterates import IterateTable
-from .modular import ModularSpec, first_max, rho_eval, rho_eval_array
+from .modular import ModularSpec, first_max, rho_eval_array
 from .sampling import Grid
 
 __all__ = [
     "ContractionCertificate",
     "FixedPointResult",
     "estimate_contraction",
-    "rho_hat_distance",
     "audit_defects",
     "audit_ratios",
     "audit_defect_hypothesis",
@@ -129,34 +122,6 @@ def estimate_contraction(
     )
 
 
-def rho_hat_distance(
-    f: FunctionHandle,
-    g: FunctionHandle,
-    alpha: ControlFunction,
-    rho: ModularSpec,
-    s: int,
-    samples: list[float],
-) -> float:
-    """Sampled estimate of the function-space modular distance of ``f - g``.
-
-    Max over samples of ``rho(f(x) - g(x)) / alpha(x, x, -2**(1/s)x)``;
-    zero-denominator samples are skipped.
-    """
-    best = None
-    denoms = route_line(Mode.EXPAND, alpha, s, np.asarray(samples, dtype=float))
-    for x, denom in zip(samples, denoms.tolist()):
-        if denom <= 0.0:
-            continue
-        ratio = rho_eval(rho, f(x) - g(x)) / denom
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
-        raise ArgumentError(
-            "rho_hat_distance: control vanished at every sample; nothing to estimate"
-        )
-    return best
-
-
 def audit_defects(
     phi: FunctionHandle,
     params: EquationParams,
@@ -165,30 +130,13 @@ def audit_defects(
 ) -> list[float]:
     """The equation defect of ``phi`` at each triple: the audit's alpha-free step.
 
-    ``defect`` at each triple, bit for bit, as array code: the powers
-    ``x**s`` are ``functions.power`` (builtin ``pow`` bit for bit), the
-    combined arguments are ``radical_root_many`` of ``((x**s + y**s) +
-    z**s) / q``, ``phi`` takes the coordinates and the combined arguments in
-    one ``FunctionHandle.many`` batch, and the residual ``((phi(x) + phi(y))
-    + phi(z)) - q*phi(w)`` goes through ``rho_eval_array``.  A triple where
-    ``defect`` raises ``OverflowError``, one whose ``x**s`` leaves the float
-    range, counts as defect ``inf``.  A sum of finite powers over a nonzero
-    ``q`` is finite or ``+-inf``, and so is its root.  Nothing here reads the
-    control, so one list serves every control function audited on the same
-    triples.
+    ``equation.defect_many`` at the triples, as a list; a triple whose
+    ``x**s`` leaves the float range has defect ``inf``.  Nothing here reads
+    the control, so one list serves every control function audited on the
+    same triples.
     """
-    s, q = params.s, params.q
-    coords = np.array(triples, dtype=float).reshape(-1, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = power(coords, s)
-        live = np.flatnonzero(np.isfinite(powers).all(axis=1))
-        x, y, z = coords[live].T
-        px, py, pz = powers[live].T
-        w = radical_root_many((px + py + pz) / q, s)
-        fx, fy, fz, fw = phi.many(np.concatenate((x, y, z, w))).reshape(4, -1)
-        defects = np.full(len(coords), math.inf)
-        defects[live] = rho_eval_array(rho, fx + fy + fz - q * fw)
-    return defects.tolist()
+    x, y, z = np.array(triples, dtype=float).reshape(-1, 3).T
+    return defect_many(params, phi, rho, x, y, z).tolist()
 
 
 def audit_ratios(

@@ -1,4 +1,4 @@
-"""Deterministic scalar test functions built from a small expression grammar.
+"""Deterministic test functions built from a small expression grammar.
 
 The grammar covers exact solutions of the radical equation plus controlled
 perturbations::
@@ -11,27 +11,21 @@ perturbations::
 ``a*sin(b*x)`` and ``envnoise(a,p,seed)`` is ``a*|x|**p*u(x)`` where ``u`` is
 an oscillation drawn from the non-negative integer ``seed``, with ``|u| <= 1``.
 
-Parsing builds one plain closure per atom, scalar multiple and sum, together
-with its description; ``scaled`` and ``shifted`` wrap a handle's closure the
-same way.  A sum folds its terms left from the int ``0``, which is what
-``sum()`` did before Python 3.12 made it compensated, so evaluation is a pure
-function of (expression, x) that gives identical output bits on every
-supported Python.
-
-Each atom also has an array twin, and ``FunctionHandle.many`` evaluates a
-whole array of points through it in one pass.  The twin makes the scalar
-closure's operations in the same order: ``*``, ``+`` and ``abs`` run in
-numpy, which rounds each IEEE operation as Python does.  Every power goes
-through ``power``, one ``np.float_power`` loop that calls libm ``pow`` per
-element as builtin ``pow`` does, and every sine and cosine maps the scalar
-``math.sin`` or ``math.cos`` over the points through ``mapped``: numpy's
-``**``, ``np.power``, ``sin`` and ``cos`` are vectorised loops that may
-differ from libm in the last bit.  The scalar multiples, argument scales
-and sums are the same closures in both forms, since they only multiply and
-add.  A twin takes ``(xs, raised)``: ``power`` and ``mapped`` mark in the
-bool array ``raised`` each point where the scalar routine raises, and
-``many`` reads ``inf`` there, as the scalar handle does, so each value is
-bit for bit the scalar handle's.
+Parsing builds one closure per atom, scalar multiple and sum, together with
+its description; ``scaled`` and ``shifted`` wrap a handle's closure the same
+way.  Each closure takes ``(xs, raised)``: a float array of points and a
+bool array of the same length, and evaluates every point in one pass.
+``*``, ``+`` and ``abs`` run in numpy, which rounds each IEEE operation as
+Python does.  Every power goes through ``power``, one ``np.float_power``
+loop that calls libm ``pow`` per element as builtin ``pow`` does, and every
+sine and cosine maps the scalar ``math.sin`` or ``math.cos`` over the points
+through ``mapped``: numpy's ``**``, ``np.power``, ``sin`` and ``cos`` are
+vectorised loops that may differ from libm in the last bit.  ``power`` and
+``mapped`` mark in ``raised`` each point where the libm routine raises, and
+the handle reads ``inf`` there.  A sum folds its terms left from the int
+``0``, which is what ``sum()`` did before Python 3.12 made it compensated,
+so evaluation is a pure function of (expression, x) that gives identical
+output bits on every supported Python.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ __all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expres
 def mapped(fn, *args, raised: np.ndarray | None = None) -> np.ndarray:
     """The scalar routine ``fn`` mapped over lists of its arguments, as a float array.
 
-    This is how every array twin in modstab takes a sine, cosine or
+    This is how every array kernel in modstab takes a sine, cosine or
     ``expm1``: numpy's vector ``sin``, ``cos`` and ``expm1`` may differ
     from libm in the last bit.  (Powers take ``power``, one C loop.)  It is
     total: an entry where ``fn`` raises ``ArithmeticError`` or
@@ -120,17 +114,16 @@ def power(bases, exponent, raised: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-# Each atom's twin takes (xs, raised) and passes raised on to power or mapped.
+# Each closure takes (xs, raised) and passes raised on to power or mapped.
 def _monomial(coeff: float, exponent: int):
-    return ((lambda x: coeff * x**exponent), f"mono({coeff:g},{exponent})",
-            lambda xs, raised: coeff * power(xs, exponent, raised))
+    return ((lambda xs, raised: coeff * power(xs, exponent, raised)),
+            f"mono({coeff:g},{exponent})")
 
 
 def _sine(amplitude: float, frequency: float):
-    return ((lambda x: amplitude * math.sin(frequency * x)),
-            f"sine({amplitude:g},{frequency:g})",
-            lambda xs, raised: amplitude * mapped(math.sin, (frequency * xs).tolist(),
-                                                  raised=raised))
+    return ((lambda xs, raised: amplitude * mapped(math.sin, (frequency * xs).tolist(),
+                                                   raised=raised)),
+            f"sine({amplitude:g},{frequency:g})")
 
 
 def _envelope_noise(amplitude: float, exponent: float, seed: int):
@@ -139,30 +132,27 @@ def _envelope_noise(amplitude: float, exponent: float, seed: int):
     freq = 0.5 + 1.5 * float(rng.random())
     phase = 2.0 * math.pi * float(rng.random())
 
-    def many(xs, raised):
+    def expr(xs, raised):
         envelope = amplitude * power(abs(xs), exponent, raised)
         return envelope * mapped(math.cos, (freq * xs + phase).tolist(), raised=raised)
 
-    return ((lambda x: amplitude * abs(x) ** exponent * math.cos(freq * x + phase)),
-            f"envnoise({amplitude:g},{exponent:g},{seed})", many)
+    return expr, f"envnoise({amplitude:g},{exponent:g},{seed})"
 
 
-# The combinators only multiply and add, so each serves a scalar closure and
-# an array twin alike: x is a float, or an array followed by its raised mask.
 def _scale(factor: float, f):
-    return lambda x, *raised: factor * f(x, *raised)
+    return lambda xs, raised: factor * f(xs, raised)
 
 
 def _arg_scale(factor: float, f):
-    return lambda x, *raised: f(factor * x, *raised)
+    return lambda xs, raised: f(factor * xs, raised)
 
 
 def _sum(terms: tuple):
-    def total(x, *raised):
+    def total(xs, raised):
         # Not sum(): since Python 3.12 it is compensated and rounds differently.
         acc = 0
         for term in terms:
-            acc = acc + term(x, *raised)
+            acc = acc + term(xs, raised)
         return acc
     return total
 
@@ -171,65 +161,54 @@ def _sum(terms: tuple):
 class FunctionHandle:
     """An evaluable real function with a reproducible description.
 
-    ``expr`` computes ``f(x)`` at one float; ``batch_expr``, when present,
-    is its array twin, which ``many`` calls on a whole array of points and
-    the bool array it marks where a scalar routine raised.
+    ``expr`` computes ``f`` at a 1-D float array of points in one pass, and
+    sets in the bool array it is handed each point where a libm routine
+    raised; ``many`` and ``__call__`` read ``inf`` there.
     """
 
-    expr: Callable[[float], float]
+    expr: Callable[[np.ndarray, np.ndarray], np.ndarray]
     description: str
-    batch_expr: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: float) -> float:
-        """``f(x)``, or ``inf`` where the float arithmetic cannot hold it.
+        """``f(x)``: ``many`` at the one point ``x``.
 
         A power that overflows, ``0.0`` to a negative power and ``sin``/``cos``
         of an infinite argument all evaluate to ``inf``, the saturation
         signal every caller reads, so no caller guards the call.  An argument
         ``float()`` refuses still raises.
         """
-        x = float(x)
-        try:
-            return self.expr(x)
-        except (ArithmeticError, ValueError):  # ValueError: math domain error
-            return math.inf
+        return float(self.many(np.array([float(x)]))[0])
 
     def many(self, xs) -> np.ndarray:
-        """``f`` at each point of the 1-D array ``xs``: ``[f(x) for x in xs]``, bit for bit.
+        """``f`` at each point of the 1-D array ``xs``, in one pass of ``expr``.
 
-        One pass of the array twin; the points where one of its scalar
-        routines raised (see ``__call__`` for what raises) are ``inf``, and
-        only those.  A handle without a twin goes point by point.
+        The points where a libm routine raised -- a power that overflows,
+        ``0.0`` to a negative power, ``sin`` or ``cos`` of an infinite
+        argument -- are ``inf``, and only those.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.batch_expr is None:
-            return np.array([self(x) for x in xs.tolist()], dtype=float)
         raised = np.zeros(len(xs), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.batch_expr(xs, raised)
+            out = self.expr(xs, raised)
         out[raised] = math.inf
         return out
 
     def scaled(self, outer: float = 1.0, inner: float = 1.0) -> "FunctionHandle":
         """The function ``x -> outer * f(inner * x)``."""
-        def wrap(f):
-            if inner != 1.0:
-                f = _arg_scale(inner, f)
-            if outer != 1.0:
-                f = _scale(outer, f)
-            return f
-        twin = None if self.batch_expr is None else wrap(self.batch_expr)
-        desc = f"{outer:.6g}*[{self.description}](x*{inner:.6g})"
-        return FunctionHandle(wrap(self.expr), desc, twin)
+        f = self.expr
+        if inner != 1.0:
+            f = _arg_scale(inner, f)
+        if outer != 1.0:
+            f = _scale(outer, f)
+        return FunctionHandle(f, f"{outer:.6g}*[{self.description}](x*{inner:.6g})")
 
     def shifted(self, offset: float) -> "FunctionHandle":
         """The function ``x -> f(x) + offset``."""
         if offset == 0.0:
             return self
-        constant, _, constant_many = _monomial(float(offset), 0)
-        twin = None if self.batch_expr is None else _sum((self.batch_expr, constant_many))
+        constant, _ = _monomial(float(offset), 0)
         return FunctionHandle(_sum((self.expr, constant)),
-                              f"[{self.description}] + {offset:.6g}", twin)
+                              f"[{self.description}] + {offset:.6g}")
 
 
 def _integral(value, what: str) -> int:
@@ -279,7 +258,7 @@ def _finite(number: str, text: str) -> float:
 
 
 def _parse_atom(text: str):
-    """``(closure, description, array twin)`` of one atom."""
+    """``(closure, description)`` of one atom."""
     m = _ATOM_RE.fullmatch(text.strip())
     if m is None:
         raise ConfigError(f"malformed function atom {text!r}")
@@ -312,8 +291,8 @@ def _parse_term(text: str):
         else:
             raise ConfigError(f"scalar multiple must pair a number with an atom: {text!r}")
         factor = _finite(factor, text)
-        f, desc, twin = _parse_atom(atom)
-        return _scale(factor, f), f"{factor:g}*({desc})", _scale(factor, twin)
+        f, desc = _parse_atom(atom)
+        return _scale(factor, f), f"{factor:g}*({desc})"
     return _parse_atom(t)
 
 
@@ -328,7 +307,7 @@ def parse_expression(text: str) -> FunctionHandle:
     pieces = re.split(r"(?<=[)\d])\s*\+\s*(?=[a-zA-Z+-]|\d|\.)", text.strip())
     if not pieces or not text.strip():
         raise ConfigError("empty function expression")
-    fs, descs, twins = zip(*(_parse_term(p) for p in pieces))
+    fs, descs = zip(*(_parse_term(p) for p in pieces))
     if len(fs) == 1:
-        return FunctionHandle(fs[0], descs[0], twins[0])
-    return FunctionHandle(_sum(fs), " + ".join(descs), _sum(twins))
+        return FunctionHandle(fs[0], descs[0])
+    return FunctionHandle(_sum(fs), " + ".join(descs))

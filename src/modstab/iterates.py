@@ -7,10 +7,9 @@ the contract route's approximants at step ``k = -n``;
 approximants.  An ``IterateTable`` holds those values as rows, one per
 signed step ``k``, over ``function_sample_points(grid)`` -- a superset of
 the grid -- and computes a row the first time any route asks for it, in one
-``FunctionHandle.many`` pass over the rescaled points: the array twin of
-``phi``, with the scalar libm routines, reading ``inf`` at each point where
-one of them raises.  Routes sharing a table never evaluate ``phi`` twice at
-the same ``(k, x)``.
+``FunctionHandle.many`` pass over the rescaled points, which reads ``inf``
+at each point where one of ``phi``'s libm routines raises.  Routes sharing
+a table never evaluate ``phi`` twice at the same ``(k, x)``.
 """
 
 from __future__ import annotations

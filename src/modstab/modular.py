@@ -94,35 +94,27 @@ def pow_or_inf(base: float, exponent: float) -> float:
 
 
 def rho_eval(spec: ModularSpec, u: float) -> float:
-    """Evaluate the modular at ``u``.
+    """Evaluate the modular at ``u``: ``rho_eval_array`` at the one point.
 
     Total: a non-finite ``u`` (an overflowed or undefined residual) and a
     value too large for a float (``exp`` kind, or ``power`` with ``p > 1``)
-    both give ``inf``, the rule ``rho_eval_array`` applies too; callers that
-    probe the doubling ratio treat that as divergence evidence.
+    both give ``inf``; callers that probe the doubling ratio treat that as
+    divergence evidence.
     """
-    u = float(u)
-    if not math.isfinite(u):
-        return math.inf
-    try:
-        if spec.kind == "power":
-            return abs(u) ** spec.p
-        return math.expm1(abs(u))
-    except OverflowError:
-        return math.inf
+    return float(rho_eval_array(spec, np.array([float(u)]))[0])
 
 
 def rho_eval_array(spec: ModularSpec, u: np.ndarray) -> np.ndarray:
-    """``rho_eval`` over a float array.
+    """The modular at each entry of a float array.
 
-    Every entry gets exactly the bits ``rho_eval`` gives it (``inf`` where it
-    is not finite).  For the ``power:p=1`` modular that is ``abs(u)``
-    (``pow(v, 1)`` is exact), taken as one numpy ``abs``.  Every other
-    modular takes the finite ``|u|`` through ``functions.power`` (builtin
-    ``pow`` bit for bit) or maps the scalar ``math.expm1`` over them,
-    because numpy's vector ``expm1`` may differ from libm in the last ulp.
-    Where one of them overflows it gives ``nan``, which a power or ``expm1``
-    of a finite ``|u|`` never is, and that entry reads ``inf``.
+    An entry that is not finite reads ``inf``.  For the ``power:p=1``
+    modular the value is ``abs(u)`` (``pow(v, 1)`` is exact), taken as one
+    numpy ``abs``.  Every other modular takes the finite ``|u|`` through
+    ``functions.power`` (builtin ``pow`` bit for bit) or maps the scalar
+    ``math.expm1`` over them, because numpy's vector ``expm1`` may differ
+    from libm in the last ulp.  Where one of them overflows it gives
+    ``nan``, which a power or ``expm1`` of a finite ``|u|`` never is, and
+    that entry reads ``inf``.
     """
     u = np.asarray(u, dtype=float)
     finite = np.isfinite(u)

@@ -22,12 +22,10 @@ handle, in one ``FunctionHandle.many`` batch per check argument.
 
 The additivity pairs depend only on ``s`` and the grid: ``additivity_pairs``
 builds the strided pair indices, ``x**s`` once per grid point
-(``functions.power``, the builtin ``pow`` bit for bit) and the root ``w =
-radical_root(x**s + y**s, s)`` once per unordered pair
-(``radical_root_many``, bit for bit),
-and a caller checking several functions passes it as ``pairs=``.  ``a(w)``
-then costs one evaluation per unordered pair, and ``pair_additivity_defect``
-stays the scalar reference the tests hold the check to.
+(``functions.power``, the builtin ``pow`` bit for bit) and the root ``w`` of
+``x**s + y**s`` once per unordered pair (``radical_root_many``), and a
+caller checking several functions passes it as ``pairs=``.  ``a(w)`` then
+costs one evaluation per unordered pair.
 """
 
 from __future__ import annotations
@@ -91,10 +89,10 @@ class AdditivityPairs:
     Visited pair ``k`` is ``(pts[first[k]], pts[second[k]])``, in row-major
     order over the Cartesian square, every ``stride``-th flat index.
     ``finite[k]`` says whether both ``x**s`` and ``y**s`` are floats, and
-    for those pairs ``roots[root_of[k']]`` is ``radical_root(x**s + y**s,
-    s)``, one root per unordered pair (the sum commutes, bit for bit);
-    ``k'`` counts the finite pairs only.  The roots are in ascending order of the unordered pair's point
-    indices ``(min, max)``.
+    for those pairs ``roots[root_of[k']]`` is ``radical_root_many`` of
+    ``x**s + y**s``, one root per unordered pair (the sum commutes, bit for
+    bit); ``k'`` counts the finite pairs only.  The roots are in ascending
+    order of the unordered pair's point indices ``(min, max)``.
     """
 
     points: np.ndarray
@@ -121,7 +119,7 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     flat = np.arange(0, n * n, stride)
     first, second = flat // n, flat % n
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = power(pts, s)  # the scalar x**s the reference takes; nan past the range
+        powers = power(pts, s)  # builtin x**s bit for bit; nan past the float range
         in_range = np.isfinite(powers)
         finite = in_range[first] & in_range[second]
         i, j = first[finite], second[finite]
@@ -135,7 +133,7 @@ def _at(f: FunctionHandle | Sampled, xs: np.ndarray) -> np.ndarray:
     """``f`` at each of ``xs``: a sampled value where one exists, the handle elsewhere.
 
     The handle evaluates all the points it is asked for in one
-    ``FunctionHandle.many`` batch, which has the scalar handle's bits.
+    ``FunctionHandle.many`` batch.
     """
     if isinstance(f, FunctionHandle):
         return f.many(xs)

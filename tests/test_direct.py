@@ -16,12 +16,13 @@ from modstab import (
     ModularSpec,
     Mode,
     RegimeError,
-    approximant_contract,
-    approximant_expand,
+    IterateTable,
+    approximant_row,
     construct_limit,
     contract_bound_closed_form,
     control_eval,
     defect,
+    limit_function,
     monomial,
     parse_expression,
     route_ratio,
@@ -86,25 +87,37 @@ def truncated_series_upper(term_at, j_start, ratio, tol=1e-9):
         j += 1
         term = term_at(j)
 
+def approximant(mode, phi, n, x):
+    """The n-th approximant at ``x``: ``approximant_row`` off a table holding ``x``.
+
+    The route's ``limit_function`` handle gives the same bits at ``x``.
+    """
+    table = IterateTable(phi, P3.s, Grid(x - 1.0, x, 2))
+    offset = P3.q * table.origin() if mode is Mode.EXPAND else 0.0
+    value = float(approximant_row(table, mode, n, offset)[table.grid_index[1]])
+    assert limit_function(mode, phi, P3, n, offset)(x).hex() == value.hex()
+    return value
+
+
 class TestApproximants:
     def test_contract_fixes_exact_solution(self):
         # 2^n * (x / 2^(n/3))^3 = x^3
-        got = approximant_contract(monomial(1.0, 3), P3, 7, 2.0)
+        got = approximant(Mode.CONTRACT, monomial(1.0, 3), 7, 2.0)
         assert got == pytest.approx(8.0, rel=1e-12)
 
     def test_contract_shrinks_higher_order_term(self):
         # 2^10 * ((1/2^(10/3))^3 + 0.004 (1/2^(10/3))^6) = 1 + 0.004/2^10
         phi = parse_expression("mono(1,3) + mono(0.004,6)")
-        got = approximant_contract(phi, P3, 10, 1.0)
+        got = approximant(Mode.CONTRACT, phi, 10, 1.0)
         assert got == pytest.approx(1.0 + 0.004 / 2**10, rel=1e-12)
         assert got == pytest.approx(1.00000390625, rel=1e-11)
 
     def test_contract_identity_at_zero_steps(self):
         phi = parse_expression("mono(2,3) + sine(0.5,2)")
-        assert approximant_contract(phi, P3, 0, 1.7) == phi(1.7)
+        assert approximant(Mode.CONTRACT, phi, 0, 1.7) == phi(1.7)
 
     def test_expand_fixes_exact_solution(self):
-        got = approximant_expand(monomial(1.0, 3), P3, 12, 1.0)
+        got = approximant(Mode.EXPAND, monomial(1.0, 3), 12, 1.0)
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_expand_decays_sine_term(self):
@@ -112,18 +125,14 @@ class TestApproximants:
         phi = parse_expression("mono(1,3) + sine(0.1,1)")
         t = 2.0 ** (10 / 3)
         expected = (t**3 + 0.1 * math.sin(t)) / 2**10
-        got = approximant_expand(phi, P3, 10, 1.0)
+        got = approximant(Mode.EXPAND, phi, 10, 1.0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.9999405, abs=1e-7)
 
     def test_expand_removes_constant_offset(self):
         # phi = x^3 + 7, q = 1: the offset q*phi(0) = 7 is subtracted
         phi = parse_expression("mono(1,3) + mono(7,0)")
-        assert approximant_expand(phi, P3, 0, 2.0) == 8.0
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ArgumentError):
-            approximant_contract(monomial(1.0, 3), P3, -1, 1.0)
+        assert approximant(Mode.EXPAND, phi, 0, 2.0) == 8.0
 
 
 class TestConstructLimit:

@@ -4,29 +4,33 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from modstab import (
     ArgumentError,
     ControlFunction,
     EquationParams,
     ModularSpec,
-    RangeError,
     control_eval,
     defect,
     monomial,
     pair_additivity_defect,
     parse_control,
     parse_expression,
-    radical_combine,
-    radical_root,
+    radical_root_many,
     seeded_triples,
 )
 
 ABS1 = ModularSpec.power(1)
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def radical_root(t, s):
+    return float(radical_root_many(np.array([t]), s)[0])
 
 
 class TestRadicalRoot:
@@ -57,42 +61,39 @@ class TestRadicalRoot:
                 hit.append(t)
             t = math.nextafter(t, 0.0)
         assert len(hit) > 50
+        signed_hits = [signed for v in hit for signed in (v, -v)]
+        roots = radical_root_many(np.array(signed_hits), s).tolist()
         with mpmath.workprec(200):
-            for v in hit:
-                for signed in (v, -v):
-                    r = radical_root(signed, s)
-                    exact = mpmath.root(mpmath.mpf(abs(signed)), s)
-                    assert math.copysign(1.0, r) == math.copysign(1.0, signed)
-                    assert abs(mpmath.mpf(abs(r)) - exact) <= math.ulp(r), (signed, s)
+            for signed, r in zip(signed_hits, roots):
+                exact = mpmath.root(mpmath.mpf(abs(signed)), s)
+                assert math.copysign(1.0, r) == math.copysign(1.0, signed)
+                assert abs(mpmath.mpf(abs(r)) - exact) <= math.ulp(r), (signed, s)
 
 
 class TestRadicalCombine:
+    """The reference's combined argument, the one the defect kernel is held to."""
+
     def test_cancelling_triple(self):
         params = EquationParams(3, 1.0)
-        got = radical_combine(params, 1.0, 1.0, -(2.0 ** (1 / 3)))
+        got = ref.radical_combine(params, 1.0, 1.0, -(2.0 ** (1 / 3)))
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_simple_triple(self):
         # (1 + 8 + 27)^(1/3) = 36^(1/3)
-        got = radical_combine(EquationParams(3, 1.0), 1.0, 2.0, 3.0)
+        got = ref.radical_combine(EquationParams(3, 1.0), 1.0, 2.0, 3.0)
         assert got == pytest.approx(36.0 ** (1 / 3), rel=1e-12)
 
     def test_q_half(self):
         # (3/0.5)^(1/3) = 6^(1/3)
-        got = radical_combine(EquationParams(3, 0.5), 1.0, 1.0, 1.0)
+        got = ref.radical_combine(EquationParams(3, 0.5), 1.0, 1.0, 1.0)
         assert got == pytest.approx(6.0 ** (1 / 3), rel=1e-12)
-
-    def test_overflow_names_coordinate(self):
-        with pytest.raises(RangeError) as err:
-            radical_combine(EquationParams(7, 1.0), 1.0, 1e60, 2.0)
-        assert err.value.coordinate == "y"
 
     @given(x=coords, y=coords, z=coords,
            s=st.sampled_from([3, 5]), q=st.sampled_from([1.0, -1.0, 0.5]))
     def test_odd_symmetry(self, x, y, z, s, q):
         params = EquationParams(s, q)
-        lhs = radical_combine(params, -x, -y, -z)
-        rhs = -radical_combine(params, x, y, z)
+        lhs = ref.radical_combine(params, -x, -y, -z)
+        rhs = -ref.radical_combine(params, x, y, z)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -137,6 +138,12 @@ class TestDefect:
         params = EquationParams(3, 1.0)
         phi = monomial(0.0, 1)
         assert defect(params, phi, ModularSpec.exp(), 1.0, 2.0, 3.0) == 0.0
+
+    def test_overflowing_power_is_inf(self):
+        # 1e60**7 is not a float: the defect is inf, where it used to raise
+        params = EquationParams(7, 1.0)
+        assert defect(params, monomial(1.0, 7), ABS1, 1.0, 1e60, 2.0) == math.inf
+        assert pair_additivity_defect(monomial(1.0, 7), ABS1, 7, 1e60, 2.0) == math.inf
 
     @settings(max_examples=40)
     @given(x=coords, y=coords, z=coords)

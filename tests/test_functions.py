@@ -3,19 +3,18 @@
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference as ref
 from modstab import (
     ArgumentError,
     ConfigError,
     ControlFunction,
     EquationParams,
-    FunctionHandle,
     Grid,
     ModularSpec,
     Mode,
@@ -167,99 +166,12 @@ def test_sum_folds_left_on_every_python():
     assert f(0.5) == 0.0
 
 
-# -- closures against the node tree they replace -------------------------------
+# -- handles against the scalar expression tree ---------------------------------
 #
-# An inline copy of the expression tree the closures replaced, as the
-# reference: every handle must give its bits at every input.  The reference
-# ``_Sum`` folds left from the int 0, as ``sum()`` did before Python 3.12.
-
-
-@dataclass(frozen=True)
-class _Monomial:
-    coeff: float
-    power: int
-
-    def __call__(self, x):
-        return self.coeff * x**self.power
-
-    def describe(self):
-        return f"mono({self.coeff:g},{self.power})"
-
-
-@dataclass(frozen=True)
-class _Sine:
-    amplitude: float
-    frequency: float
-
-    def __call__(self, x):
-        return self.amplitude * math.sin(self.frequency * x)
-
-    def describe(self):
-        return f"sine({self.amplitude:g},{self.frequency:g})"
-
-
-@dataclass(frozen=True)
-class _EnvelopeNoise:
-    amplitude: float
-    exponent: float
-    seed: int
-    freq: float = field(init=False)
-    phase: float = field(init=False)
-
-    def __post_init__(self):
-        rng = np.random.default_rng(self.seed)
-        object.__setattr__(self, "freq", 0.5 + 1.5 * float(rng.random()))
-        object.__setattr__(self, "phase", 2.0 * math.pi * float(rng.random()))
-
-    def __call__(self, x):
-        return self.amplitude * abs(x) ** self.exponent * math.cos(self.freq * x + self.phase)
-
-    def describe(self):
-        return f"envnoise({self.amplitude:g},{self.exponent:g},{self.seed})"
-
-
-@dataclass(frozen=True)
-class _Sum:
-    terms: tuple
-
-    def __call__(self, x):
-        total = 0
-        for t in self.terms:
-            total = total + t(x)
-        return total
-
-    def describe(self):
-        return " + ".join(t.describe() for t in self.terms)
-
-
-@dataclass(frozen=True)
-class _Scale:
-    factor: float
-    inner: object
-
-    def __call__(self, x):
-        return self.factor * self.inner(x)
-
-    def describe(self):
-        return f"{self.factor:g}*({self.inner.describe()})"
-
-
-@dataclass(frozen=True)
-class _ArgScale:
-    factor: float
-    inner: object
-
-    def __call__(self, x):
-        return self.inner(self.factor * x)
-
-
-def _reference(node, x):
-    """What ``FunctionHandle.__call__`` did with the tree."""
-    x = float(x)
-    try:
-        return node(x)
-    except (ArithmeticError, ValueError):
-        return math.inf
+# The reference is the expression tree of ``tests/reference.py``, evaluated
+# point by point with the builtin ``**``, ``math.sin`` and ``math.cos``:
+# every handle must give its bits at every input.  The tree's ``Sum`` folds
+# left from the int 0, as ``sum()`` did before Python 3.12.
 
 
 _rng = random.Random(20240820)
@@ -271,40 +183,40 @@ INPUTS = (
 )
 
 ATOMS = [
-    ("mono(1.5,3)", _Monomial(1.5, 3)),
-    ("mono(-2,0)", _Monomial(-2.0, 0)),
-    ("mono(0.5,-1)", _Monomial(0.5, -1)),
-    ("mono(1,400)", _Monomial(1.0, 400)),
-    ("mono(1e308,3)", _Monomial(1e308, 3)),
-    ("sine(0.1,2)", _Sine(0.1, 2.0)),
-    ("sine(-0.5,1.5)", _Sine(-0.5, 1.5)),
-    ("sine(1,1e308)", _Sine(1.0, 1e308)),
-    ("envnoise(0.01,1,11)", _EnvelopeNoise(0.01, 1.0, 11)),
-    ("envnoise(0.01,-0.5,3)", _EnvelopeNoise(0.01, -0.5, 3)),
-    ("envnoise(0.004,6,7)", _EnvelopeNoise(0.004, 6.0, 7)),
+    ("mono(1.5,3)", ref.Mono(1.5, 3)),
+    ("mono(-2,0)", ref.Mono(-2.0, 0)),
+    ("mono(0.5,-1)", ref.Mono(0.5, -1)),
+    ("mono(1,400)", ref.Mono(1.0, 400)),
+    ("mono(1e308,3)", ref.Mono(1e308, 3)),
+    ("sine(0.1,2)", ref.Sine(0.1, 2.0)),
+    ("sine(-0.5,1.5)", ref.Sine(-0.5, 1.5)),
+    ("sine(1,1e308)", ref.Sine(1.0, 1e308)),
+    ("envnoise(0.01,1,11)", ref.EnvNoise(0.01, 1.0, 11)),
+    ("envnoise(0.01,-0.5,3)", ref.EnvNoise(0.01, -0.5, 3)),
+    ("envnoise(0.004,6,7)", ref.EnvNoise(0.004, 6.0, 7)),
 ]
 MULTIPLES = [
-    ("3*mono(1,3)", _Scale(3.0, _Monomial(1.0, 3))),
-    ("mono(1,3)*3", _Scale(3.0, _Monomial(1.0, 3))),
-    ("-0.25*sine(2,1)", _Scale(-0.25, _Sine(2.0, 1.0))),
-    ("envnoise(0.5,2,13)*1e-3", _Scale(1e-3, _EnvelopeNoise(0.5, 2.0, 13))),
+    ("3*mono(1,3)", ref.Scale(3.0, ref.Mono(1.0, 3))),
+    ("mono(1,3)*3", ref.Scale(3.0, ref.Mono(1.0, 3))),
+    ("-0.25*sine(2,1)", ref.Scale(-0.25, ref.Sine(2.0, 1.0))),
+    ("envnoise(0.5,2,13)*1e-3", ref.Scale(1e-3, ref.EnvNoise(0.5, 2.0, 13))),
 ]
 SUMS = [
     # -0.0 + -0.0 at x = -0.0: the fold from the int 0 gives 0.0
-    ("mono(1,3) + mono(2,3)", _Sum((_Monomial(1.0, 3), _Monomial(2.0, 3)))),
-    ("mono(1,3) + sine(0.1,1)", _Sum((_Monomial(1.0, 3), _Sine(0.1, 1.0)))),
-    ("mono(1,3) + mono(0.5,-1)", _Sum((_Monomial(1.0, 3), _Monomial(0.5, -1)))),
+    ("mono(1,3) + mono(2,3)", ref.Sum((ref.Mono(1.0, 3), ref.Mono(2.0, 3)))),
+    ("mono(1,3) + sine(0.1,1)", ref.Sum((ref.Mono(1.0, 3), ref.Sine(0.1, 1.0)))),
+    ("mono(1,3) + mono(0.5,-1)", ref.Sum((ref.Mono(1.0, 3), ref.Mono(0.5, -1)))),
     ("mono(1,3) + 2*sine(0.1,1) + envnoise(0.01,1,11)",
-     _Sum((_Monomial(1.0, 3), _Scale(2.0, _Sine(0.1, 1.0)), _EnvelopeNoise(0.01, 1.0, 11)))),
+     ref.Sum((ref.Mono(1.0, 3), ref.Scale(2.0, ref.Sine(0.1, 1.0)), ref.EnvNoise(0.01, 1.0, 11)))),
     ("mono(1e16,0) + mono(1,0) + mono(-1e16,0)",
-     _Sum((_Monomial(1e16, 0), _Monomial(1.0, 0), _Monomial(-1e16, 0)))),
+     ref.Sum((ref.Mono(1e16, 0), ref.Mono(1.0, 0), ref.Mono(-1e16, 0)))),
 ]
 EXPRESSIONS = ATOMS + MULTIPLES + SUMS
 
 
 def _assert_same_bits(handle, node):
     got = [handle(x).hex() for x in INPUTS]
-    want = [_reference(node, x).hex() for x in INPUTS]
+    want = [ref.value(node, x).hex() for x in INPUTS]
     assert got == want
 
 
@@ -321,9 +233,9 @@ def test_parsed_closure_matches_tree(text, node):
                          ids=["mono", "envnoise", "sum"])
 def test_scaled_matches_tree(text, node, outer, inner):
     if inner != 1.0:
-        node = _ArgScale(inner, node)
+        node = ref.ArgScale(inner, node)
     if outer != 1.0:
-        node = _Scale(outer, node)
+        node = ref.Scale(outer, node)
     _assert_same_bits(parse_expression(text).scaled(outer=outer, inner=inner), node)
 
 
@@ -336,14 +248,14 @@ def test_shifted_matches_tree(text, node, offset):
     if offset == 0.0:
         assert g is f
     else:
-        _assert_same_bits(g, _Sum((node, _Monomial(offset, 0))))
+        _assert_same_bits(g, ref.Sum((node, ref.Mono(offset, 0))))
 
 
-# -- array twins against the scalar handle -------------------------------------
+# -- one pass over an array against the scalar tree -------------------------------
 #
-# ``FunctionHandle.many(xs)`` must give ``[f(x) for x in xs]`` bit for bit,
-# including every point where the scalar handle reads ``inf`` because its
-# arithmetic raised.
+# ``FunctionHandle.many(xs)`` must give the reference tree's value at each
+# point bit for bit, including every point where the tree reads ``inf``
+# because its arithmetic raised.
 
 SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300,
                   1e200, -1e103, 1.0, -1.0, math.inf, -math.inf, math.nan]
@@ -364,53 +276,56 @@ term_texts = st.one_of(atom_texts, st.builds("{!r}*{}".format, numbers, atom_tex
 expression_texts = st.lists(term_texts, min_size=1, max_size=4).map(" + ".join)
 
 
-def _assert_many_is_scalar(f, points):
+def _assert_many_is_scalar(f, node, points):
     got = f.many(np.array(points, dtype=float))
     assert got.dtype == np.float64 and got.shape == (len(points),)
-    assert [v.hex() for v in got.tolist()] == [f(x).hex() for x in points]
+    want = [ref.value(node, x).hex() for x in points]
+    assert [v.hex() for v in got.tolist()] == want
+    assert [f(x).hex() for x in points[:3]] == want[:3]  # one point at a time
 
 
 @given(text=expression_texts, points=point_lists)
 def test_many_matches_scalar_handle(text, points):
-    f = parse_expression(text)
-    assert f.batch_expr is not None
-    _assert_many_is_scalar(f, points)
+    _assert_many_is_scalar(parse_expression(text), ref.parse(text), points)
 
 
 @given(text=expression_texts, points=point_lists,
        outer=numbers, inner=numbers, offset=numbers)
 def test_many_matches_scaled_and_shifted_handles(text, points, outer, inner, offset):
-    f = parse_expression(text)
-    for g in (f.scaled(outer, inner), f.scaled(inner=inner), f.shifted(offset),
-              f.shifted(offset).scaled(outer, inner)):
-        _assert_many_is_scalar(g, points)
+    f, node = parse_expression(text), ref.parse(text)
+    for g, tree in ((f.scaled(outer, inner), ref.scaled(node, outer, inner)),
+                    (f.scaled(inner=inner), ref.scaled(node, inner=inner)),
+                    (f.shifted(offset), ref.shifted(node, offset)),
+                    (f.shifted(offset).scaled(outer, inner),
+                     ref.scaled(ref.shifted(node, offset), outer, inner))):
+        _assert_many_is_scalar(g, tree, points)
 
 
 @given(text=expression_texts, points=point_lists, n=st.integers(0, 60),
        q=st.sampled_from([1.0, 0.5, -1.0]), mode=st.sampled_from(list(Mode)))
 def test_many_matches_limit_function_handles(text, points, n, q, mode):
-    phi = parse_expression(text)
-    _assert_many_is_scalar(limit_function(mode, phi, EquationParams(3, q), n, q * phi(0.0)),
-                           points)
+    phi, node = parse_expression(text), ref.parse(text)
+    offset = q * ref.value(node, 0.0)
+    _assert_many_is_scalar(limit_function(mode, phi, EquationParams(3, q), n, offset),
+                           ref.limit(mode, node, 3, n, offset), points)
 
 
 @functools.cache
 def _fixed_point_handle():
-    phi = parse_expression("mono(1,3) + mono(0.2,0) + envnoise(0.01,1,11)")
+    text = "mono(1,3) + mono(0.2,0) + envnoise(0.01,1,11)"
+    phi = parse_expression(text)
     grid = Grid(-4.0, 4.0, 9)
     alpha = ControlFunction.power(0.5, 1)
     triples = seeded_triples(grid.lo, grid.hi, 200, 0) + corner_triples(grid.lo, grid.hi)
     params = EquationParams(3, 1.0)
     audit = audit_defect_hypothesis(phi, params, ModularSpec.power(1), alpha, triples)
-    return fixed_point_solve(phi, params, ModularSpec.power(1), alpha, grid,
-                             audit=audit).function
+    result = fixed_point_solve(phi, params, ModularSpec.power(1), alpha, grid, audit=audit)
+    return result.function, ref.limit(Mode.EXPAND, ref.parse(text), 3, result.iterations, 0.0)
 
 
 @given(points=point_lists)
 def test_many_matches_the_fixed_point_handle(points):
-    f = _fixed_point_handle()
-    assert f.batch_expr is not None
-    _assert_many_is_scalar(f, points)
+    _assert_many_is_scalar(*_fixed_point_handle(), points)
 
 
 def _bits(values):
@@ -449,49 +364,44 @@ def test_mapped_marks_exactly_the_entries_that_raise(fn, args, raising):
     ("envnoise(0.01,1,11)", [1.0, -math.inf, 2.0], ValueError, 1),  # cos(-inf)
 ])
 def test_batch_where_one_point_raises_goes_point_by_point(text, points, raising, at):
-    # The scalar closure raises at point `at` only.  The twin does not go
-    # point by point: it gives nan there, marks it, and the scalar bits at
-    # every other point; many then reads inf there, as the scalar handle.
-    f = parse_expression(text)
+    # The scalar tree raises at point `at` only.  The closure does not go
+    # point by point: it gives nan there, marks it, and the tree's bits at
+    # every other point; many then reads inf there, as the tree's value does.
+    f, node = parse_expression(text), ref.parse(text)
     for i, x in enumerate(points):
         if i == at:
             with pytest.raises(raising):
-                f.expr(x)
+                node(x)
         else:
-            f.expr(x)
+            node(x)
     xs = np.array(points)
     raised = np.zeros(len(points), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        twin = f.batch_expr(xs, raised).tolist()
-    assert np.flatnonzero(raised).tolist() == [at] and math.isnan(twin[at])
-    del twin[at]
-    assert _bits(twin) == _bits([f(x) for i, x in enumerate(points) if i != at])
+        once = f.expr(xs, raised).tolist()
+    assert np.flatnonzero(raised).tolist() == [at] and math.isnan(once[at])
+    del once[at]
+    assert _bits(once) == _bits([ref.value(node, x) for i, x in enumerate(points) if i != at])
     got = f.many(xs).tolist()
     assert [i for i, v in enumerate(got) if v == math.inf] == [at]
-    assert _bits(got) == _bits([f(x) for x in points])
+    assert _bits(got) == _bits([ref.value(node, x) for x in points])
 
 
 def test_many_runs_the_twin_without_the_scalar_closure():
     # On the far grids x**3 and |x|**2.9 overflow at many points (on the
-    # +-1e102 one once the argument is scaled by 1e3): the refusing scalar
-    # closure shows that no batch goes point by point.
-    f = parse_expression("mono(1,3) + 0.5*sine(0.1,2) + envnoise(0.01,2.9,4)")
-
-    def refuse(x):
-        raise AssertionError("the scalar closure was called")
-
-    twin_only = FunctionHandle(refuse, f.description, f.batch_expr)
+    # +-1e102 one once the argument is scaled by 1e3).  A handle has one
+    # closure, over arrays, and every wrapped handle's pass over a grid gives
+    # the scalar tree's bits there, inf where a power raised.
+    text = "mono(1,3) + 0.5*sine(0.1,2) + envnoise(0.01,2.9,4)"
+    f, node = parse_expression(text), ref.parse(text)
+    wraps = [(0.0, 1.0, 1.0), (0.0, 3.0, 1e-100), (0.0, 1.0, 1e3), (-2.5, 1.0, 1.0),
+             (7.0, 0.5, 2.0)]  # (offset, outer, inner)
     for end in (10.0, 1e102, 1e200):
         xs = np.linspace(-end, end, 101)
-        for wrap in (lambda h: h, lambda h: h.scaled(3.0, 1e-100), lambda h: h.scaled(inner=1e3),
-                     lambda h: h.shifted(-2.5), lambda h: h.shifted(7.0).scaled(0.5, 2.0)):
-            g = wrap(f)
-            assert _bits(wrap(twin_only).many(xs)) == _bits([g(x) for x in xs.tolist()]), end
-        assert np.isinf(twin_only.scaled(inner=1e3).many(xs)).any() == (end > 10.0)
-    # a handle without a twin goes point by point
-    xs = np.linspace(-10.0, 10.0, 101)
-    scalar_only = FunctionHandle(f.expr, f.description)
-    assert [v.hex() for v in scalar_only.many(xs).tolist()] == [f(x).hex() for x in xs.tolist()]
+        for offset, outer, inner in wraps:
+            g = f.shifted(offset).scaled(outer, inner)
+            tree = ref.scaled(ref.shifted(node, offset), outer, inner)
+            assert _bits(g.many(xs)) == _bits([ref.value(tree, x) for x in xs.tolist()]), end
+        assert np.isinf(f.scaled(inner=1e3).many(xs)).any() == (end > 10.0)
 
 
 def test_a_sum_that_overflows_by_multiplication_stays_nan():
@@ -499,7 +409,8 @@ def test_a_sum_that_overflows_by_multiplication_stays_nan():
     # is a real nan: no scalar routine raised, so it must not read inf.  At
     # 1e103 the power itself raises, and the handle reads inf.
     f = parse_expression("mono(1e10,3) + mono(-1e10,3)")
+    node = ref.parse("mono(1e10,3) + mono(-1e10,3)")
     xs = np.array([1e100, -1e100, 1e103, -1e103, 2.0])
-    want = [f(x) for x in xs.tolist()]
+    want = [ref.value(node, x) for x in xs.tolist()]
     assert math.isnan(want[0]) and math.isnan(want[1]) and want[2] == want[3] == math.inf
     assert _bits(f.many(xs)) == _bits(want)

@@ -1,7 +1,8 @@
 """The array kernels against the scalar code they replace, and the work they save.
 
-Equivalence tests keep an inline copy of the scalar reference and assert bit
-equality (``float.hex``), not closeness.  The counting tests show that one
+Equivalence tests hold each kernel to its scalar reference in
+``tests/reference.py`` and assert bit equality (``float.hex``), not
+closeness.  The counting tests show that one
 run evaluates ``phi`` once per scaling step and sample point across the
 expand and fixed-point routes and audits the defect hypothesis once, and that
 a sweep computes each result that does not read ``alpha`` once per distinct
@@ -12,10 +13,12 @@ import dataclasses
 import itertools
 import math
 import pathlib
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+import reference as ref
 
 import modstab.pipeline as pipeline_mod
 import modstab.verify as verify_mod
@@ -29,8 +32,6 @@ from modstab import (
     IterateTable,
     ModularSpec,
     Mode,
-    approximant_contract,
-    approximant_expand,
     approximant_row,
     construct_limit,
     control_eval,
@@ -39,7 +40,6 @@ from modstab import (
     estimate_contraction,
     fixed_point_solve,
     limit_function,
-    pair_additivity_defect,
     parse_expression,
     rho_eval,
     rho_eval_array,
@@ -130,9 +130,10 @@ def test_strided_pairs_match_on_the_large_grid(monkeypatch):
 def test_strided_check_outcome_matches_old_loop():
     grid = Grid(-10.0, 10.0, 47)  # 2209 pairs: stride 2, uneven tail
     a = parse_expression("mono(1,3) + sine(0.1,1)")
+    node = ref.parse("mono(1,3) + sine(0.1,1)")
     worst, worst_at = -1.0, None
     for x, y in _old_pairs(grid.points()):
-        d = pair_additivity_defect(a, ABS1, 3, x, y)
+        d = ref.pair_additivity_defect(node, ABS1, 3, x, y)
         if d > worst:
             worst, worst_at = d, (x, y)
     out = verify_radical_additivity(a, ABS1, 3, grid)
@@ -156,45 +157,14 @@ def test_rho_eval_array_matches_scalar(spec):
     for u in (np.concatenate([normal, [0.0, -0.0, math.inf, -math.inf, math.nan]]),
               np.concatenate([normal, OVERFLOW_EDGES])):
         got = rho_eval_array(spec, u)
-        want = [rho_eval(spec, v) if math.isfinite(v) else math.inf for v in u.tolist()]
+        want = [ref.rho(spec, v) for v in u.tolist()]
         assert bits(got) == bits(want)
+        assert bits(rho_eval(spec, v) for v in u.tolist()) == bits(want)  # the one-point wrapper
     # The same entries laid out in two dimensions, as the axiom checks pass them.
     assert bits(rho_eval_array(spec, normal.reshape(20, 20)).ravel()) == bits(want[:400])
 
 
 # -- fixed-point gap window --------------------------------------------------
-
-
-def _old_rho_hat_values(vals_f, vals_g, denoms, rho):
-    best = 0.0
-    for vf, vg, a in zip(vals_f, vals_g, denoms):
-        diff = vf - vg
-        ratio = rho_eval(rho, diff) / a if math.isfinite(diff) else math.inf
-        if ratio > best:
-            best = ratio
-    return best
-
-
-def _old_window_stats(window, denoms, rho):
-    gap_history, quasi = [], []
-    for n in range(len(window) - 1):
-        gap = _old_rho_hat_values(window[n + 1], window[n], denoms, rho)
-        gap_history.append(gap)
-        if n >= 1:
-            d_fg = gap_history[n - 1]
-            d_f_lf = gap_history[n - 1]
-            d_g_lg = gap
-            d_f_lg = _old_rho_hat_values(window[n - 1], window[n + 1], denoms, rho)
-            denom = max(d_fg, d_f_lf, d_g_lg, d_f_lg)
-            if denom > 0.0:
-                quasi.append(gap / denom)
-    delta_hat = 0.0
-    for i in range(len(window)):
-        for j in range(i + 1, len(window)):
-            d = _old_rho_hat_values(window[i], window[j], denoms, rho)
-            if d > delta_hat:
-                delta_hat = d
-    return gap_history, quasi, delta_hat
 
 
 def _new_window_stats(window, denoms, rho):
@@ -223,7 +193,7 @@ def test_window_kernels_match_scalar_loop(rho, seed):
     cols = 57
     window = _contracting_window(rng, 3 + 7 * seed, cols, 0.6)
     denoms = rng.uniform(0.01, 5.0, cols).tolist()
-    old_gaps, old_quasi, old_delta = _old_window_stats(window, denoms, rho)
+    old_gaps, old_quasi, old_delta = ref.window_stats(window, denoms, rho)
     new_gaps, new_quasi, new_delta = _new_window_stats(window, denoms, rho)
     assert bits(new_gaps) == bits(old_gaps)
     assert bits(new_quasi) == bits(old_quasi)
@@ -241,7 +211,7 @@ def test_window_kernels_match_with_saturated_iterates(rho):
     window[9][17] = -math.inf  # ... another flips sign at infinity
     window[10][17] = math.inf
     denoms = rng.uniform(0.01, 5.0, cols).tolist()
-    old_gaps, old_quasi, old_delta = _old_window_stats(window, denoms, rho)
+    old_gaps, old_quasi, old_delta = ref.window_stats(window, denoms, rho)
     new_gaps, new_quasi, new_delta = _new_window_stats(window, denoms, rho)
     assert math.inf in old_gaps and any(math.isnan(q) for q in old_quasi)
     assert bits(new_gaps) == bits(old_gaps)
@@ -259,24 +229,28 @@ def test_window_kernels_with_empty_sample_set():
 
 
 def test_table_rows_match_scalar_approximants():
-    phi = parse_expression("mono(1,3) + mono(0.3,0) + envnoise(0.01,1,11)")
+    text = "mono(1,3) + mono(0.3,0) + envnoise(0.01,1,11)"
+    phi, node = parse_expression(text), ref.parse(text)
     params = EquationParams(3, 0.5)
     grid = Grid(-4.0, 4.0, 9)
     table = IterateTable(phi, params.s, grid)
     offset = params.q * phi(0.0)
-    phi0 = parse_expression("mono(1,3) + sine(0.1,1)")  # phi0(0) = 0.0
-    table0 = IterateTable(phi0, 3, grid)
+    assert offset.hex() == (params.q * ref.value(node, 0.0)).hex()
+    text0 = "mono(1,3) + sine(0.1,1)"  # phi0(0) = 0.0
+    table0, node0 = IterateTable(parse_expression(text0), 3, grid), ref.parse(text0)
     for n in (0, 1, 5, 17):
         expand = approximant_row(table, Mode.EXPAND, n, offset)
         contract = approximant_row(table, Mode.CONTRACT, n)
-        assert bits(expand) == bits(approximant_expand(phi, params, n, x) for x in table.points)
-        assert bits(contract) == bits(approximant_contract(phi, params, n, x)
+        assert bits(expand) == bits(ref.approximant_expand(node, params, n, x)
+                                    for x in table.points)
+        assert bits(contract) == bits(ref.approximant_contract(node, params, n, x)
                                       for x in table.points)
         # offset 0 is the fixed-point iterate Lam**n(phi), and the expand
         # approximant where q*phi(0) is 0.0
         iterate = approximant_row(table0, Mode.EXPAND, n)
-        assert bits(iterate) == bits(phi0(2.0 ** (n / 3) * x) / 2.0**n for x in table0.points)
-        assert bits(iterate) == bits(approximant_expand(phi0, params, n, x)
+        assert bits(iterate) == bits(ref.fixed_point_iterate(node0, 3, n, x)
+                                     for x in table0.points)
+        assert bits(iterate) == bits(ref.approximant_expand(node0, params, n, x)
                                      for x in table0.points)
     assert [table.points[i] for i in table.grid_index] == grid.points()
 
@@ -284,11 +258,14 @@ def test_table_rows_match_scalar_approximants():
 def test_contract_handle_matches_table_rows():
     # the t1 report's values and gaps come from the table; its checks
     # evaluate the limit handle, so both must compute 2**(-n/s) * x
-    phi = parse_expression("mono(1,3) + sine(0.1,1) + envnoise(0.01,1,11)")
+    text = "mono(1,3) + sine(0.1,1) + envnoise(0.01,1,11)"
+    phi, node = parse_expression(text), ref.parse(text)
     table = IterateTable(phi, 3, Grid(-10.0, 10.0, 401))
     for n in range(1, 61):
         handle = limit_function(Mode.CONTRACT, phi, P3, n, 0.0)
-        assert bits(handle(x) for x in table.points) == bits(2.0**n * table.row(-n))
+        want = bits(ref.approximant_contract(node, P3, n, x) for x in table.points)
+        assert bits(2.0**n * table.row(-n)) == want
+        assert bits(handle.many(table.point_array)) == want
 
 
 @pytest.mark.parametrize("mode, shifted", [
@@ -297,29 +274,33 @@ def test_contract_handle_matches_table_rows():
 def test_limit_function_is_the_approximant_row(mode, shifted):
     # Every route's final handle and its table rows are one sequence.  phi
     # and q are the asymmetric_offset golden's, so t2's q*phi(0) is not 0.
-    phi = parse_expression("mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)")
+    text = "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"
+    phi, node = parse_expression(text), ref.parse(text)
     params = EquationParams(3, -0.5)
     offset = params.q * phi(0.0) if shifted else 0.0
     assert offset != 0.0 or not shifted
     table = IterateTable(phi, 3, Grid(-3.0, 5.0, 61))
     for n in (0, 1, 7, 30, 60):
         handle = limit_function(mode, phi, params, n, offset)
-        assert bits(handle(x) for x in table.points) == bits(
-            approximant_row(table, mode, n, offset))
+        want = bits(ref.value(ref.limit(mode, node, 3, n, offset), x) for x in table.points)
+        assert bits(approximant_row(table, mode, n, offset)) == want
+        assert bits(handle.many(table.point_array)) == want
+        assert bits(handle(x) for x in table.points[::10]) == want[::10]
 
 
 @pytest.mark.parametrize("expr", [
     *(f"mono(1,3) + envnoise(0.01,{p},11)" for p in (0.5, 1.0, 2.9, 3.1)),
-    "mono(1e-30,99) + sine(0.1,1)",  # rows overflow: the twin marks those points
+    "mono(1e-30,99) + sine(0.1,1)",  # rows overflow: the closure marks those points
 ])
 def test_table_rows_equal_the_scalar_handle_on_a_strided_grid(expr):
-    # Rows come from FunctionHandle.many; every 37th point against phi itself.
-    phi = parse_expression(expr)
+    # Rows come from FunctionHandle.many; every 37th point against the reference.
+    phi, node = parse_expression(expr), ref.parse(expr)
     table = IterateTable(phi, 3, Grid(-10.0, 10.0, 4001))
     pts = table.points[::37]
     for n in range(0, 34, 3):
-        assert bits(table.row(n)[::37]) == bits(phi(2.0 ** (n / 3) * x) for x in pts)
-        assert bits(table.row(-n)[::37]) == bits(phi(2.0 ** (-n / 3) * x) for x in pts)
+        assert bits(table.row(n)[::37]) == bits(ref.value(node, 2.0 ** (n / 3) * x) for x in pts)
+        assert bits(table.row(-n)[::37]) == bits(ref.value(node, 2.0 ** (-n / 3) * x)
+                                                 for x in pts)
 
 
 def test_table_refuses_a_different_grid():
@@ -353,10 +334,10 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     calls = Counter()
     counting = [False]
 
-    def expr(x):
+    def expr(xs, raised):
         if counting[0]:
-            calls[x] += 1
-        return base.expr(x)
+            calls.update(xs.tolist())
+        return base.expr(xs, raised)
 
     def counted(route):
         def wrapper(*args, **kwargs):
@@ -389,51 +370,6 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
 # -- the checks read the table ------------------------------------------------
 
 
-def _scalar_additivity(a, rho, s, grid):
-    # The check as one scalar loop over the strided pairs.
-    pts = grid.points()
-    n = len(pts)
-    stride = -(-n * n // verify_mod.MAX_ADDITIVITY_PAIRS)
-    worst, worst_at = -1.0, (pts[0], pts[0])
-    for k in range(0, n * n, stride):
-        x, y = pts[k // n], pts[k % n]
-        try:
-            d = pair_additivity_defect(a, rho, s, x, y)
-        except OverflowError:
-            d = math.inf
-        if d > worst:
-            worst, worst_at = d, (x, y)
-    return worst_at, worst
-
-
-def _scalar_oddness(a, rho, grid):
-    worst, worst_at = rho_eval(rho, a(0.0)), 0.0
-    for x in grid.points():
-        d = rho_eval(rho, a(x) + a(-x))
-        if d > worst:
-            worst, worst_at = d, x
-    return worst_at, worst
-
-
-def _scalar_bound(phi, a, rho, bounds, grid, shift=0.0):
-    pts = grid.points()
-    worst, worst_at = -math.inf, pts[0]
-    for x, b in zip(pts, bounds):
-        excess = rho_eval(rho, phi(x) - shift - a(x)) - b
-        if excess > worst:
-            worst, worst_at = excess, x
-    return worst_at, worst
-
-
-def _scalar_cross(a1, a2, rho, grid):
-    worst, worst_at = -1.0, grid.lo
-    for x in grid.points():
-        d = rho_eval(rho, a1(x) - a2(x))
-        if d > worst:
-            worst, worst_at = d, x
-    return worst_at, worst
-
-
 OFFSET_PHI = "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"
 TABLE_CASES = {
     # q = -0.5 and phi(0) != 0: t2 and the fixed-point route, strided pairs
@@ -453,18 +389,36 @@ TABLE_CASES = {
 
 
 def _table_case(name):
+    """The config and the reference tree of its ``phi``."""
     if name == "saturated_window":
         path = pathlib.Path(__file__).parent / "golden" / "saturated_window.cfg"
-        return parse_experiment(path.read_text(encoding="utf-8"))
-    return parse_experiment(TABLE_CASES[name])
+        text = path.read_text(encoding="utf-8")
+    else:
+        text = TABLE_CASES[name]
+    return parse_experiment(text), ref.parse(re.search(r"^expr = (.*)$", text, re.M)[1])
 
 
-def _spy_checks(monkeypatch):
-    """Run every check the pipeline makes against its scalar loop on the handles.
+def _spy_checks(monkeypatch, cfg, phi_tree):
+    """Run every check the pipeline makes against its scalar reference loop.
 
-    Returns the ``Sampled`` functions the checks were given, by check name.
+    ``phi_tree`` is the reference tree of ``cfg.phi``; each limit function the
+    checks are given gets its tree from the key the pipeline samples it by.
+    Returns the ``Sampled`` functions the checks were given, by check name,
+    and a map from each to its tree.
     """
     seen = {"bound_phi": [], "bound": [], "additivity": [], "oddness": [], "cross": []}
+    trees = {}
+    real_sampled = pipeline_mod._sampled
+
+    def sampled(table, key, function):
+        out = real_sampled(table, key, function)
+        mode, s, n, offset = key
+        trees[id(out)] = (out, ref.limit(mode, phi_tree, s, n, offset))
+        return out
+    monkeypatch.setattr(pipeline_mod, "_sampled", sampled)
+
+    def tree(f):
+        return phi_tree if f.function is cfg.phi else trees[id(f)][1]
 
     def same(outcome, scalar):
         worst_at, worst = scalar
@@ -483,31 +437,31 @@ def _spy_checks(monkeypatch):
     def bound(out, phi, a, rho, bounds, grid, shift=0.0):
         seen["bound_phi"].append(phi)
         seen["bound"].append(a)
-        same(out, _scalar_bound(phi.function, a.function, rho, bounds, grid, shift))
+        same(out, ref.stability_bound(tree(phi), tree(a), rho, bounds, grid, shift))
 
     def additivity(out, a, rho, s, grid, pairs):
         seen["additivity"].append(a)
-        same(out, _scalar_additivity(a.function, rho, s, grid))
+        same(out, ref.additivity(tree(a), rho, s, grid, verify_mod.MAX_ADDITIVITY_PAIRS))
 
     def oddness(out, a, rho, grid):
         seen["oddness"].append(a)
-        same(out, _scalar_oddness(a.function, rho, grid))
+        same(out, ref.oddness(tree(a), rho, grid))
 
     def cross(out, a1, a2, rho, grid):
         seen["cross"] += [a1, a2]
-        same(out, _scalar_cross(a1.function, a2.function, rho, grid))
+        same(out, ref.cross(tree(a1), tree(a2), rho, grid))
 
     spy("verify_stability_bound", bound)
     spy("verify_radical_additivity", additivity)
     spy("verify_oddness", oddness)
     spy("cross_check", cross)
-    return seen
+    return seen, tree
 
 
 @pytest.mark.parametrize("name", [*TABLE_CASES, "saturated_window"])
 def test_checks_read_the_handles_bits_off_the_table(monkeypatch, name):
-    cfg = _table_case(name)
-    seen = _spy_checks(monkeypatch)
+    cfg, phi = _table_case(name)
+    seen, tree = _spy_checks(monkeypatch, cfg, phi)
     report, _ = pipeline_mod.run_experiment(cfg)
     routes = {m for m, sec in report["methods"].items() if "checks" in sec}
     assert routes == ({"t1"} if name == "offset_contract" else {"t2", "fixedpoint"})
@@ -515,8 +469,8 @@ def test_checks_read_the_handles_bits_off_the_table(monkeypatch, name):
     sampled = [f for group in seen.values() for f in group]
     finite = non_finite = 0
     for f in sampled:
-        handle = [f.function(x) for x in f.points.tolist()]
-        for table_value, value in zip(f.values.tolist(), handle):
+        scalar = [ref.value(tree(f), x) for x in f.points.tolist()]
+        for table_value, value in zip(f.values.tolist(), scalar):
             if math.isfinite(table_value):
                 assert table_value.hex() == value.hex()
                 finite += 1
@@ -546,20 +500,6 @@ def test_additivity_ties_go_to_the_first_pair_visited():
 # -- the audit's control sums, shared across theta ----------------------------
 
 
-def _scalar_audit_ratios(defects, alpha, triples):
-    # The audit's ratio step as one scalar loop over control_eval.
-    max_defect, max_ratio, worst = 0.0, 0.0, triples[0]
-    for d, (x, y, z) in zip(defects, triples):
-        if d > max_defect:
-            max_defect = d
-        a = control_eval(alpha, x, y, z)
-        ratio = d / a if 0.0 < a < math.inf else (math.inf if d > 0.0 else 0.0)
-        if ratio > max_ratio:
-            max_ratio, worst = ratio, (x, y, z)
-    return {"triples": len(triples), "max_defect": max_defect, "max_ratio": max_ratio,
-            "worst_triple": worst, "hypothesis_ok": max_ratio <= 1.0 + 1e-9}
-
-
 def _columns(triples):
     return np.array(triples, dtype=float).reshape(-1, 3).T
 
@@ -579,26 +519,9 @@ def test_control_sums_keep_control_eval_bits():
         for theta in (0.0, 1e-300, 0.05, 1.0, 1e300):
             alpha = ControlFunction.power(theta, p)
             got = control_eval_many(alpha, x, y, z, sums)
-            want = [control_eval(alpha, *t) for t in triples]
+            want = [ref.control(alpha, *t) for t in triples]
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-
-
-def _alpha_line(alpha, s, x):
-    # The expand route's line alpha(x, x, -2**(1/s) x), written out at one point.
-    return control_eval(alpha, x, x, -(2.0 ** (1.0 / s)) * x)
-
-
-def _contract_line(alpha, s, x):
-    # The contract route's line alpha(x/2**(1/s), x/2**(1/s), -x) at one point.
-    return control_eval(alpha, x / 2.0 ** (1 / s), x / 2.0 ** (1 / s), -x)
-
-
-def _series_sum(first, ratio):
-    # The geometric series summed in closed form at one point: its first
-    # term over 1 - ratio, or no finite bound once the ratio is not below 1.
-    if not ratio < 1.0:
-        return 0.0 if first == 0.0 else math.inf
-    return first / (1.0 - ratio)
+            assert bits(control_eval(alpha, *t) for t in triples) == bits(want)
 
 
 def test_control_twin_and_series_bounds_keep_the_scalar_bits():
@@ -617,7 +540,7 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
     def check_bounds(mode, alpha, s, tau, firsts):
         nonlocal converged
         ratio = route_ratio(mode, alpha, s, tau)
-        want = [_series_sum(first, ratio) for first in firsts]
+        want = [ref.series_sum(first, ratio) for first in firsts]
         got = route_bounds(mode, tau, ratio, route_line(mode, alpha, s, xs))
         assert bits(got) == bits(want)
         if mode is Mode.CONTRACT:
@@ -633,18 +556,20 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
                 underflowed[mode].add(want[tiny])
 
     for alpha in alphas:
-        want = [control_eval(alpha, *t) for t in zip(xs.tolist(), ys.tolist(), zs.tolist())]
+        triples = list(zip(xs.tolist(), ys.tolist(), zs.tolist()))
+        want = [ref.control(alpha, *t) for t in triples]
         assert bits(control_eval_many(alpha, xs, ys, zs)) == bits(want)
+        assert bits(control_eval(alpha, *t) for t in triples) == bits(want)
         for s in (3, 5):
             line = route_line(Mode.EXPAND, alpha, s, xs)
-            assert bits(line) == bits(_alpha_line(alpha, s, x) for x in xs.tolist())
+            assert bits(line) == bits(ref.alpha_line(alpha, s, x) for x in xs.tolist())
             line = route_line(Mode.CONTRACT, alpha, s, xs)
-            assert bits(line) == bits(_contract_line(alpha, s, x) for x in xs.tolist())
+            assert bits(line) == bits(ref.contract_line(alpha, s, x) for x in xs.tolist())
             check_bounds(Mode.EXPAND, alpha, s, None,
-                         [0.5 * _alpha_line(alpha, s, x) for x in xs.tolist()])
+                         [0.5 * ref.alpha_line(alpha, s, x) for x in xs.tolist()])
             for tau in (2.0, 4.0):
                 check_bounds(Mode.CONTRACT, alpha, s, tau,
-                             [0.5 * (tau * tau / 2.0) * _contract_line(alpha, s, x)
+                             [0.5 * (tau * tau / 2.0) * ref.contract_line(alpha, s, x)
                               for x in xs.tolist()])
     # A divergent series has no finite bound, but a vanishing first term sums
     # to 0, also where it underflows at 5e-324 while the rest of the row is inf.
@@ -659,21 +584,6 @@ def test_control_twin_and_series_bounds_keep_the_scalar_bits():
         [0.0, 0.0, 0.0])
 
 
-def _scalar_contraction(alpha, s, samples):
-    # estimate_contraction as one scalar loop over control_eval.
-    root = 2.0 ** (1.0 / s)
-    l_hat, worst, skipped = -math.inf, None, 0
-    for x in samples:
-        denom = 2.0 * _alpha_line(alpha, s, x)
-        if denom <= 0.0:
-            skipped += 1
-            continue
-        ratio = control_eval(alpha, root * x, root * x, -(root * root) * x) / denom
-        if ratio > l_hat:
-            l_hat, worst = ratio, x
-    return worst, l_hat, skipped
-
-
 def test_estimate_contraction_matches_the_scalar_loop():
     # Zero samples are skipped; 1e200 overflows its powers (inf / inf is
     # nan, passed over) and 1e300 too; theta = 0 skips every sample.
@@ -681,7 +591,7 @@ def test_estimate_contraction_matches_the_scalar_loop():
     for alpha in [ControlFunction.power(t, p) for t in (0.0, 1e-300, 0.5, 1e300)
                   for p in (0.0, 0.5, 1.0, 2.9, 3.0, 6.0)] + [ControlFunction.constant(0.25)]:
         for s in (3, 5):
-            worst, l_hat, skipped = _scalar_contraction(alpha, s, samples)
+            worst, l_hat, skipped = ref.contraction(alpha, s, samples)
             if worst is None:
                 with pytest.raises(ArgumentError, match="control vanished"):
                     estimate_contraction(alpha, s, samples)
@@ -706,14 +616,14 @@ def test_audit_ratios_match_the_scalar_loop():
     x, y, z = _columns(triples)
     sums = {}
     for alpha in controls:
-        want = _hexed(_scalar_audit_ratios(defects, alpha, triples))
+        want = _hexed(ref.audit_ratios(defects, alpha, triples))
         got = audit_ratios(defects, control_eval_many(alpha, x, y, z), triples)
         assert _hexed(got) == want
         if alpha.kind == "power":
             shared = sums.setdefault(alpha.p, control_power_sums(alpha.p, x, y, z))
             got = audit_ratios(defects, control_eval_many(alpha, x, y, z, shared), triples)
             assert _hexed(got) == want
-    quiet = _scalar_audit_ratios([0.0] * len(triples), controls[1], triples)
+    quiet = ref.audit_ratios([0.0] * len(triples), controls[1], triples)
     assert quiet["worst_triple"] == triples[0]
     assert audit_ratios([0.0] * len(triples), control_eval_many(controls[1], x, y, z),
                         triples) == quiet

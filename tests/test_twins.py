@@ -1,13 +1,13 @@
-"""The array twins of the radical equation's scalar routines, held to them bit for bit.
+"""The radical equation's array kernels, held to their scalar references bit for bit.
 
 ``functions.power`` is builtin ``pow`` over an array, with a mask of the
-entries where ``pow`` raises.  ``radical_root_many`` is ``radical_root``
-over an array, ``audit_defects`` is the per-triple ``defect`` loop and
-``additivity_pairs`` with the check over it is the per-pair
-``pair_additivity_defect`` loop.  Every comparison
-is of the raw IEEE bits, so a sign of zero or of ``nan`` counts.  A twin
-never raises: where the scalar routine raises ``OverflowError`` (a power
-``x**s`` leaves the float range) a defect is ``inf``.  Every finite input
+entries where ``pow`` raises.  ``radical_root_many`` is the reference
+``radical_root`` over an array, ``audit_defects`` is the per-triple
+``defect`` loop and ``additivity_pairs`` with the check over it is the
+per-pair ``pair_additivity_defect`` loop; the references are in
+``tests/reference.py``.  Every comparison is of the raw IEEE bits, so a
+sign of zero or of ``nan`` counts.  A kernel never raises: where a power
+``x**s`` leaves the float range a defect is ``inf``.  Every finite input
 has a finite root, the largest floats included.
 """
 
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+import reference as ref
 
 from modstab import (
     EquationParams,
@@ -26,7 +27,6 @@ from modstab import (
     defect,
     pair_additivity_defect,
     parse_expression,
-    radical_root,
     radical_root_many,
     seeded_triples,
     verify_radical_additivity,
@@ -74,13 +74,7 @@ def _overflow_edge(k):
 
 
 def _check_power(bases, exponent):
-    want, hit = [], []
-    for i, b in enumerate(bases):
-        try:
-            want.append(pow(b, exponent))
-        except ArithmeticError:  # out of range, 0.0 to a negative power
-            want.append(math.nan)
-            hit.append(i)
+    want, hit = ref.power(bases, exponent)
     raised = np.zeros(len(bases), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # what every caller holds
         got = power(np.array(bases), exponent, raised)
@@ -123,7 +117,7 @@ def test_power_matches_builtin_pow_at_fractional_exponents(exponent):
 
 
 def _scalar_roots(values, s):
-    return [radical_root(v, s) for v in values]
+    return [ref.radical_root(v, s) for v in values]
 
 
 @pytest.mark.parametrize("s", [3, 5, 7, 9, 101])
@@ -141,10 +135,11 @@ def test_radical_root_many_matches_scalar_where_r_to_the_s_overflows(s):
     t, overflowed = MAX, 0
     for _ in range(600):
         for v in (t, -t):
-            want = radical_root(v, s)
+            want = ref.radical_root(v, s)
             got = radical_root_many(np.array([1.0, v, 2.0]), s)
             assert math.isfinite(got[1]), (v, s)
-            assert raw_bits(got) == raw_bits([radical_root(1.0, s), want, radical_root(2.0, s)])
+            assert raw_bits(got) == raw_bits(_scalar_roots([1.0, v, 2.0], s))
+            assert raw_bits(got[1:2]) == raw_bits([want])
             try:
                 (abs(v) ** (1.0 / s)) ** s
             except OverflowError:
@@ -162,14 +157,9 @@ def test_radical_root_many_refuses_an_even_exponent():
 # -- audit_defects -----------------------------------------------------------
 
 
-def _scalar_defects(phi, params, rho, triples):
-    out = []
-    for triple in triples:
-        try:
-            out.append(defect(params, phi, rho, *triple))
-        except OverflowError:
-            out.append(math.inf)
-    return out
+def _scalar_defects(expr, params, rho, triples):
+    phi = ref.parse(expr)
+    return [ref.defect(params, phi, rho, *triple) for triple in triples]
 
 
 def _triples(lo, hi, seed):
@@ -179,7 +169,7 @@ def _triples(lo, hi, seed):
 PHIS = [
     "mono(1,3) + envnoise(0.01,1,11)",
     "mono(2,5) + sine(0.1,1)",
-    "mono(1,3) + mono(1e-30,99)",  # overflows: the twin marks those points, which read inf
+    "mono(1,3) + mono(1e-30,99)",  # overflows: the closure marks those points, which read inf
 ]
 
 
@@ -193,9 +183,12 @@ def test_audit_defects_match_scalar_loop(s, q, rho):
         for expr in PHIS:
             phi = parse_expression(expr)
             got = audit_defects(phi, params, rho, triples)
+            want = _scalar_defects(expr, params, rho, triples)
             assert isinstance(got, list)
-            assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, rho, triples)), (
-                expr, lo)
+            assert raw_bits(got) == raw_bits(want), (expr, lo)
+            # the one-triple wrapper over the same kernel
+            assert raw_bits([defect(params, phi, rho, *t) for t in triples[::50]]) == raw_bits(
+                want[::50])
 
 
 @pytest.mark.parametrize("rho", MODULARS, ids=lambda m: m.spec_string())
@@ -207,7 +200,9 @@ def test_audit_defects_where_powers_overflow(rho):
     phi = parse_expression(PHIS[0])
     got = audit_defects(phi, params, rho, triples)
     assert got[:2] == [math.inf, math.inf]
-    assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, rho, triples))
+    assert raw_bits(got) == raw_bits(_scalar_defects(PHIS[0], params, rho, triples))
+    # The one-point wrapper reads inf there too, where it used to raise.
+    assert raw_bits([defect(params, phi, rho, *t) for t in triples]) == raw_bits(got)
 
 
 def test_audit_defects_match_scalar_where_the_root_polish_overflows():
@@ -220,23 +215,16 @@ def test_audit_defects_match_scalar_where_the_root_polish_overflows():
     r = (x**5 / 0.5) ** (1 / 5)
     with pytest.raises(OverflowError):
         r**5
-    assert math.isfinite(radical_root(x**5 / 0.5, 5))
+    assert math.isfinite(ref.radical_root(x**5 / 0.5, 5))
     triples = [(1.0, 2.0, 3.0), (x, 0.0, 0.0), (-4.0, 0.5, 7.0)]
     for expr, finite in ((PHIS[1], False), ("mono(3,0)", True)):
         phi = parse_expression(expr)
         got = audit_defects(phi, params, MODULARS[1], triples)
         assert math.isfinite(got[1]) == finite
-        assert raw_bits(got) == raw_bits(_scalar_defects(phi, params, MODULARS[1], triples))
+        assert raw_bits(got) == raw_bits(_scalar_defects(expr, params, MODULARS[1], triples))
 
 
 # -- additivity pairs --------------------------------------------------------
-
-
-def _scalar_pair_defect(a, rho, s, x, y):
-    try:
-        return pair_additivity_defect(a, rho, s, x, y)
-    except OverflowError:
-        return math.inf
 
 
 # At s = 5 the sum x**5 + x**5 of the end points lands where the root's
@@ -265,11 +253,14 @@ def test_additivity_outcomes_match_pair_loop(s, grid, rho):
     assert [unordered[k] for k in pairs.root_of.tolist()] == [
         (min(i, j), max(i, j)) for i, j in finite]
     # The outcome is the scalar running maximum over the visited pairs.
+    node = ref.parse("mono(1,3) + sine(0.1,1)")
     worst, worst_at = -1.0, (pts[0], pts[0])
-    for i, j in visited:
-        d = _scalar_pair_defect(a, rho, s, pts[i], pts[j])
+    for k, (i, j) in enumerate(visited):
+        d = ref.pair_additivity_defect(node, rho, s, pts[i], pts[j])
         if d > worst:
             worst, worst_at = d, (pts[i], pts[j])
+        if k % 40 == 0:  # the one-pair wrapper over the same kernels
+            assert raw_bits([pair_additivity_defect(a, rho, s, pts[i], pts[j])]) == raw_bits([d])
     out = verify_radical_additivity(a, rho, s, grid, pairs)
     assert out.worst_point == worst_at
     assert raw_bits([out.worst_value]) == raw_bits([worst])
@@ -292,7 +283,7 @@ def test_additivity_where_the_root_polish_overflows_matches_pair_loop():
     assert pairs.finite.all() and np.isfinite(pairs.roots).all()
     a, rho = parse_expression("mono(3,0)"), MODULARS[0]
     pts = pairs.points.tolist()
-    want = [_scalar_pair_defect(a, rho, 5, pts[i], pts[j])
+    want = [ref.pair_additivity_defect(ref.parse("mono(3,0)"), rho, 5, pts[i], pts[j])
             for i, j in zip(pairs.first.tolist(), pairs.second.tolist())]
     assert set(want) == {3.0}
     out = verify_radical_additivity(a, rho, 5, ROOT_OVERFLOW_GRID, pairs)
