@@ -19,7 +19,9 @@ along a route's line, ``route_bounds``, the stability bound summed over that
 line (for both direct routes and the fixed-point route), or
 ``approximant_row``, the n-th approximant off an ``IterateTable``.  Every
 route that iterates, the fixed-point route included, enters through
-``route_entry`` and ends in a ``limit_function`` handle.
+``route_entry`` and ends in a ``limit_function`` handle.  The refusals
+the routes share are checked and worded once, here: ``doubling_constant``,
+``require_convergent`` and ``require_finite_bound``.
 """
 
 from __future__ import annotations
@@ -115,6 +117,58 @@ def route_bounds(mode: Mode, tau: float | None, ratio: float, line: np.ndarray) 
         return first / (1.0 - ratio)
 
 
+def representative_point(grid: Grid) -> tuple[float, int]:
+    """The grid end of largest magnitude, where routes gate their bound, and its index.
+
+    A ``route_line`` is even bit for bit: its coordinates enter the control through ``abs``.
+    """
+    lo, hi = abs(grid.lo), abs(grid.hi)
+    return (lo, 0) if lo >= hi else (hi, -1)
+
+
+def doubling_constant(route: str, rho: ModularSpec) -> float:
+    """``rho``'s doubling constant, or ``route``'s ``ContractViolation`` if it has none."""
+    if rho.delta2_tau is None:
+        raise ContractViolation(
+            f"{route} route needs a modular with a finite doubling constant; "
+            f"{rho.spec_string()} has none"
+        )
+    return rho.delta2_tau
+
+
+def require_convergent(ratio: float) -> None:
+    """A direct route's ``RegimeError`` (diagnostic ``ratio``) if its series diverges."""
+    if ratio < 1.0:
+        return
+    why = ("term ratio is nan: its factors overflow and underflow together"
+           if math.isnan(ratio) else f"term ratio {ratio:.6g} >= 1")
+    raise RegimeError(
+        f"error-bound series diverges ({why}); no bound exists in this regime", ratio=ratio
+    )
+
+
+def require_finite_bound(x: float, bounds: dict[str, float], key: str, ratio: float) -> None:
+    """A route's ``RegimeError`` (diagnostic ``key``: ``"ratio"`` or ``"l_hat"``) if a bound
+    at ``x`` is not a number, which certifies nothing although ``ratio < 1``.
+    """
+    unusable = [f"{name} {v:.6g}" for name, v in bounds.items() if not math.isfinite(v)]
+    if not unusable:
+        return
+    factor = "term ratio" if key == "ratio" else "contraction factor"
+    raise RegimeError(
+        f"error bound at the representative point {x:.6g} is not finite "
+        f"({', '.join(unusable)}) although the {factor} {ratio:.6g} < 1; "
+        "no usable bound exists here",
+        **{key: ratio},
+    )
+
+
+def _check_step(n: int) -> None:
+    # Step n of either route; a negative n would read the other route's row.
+    if n < 0:
+        raise ArgumentError(f"approximant step must be >= 0, got {n}")
+
+
 def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0) -> np.ndarray:
     """The n-th approximant at every sample point of ``table``.
 
@@ -124,8 +178,9 @@ def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0
     ``0``.  ``limit_function(mode, phi, params, n, offset)`` makes the same
     operations, so the two agree bit for bit.  The caller holds
     ``np.errstate(over="ignore", invalid="ignore")`` around its batch of
-    rows, once, not once per row.
+    rows, once, not once per row.  A negative ``n`` is an ``ArgumentError``.
     """
+    _check_step(n)
     if mode is Mode.CONTRACT:
         return 2.0**n * table.row(-n)
     return (table.row(n) - offset) / 2.0**n
@@ -138,6 +193,7 @@ def limit_function(
 
     ``approximant_row(table, mode, n, offset)`` as a function of ``x``.
     """
+    _check_step(n)
     if mode is Mode.CONTRACT:
         return phi.scaled(outer=2.0**n, inner=2.0 ** (-n / params.s))
     return phi.shifted(-offset).scaled(outer=2.0**-n, inner=2.0 ** (n / params.s))
@@ -157,11 +213,8 @@ def route_entry(tau_route: str | None, phi: FunctionHandle, params: EquationPara
         raise ArgumentError(f"tol must be positive, got {tol}")
     if not 1 <= n_max <= MAX_N:
         raise ArgumentError(f"n_max must be in 1..{MAX_N}, got {n_max}")
-    if tau_route is not None and rho.delta2_tau is None:
-        raise ContractViolation(
-            f"{tau_route} route needs a modular with a finite doubling constant "
-            f"(delta2_tau); {rho.spec_string()} has none"
-        )
+    if tau_route is not None:
+        doubling_constant(tau_route, rho)
     if table is None:
         return IterateTable(phi, params.s, grid)
     if table.phi is not phi or table.s != params.s or table.grid != grid:

@@ -14,7 +14,16 @@ class ArgumentError(ModstabError, ValueError):
 
 
 class RegimeError(ModstabError):
-    """Parameters fall outside the convergent regime of a construction."""
+    """Parameters fall outside the convergent regime of a construction.
+
+    ``diagnostics`` holds the numbers the refusal was decided on, in the
+    order a report's ``regime`` prints them: ``ratio`` (a direct route's
+    term ratio) or ``l_hat`` (the fixed-point contraction factor).
+    """
+
+    def __init__(self, message: str, **diagnostics: float):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class ContractViolation(ModstabError):

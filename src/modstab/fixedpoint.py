@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import (Mode, approximant_row, limit_function, route_bounds, route_entry,
-                     route_line, route_ratio)
+from .direct import (Mode, approximant_row, limit_function, representative_point,
+                     require_finite_bound, route_bounds, route_entry, route_line, route_ratio)
 from .equation import ControlFunction, EquationParams, control_eval_many, defect_many
 from .errors import ArgumentError, DefectHypothesisError, RegimeError
 from .functions import FunctionHandle
@@ -270,12 +270,13 @@ def fixed_point_solve(
 ) -> FixedPointResult:
     """Iterate the scaling operator on ``phi`` until the sampled gap drops below ``tol``.
 
-    Preconditions enforced here: a contraction factor
-    ``L = route_ratio(Mode.EXPAND, alpha, s) < 1``, a modular with a finite
-    doubling constant, and a defect hypothesis ``defect <= alpha`` that
-    ``audit``, the result of ``audit_defect_hypothesis`` on the caller's
-    triples, upholds.  The bounds are ``route_bounds`` of the expand route at
-    ratio ``L``: the expand route's series bounds.
+    Preconditions, refused in this order before ``phi`` is evaluated: a
+    modular with a finite doubling constant, a contraction factor ``L =
+    route_ratio(Mode.EXPAND, alpha, s) < 1``, a defect hypothesis ``defect <=
+    alpha`` that ``audit``, the result of ``audit_defect_hypothesis`` on the
+    caller's triples, upholds, and a finite bound at ``representative_point``
+    (a ``RegimeError`` has ``diagnostics == {"l_hat": L}``).  The bounds are
+    ``route_bounds`` of the expand route at ratio ``L``: its series bounds.
 
     The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are expand
     rows of ``approximant_row`` with no offset -- the rows ``table.row(n)``
@@ -290,8 +291,8 @@ def fixed_point_solve(
     l_factor = route_ratio(Mode.EXPAND, alpha, params.s)
     if not l_factor < 1.0:
         raise RegimeError(
-            f"contraction factor {l_factor:.6g} >= 1: "
-            "the scaling operator is not a strict contraction for this control"
+            f"contraction factor {l_factor:.6g} >= 1: fixed-point route inapplicable",
+            l_hat=l_factor,
         )
     if not audit["hypothesis_ok"]:
         worst = tuple(audit["worst_triple"])
@@ -304,9 +305,12 @@ def fixed_point_solve(
 
     s = params.s
     line = _expand_line(alpha, s, table.point_array, line)
+    cols = table.grid_index
+    bounds = route_bounds(Mode.EXPAND, None, l_factor, line[cols])
+    x, end = representative_point(grid)
+    require_finite_bound(x, {"fixed-point bound": bounds[end]}, "l_hat", l_factor)
     samples = np.flatnonzero(line > 0.0)
     denoms = line[samples]
-    cols = table.grid_index
 
     def iterate(n: int, idx: np.ndarray) -> np.ndarray:
         # Lam^n(phi) at the given sample columns; an overflowed phi value is
@@ -334,7 +338,6 @@ def fixed_point_solve(
 
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
-        bounds = route_bounds(Mode.EXPAND, None, l_factor, line[cols])
     return FixedPointResult(
         values=tuple(values.tolist()),
         point_gap=tuple(point_gap.tolist()),

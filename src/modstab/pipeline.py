@@ -36,8 +36,10 @@ reports are byte-identical with or without sharing, and the bytes a sweep
 writes do not depend on how its cells are chunked.
 
 A direct route's series bounds are one ``direct.route_bounds`` row over the
-grid, which gives the route its regime probe, its ``series`` section and
-its per-point bounds; ``fixed_point_solve`` reads the same formula.
+grid, which gives the route its ``series`` section and its per-point
+bounds; ``fixed_point_solve`` reads the same formula.  The routes decide
+and word every refusal (see ``direct``): a section calls them in one
+``try``, and ``_refuse`` writes what they raise as its ``regime``.
 
 The checks read each limit function at the sample points off the table row
 it was built from (``_sampled``), through ``direct.approximant_row``, the
@@ -49,46 +51,25 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import pickle
 
 import numpy as np
 
 from .config import SWEEP_AXES, ExperimentConfig, SweepConfig, cell_config
-from .direct import (
-    Mode,
-    approximant_row,
-    construct_limit,
-    contract_bound_closed_form,
-    route_bounds,
-    route_line,
-    route_ratio,
-)
-from .equation import (
-    control_eval,
-    control_eval_many,
-    control_power_sums,
-)
-from .errors import ArgumentError, DefectHypothesisError, ModstabError
-from .fixedpoint import (
-    audit_defects,
-    audit_ratios,
-    estimate_contraction,
-    fixed_point_solve,
-)
+from .direct import (Mode, approximant_row, construct_limit, contract_bound_closed_form,
+                     doubling_constant, representative_point, require_convergent,
+                     require_finite_bound, route_bounds, route_line, route_ratio)
+from .equation import control_eval, control_eval_many, control_power_sums
+from .errors import (ArgumentError, ContractViolation, DefectHypothesisError, ModstabError,
+                     RegimeError)
+from .fixedpoint import audit_defects, audit_ratios, estimate_contraction, fixed_point_solve
 from .iterates import IterateTable
 from .modular import check_modular_axioms, estimate_delta2, parse_modular, pow_or_inf
 from .report import canonical_json, csv_lines
 from .sampling import corner_triples, seeded_triples, standard_ladder
-from .verify import (
-    Sampled,
-    additivity_pairs,
-    cross_check,
-    verify_oddness,
-    verify_radical_additivity,
-    verify_stability_bound,
-)
+from .verify import (Sampled, additivity_pairs, cross_check, verify_oddness,
+                     verify_radical_additivity, verify_stability_bound)
 
 __all__ = [
     "run_experiment",
@@ -108,6 +89,8 @@ EXIT_CONFIG = 4
 
 SCHEMA = "modstab-report/1"
 AUDIT_TRIPLES = 500
+# What a route raises when a hypothesis fails; a report shows it as the route's regime.
+REFUSALS = (ContractViolation, RegimeError, DefectHypothesisError)
 
 
 def _outcome_dict(o) -> dict:
@@ -217,15 +200,13 @@ def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, sectio
     return section
 
 
-def _unusable_bound(x_repr: float, bounds: dict, factor: str, ratio: float) -> str | None:
-    # A route's refusal when its ratio is below 1 but a bound it sums is not a
-    # number, which certifies nothing: the control overflowed (inf), or inf met 0.
-    unusable = [f"{name} {v:.6g}" for name, v in bounds.items() if not math.isfinite(v)]
-    if not unusable:
-        return None
-    return (f"error bound at the representative point {x_repr:.6g} is not finite "
-            f"({', '.join(unusable)}) although the {factor} {ratio:.6g} < 1; "
-            "no usable bound exists here")
+def _refuse(section: dict, exc: ModstabError) -> dict:
+    """``section`` with the route's refusal ``exc`` as its ``regime``: the error's own text."""
+    regime = {"ok": False, **getattr(exc, "diagnostics", {}), "error": str(exc)}
+    if isinstance(exc, DefectHypothesisError):
+        regime.update(worst_triple=list(exc.worst_triple), ratio=exc.ratio)
+    section["regime"] = regime
+    return section
 
 
 def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -> dict:
@@ -235,62 +216,41 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
     """
     section: dict = {}
     s = cfg.params.s
-    lo, hi = abs(cfg.grid.lo), abs(cfg.grid.hi)
-    x_repr = max(lo, hi)
-    tau = cfg.modular.delta2_tau  # read by the contract route only
-    if mode is Mode.CONTRACT and tau is None:
-        section["regime"] = {
-            "ok": False,
-            "error": "contract route needs a modular with a finite doubling "
-                     f"constant; {cfg.modular_spec} has none",
-        }
-        return section
-    ratio = route_ratio(mode, cfg.alpha, s, tau)
-    converged = ratio < 1.0
-    # One bound row over the grid.  Every coordinate of the line enters
-    # control_eval_many through abs, so the line is even in x bit for bit and
-    # the grid end of largest magnitude gives the bound at x_repr.  A refused
-    # route needs that one point only.
-    if not converged:
-        line, end = route_line(mode, cfg.alpha, s, np.array([x_repr])), 0
-    else:
-        table = _table(cfg, memo)
-        cols = table.grid_index
-        line = (expand_line()[cols] if mode is Mode.EXPAND
-                else route_line(mode, cfg.alpha, s, table.point_array[cols]))
-        end = 0 if lo >= hi else -1
-    row = route_bounds(mode, tau, ratio, line)
-    value = float(row[end])
-    series = {"value": value, "terms_used": 1, "tail_estimate": 0.0, "upper": value + 0.0,
-              "converged": converged, "ratio": ratio}
-    if not converged:
-        why = ("term ratio is nan: its factors overflow and underflow together"
-               if math.isnan(ratio) else f"term ratio {ratio:.6g} >= 1")
-        section["regime"] = {
-            "ok": False,
-            "ratio": ratio,
-            "error": f"error-bound series diverges ({why}); no bound exists in this regime",
-        }
-        section["series"] = series
-        return section
-    section["regime"] = {"ok": True, "ratio": ratio}
-    section["series"] = series
-    representative = {"series bound": series["upper"]}
-    if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
-        closed = contract_bound_closed_form(cfg.alpha.theta, cfg.alpha.p, s, tau, x_repr)
-        section["closed_form"] = {
-            "value_at_representative": closed,
-            "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
-        }
-        representative["closed form"] = closed
-    error = _unusable_bound(x_repr, representative, "term ratio", ratio)
-    if error:
-        section["regime"] = {"ok": False, "ratio": ratio, "error": error}
-        return section
+    x_repr, end = representative_point(cfg.grid)
+    try:
+        tau = doubling_constant("contract", cfg.modular) if mode is Mode.CONTRACT else None
+        ratio = route_ratio(mode, cfg.alpha, s, tau)
+        converged = ratio < 1.0
+        section["regime"] = {"ok": True, "ratio": ratio}  # a refusal below replaces it
+        # One bound row over the grid, gated and reported at x_repr.  A
+        # refused route needs that one point only.
+        if not converged:
+            line, end = route_line(mode, cfg.alpha, s, np.array([x_repr])), 0
+        else:
+            table = _table(cfg, memo)
+            cols = table.grid_index
+            line = (expand_line()[cols] if mode is Mode.EXPAND
+                    else route_line(mode, cfg.alpha, s, table.point_array[cols]))
+        row = route_bounds(mode, tau, ratio, line)
+        value = float(row[end])
+        section["series"] = {"value": value, "terms_used": 1, "tail_estimate": 0.0,
+                             "upper": value + 0.0, "converged": converged, "ratio": ratio}
+        require_convergent(ratio)
+        representative = {"series bound": section["series"]["upper"]}
+        if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
+            closed = contract_bound_closed_form(cfg.alpha.theta, cfg.alpha.p, s, tau, x_repr)
+            section["closed_form"] = {
+                "value_at_representative": closed,
+                "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
+            }
+            representative["closed form"] = closed
+        require_finite_bound(x_repr, representative, "ratio", ratio)
+        limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
+            mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
+            tol=cfg.tol, n_max=cfg.n_max, table=table))
+    except REFUSALS as exc:
+        return _refuse(section, exc)
 
-    limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
-        mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
-        tol=cfg.tol, n_max=cfg.n_max, table=table))
     bounds = (row + 0.0).tolist()  # upper = value + tail_estimate
     section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
     section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
@@ -303,57 +263,26 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
 def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_line) -> dict:
     section: dict = {}
     s = cfg.params.s
-    if cfg.modular.delta2_tau is None:
-        section["regime"] = {
-            "ok": False,
-            "error": "fixed-point route needs a modular with a finite doubling "
-                     f"constant; {cfg.modular_spec} has none",
-        }
-        return section
-    table = _table(cfg, memo)
-    try:  # the sampled certificate is a cross-check; the gate is l_factor
-        cert = estimate_contraction(cfg.alpha, s, table.points, line=expand_line())
-    except ArgumentError as exc:
-        section["regime"] = {"ok": False, "error": str(exc)}
-        return section
-    section["certificate"] = {
-        "l_hat": cert.l_hat,
-        "worst_sample": cert.worst_sample,
-        "valid": cert.valid,
-        "samples_checked": cert.samples_checked,
-        "samples_skipped": cert.samples_skipped,
-    }
-    l_factor = route_ratio(Mode.EXPAND, cfg.alpha, s)
-    if not l_factor < 1.0:
-        section["regime"] = {
-            "ok": False,
-            "l_hat": l_factor,
-            "error": f"contraction factor {l_factor:.6g} >= 1: "
-                     "fixed-point route inapplicable",
-        }
-        return section
     try:
+        doubling_constant("fixed-point", cfg.modular)
+        table = _table(cfg, memo)
+        try:  # the sampled certificate is a cross-check; the gate is fixed_point_solve's
+            cert = estimate_contraction(cfg.alpha, s, table.points, line=expand_line())
+        except ArgumentError as exc:  # nothing to certify
+            return _refuse(section, exc)
+        section["certificate"] = {
+            "l_hat": cert.l_hat,
+            "worst_sample": cert.worst_sample,
+            "valid": cert.valid,
+            "samples_checked": cert.samples_checked,
+            "samples_skipped": cert.samples_skipped,
+        }
         result = fixed_point_solve(
             cfg.phi, cfg.params, cfg.modular, cfg.alpha, cfg.grid,
             tol=cfg.tol, n_max=cfg.n_max, audit=audit, table=table, line=expand_line(),
         )
-    except DefectHypothesisError as exc:
-        section["regime"] = {
-            "ok": False,
-            "error": str(exc),
-            "worst_triple": list(exc.worst_triple),
-            "ratio": exc.ratio,
-        }
-        return section
-    # The fixed-point bound row is t2's, so it is gated as t2's is: at the
-    # grid end of largest magnitude.
-    lo, hi = abs(cfg.grid.lo), abs(cfg.grid.hi)
-    end = 0 if lo >= hi else -1
-    error = _unusable_bound(max(lo, hi), {"fixed-point bound": result.bound[end]},
-                            "contraction factor", result.l_hat)
-    if error:
-        section["regime"] = {"ok": False, "l_hat": result.l_hat, "error": error}
-        return section
+    except REFUSALS as exc:
+        return _refuse(section, exc)
     section["regime"] = {"ok": True, "l_hat": result.l_hat}
     section["iteration"] = {
         "iterations": result.iterations,

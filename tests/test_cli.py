@@ -4,7 +4,13 @@ import json
 
 import pytest
 
+from modstab import (ContractViolation, DefectHypothesisError, Mode, RegimeError,
+                     construct_limit, fixed_point_solve, route_ratio, series_bound_expand)
 from modstab.cli import main
+from modstab.config import parse_experiment
+from modstab.direct import (doubling_constant, representative_point, require_convergent,
+                            require_finite_bound)
+from modstab.report import canonical_json
 
 BASE = """\
 [equation]
@@ -415,6 +421,69 @@ class TestRegimeGates:
             assert fixedpoint["regime"]["l_hat"] == t2["regime"]["ratio"]
             t2_bounds = [pt["bound"] for pt in t2["limit"]["points"]]
             assert [pt["bound"] for pt in fixedpoint["iteration"]["points"]] == t2_bounds
+
+
+def _construct_contract(cfg, audit):
+    construct_limit(Mode.CONTRACT, cfg.phi, cfg.params, cfg.modular, cfg.grid,
+                    tol=cfg.tol, n_max=cfg.n_max)
+
+
+def _solve(cfg, audit):
+    fixed_point_solve(cfg.phi, cfg.params, cfg.modular, cfg.alpha, cfg.grid,
+                      tol=cfg.tol, n_max=cfg.n_max, audit=audit)
+
+
+def _direct_gates(mode):
+    """The route-layer gates a direct route passes before ``construct_limit``."""
+    def gates(cfg, audit):
+        tau = doubling_constant("contract", cfg.modular) if mode is Mode.CONTRACT else None
+        ratio = route_ratio(mode, cfg.alpha, cfg.params.s, tau)
+        require_convergent(ratio)
+        x, _ = representative_point(cfg.grid)
+        bound = series_bound_expand(cfg.alpha, cfg.params.s, x).upper
+        require_finite_bound(x, {"series bound": bound}, "ratio", ratio)
+    return gates
+
+
+BOUNDARY = {"phi": "mono(1,3) + envnoise(0.001,3,5)", "alpha": "power:theta=0.01,p=3"}
+NON_FINITE = {"phi": "mono(0,3)", "alpha": "power:theta=1e307,p=2", "grid": "-10,10,5"}
+
+
+@pytest.mark.parametrize("method, config, route, raised", [
+    ("t1", {"modular": "exp"}, _construct_contract, ContractViolation),
+    ("fixedpoint", {"modular": "exp"}, _solve, ContractViolation),
+    ("t1", BOUNDARY, _direct_gates(Mode.CONTRACT), RegimeError),
+    ("t2", BOUNDARY, _direct_gates(Mode.EXPAND), RegimeError),
+    ("fixedpoint", BOUNDARY, _solve, RegimeError),
+    ("t2", NON_FINITE, _direct_gates(Mode.EXPAND), RegimeError),
+    ("fixedpoint", NON_FINITE, _solve, RegimeError),
+    ("fixedpoint", {"phi": "mono(1,3) + sine(0.1,1)", "alpha": "const:eps=0.05"},
+     _solve, DefectHypothesisError),
+], ids=["t1-exp", "fixedpoint-exp", "t1-diverged", "t2-diverged", "fixedpoint-L-1",
+        "t2-non-finite", "fixedpoint-non-finite", "fixedpoint-audit"])
+def test_a_report_prints_the_routes_own_refusal(tmp_path, method, config, route, raised):
+    # Each refusal is worded once, in the route layer: the report's regime is
+    # the error the library call raises, its text and its fields, in order.
+    config = {"modular": "power:p=1", "grid": "-10,10,41", **config}
+    cfg = write_cfg(tmp_path, method=method, phi=config.get("phi", "mono(1,3) + sine(0.1,1)"),
+                    alpha=config.get("alpha", "const:eps=0.1"))
+    cfg.write_text(cfg.read_text().replace("spec = power:p=1", f"spec = {config['modular']}")
+                   .replace("grid = -10,10,41", f"grid = {config['grid']}"))
+    out = tmp_path / "r.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    with pytest.raises(raised) as err:
+        route(parse_experiment(cfg.read_text()), report["audit"])
+    exc = err.value
+    if raised is DefectHypothesisError:
+        expected = {"ok": False, "error": str(exc), "worst_triple": list(exc.worst_triple),
+                    "ratio": exc.ratio}
+    else:
+        expected = {"ok": False, **getattr(exc, "diagnostics", {}), "error": str(exc)}
+    regime = report["methods"][method]["regime"]
+    assert list(regime.items()) == list(expected.items())
+    assert '"regime":' + canonical_json(expected)[:-1] in out.read_text()
+    assert not report["regime_ok"]
 
 
 def test_astral_characters_round_trip(tmp_path):

@@ -135,6 +135,17 @@ class TestApproximants:
         assert approximant(Mode.EXPAND, phi, 0, 2.0) == 8.0
 
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_negative_step_rejected(self, mode):
+        # Step -n of one route would be a row of the other route.
+        phi = monomial(1.0, 3)
+        table = IterateTable(phi, 3, Grid(-1.0, 1.0, 5))
+        with pytest.raises(ArgumentError, match="approximant step must be >= 0, got -1"):
+            approximant_row(table, mode, -1)
+        with pytest.raises(ArgumentError, match="approximant step must be >= 0, got -1"):
+            limit_function(mode, phi, P3, -1, 0.0)
+
+
 class TestConstructLimit:
     def test_expand_reconstructs_cubic(self):
         phi = parse_expression("mono(1,3) + sine(0.1,1)")

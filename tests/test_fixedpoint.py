@@ -13,6 +13,7 @@ from modstab import (
     ControlFunction,
     DefectHypothesisError,
     EquationParams,
+    FunctionHandle,
     Grid,
     ModularSpec,
     Mode,
@@ -212,9 +213,29 @@ class TestFixedPointSolve:
         # L = 2^(p/s)/2 is exactly 1 at p = s: no contraction
         alpha = ControlFunction.power(0.01, 3.0)
         assert route_ratio(Mode.EXPAND, alpha, 3) == 1.0
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError) as err:
             solve(parse_expression("mono(1,3) + envnoise(0.001,3,5)"), ABS1, alpha,
                   Grid(-10, 10, 11))
+        assert str(err.value) == "contraction factor 1 >= 1: fixed-point route inapplicable"
+        assert err.value.diagnostics == {"l_hat": 1.0}
+
+    def test_non_finite_bound_is_refused_before_phi_is_evaluated(self):
+        # theta = 1e307 overflows the control at |x| = 10, so the bound there
+        # is inf although L < 1: the route certifies nothing, and must not
+        # iterate to find that out.
+        base = parse_expression("mono(0,3)")
+        evaluated = []
+
+        def expr(xs, raised):
+            evaluated.extend(xs.tolist())
+            return base.expr(xs, raised)
+
+        alpha = ControlFunction.power(1e307, 2.0)
+        with pytest.raises(RegimeError) as err:
+            fixed_point_solve(FunctionHandle(expr, base.description), P3, ABS1, alpha,
+                              Grid(-10, 10, 5), audit={"hypothesis_ok": True})
+        assert err.value.diagnostics == {"l_hat": route_ratio(Mode.EXPAND, alpha, 3)}
+        assert evaluated == []
 
     @pytest.mark.parametrize("expr, alpha", [
         ("mono(1,3) + mono(0.01,1)", ControlFunction.power(0.02, 1.0)),

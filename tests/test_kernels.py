@@ -326,6 +326,9 @@ def test_contract_and_fixed_point_routes_refuse_alike(bad):
                           audit={"hypothesis_ok": True}, table=table, **args)
     assert type(fp.value) is type(t1.value)
     assert str(fp.value) == str(t1.value).replace("contract route", "fixed-point route")
+    if "rho" in bad:  # the text a report prints for the same refusal
+        assert str(t1.value) == ("contract route needs a modular with a finite doubling "
+                                 "constant; exp has none")
 
 
 def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
