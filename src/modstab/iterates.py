@@ -40,8 +40,7 @@ class IterateTable:
         self.grid = grid
         self.points = function_sample_points(grid)
         self.point_array = np.array(self.points, dtype=float)
-        position = {x: i for i, x in enumerate(self.points)}
-        self.grid_index = np.array([position[x] for x in grid.points()], dtype=np.intp)
+        self.grid_index = np.searchsorted(self.point_array, grid.point_array)
         self._rows: dict[int, np.ndarray] = {}
         self._origin: float | None = None
 
@@ -52,7 +51,8 @@ class IterateTable:
         return self._rows[k]
 
     def origin(self) -> float:
-        """``phi(0)``, evaluated once."""
+        """``phi(0)``, evaluated once; read off ``row(0)`` where ``+0.0`` is a sample point."""
         if self._origin is None:
-            self._origin = self.phi(0.0)
+            zero = np.flatnonzero(self.point_array.view(np.uint64) == 0)  # +0.0, not -0.0
+            self._origin = float(self.row(0)[zero[0]]) if zero.size else self.phi(0.0)
         return self._origin

@@ -40,6 +40,9 @@ grid, which gives the route its ``series`` section and its per-point
 bounds; ``fixed_point_solve`` reads the same formula.  The routes decide
 and word every refusal (see ``direct``): a section calls them in one
 ``try``, and ``_refuse`` writes what they raise as its ``regime``.
+``_finish_route`` puts a route's per-point section in its report as one
+``report.Columns`` block of ``x``, ``value``, ``bound`` and ``gap``; the
+stability-bound check and both emitters read the columns, not row dicts.
 
 The checks read each limit function at the sample points off the table row
 it was built from (``_sampled``), through ``direct.approximant_row``, the
@@ -66,7 +69,7 @@ from .errors import (ArgumentError, ContractViolation, DefectHypothesisError, Mo
 from .fixedpoint import audit_defects, audit_ratios, estimate_contraction, fixed_point_solve
 from .iterates import IterateTable
 from .modular import check_modular_axioms, estimate_delta2, parse_modular, pow_or_inf
-from .report import canonical_json, csv_lines
+from .report import Columns, canonical_json, csv_lines
 from .sampling import corner_triples, seeded_triples, standard_ladder
 from .verify import (Sampled, additivity_pairs, cross_check, verify_oddness,
                      verify_radical_additivity, verify_stability_bound)
@@ -180,19 +183,18 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
 
 
 def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, section: dict,
-                  body: dict, key: tuple, function, values, bounds: list[float], gaps) -> dict:
-    """Every route's ending: per-point rows in ``body``, the checks, the function.
+                  body: dict, key: tuple, function, values, bounds, gaps) -> dict:
+    """Every route's ending: per-point columns in ``body``, the checks, the function.
 
     ``key`` names the limit function (see ``_sampled``); table row 0 is ``phi``.
     """
-    body["points"] = [
-        {"x": x, "value": v, "bound": b, "gap": g}
-        for x, v, b, g in zip(cfg.grid.points(), values, bounds, gaps)
-    ]
+    points = body["points"] = Columns(("x", "value", "bound", "gap"),
+                                      (cfg.grid.point_array, values, bounds, gaps))
     sampled = _sampled(table, key, function)
     phi = Sampled(cfg.phi, table.point_array, table.row(0))
     checks = [
-        verify_stability_bound(phi, sampled, cfg.modular, bounds, cfg.grid, shift=key[3]),
+        verify_stability_bound(phi, sampled, cfg.modular, points.column("bound"), cfg.grid,
+                               shift=key[3]),
         *_limit_checks(cfg, memo, key, sampled),
     ]
     section["checks"] = [_outcome_dict(c) for c in checks]
@@ -251,7 +253,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
     except REFUSALS as exc:
         return _refuse(section, exc)
 
-    bounds = (row + 0.0).tolist()  # upper = value + tail_estimate
+    bounds = row + 0.0  # upper = value + tail_estimate
     section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
     section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
@@ -297,7 +299,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_l
     # Iterate n is the expand limit at n with no offset: the same function.
     return _finish_route(cfg, memo, table, section, section["iteration"],
                          (Mode.EXPAND, s, result.iterations, 0.0), result.function,
-                         result.values, list(result.bound), result.point_gap)
+                         result.values, result.bound, result.point_gap)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, int]:
@@ -397,10 +399,8 @@ def report_csv(report: dict) -> str:
         if body is None:
             continue
         n = body.get("achieved_n", body.get("iterations"))
-        saturated = body["saturated"]
-        for point in body["points"]:
-            rows.append([method, point["x"], point["value"], point["bound"],
-                         point["gap"], n, saturated])
+        columns = (body["points"].column(k).tolist() for k in ("x", "value", "bound", "gap"))
+        rows.extend([method, *point, n, body["saturated"]] for point in zip(*columns))
     return csv_lines(header, rows)
 
 

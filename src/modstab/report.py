@@ -12,19 +12,53 @@ The serializer is the recursive ``isinstance`` chain ``None``, ``True``,
 shortcuts that print the same bytes: the exact types ``float``, ``dict``,
 ``list`` and ``str`` skip the chain (``_chain_type`` serves the rest:
 ``np.float64``, tuples, subclasses), a finite float or a string member is
-written in place, each key is encoded once per ``canonical_json`` call (no
-cache outlives the call), and a list of same-key records of finite plain
-floats -- a report's per-point rows -- is one ``%``-template, where
-``"%.17g" % v`` prints what ``format(v, ".17g")`` does.
+written in place, and each key is encoded once per ``canonical_json`` call
+(no cache outlives the call).  A report's per-point section is a
+``Columns`` block, printed as the row dicts it reads as: one ``%``-template
+with a ``%.17g`` (what ``format(v, ".17g")`` prints) per entry, or the rows
+themselves where an entry is not finite, so inf and nan print as strings.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["fmt_float", "canonical_json", "csv_lines"]
+import numpy as np
+
+__all__ = ["Columns", "fmt_float", "canonical_json", "csv_lines"]
+
+
+class Columns(Sequence):
+    """Per-point records as float64 columns: row ``i`` is ``{names[k]: cols[k][i]}``.
+
+    It reads as a sequence of row dicts of plain floats.  Blocks are equal
+    when their names and the raw bits of their columns are.
+    """
+
+    def __init__(self, names, cols):
+        self.names, self.cols = tuple(names), tuple(np.asarray(c, dtype=float) for c in cols)
+        if not self.names or len(self.cols) != len(self.names) or len({*map(len, self.cols)}) > 1:
+            raise ValueError("a column block needs one column per name, all of one length")
+
+    def __len__(self) -> int:
+        return len(self.cols[0])
+
+    def __getitem__(self, i: int) -> dict[str, float]:
+        return dict(zip(self.names, (float(c[i]) for c in self.cols)))
+
+    def __iter__(self):
+        return (dict(zip(self.names, row)) for row in zip(*(c.tolist() for c in self.cols)))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Columns) and self.names == other.names
+        return same and all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                            for a, b in zip(self.cols, other.cols))
+
+    def column(self, name: str) -> np.ndarray:
+        return self.cols[self.names.index(name)]
 
 
 def fmt_float(v: float) -> str:
@@ -47,30 +81,13 @@ def _key(k, keys: dict[str, str]) -> str:
     return f"{json.dumps(k)}:"
 
 
-_FLOAT = {float}
-
-
-def _float_rows(rows, keys: dict[str, str]) -> str | None:
-    """``rows`` as JSON if it is a list of same-key dicts of finite plain floats.
-
-    The list is then one ``%``-template with a ``%.17g`` per value, which
-    prints the bytes ``format(v, ".17g")`` does; anything else (another
-    type, a non-finite value, keys that differ or are not ``str``) gives
-    ``None``.
-    """
-    names = list(rows[0])
-    if not names:
-        return None
-    values: list = []
-    for row in rows:
-        if type(row) is not dict or list(row) != names:
-            return None
-        values.extend(row.values())
-    if (set(map(type, values)) != _FLOAT or not all(map(math.isfinite, values))
-            or not all(type(k) is str for k in names)):
-        return None
-    row = "{" + ",".join(_key(k, keys).replace("%", "%%") + "%.17g" for k in names) + "}"
-    return ("[" + ",".join([row] * len(rows)) + "]") % tuple(values)
+def _columns(block: Columns, out: list[str], keys: dict[str, str]) -> None:
+    """``block``: one ``%``-template if every entry is finite, else its row dicts."""
+    table = np.column_stack(block.cols)
+    if not np.isfinite(table).all():  # the rows print inf and nan as strings
+        return _emit(list(block), out, keys)
+    row = "{" + ",".join(_key(k, keys).replace("%", "%%") + "%.17g" for k in block.names) + "}"
+    out.append(("[" + ",".join([row] * len(block)) + "]") % tuple(table.ravel().tolist()))
 
 
 _EXACT = {float, dict, list, str}
@@ -88,7 +105,9 @@ def _chain_type(obj) -> type:
 
 def _emit(obj, out: list[str], keys: dict[str, str]) -> None:
     t = type(obj)
-    if t not in _EXACT:  # np.float64, tuples, subclasses and the literals
+    if t not in _EXACT:  # np.float64, tuples, subclasses, column blocks and the literals
+        if t is Columns:
+            return _columns(obj, out, keys)
         if obj is None or obj is True or obj is False:
             out.append("null" if obj is None else "true" if obj else "false")
             return
@@ -112,10 +131,6 @@ def _emit(obj, out: list[str], keys: dict[str, str]) -> None:
                 _emit(v, out, keys)
         out.append("}")
     elif t is list:
-        rows = _float_rows(obj, keys) if obj and type(obj[0]) is dict else None
-        if rows is not None:
-            out.append(rows)
-            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:

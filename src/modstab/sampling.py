@@ -41,13 +41,15 @@ class Grid:
             )
 
     @cached_property
-    def _points(self) -> tuple[float, ...]:
-        # Computed once per grid; a tuple, so no caller can change it.
-        return tuple(np.linspace(self.lo, self.hi, self.count).tolist())
+    def point_array(self) -> np.ndarray:
+        """``linspace(lo, hi, count)``, computed once per grid; read-only."""
+        pts = np.linspace(self.lo, self.hi, self.count)
+        pts.flags.writeable = False
+        return pts
 
     def points(self) -> list[float]:
-        """The ``count`` points of ``linspace(lo, hi, count)``, as a fresh list."""
-        return list(self._points)
+        """The ``count`` points of ``point_array``, the same bits, as a fresh list."""
+        return self.point_array.tolist()
 
 
 def standard_ladder(k_min: int = -3, k_max: int = 10) -> list[float]:

@@ -113,7 +113,7 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     """
     if s < 3 or s % 2 == 0:
         raise ArgumentError(f"additivity pairs need odd s >= 3, got {s}")
-    pts = np.array(grid.points())
+    pts = grid.point_array
     n = len(pts)
     stride = -(-n * n // MAX_ADDITIVITY_PAIRS)  # 1 whenever the square fits
     flat = np.arange(0, n * n, stride)
@@ -183,7 +183,7 @@ def verify_radical_additivity(
 
 def verify_oddness(a: FunctionHandle | Sampled, rho: ModularSpec, grid: Grid) -> CheckOutcome:
     """Sign antisymmetry ``a(-x) = -a(x)`` plus ``a(0) = 0`` on the grid."""
-    pts = np.array(grid.points())
+    pts = grid.point_array
     at_zero = rho_eval(rho, float(_at(a, np.zeros(1))[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         d = rho_eval_array(rho, _at(a, pts) + _at(a, -pts))
@@ -195,7 +195,7 @@ def verify_stability_bound(
     phi: FunctionHandle | Sampled,
     a: FunctionHandle | Sampled,
     rho: ModularSpec,
-    bound_per_point: list[float],
+    bound_per_point: np.ndarray | list[float],
     grid: Grid,
     shift: float = 0.0,
 ) -> CheckOutcome:
@@ -205,14 +205,12 @@ def verify_stability_bound(
     contract and fixed-point routes use zero.  ``worst_value`` is the largest
     excess of the distance over its bound (negative = margin everywhere).
     """
-    pts = np.array(grid.points())
-    if len(bound_per_point) != len(pts):
-        raise ArgumentError(
-            f"bound list has {len(bound_per_point)} entries for a {len(pts)}-point grid"
-        )
+    pts = grid.point_array
+    bounds = np.asarray(bound_per_point, dtype=float)
+    if len(bounds) != len(pts):
+        raise ArgumentError(f"bound list has {len(bounds)} entries for a {len(pts)}-point grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        excess = (rho_eval_array(rho, _at(phi, pts) - shift - _at(a, pts))
-                  - np.asarray(bound_per_point, dtype=float))
+        excess = rho_eval_array(rho, _at(phi, pts) - shift - _at(a, pts)) - bounds
     k, worst = first_max(excess, -math.inf)
     return _outcome("stability_bound", float(pts[0] if k is None else pts[k]), worst,
                     BOUND_CHECK_TOL)
@@ -222,7 +220,7 @@ def cross_check(
     a1: FunctionHandle | Sampled, a2: FunctionHandle | Sampled, rho: ModularSpec, grid: Grid
 ) -> CheckOutcome:
     """Pointwise agreement of two constructed limits on a shared grid."""
-    pts = np.array(grid.points())
+    pts = grid.point_array
     with np.errstate(over="ignore", invalid="ignore"):
         d = rho_eval_array(rho, _at(a1, pts) - _at(a2, pts))
     k, worst = first_max(d, -1.0)

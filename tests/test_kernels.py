@@ -331,6 +331,33 @@ def test_contract_and_fixed_point_routes_refuse_alike(bad):
                                  "constant; exp has none")
 
 
+@pytest.mark.parametrize("grid, scalar_calls", [
+    ("-10,10,41", 0),   # 0.0 is a grid point
+    ("-3,5,61", 1),     # no grid point is 0
+    ("-3,-0.0,17", 1),  # -0.0 is, and phi(-0.0) need not have the bits of phi(0.0)
+])
+def test_phi_at_zero_is_read_off_row_zero(monkeypatch, grid, scalar_calls):
+    cfg = parse_experiment(EXPERIMENT.format(noise="envnoise(0.01,1,11)", theta=0.05)
+                           .replace("grid = -10,10,41", f"grid = {grid}"))
+    sizes = []
+    many = FunctionHandle.many
+
+    def spy(self, xs):
+        if self is cfg.phi:
+            sizes.append(len(xs))
+        return many(self, xs)
+
+    monkeypatch.setattr(FunctionHandle, "many", spy)
+    report, _ = pipeline_mod.run_experiment(cfg)
+    assert report["methods"]["t2"]["regime"]["ok"]
+    # The q*phi(0) offset and origin_offset cost a one-point batch only
+    # when no sample point is 0.0.
+    assert sizes.count(1) == scalar_calls
+    monkeypatch.undo()
+    table = IterateTable(cfg.phi, 3, cfg.grid)
+    assert bits([table.origin()]) == bits([cfg.phi(0.0)])
+
+
 def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     cfg = parse_experiment(EXPERIMENT.format(noise="envnoise(0.01,1,11)", theta=0.05))
     base = cfg.phi
@@ -364,10 +391,9 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     points = IterateTable(base, 3, cfg.grid).points
     per_step = Counter(2.0 ** (n / 3) * x for n in range(max(t2, fp) + 1) for x in points)
     # Each (n, x) is evaluated exactly once across t2 and the fixed-point
-    # route; beyond that, phi(0) is taken once, by the table, for the
-    # q*phi(0) offset, the limit handle and origin_offset alike.
-    assert calls - per_step == Counter({0.0: 1})
-    assert not per_step - calls
+    # route, and nothing else is: the grid holds 0, so phi(0) -- the
+    # q*phi(0) offset and origin_offset -- is read off the table's row 0.
+    assert calls == per_step
 
 
 # -- the checks read the table ------------------------------------------------

@@ -1,5 +1,6 @@
 """Canonical JSON/CSV emission: fixed float format, byte stability."""
 
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modstab.report import canonical_json, csv_lines, fmt_float
+from modstab import Grid
+from modstab.config import parse_experiment
+from modstab.pipeline import report_csv, run_experiment
+from modstab.report import Columns, canonical_json, csv_lines, fmt_float
 
 
 class TestFloatFormat:
@@ -137,9 +141,9 @@ unknown = st.sampled_from([object(), {1.0}, b"x", 1j, np.int64(3), Ellipsis])
 
 @st.composite
 def point_lists(draw):
-    # Lists of same-key records, the shape the row templates take; some
-    # break the template's conditions (a non-finite value, another type,
-    # another key order) and must take the generic path with equal bytes.
+    # Lists of same-key records, a per-point section read as rows; some
+    # break the record shape (a non-finite value, another type, another key
+    # order), and every one prints the bytes of the generic path.
     names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
     value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
     rows = [{k: draw(value) for k in names} for _ in range(draw(st.integers(1, 5)))]
@@ -195,6 +199,147 @@ class TestEmitterMatchesReference:
     @example([{"x": 1.0}, {"x": object()}])
     def test_same_bytes_or_same_error(self, tree):
         assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
+
+
+@st.composite
+def column_blocks(draw):
+    # A per-point section as columns, with entries from EDGE_FLOATS; one
+    # entry may be made non-finite, which sends the block down the row path.
+    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(2, 6))
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+    cols = [np.array([draw(value) for _ in range(count)]) for _ in names]
+    if draw(st.booleans()):
+        k, i = draw(st.integers(0, len(names) - 1)), draw(st.integers(0, count - 1))
+        cols[k][i] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return Columns(names, cols)
+
+
+def _rows(block):
+    # The block as the row dicts of plain floats it stands for.
+    return [{k: float(c[i]) for k, c in zip(block.names, block.cols)} for i in range(len(block))]
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(column_blocks())
+    @example(Columns(["x", "value", "bound", "gap"],
+                     [[-0.0, 5e-324], [1.7976931348623157e308, -5e-324],
+                      [2.2250738585072014e-308, 0.1], [0.0, -1e308]]))
+    @example(Columns(["100%", "%s", 'a"\\\n\u00fc\U0001d7cf'],
+                     [[0.25, 1.0], [-0.0, 2.0], [3.0, 4.0]]))
+    @example(Columns(["x", "gap"], [[1.0, 2.0], [0.5, math.inf]]))
+    @example(Columns(["x", "gap"], [[math.nan, 2.0], [0.5, 0.0]]))
+    def test_same_bytes_as_the_rows(self, block):
+        rows = _rows(block)
+        assert canonical_json(block) == _reference_json(rows)
+        wrapped = {"points": block, "n": 1}
+        assert canonical_json(wrapped) == _reference_json({"points": rows, "n": 1})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_only_a_non_finite_block_takes_the_row_path(self, monkeypatch, bad):
+        read = []
+        iterate = Columns.__iter__
+        monkeypatch.setattr(Columns, "__iter__", lambda self: read.append(self) or iterate(self))
+        canonical_json(Columns(["x", "gap"], [[1.0, 2.0], [0.5, 5e-324]]))
+        assert read == []
+        block = Columns(["x", "gap"], [[1.0, 2.0], [0.5, bad]])
+        assert canonical_json(block) == _reference_json(_rows(block))
+        assert read == [block]
+
+    @settings(max_examples=100, deadline=None)
+    @given(column_blocks())
+    def test_reads_as_its_rows(self, block):
+        rows = _rows(block)
+        assert len(block) == len(rows)
+        by_index = [canonical_json(block[i]) for i in range(len(block))]
+        assert by_index == list(map(canonical_json, rows))
+        assert list(map(canonical_json, block)) == list(map(canonical_json, rows))
+        assert canonical_json(block[-1]) == canonical_json(rows[-1])
+        assert all(type(v) is float for row in block for v in row.values())
+
+    def test_equality_is_by_raw_bits(self):
+        block = Columns(["x", "v"], [[0.0, 1.0], [math.nan, 2.0]])
+        assert block == Columns(["x", "v"], [[0.0, 1.0], [math.nan, 2.0]])
+        assert block != Columns(["x", "v"], [[-0.0, 1.0], [math.nan, 2.0]])
+        assert block != Columns(["x", "w"], [[0.0, 1.0], [math.nan, 2.0]])
+        assert block != Columns(["x", "v"], [[0.0], [math.nan]])
+        assert block != [{"x": 0.0, "v": math.nan}, {"x": 1.0, "v": 2.0}]
+
+    def test_rejects_ragged_or_unnamed_columns(self):
+        with pytest.raises(ValueError):
+            Columns(["x", "v"], [[0.0, 1.0], [2.0]])
+        with pytest.raises(ValueError):
+            Columns(["x", "v"], [[0.0, 1.0]])
+        with pytest.raises(ValueError):
+            Columns([], [])
+
+
+REPORT_CFG = """\
+[equation]
+s = 3
+q = 1
+[modular]
+spec = power:p=1
+[phi]
+expr = {expr}
+[alpha]
+spec = const:eps=0.1
+[run]
+method = all
+grid = {grid}
+seed = 7
+"""
+
+
+def _row_csv(report):
+    # report_csv over the per-point sections read as row dicts.
+    rows = []
+    for method, sec in report["methods"].items():
+        body = sec.get("limit") or sec.get("iteration")
+        if body is None:
+            continue
+        n = body.get("achieved_n", body.get("iterations"))
+        for point in list(body["points"]):
+            rows.append([method, point["x"], point["value"], point["bound"], point["gap"],
+                         n, body["saturated"]])
+    return csv_lines(["method", "x", "value", "bound", "gap", "n", "saturated"], rows)
+
+
+class TestReportColumns:
+    @pytest.mark.parametrize("expr, grid", [
+        ("mono(1,3) + sine(0.1,1)", "-10,10,41"),
+        ("mono(1,3) + sine(0.1,1)", "-0.0,3,17"),
+        ("mono(1,3) + sine(0.1,1)", "-3,-0.0,17"),
+        ("mono(1,3) + mono(1e-30,99)", "-0.0001,0.0001,11"),  # saturated: inf gaps
+    ])
+    def test_points_are_columns_read_as_rows(self, expr, grid):
+        cfg = parse_experiment(REPORT_CFG.format(expr=expr, grid=grid))
+        report, _ = run_experiment(cfg)
+        bodies = [sec.get("limit") or sec.get("iteration") for sec in report["methods"].values()]
+        blocks = [body["points"] for body in bodies if body is not None]
+        assert blocks
+        want = np.array(cfg.grid.points()).view(np.uint64)
+        for block in blocks:
+            assert type(block) is Columns and block.names == ("x", "value", "bound", "gap")
+            # The x column has the bits of grid.points(), a signed zero included.
+            assert np.array_equal(block.column("x").view(np.uint64), want)
+        assert report_csv(report) == _row_csv(report)
+
+    def test_grid_array_has_the_bits_of_its_points(self):
+        for lo, hi in ((-0.0, 1.0), (-1.0, -0.0), (-10.0, 10.0), (-1e307, 1e307)):
+            grid = Grid(lo, hi, 41)
+            pts = np.array(grid.points())
+            assert np.array_equal(grid.point_array.view(np.uint64), pts.view(np.uint64))
+            assert not grid.point_array.flags.writeable
+        assert math.copysign(1.0, Grid(-1.0, -0.0, 5).points()[-1]) == -1.0
+
+    def test_sections_stay_equal_across_runs(self):
+        cfg = parse_experiment(REPORT_CFG.format(expr="mono(1,3) + sine(0.1,1)",
+                                                 grid="-10,10,41"))
+        first, _ = run_experiment(cfg)
+        assert run_experiment(cfg)[0] == first
+        assert run_experiment(dataclasses.replace(cfg, seed=8))[0] != first
 
 
 class TestCsv:
