@@ -13,6 +13,7 @@ import sys
 from .config import check_run_number, parse_experiment, parse_sweep
 from .errors import ConfigError, ModstabError
 from .pipeline import (
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_IO,
     run_experiment,
@@ -122,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModstabError as exc:
         # Anything that escapes the structured paths is a failed check.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CHECK_FAILED
 
 
 def entry() -> None:

@@ -45,7 +45,7 @@ __all__ = ["ExperimentConfig", "SweepConfig", "cell_config", "parse_experiment",
 
 METHODS = ("t1", "t2", "fixedpoint", "all")
 SWEEP_AXES = ("s", "q", "p", "theta", "modular")
-DEFAULT_SWEEP_CAP = 10_000
+SWEEP_CAP = 10_000
 
 _EXPERIMENT_KEYS = {
     "equation": {"s", "q"},
@@ -302,9 +302,8 @@ def parse_sweep(text: str) -> SweepConfig:
     total = 1
     for values in axes.values():
         total *= len(values)
-    if total > DEFAULT_SWEEP_CAP:
-        raise ConfigError(
-            f"sweep has {total} cells, exceeding the cap of {DEFAULT_SWEEP_CAP}")
+    if total > SWEEP_CAP:
+        raise ConfigError(f"sweep has {total} cells, exceeding the cap of {SWEEP_CAP}")
     # Each axis checks its values independently of the others, so a value
     # that parses with the base experiment parses in every cell.
     for axis, values in axes.items():

@@ -273,7 +273,7 @@ def fixed_point_solve(
     Preconditions, refused in this order before ``phi`` is evaluated: a
     modular with a finite doubling constant, a contraction factor ``L =
     route_ratio(Mode.EXPAND, alpha, s) < 1``, a defect hypothesis ``defect <=
-    alpha`` that ``audit``, the result of ``audit_defect_hypothesis`` on the
+    alpha`` that ``audit``, the dict ``audit_ratios`` returns for the
     caller's triples, upholds, and a finite bound at ``representative_point``
     (a ``RegimeError`` has ``diagnostics == {"l_hat": L}``).  The bounds are
     ``route_bounds`` of the expand route at ratio ``L``: its series bounds.

@@ -43,6 +43,10 @@ and word every refusal (see ``direct``): a section calls them in one
 ``_finish_route`` puts a route's per-point section in its report as one
 ``report.Columns`` block of ``x``, ``value``, ``bound`` and ``gap``; the
 stability-bound check and both emitters read the columns, not row dicts.
+Each section returns a ``_Route`` record, from which ``_run`` builds the
+report, the cross-checks and the verdicts, and ``_run_cells`` each summary
+row.  A row's ``rate`` is the ratio its route was gated on, so it is empty
+exactly where ``direct.doubling_constant`` refused the route.
 
 The checks read each limit function at the sample points off the table row
 it was built from (``_sampled``), through ``direct.approximant_row``, the
@@ -56,6 +60,7 @@ import functools
 import itertools
 import os
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,7 +164,7 @@ def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function: Sampl
     ))
 
 
-def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
+def _scaling_check(cfg: ExperimentConfig, mode: Mode, tau: float | None, n: int) -> dict:
     # Rescaled control values must die out along the route's scaling; checked
     # at the grid's outer magnitude up to the achieved iteration count.
     r = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
@@ -167,7 +172,6 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
 
     def value_at(k: int) -> float:
         if mode is Mode.CONTRACT:
-            tau = cfg.modular.delta2_tau
             arg = r / 2.0 ** (k / s)
             return pow_or_inf(tau, k) * control_eval(cfg.alpha, arg, arg, arg)
         arg = 2.0 ** (k / s) * r
@@ -182,8 +186,21 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, n: int) -> dict:
     }
 
 
+class _Route(NamedTuple):
+    """A route's report section, and what ``_run`` and its summary row read: the rate it
+    was gated on (``None`` without a doubling constant) and, if it finished, its step
+    count, stability-bound ``slack``, ``(key, Sampled)`` function and check verdict."""
+
+    section: dict
+    rate: float | None
+    steps: int | None = None
+    slack: float | None = None
+    function: tuple | None = None
+    passed: bool = True
+
+
 def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, section: dict,
-                  body: dict, key: tuple, function, values, bounds, gaps) -> dict:
+                  body: dict, rate: float, key: tuple, function, values, bounds, gaps) -> _Route:
     """Every route's ending: per-point columns in ``body``, the checks, the function.
 
     ``key`` names the limit function (see ``_sampled``); table row 0 is ``phi``.
@@ -192,26 +209,24 @@ def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, sectio
                                       (cfg.grid.point_array, values, bounds, gaps))
     sampled = _sampled(table, key, function)
     phi = Sampled(cfg.phi, table.point_array, table.row(0))
-    checks = [
-        verify_stability_bound(phi, sampled, cfg.modular, points.column("bound"), cfg.grid,
-                               shift=key[3]),
-        *_limit_checks(cfg, memo, key, sampled),
-    ]
+    bound = verify_stability_bound(phi, sampled, cfg.modular, points.column("bound"),
+                                   cfg.grid, shift=key[3])
+    checks = [bound, *_limit_checks(cfg, memo, key, sampled)]
     section["checks"] = [_outcome_dict(c) for c in checks]
-    section["_function"] = (key, sampled)  # for cross-method checks; stripped later
-    return section
+    return _Route(section, rate, key[2], bound.worst_value, (key, sampled),
+                  all(c.passed for c in checks))
 
 
-def _refuse(section: dict, exc: ModstabError) -> dict:
-    """``section`` with the route's refusal ``exc`` as its ``regime``: the error's own text."""
+def _refuse(section: dict, exc: Exception, rate: float | None = None) -> _Route:
+    """The route ``section`` refused by ``exc``, whose own text is its ``regime``'s error."""
     regime = {"ok": False, **getattr(exc, "diagnostics", {}), "error": str(exc)}
     if isinstance(exc, DefectHypothesisError):
         regime.update(worst_triple=list(exc.worst_triple), ratio=exc.ratio)
     section["regime"] = regime
-    return section
+    return _Route(section, rate)
 
 
-def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -> dict:
+def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -> _Route:
     """Run one direct route: regime gate, series bounds, limit, checks.
 
     ``expand_line()`` is the cell's expand ``route_line`` over the table points.
@@ -219,6 +234,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
     section: dict = {}
     s = cfg.params.s
     x_repr, end = representative_point(cfg.grid)
+    ratio = None
     try:
         tau = doubling_constant("contract", cfg.modular) if mode is Mode.CONTRACT else None
         ratio = route_ratio(mode, cfg.alpha, s, tau)
@@ -251,27 +267,29 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
             mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
             tol=cfg.tol, n_max=cfg.n_max, table=table))
     except REFUSALS as exc:
-        return _refuse(section, exc)
+        return _refuse(section, exc, ratio)
 
-    bounds = row + 0.0  # upper = value + tail_estimate
+    bounds = row + 0.0  # so that a -0.0 bound prints as 0, as tests/test_cli.py pins
     section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
-    section["scaling_check"] = _scaling_check(cfg, mode, limit.achieved_n)
+    section["scaling_check"] = _scaling_check(cfg, mode, tau, limit.achieved_n)
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
-    return _finish_route(cfg, memo, table, section, section["limit"],
+    return _finish_route(cfg, memo, table, section, section["limit"], ratio,
                          (mode, s, limit.achieved_n, shift), limit.function,
                          limit.values, bounds, limit.cauchy_gap)
 
 
-def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_line) -> dict:
+def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_line) -> _Route:
     section: dict = {}
     s = cfg.params.s
+    rate = None
     try:
         doubling_constant("fixed-point", cfg.modular)
+        rate = route_ratio(Mode.EXPAND, cfg.alpha, s)  # L: every later refusal keeps it
         table = _table(cfg, memo)
         try:  # the sampled certificate is a cross-check; the gate is fixed_point_solve's
             cert = estimate_contraction(cfg.alpha, s, table.points, line=expand_line())
         except ArgumentError as exc:  # nothing to certify
-            return _refuse(section, exc)
+            return _refuse(section, exc, rate)
         section["certificate"] = {
             "l_hat": cert.l_hat,
             "worst_sample": cert.worst_sample,
@@ -284,7 +302,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_l
             tol=cfg.tol, n_max=cfg.n_max, audit=audit, table=table, line=expand_line(),
         )
     except REFUSALS as exc:
-        return _refuse(section, exc)
+        return _refuse(section, exc, rate)
     section["regime"] = {"ok": True, "l_hat": result.l_hat}
     section["iteration"] = {
         "iterations": result.iterations,
@@ -297,7 +315,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_l
         "origin_offset": result.origin_offset,
     }
     # Iterate n is the expand limit at n with no offset: the same function.
-    return _finish_route(cfg, memo, table, section, section["iteration"],
+    return _finish_route(cfg, memo, table, section, section["iteration"], rate,
                          (Mode.EXPAND, s, result.iterations, 0.0), result.function,
                          result.values, result.bound, result.point_gap)
 
@@ -307,10 +325,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, int]:
 
     Each call starts its own memo, so one run shares nothing with another.
     """
-    return _run(cfg, {})
+    return _run(cfg, {})[:2]
 
 
-def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int]:
+def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int, dict[str, _Route]]:
+    """``run_experiment`` with the memo ``memo``; also return each method's ``_Route``."""
     methods = ("t1", "t2", "fixedpoint") if cfg.method == "all" else (cfg.method,)
     audit = _audit(cfg, memo)
     report: dict = {
@@ -323,18 +342,18 @@ def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int]:
     # computed at most once per cell and shared with no other.
     expand_line = functools.cache(lambda: route_line(
         Mode.EXPAND, cfg.alpha, cfg.params.s, _table(cfg, memo).point_array))
-    sections: dict[str, dict] = {}
+    routes: dict[str, _Route] = {}
     for m in methods:
         if m == "t1":
-            sections[m] = _limit_section(cfg, Mode.CONTRACT, memo, expand_line)
+            routes[m] = _limit_section(cfg, Mode.CONTRACT, memo, expand_line)
         elif m == "t2":
-            sections[m] = _limit_section(cfg, Mode.EXPAND, memo, expand_line)
+            routes[m] = _limit_section(cfg, Mode.EXPAND, memo, expand_line)
         else:
-            sections[m] = _fixedpoint_section(cfg, audit, memo, expand_line)
+            routes[m] = _fixedpoint_section(cfg, audit, memo, expand_line)
 
     cross = []
     if cfg.method == "all":
-        usable = {m: sec["_function"] for m, sec in sections.items() if "_function" in sec}
+        usable = {m: r.function for m, r in routes.items() if r.function is not None}
         names = sorted(usable)
         for a, b in itertools.combinations(names, 2):
             (key_a, fa), (key_b, fb) = usable[a], usable[b]
@@ -344,20 +363,16 @@ def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int]:
             entry["methods"] = [a, b]
             cross.append(entry)
 
-    regime_ok = all(sec.get("regime", {}).get("ok", False) for sec in sections.values())
-    checks_ok = all(
-        c["passed"] for sec in sections.values() for c in sec.get("checks", [])
-    ) and all(c["passed"] for c in cross)
-    for sec in sections.values():
-        sec.pop("_function", None)
-    report["methods"] = sections
+    regime_ok = all(r.section["regime"]["ok"] for r in routes.values())
+    checks_ok = all(r.passed for r in routes.values()) and all(c["passed"] for c in cross)
+    report["methods"] = {m: r.section for m, r in routes.items()}
     if cross:
         report["cross_checks"] = cross
     report["regime_ok"] = regime_ok
     report["checks_passed"] = checks_ok
     code = EXIT_OK if (regime_ok and checks_ok) else EXIT_CHECK_FAILED
     report["exit_code"] = code
-    return report, code
+    return report, code, routes
 
 
 def run_modular_check(spec_string: str) -> tuple[dict, int]:
@@ -412,32 +427,12 @@ SWEEP_HEADER = ["s", "q", "p", "theta", "modular", "method", "converged",
                 "rate", "worst_slack", "achieved_n", "error"]
 
 
-def _sweep_rows_for_cell(cfg: ExperimentConfig, report: dict) -> list[list]:
-    rows = []
-    p = cfg.alpha.p if cfg.alpha.kind == "power" else None
-    theta = cfg.alpha.theta if cfg.alpha.kind == "power" else None
-    tau = cfg.modular.delta2_tau
-    for method, sec in report["methods"].items():
-        regime = sec.get("regime", {})
-        # t1 and the fixed-point route have no rate without a doubling constant.
-        mode = Mode.CONTRACT if method == "t1" else Mode.EXPAND
-        rate = (None if method != "t2" and tau is None
-                else route_ratio(mode, cfg.alpha, cfg.params.s, tau))
-        body = sec.get("limit") or sec.get("iteration")
-        # "converged" tracks the regime gate (route_ratio < 1, and for the
-        # fixed-point route the audit); a saturated construction still shows
-        # its slack.
-        converged = bool(regime.get("ok"))
-        slack = None
-        for c in sec.get("checks", []):
-            if c["name"] == "stability_bound":
-                slack = c["worst_value"]
-        achieved = None if body is None else body.get("achieved_n", body.get("iterations"))
-        rows.append([
-            cfg.params.s, cfg.params.q, p, theta, cfg.modular_spec, method,
-            converged, rate, slack, achieved, regime.get("error", ""),
-        ])
-    return rows
+def _summary_row(cell: list, method: str, route: _Route) -> list:
+    """``method``'s ``SWEEP_HEADER`` row: ``cell`` (s, q, p, theta, modular), then ``route``'s
+    regime verdict, rate, slack, step count and error; a saturated limit shows its slack."""
+    regime = route.section["regime"]
+    return [*cell, method, regime["ok"], route.rate, route.slack, route.steps,
+            regime.get("error", "")]
 
 
 def _sweep_cells(sweep: SweepConfig) -> list[tuple[str, dict[str, str]]]:
@@ -453,20 +448,22 @@ def _run_cells(sweep: SweepConfig, cells: list) -> tuple[list[list], list[tuple[
     memo: dict = {}
     rows: list[list] = []
     reports: list[tuple[str, dict]] = []
+    base = sweep.base
     for name, assignment in cells:
         try:
-            cfg = cell_config(sweep.base, assignment)
-            report, _ = _run(cfg, memo)
-            reports.append((name, report))
-            rows.extend(_sweep_rows_for_cell(cfg, report))
-        except (ModstabError, ValueError, OverflowError) as exc:
-            rows.append([
-                assignment.get("s", sweep.base.params.s),
-                assignment.get("q", sweep.base.params.q),
-                assignment.get("p"), assignment.get("theta"),
-                assignment.get("modular", sweep.base.modular_spec),
-                sweep.base.method, False, None, None, None, str(exc),
-            ])
+            cfg = cell_config(base, assignment)
+            report, _, routes = _run(cfg, memo)
+        except (ModstabError, ValueError, OverflowError) as exc:  # one row for the cell
+            get = assignment.get
+            cell = [get("s", base.params.s), get("q", base.params.q), get("p"), get("theta"),
+                    get("modular", base.modular_spec)]
+            rows.append(_summary_row(cell, base.method, _refuse({}, exc)))
+            continue
+        reports.append((name, report))
+        power = cfg.alpha.kind == "power"
+        cell = [cfg.params.s, cfg.params.q, cfg.alpha.p if power else None,
+                cfg.alpha.theta if power else None, cfg.modular_spec]
+        rows.extend(_summary_row(cell, m, r) for m, r in routes.items())
     return rows, reports
 
 

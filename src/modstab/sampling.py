@@ -15,12 +15,18 @@ import numpy as np
 from .errors import ArgumentError
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "Grid",
     "standard_ladder",
     "function_sample_points",
     "seeded_triples",
     "corner_triples",
 ]
+
+# A run at n_max = 60 peaks at about 1.6-3.1 kB of RSS per grid point, so
+# about 1.6-3.1 GB at the cap; a count past it is refused before anything is
+# allocated.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,9 @@ class Grid:
     def __post_init__(self):
         if self.count < 2:
             raise ArgumentError(f"grid needs at least 2 points, got {self.count}")
+        if self.count > MAX_GRID_POINTS:
+            raise ArgumentError(
+                f"grid has {self.count} points, exceeding the cap of {MAX_GRID_POINTS}")
         # A finite hi - lo also rules out non-finite ends.
         if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
             raise ArgumentError(

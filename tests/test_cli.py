@@ -1,11 +1,13 @@
 """CLI behaviour: subcommands, exit codes, report files, determinism."""
 
+import csv
 import json
 
 import pytest
 
-from modstab import (ContractViolation, DefectHypothesisError, Mode, RegimeError,
-                     construct_limit, fixed_point_solve, route_ratio, series_bound_expand)
+from modstab import (ContractViolation, DefectHypothesisError, Mode, ModstabError, RegimeError,
+                     construct_limit, fixed_point_solve, pipeline, route_ratio,
+                     series_bound_expand)
 from modstab.cli import main
 from modstab.config import parse_experiment
 from modstab.direct import (doubling_constant, representative_point, require_convergent,
@@ -308,7 +310,7 @@ class TestUnrepresentableConfig:
 class TestRegimeGates:
     def _run(self, tmp_path, grid="-10,10,41", **kw):
         cfg = write_cfg(tmp_path, method="all", **kw)
-        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", f"grid = {grid}"))
+        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", "grid = -10,10,11"))
         out = tmp_path / "r.json"
         code = main(["run", str(cfg), "--out", str(out)])
         return code, json.loads(out.read_text())
@@ -578,6 +580,64 @@ class TestSweep:
         assert err.startswith("config error: ")
         assert "unknown key(s) ['cap'] in [sweep]" in err
         assert not (tmp_path / "sw").exists()
+
+    def _summary(self, tmp_path, axes):
+        """Run a sweep of ``axes`` over the envnoise base on 11 points; return its rows."""
+        cfg = write_cfg(tmp_path, phi="mono(1,3) + envnoise(0.01,1,11)",
+                        alpha="power:theta=0.05,p=1", method="all",
+                        extra=f"\n[sweep]\n{axes}\n")
+        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", "grid = -10,10,11"))
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "summary.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == pipeline.SWEEP_HEADER
+        return rows
+
+    def test_refused_fixed_point_rows_keep_their_rate(self, tmp_path):
+        # Every way the fixed-point route is refused, with the rate L it was
+        # gated on: the certificate at theta = 0, the audit at theta = 1e307,
+        # L >= 1 at p >= s = 3, and no doubling constant on exp (no rate).
+        rows = self._summary(tmp_path, "p = 1,3,4\ntheta = 0,0.05,1e307\n"
+                                       "modular = power:p=1,exp")
+        fixed = {(p, theta, modular): (converged, rate, error)
+                 for _, _, p, theta, modular, method, converged, rate, _, _, error in rows
+                 if method == "fixedpoint"}
+        vanished = "estimate_contraction: control vanished at every sample; nothing to certify"
+        thetas = ("0", "0.050000000000000003", "9.9999999999999999e+306")
+        expected = {(p, theta, "exp"): (
+            "false", "", "fixed-point route needs a modular with a finite doubling constant; "
+                         "exp has none") for p in ("1", "3", "4") for theta in thetas}
+        for p, rate, ratio in (("3", "1", "1"), ("4", "1.2599210498948732", "1.25992")):
+            expected[p, thetas[0], "power:p=1"] = ("false", rate, vanished)
+            for theta in thetas[1:]:
+                expected[p, theta, "power:p=1"] = (
+                    "false", rate, f"contraction factor {ratio} >= 1: fixed-point route "
+                                   "inapplicable")
+        l_hat = "0.6299605249474366"
+        expected["1", thetas[0], "power:p=1"] = ("false", l_hat, vanished)
+        expected["1", thetas[1], "power:p=1"] = ("true", l_hat, "")
+        expected["1", thetas[2], "power:p=1"] = (
+            "false", l_hat, "equation defect exceeds the control function: ratio inf at "
+                            "triple (3.9473605811872776, -8.11645304224701, 9.512447032735118)")
+        assert fixed == expected
+
+    def test_a_cell_that_fails_is_one_error_row(self, tmp_path, monkeypatch):
+        # The row holds the assignment's values, the base's where it has
+        # none, and the base method; the cells after it still run.
+        build = pipeline.cell_config
+
+        def cell_config(base, assignment):
+            if assignment.get("p") == "2":
+                raise ModstabError("no cell at p = 2")
+            return build(base, assignment)
+
+        monkeypatch.setattr(pipeline, "cell_config", cell_config)
+        rows = self._summary(tmp_path, "p = 1,2,4")
+        assert [row[2] for row in rows] == ["1"] * 3 + ["2"] + ["4"] * 3
+        assert rows[3] == ["3", "1", "2", "", "power:p=1", "all", "false", "", "", "",
+                           "no cell at p = 2"]
+        assert [row[5] for row in rows[4:]] == ["t1", "t2", "fixedpoint"]
+        assert rows[4][6] == "true" and rows[4][9] != ""
 
     def test_sweep_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, phi="mono(1,3) + envnoise(0.01,1,11)",

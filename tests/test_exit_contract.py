@@ -22,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modstab.cli import main
+from modstab.config import parse_experiment
+from modstab.sampling import MAX_GRID_POINTS
 
 CONFIG = """\
 [equation]
@@ -118,6 +120,22 @@ def run_config(fields: dict, workdir: str) -> int:
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write(CONFIG.format(**{**BASE, **fields}))
     return run_contract(["run", cfg], os.path.join(workdir, "report.json"))
+
+
+def test_a_grid_at_the_point_cap_is_accepted_and_not_built():
+    cfg = parse_experiment(CONFIG.format(**BASE).replace(",5\n", f",{MAX_GRID_POINTS}\n"))
+    assert cfg.grid.count == MAX_GRID_POINTS
+    assert "point_array" not in vars(cfg.grid)  # built on first use only
+
+
+def test_a_grid_past_the_point_cap_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(**BASE).replace(",5\n", f",{MAX_GRID_POINTS + 1}\n"))
+    assert run_contract(["run", str(cfg)], str(tmp_path / "report.json")) == 4
+    assert capsys.readouterr().err == (
+        f"config error: [run] grid: grid has {MAX_GRID_POINTS + 1} points, "
+        f"exceeding the cap of {MAX_GRID_POINTS}\n")
+    assert not (tmp_path / "report.json").exists()
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
