@@ -23,9 +23,10 @@ __all__ = [
     "corner_triples",
 ]
 
-# A run at n_max = 60 peaks at about 1.6-3.1 kB of RSS per grid point, so
-# about 1.6-3.1 GB at the cap; a count past it is refused before anything is
-# allocated.
+# Refuses, before anything is allocated, a grid that is plainly too large.
+# It is not a memory bound: a run at n_max = 60 peaks at about 1.6-3.1 kB of
+# RSS per grid point, but one whose iteration saturates at n_max = 1023 keeps
+# about 49 kB per point, some 49 GB at the cap (ROADMAP item 9).
 MAX_GRID_POINTS = 1_000_000
 
 

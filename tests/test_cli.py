@@ -310,7 +310,7 @@ class TestUnrepresentableConfig:
 class TestRegimeGates:
     def _run(self, tmp_path, grid="-10,10,41", **kw):
         cfg = write_cfg(tmp_path, method="all", **kw)
-        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", "grid = -10,10,11"))
+        cfg.write_text(cfg.read_text().replace("grid = -10,10,41", f"grid = {grid}"))
         out = tmp_path / "r.json"
         code = main(["run", str(cfg), "--out", str(out)])
         return code, json.loads(out.read_text())
