@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 all checks passed, 2 regime or check failure, 3 I/O failure,
-4 config error (unparsable, or a number a float cannot hold).
+Exit codes: 0 all checks passed, 2 regime or check failure, 3 I/O failure
+or out of memory, 4 config error (unparsable, or a number a float cannot
+hold).
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        # As a sweep worker that dies before it sends its rows (an OSError).
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return EXIT_IO
     except ModstabError as exc:
         # Anything that escapes the structured paths is a failed check.

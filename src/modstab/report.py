@@ -8,20 +8,15 @@ escaping.  Non-finite floats serialize as the strings "inf", "-inf" and
 "nan" since JSON has no token for them.
 
 The serializer is the recursive ``isinstance`` chain ``None``, ``True``,
-``False``, ``str``, ``int``, ``float``, ``dict``, ``list``/``tuple``, with
-shortcuts that print the same bytes: the exact types ``float``, ``dict``,
-``list`` and ``str`` skip the chain (``_chain_type`` serves the rest:
-``np.float64``, tuples, subclasses), a finite float or a string member is
-written in place, and each key is encoded once per ``canonical_json`` call
-(no cache outlives the call).  A report's per-point section is a
-``Columns`` block, printed as the row dicts it reads as: one ``%``-template
-with a ``%.17g`` (what ``format(v, ".17g")`` prints) per entry, or the rows
-themselves where an entry is not finite, so inf and nan print as strings.
+``False``, ``str``, ``int``, ``float``, ``dict``, ``list``/``tuple``.  A
+report's per-point section is a ``Columns`` block, printed as the row dicts
+it reads as: one ``%``-template with a ``%.17g`` (what ``format(v, ".17g")``
+prints) per entry, or the rows themselves where an entry is not finite, so
+inf and nan print as strings.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
@@ -69,90 +64,55 @@ def fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _key(k, keys: dict[str, str]) -> str:
-    """``"k":`` for a dict key, encoded once per ``canonical_json`` call."""
-    if type(k) is str:
-        encoded = keys.get(k)
-        if encoded is None:
-            encoded = keys[k] = encode_basestring_ascii(k) + ":"
-        return encoded
-    if not isinstance(k, str):
-        raise TypeError(f"JSON object keys must be strings, got {type(k).__name__}")
-    return f"{json.dumps(k)}:"
-
-
-def _columns(block: Columns, out: list[str], keys: dict[str, str]) -> None:
+def _columns(block: Columns, out: list[str]) -> None:
     """``block``: one ``%``-template if every entry is finite, else its row dicts."""
     table = np.column_stack(block.cols)
-    if not np.isfinite(table).all():  # the rows print inf and nan as strings
-        return _emit(list(block), out, keys)
-    row = "{" + ",".join(_key(k, keys).replace("%", "%%") + "%.17g" for k in block.names) + "}"
+    # The rows print inf and nan as strings, and refuse a name that is not a str.
+    if not np.isfinite(table).all() or not all(isinstance(k, str) for k in block.names):
+        return _emit(list(block), out)
+    row = "{" + ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%.17g"
+                         for k in block.names) + "}"
     out.append(("[" + ",".join([row] * len(block)) + "]") % tuple(table.ravel().tolist()))
 
 
-_EXACT = {float, dict, list, str}
-
-
-def _chain_type(obj) -> type:
-    """The branch of the ``isinstance`` chain a non-literal value takes."""
-    for kind in (str, int, float, dict):
-        if isinstance(obj, kind):
-            return kind
-    if isinstance(obj, (list, tuple)):
-        return list
-    raise TypeError(f"cannot serialize {type(obj).__name__} to canonical JSON")
-
-
-def _emit(obj, out: list[str], keys: dict[str, str]) -> None:
-    t = type(obj)
-    if t not in _EXACT:  # np.float64, tuples, subclasses, column blocks and the literals
-        if t is Columns:
-            return _columns(obj, out, keys)
-        if obj is None or obj is True or obj is False:
-            out.append("null" if obj is None else "true" if obj else "false")
-            return
-        t = _chain_type(obj)
-    if t is float:
-        if math.isfinite(obj):
-            out.append(format(obj, ".17g"))
-        else:
-            out.append(f'"{fmt_float(obj)}"')
-    elif t is dict:
-        # A finite float or a str member is written in place, not recursed on.
+def _emit(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(format(obj, ".17g") if math.isfinite(obj) else f'"{fmt_float(obj)}"')
+    elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
-            out.append("," + _key(k, keys) if i else _key(k, keys))
-            t = type(v)
-            if t is float and math.isfinite(v):
-                out.append(format(v, ".17g"))
-            elif t is str:
-                out.append(encode_basestring_ascii(v))
-            else:
-                _emit(v, out, keys)
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings, got {type(k).__name__}")
+            out.append(("," if i else "") + encode_basestring_ascii(k) + ":")
+            _emit(v, out)
         out.append("}")
-    elif t is list:
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            t = type(v)
-            if t is float and math.isfinite(v):
-                out.append(format(v, ".17g"))
-            elif t is str:
-                out.append(encode_basestring_ascii(v))
-            else:
-                _emit(v, out, keys)
+            _emit(v, out)
         out.append("]")
-    elif t is str:
-        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, Columns):
+        _columns(obj, out)
     else:
-        out.append(str(obj))  # int
+        raise TypeError(f"cannot serialize {type(obj).__name__} to canonical JSON")
 
 
 def canonical_json(obj) -> str:
     """Serialize to compact JSON with deterministic bytes, trailing newline."""
     out: list[str] = []
-    _emit(obj, out, {})
+    _emit(obj, out)
     return "".join(out) + "\n"
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -694,3 +696,15 @@ def test_stdout_when_no_out(tmp_path, capsys):
     cfg.write_text(cfg.read_text())
     assert main(["run", str(cfg)]) == 0
     assert capsys.readouterr().out.startswith('{"schema":"modstab-report/1"')
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (text,) = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    cfg = parse_experiment(text)
+    assert (cfg.method, cfg.fmt, cfg.out) == ("t2", "json", "report.json")
+    path = tmp_path / "readme.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "readme.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["methods"]["t2"]["regime"]["ok"]

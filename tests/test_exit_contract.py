@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modstab import cli
 from modstab.cli import main
 from modstab.config import parse_experiment
 from modstab.sampling import MAX_GRID_POINTS
@@ -237,3 +238,23 @@ def test_additivity_root_that_overflows_exits_2_with_report(tmp_path):
     (check,) = [c for c in report["methods"]["t2"]["checks"] if c["name"] == "radical_additivity"]
     assert isinstance(check["worst_value"], float) and math.isfinite(check["worst_value"])
     assert not check["passed"]
+
+
+SWEEP = "\n[sweep]\nq = 1,-0.5\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("", "out of memory\n"),
+    ("Unable to allocate 7.28 TiB", "out of memory: Unable to allocate 7.28 TiB\n"),
+])
+@pytest.mark.parametrize("command, target", [("run", "run_experiment"), ("sweep", "write_sweep")])
+def test_running_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, command, target,
+                                       message, line):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(**BASE) + (SWEEP if command == "sweep" else ""))
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == line

@@ -1,7 +1,9 @@
 """Scaling-operator contraction, induced modular distance, and iteration."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from modstab import (
     fixed_point_solve,
     monomial,
     parse_expression,
+    route_line,
     route_ratio,
     seeded_triples,
     series_bound_expand,
@@ -43,6 +46,12 @@ def solve(phi, rho, alpha, grid, **kwargs):
     triples = seeded_triples(grid.lo, grid.hi, 500, 0) + corner_triples(grid.lo, grid.hi)
     audit = audit_defect_hypothesis(phi, P3, rho, alpha, triples)
     return fixed_point_solve(phi, P3, rho, alpha, grid, audit=audit, **kwargs)
+
+
+def field_bits(result):
+    """Every field of a result but its function handle, numbers as raw IEEE bits."""
+    return {f.name: np.array(getattr(result, f.name), dtype=float).view(np.uint64).tolist()
+            for f in dataclasses.fields(result) if f.name != "function"}
 
 
 class TestLambdaApply:
@@ -113,6 +122,14 @@ class TestEstimateContraction:
         alpha = ControlFunction.power(0.05, p)
         cert = estimate_contraction(alpha, 3, function_sample_points(Grid(-10, 10, count)))
         assert cert.valid == (route_ratio(Mode.EXPAND, alpha, 3) < 1.0)
+
+    def test_a_callers_line_is_used_or_refused(self):
+        alpha = ControlFunction.power(0.05, 1.0)
+        line = route_line(Mode.EXPAND, alpha, 3, np.array(SAMPLES))
+        given_line = estimate_contraction(alpha, 3, SAMPLES, line=line)
+        assert field_bits(given_line) == field_bits(estimate_contraction(alpha, 3, SAMPLES))
+        with pytest.raises(ArgumentError, match=r"^line has shape \(\d+,\), the samples"):
+            estimate_contraction(alpha, 3, SAMPLES, line=line[1:])
 
 
 def rho_hat_distance(f, g, alpha, s, samples):
@@ -248,6 +265,19 @@ class TestFixedPointSolve:
         assert res.l_hat == route_ratio(Mode.EXPAND, alpha, 3)
         assert list(res.bound) == [series_bound_expand(alpha, 3, x).upper
                                    for x in grid.points()]
+
+    def test_a_callers_line_is_used_or_refused(self):
+        phi = parse_expression("mono(1,3) + mono(0.01,1)")
+        alpha = ControlFunction.power(0.02, 1.0)
+        grid = Grid(-10, 10, 41)
+        line = route_line(Mode.EXPAND, alpha, 3, np.array(function_sample_points(grid)))
+        given_line, computed = solve(phi, ABS1, alpha, grid, line=line), solve(phi, ABS1, alpha, grid)
+        assert field_bits(given_line) == field_bits(computed)
+        xs = grid.point_array
+        assert np.array_equal(given_line.function.many(xs).view(np.uint64),
+                              computed.function.many(xs).view(np.uint64))
+        with pytest.raises(ArgumentError, match=r"^line has shape \(\d+,\), the samples"):
+            solve(phi, ABS1, alpha, grid, line=line[:-1])
 
     def test_unverified_defect_hypothesis_raises(self):
         # sine defect reaches ~0.4 but the control allows only 0.05

@@ -70,12 +70,14 @@ class TestCanonicalJson:
         assert canonical_json([True, 1]) == "[true,1]\n"
 
 
-# -- the emitter against the plain recursive one it replaced ------------------
+# -- the emitter against an independent copy of its chain --------------------
 
 
 def _reference_emit(obj, out):
-    # The recursive isinstance chain canonical_json used before its
-    # exact-type dispatch, key encoding and row templates.
+    # The recursive isinstance chain, written apart from production so the
+    # two can be compared: canonical_json is this chain again, plus a branch
+    # that prints a Columns block through one template, and it writes strings
+    # and keys with encode_basestring_ascii where this uses json.dumps.
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -125,12 +127,36 @@ def _outcome(serialize, obj):
         return ("TypeError", str(exc))
 
 
+class Str(str):
+    pass
+
+
+class Int(int):
+    pass
+
+
+class Float(float):
+    pass
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1]
 floats = st.floats() | st.sampled_from(EDGE_FLOATS)
-keys = st.text(alphabet=st.sampled_from('ax%"\\\n\u00fc\U0001d7cf'), max_size=4) | st.text(max_size=4)
+texts = st.text(alphabet=st.sampled_from('ax%"\\\n\u00fc\U0001d7cf'), max_size=4) | st.text(max_size=4)
+keys = texts | texts.map(Str)
 leaves = (floats
           | floats.map(np.float64)
+          | floats.map(Float)
+          | st.integers(min_value=-(2**70), max_value=2**70).map(Int)
+          | st.text(max_size=6).map(Str)
           | st.booleans()
           | st.none()
           | st.integers(min_value=-(2**70), max_value=2**70)
@@ -169,15 +195,19 @@ def point_lists(draw):
 trees = st.recursive(
     leaves | point_lists(),
     lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(List)
                       | st.tuples(children, children)
-                      | st.dictionaries(keys, children, max_size=4)),
+                      | st.dictionaries(keys, children, max_size=4)
+                      | st.dictionaries(keys, children, max_size=4).map(Dict)),
     max_leaves=30,
 )
+bad_keys = keys | st.integers() | st.tuples(st.integers())
 bad_trees = st.recursive(
     unknown | leaves,
     lambda children: (st.lists(children, max_size=3)
-                      | st.dictionaries(keys | st.integers() | st.tuples(st.integers()),
-                                        children, max_size=3)),
+                      | st.lists(children, max_size=3).map(List)
+                      | st.dictionaries(bad_keys, children, max_size=3)
+                      | st.dictionaries(bad_keys, children, max_size=3).map(Dict)),
     max_leaves=12,
 )
 
@@ -189,6 +219,7 @@ class TestEmitterMatchesReference:
               {"x": 2.0, "value": 3.0, "bound": 0.5, "gap": 0.0}])
     @example([{"100%": 0.25, "%s": -0.0}, {"100%": 5e-324, "%s": 1e308}])
     @example({"a": [{"x": 1.0}], "b": [{"x": np.float64(2.0)}], "c": ({"x": 3.0},)})
+    @example(Dict({Str("k\u00fc"): List([Str('s"'), Int(7), Float(0.1), Float(-math.inf)])}))
     def test_same_bytes(self, tree):
         assert canonical_json(tree) == _reference_json(tree)
 
@@ -197,6 +228,7 @@ class TestEmitterMatchesReference:
     @example({"ok": [1.0], 2: object()})
     @example([{"x": 1.0}, {1: 1.0}])
     @example([{"x": 1.0}, {"x": object()}])
+    @example(Dict({Str("a"): List([Float(1.0)]), Int(2): Str("b")}))
     def test_same_bytes_or_same_error(self, tree):
         assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
 
@@ -265,6 +297,13 @@ class TestColumns:
         assert block != Columns(["x", "w"], [[0.0, 1.0], [math.nan, 2.0]])
         assert block != Columns(["x", "v"], [[0.0], [math.nan]])
         assert block != [{"x": 0.0, "v": math.nan}, {"x": 1.0, "v": 2.0}]
+
+    @pytest.mark.parametrize("gap", [0.25, math.inf])
+    def test_a_name_that_is_not_a_str_is_refused(self, gap):
+        block = Columns(["x", 1], [[1.0, 2.0], [0.5, gap]])
+        with pytest.raises(TypeError) as info:
+            canonical_json(block)
+        assert str(info.value) == "JSON object keys must be strings, got int"
 
     def test_rejects_ragged_or_unnamed_columns(self):
         with pytest.raises(ValueError):
