@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .config import check_run_number, parse_experiment, parse_sweep
@@ -25,6 +26,7 @@ from .pipeline import (
 from .report import canonical_json, csv_lines
 
 
+@functools.cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modstab",

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .equation import ControlFunction, EquationParams, control_eval_many
 from .errors import ArgumentError, ContractViolation, RegimeError
 from .functions import FunctionHandle
-from .iterates import IterateTable
+from .iterates import MAX_N, IterateTable
 from .modular import ModularSpec, pow_or_inf, rho_eval_array
 from .sampling import Grid
 
@@ -54,8 +53,6 @@ __all__ = [
     "series_bound_expand",
     "contract_bound_closed_form",
 ]
-
-MAX_N = sys.float_info.max_exp - 1  # 1023: the largest n with 2.0**n finite
 
 
 class Mode(enum.Enum):

@@ -328,6 +328,15 @@ def audit_ratios(defects, alpha, triples) -> dict:
             "worst_triple": worst, "hypothesis_ok": max_ratio <= 1.0 + 1e-9}
 
 
+# -- samples ------------------------------------------------------------------------
+
+
+def seeded_triples(lo: float, hi: float, count: int, seed: int):
+    """``count`` triples drawn from ``[lo, hi]^3``, each coordinate converted on its own."""
+    draws = np.random.default_rng(seed).uniform(lo, hi, size=(count, 3))
+    return [(float(a), float(b), float(c)) for a, b, c in draws]
+
+
 # -- the fixed-point gap window ----------------------------------------------------
 
 

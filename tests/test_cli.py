@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from modstab import (ContractViolation, DefectHypothesisError, Mode, ModstabError, RegimeError,
                      construct_limit, fixed_point_solve, pipeline, route_ratio,
                      series_bound_expand)
+from modstab import cli
 from modstab.cli import main
 from modstab.config import parse_experiment
 from modstab.direct import (doubling_constant, representative_point, require_convergent,
@@ -708,3 +713,41 @@ def test_readme_config_runs(tmp_path):
     out = tmp_path / "readme.json"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["methods"]["t2"]["regime"]["ok"]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; each call through it must still
+    # give the exit code and the bytes of a fresh process, a refused argv too.
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    cfg = str(write_cfg(tmp_path))
+    sweep_cfg = str(Path(__file__).parent / "golden" / "sweep_small" / "sweep.cfg")
+    outdir = tmp_path / "sweep"
+    calls = [
+        ["run", cfg],
+        ["sweep", sweep_cfg, "--out", str(outdir)],
+        ["check-modular", "power:p=2", "--format", "csv"],
+        ["run", cfg, "--n-max", "many"],
+        ["run", cfg, "--seed", "3"],
+    ]
+
+    def written():
+        return {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "modstab.cli", *argv],
+                              capture_output=True, env=env, check=False)
+        fresh.append((done.returncode, done.stdout.decode(), done.stderr.decode(), written()))
+        shutil.rmtree(outdir, ignore_errors=True)
+
+    assert cli._build_parser() is cli._build_parser()
+    for argv, want in zip(calls, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+        got = (code, *capsys.readouterr(), written())
+        shutil.rmtree(outdir, ignore_errors=True)
+        assert got == want, argv
+    assert [code for code, *_ in fresh] == [0, 0, 0, 2, 0]

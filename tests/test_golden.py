@@ -50,6 +50,7 @@ from pathlib import Path
 
 import pytest
 
+from modstab import iterates
 from modstab.cli import main
 from modstab.config import SWEEP_AXES, cell_config, parse_sweep
 from modstab.pipeline import run_experiment
@@ -107,6 +108,21 @@ def test_large_grid_cliff_report_digest(seed, tmp_path):
 def test_regime_edge_report_digest(side, seed, tmp_path):
     _assert_digest(GOLDEN / "regime_edge", f"regime_edge_{side}.cfg", seed,
                    f"regime_edge_{side}_seed{seed}.json", tmp_path)
+
+
+@pytest.mark.parametrize("budget", [1, 10**7])
+def test_reports_do_not_depend_on_the_row_block_size(budget, monkeypatch, tmp_path):
+    # A budget of 1 point fills one table row per phi pass; 10**7 fills every
+    # row up to MAX_N in one, and on the +-1e102 grid the points whose power
+    # raises fall inside blocks.  Neither may move a bit.
+    monkeypatch.setattr(iterates, "BLOCK_POINTS", budget)
+    for name in ("saturated_window", "asymmetric_offset", "contract_ok"):
+        test_run_report_is_byte_identical(name, tmp_path)
+    for side in ("expand", "contract"):
+        _assert_digest(GOLDEN / "regime_edge", f"regime_edge_{side}.cfg", 0,
+                       f"regime_edge_{side}_seed0.json", tmp_path)
+    _assert_digest(GOLDEN / "large_grid_cliff", "large_grid_cliff.cfg", 0,
+                   "report_seed0.json", tmp_path)
 
 
 def _assert_sweep_matches(case: Path, tmp_path: Path) -> None:

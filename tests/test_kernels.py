@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 import reference as ref
 
+import modstab.iterates as iterates_mod
 import modstab.pipeline as pipeline_mod
 import modstab.verify as verify_mod
 from modstab import (
@@ -46,6 +47,7 @@ from modstab import (
     route_bounds,
     route_line,
     route_ratio,
+    seeded_triples,
     series_bound_contract,
     series_bound_expand,
     verify_radical_additivity,
@@ -303,6 +305,35 @@ def test_table_rows_equal_the_scalar_handle_on_a_strided_grid(expr):
                                                  for x in pts)
 
 
+def test_table_fills_rows_in_blocks_of_the_same_bits():
+    # A pass evaluates the row asked for and the missing rows beyond it, away
+    # from 0: a row has the bits of a lone phi.many pass over it, row 0 is a
+    # pass of its own and no row past MAX_N is evaluated.
+    base = parse_expression("mono(1,3) + sine(0.1,1) + envnoise(0.01,1,11)")
+    batches = []
+
+    def expr(xs, raised):
+        batches.append(len(xs))
+        return base.expr(xs, raised)
+
+    table = IterateTable(FunctionHandle(expr, base.description), 3, Grid(-10.0, 10.0, 401))
+    size = len(table.points)
+    width = iterates_mod.BLOCK_POINTS // size
+    assert 1 < width < 70
+    for k in [0, *range(1, 70), *range(-1, -70, -1)]:
+        assert bits(table.row(k)) == bits(base.many(2.0 ** (k / 3) * table.point_array))
+    held = width * -(-69 // width)  # rows 1..held and -1..-held
+    assert batches == [size] + [width * size] * (2 * held // width)
+
+    # A block skips the rows the table holds; one at the cap stops at MAX_N.
+    batches.clear()
+    cap = iterates_mod.MAX_N
+    for k in (held + 2, held + 1, cap - 2, -(cap - 2), cap):
+        table.row(k)
+    assert batches == [width * size, size, 3 * size, 3 * size]
+    assert bits(table.row(cap)) == bits(base.many(2.0 ** (cap / 3) * table.point_array))
+
+
 def test_table_refuses_a_different_grid():
     phi = parse_expression("mono(1,3)")
     table = IterateTable(phi, 3, Grid(-1.0, 1.0, 5))
@@ -389,11 +420,30 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     fp = report["methods"]["fixedpoint"]["iteration"]["iterations"]
     assert t2 >= 2 and fp >= 2
     points = IterateTable(base, 3, cfg.grid).points
-    per_step = Counter(2.0 ** (n / 3) * x for n in range(max(t2, fp) + 1) for x in points)
+    # Row 0 is a pass of its own, and the table fills the rows after it a
+    # block of `width` at a time: the last row evaluated ends the block that
+    # holds the last step either route reads.
+    width = max(1, iterates_mod.BLOCK_POINTS // len(points))
+    last = min(-(-max(t2, fp) // width) * width, iterates_mod.MAX_N)
+    per_step = Counter(2.0 ** (n / 3) * x for n in range(last + 1) for x in points)
     # Each (n, x) is evaluated exactly once across t2 and the fixed-point
-    # route, and nothing else is: the grid holds 0, so phi(0) -- the
-    # q*phi(0) offset and origin_offset -- is read off the table's row 0.
+    # route, and nothing outside the walk's blocks is: the grid holds 0, so
+    # phi(0) -- the q*phi(0) offset and origin_offset -- is read off the
+    # table's row 0.
     assert calls == per_step
+
+
+# -- samples -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-10.0, 10.0), (-1e300, 1e300), (0.0, 1e300), (-5e-324, 5e-324), (1e-310, 2e-310),
+])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_seeded_triples_match_the_per_coordinate_draws(lo, hi, seed):
+    got = seeded_triples(lo, hi, 200, seed)
+    assert all(type(t) is tuple and all(type(v) is float for v in t) for t in got)
+    assert [bits(t) for t in got] == [bits(t) for t in ref.seeded_triples(lo, hi, 200, seed)]
 
 
 # -- the checks read the table ------------------------------------------------
