@@ -18,6 +18,7 @@ The section ``alpha(x, x, -2**(1/s)x)`` is ``direct.route_line`` and the
 iterates are ``direct.approximant_row``, both of the expand route, at offset
 ``0``; as ``construct_limit`` does, the route enters through
 ``direct.route_entry`` and returns a ``direct.limit_function`` handle.
+Every fixed-point diagnostic is a running reduction along that one walk.
 
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
 supremum of ratios, so every reported distance is a certified lower bound of
@@ -36,6 +37,7 @@ hands the power sums ``control_power_sums`` computed once per ``p``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,35 +199,42 @@ def _rho_hat_rows(diffs: np.ndarray, denoms: np.ndarray, rho: ModularSpec) -> np
     return np.fmax.reduce(ratio, axis=-1, initial=0.0)
 
 
-def _quasi_contraction(window: np.ndarray, gaps: np.ndarray, denoms: np.ndarray,
-                       rho: ModularSpec) -> np.ndarray:
-    """Five-distance quasi-contraction ratios of an iterate window.
+def _walk(rows: Iterable[np.ndarray], denoms: np.ndarray, rho: ModularSpec,
+          tol: float) -> tuple[list[float], list[float], float, bool]:
+    """Gap history, quasi-contraction ratios, ``delta_hat`` and ``saturated``, in one pass.
 
-    At step ``n >= 1``, with ``(f, g) = (it[n-1], it[n])``, the ratio is
-    ``rho_hat(Lam f - Lam g)`` over the largest of ``rho_hat(f - g)``,
-    ``rho_hat(f - Lam f)``, ``rho_hat(g - Lam g)`` and ``rho_hat(f - Lam g)``;
-    steps whose largest distance is zero give no ratio.
+    ``rows``, the sampled iterates from row 0, are read until a gap
+    ``rho_hat(it[n+1] - it[n])`` falls below ``tol``; ``saturated`` if none
+    does.  At step ``n >= 1``, with ``(f, g) = (it[n-1], it[n])``, the
+    quasi-contraction ratio is ``rho_hat(Lam f - Lam g)`` over the largest of
+    ``rho_hat(f - g)``, ``rho_hat(f - Lam f)``, ``rho_hat(g - Lam g)`` and
+    ``rho_hat(f - Lam g)``; a step whose largest distance is zero gives none.
+    ``delta_hat``, the largest ``rho_hat(it[i] - it[j])`` over all pairs read,
+    is the gap of each column's rounded range ``hi - lo``, as rounded
+    subtraction, rho and the division by the control are monotone.  A
+    non-finite iterate makes its column's range non-finite (``max`` and
+    ``min`` pass ``nan`` on; ``inf - inf`` is ``nan``): an infinite gap.
     """
-    d_f_lg = _rho_hat_rows(window[:-2] - window[2:], denoms, rho)
-    denom = np.maximum(np.maximum(gaps[:-1], gaps[1:]), d_f_lg)
-    live = denom > 0.0
-    return gaps[1:][live] / denom[live]
-
-
-def _delta_hat_window(window: np.ndarray, denoms: np.ndarray, rho: ModularSpec) -> float:
-    """Largest sampled gap ``rho_hat(it[i] - it[j])`` over all iterate pairs.
-
-    Rounded subtraction is monotone in each operand, so in every sample
-    column the largest ``|it[i] - it[j]|`` is the rounded column range; rho
-    and the division by the control are monotone too, so the all-pairs
-    maximum is the gap of the column ranges.  A column holding a non-finite
-    iterate has a non-finite pair difference, which counts as infinite.
-    """
-    if len(window) < 2:
-        return 0.0
-    finite = np.isfinite(window).all(axis=0)
-    spread = np.where(finite, window.max(axis=0) - window.min(axis=0), math.inf)
-    return float(_rho_hat_rows(spread, denoms, rho))
+    rows = iter(rows)
+    f = g = next(rows)
+    hi, lo = g.copy(), g.copy()
+    diffs = np.empty((2, g.size))  # it[n+1] - it[n] and it[n-1] - it[n+1]
+    gaps, quasi = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam_g in rows:
+            np.subtract(lam_g, g, out=diffs[0])
+            np.subtract(f, lam_g, out=diffs[1])  # unread at step 0
+            gap, far = _rho_hat_rows(diffs, denoms, rho).tolist()
+            if gaps and (largest := max(gaps[-1], gap, far)) > 0.0:
+                quasi.append(gap / largest)
+            gaps.append(gap)
+            np.maximum(hi, lam_g, out=hi)
+            np.minimum(lo, lam_g, out=lo)
+            f, g = g, lam_g
+            if gap < tol:
+                break
+        delta_hat = float(_rho_hat_rows(hi - lo, denoms, rho))
+    return gaps, quasi, delta_hat, not gaps[-1] < tol
 
 
 @dataclass(frozen=True)
@@ -237,7 +246,8 @@ class FixedPointResult:
     contraction factor ``l_hat``.  ``quasi_contraction[k]`` is the
     five-distance contraction ratio observed at step ``k`` (diagnostic only).
     ``delta_hat_window`` is the largest pairwise gap over the computed
-    iterate window -- the finite-window stand-in for an all-pairs supremum.
+    iterates, read off each sample's running range -- the finite-window
+    stand-in for an all-pairs supremum.
     Whether the final iterate meets ``bound`` is ``verify_stability_bound``'s check.
     """
 
@@ -283,7 +293,8 @@ def fixed_point_solve(
     the expand route reads, so a shared table evaluates ``phi`` once for both
     routes -- and ``function`` is the expand ``limit_function`` at offset 0.
     The gap history, the quasi-contraction ratios and ``delta_hat_window`` are
-    array reductions over the stacked iterate window.  ``line``, if given, is
+    running reductions along the one walk (``_walk``), so the route holds
+    three sampled iterates, not all of them.  ``line``, if given, is
     ``route_line(Mode.EXPAND, alpha, s, table.point_array)`` computed by the
     caller.
     """
@@ -318,37 +329,22 @@ def fixed_point_solve(
         return approximant_row(table, Mode.EXPAND, n)[idx]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [iterate(0, samples)]
-        gap_history: list[float] = []
-        saturated = False
-        iterations = 0
-        for n in range(n_max):
-            rows.append(iterate(n + 1, samples))
-            gap = float(_rho_hat_rows(rows[n + 1] - rows[n], denoms, rho))
-            gap_history.append(gap)
-            iterations = n + 1
-            if gap < tol:
-                break
-        else:
-            saturated = True
-
-        window = np.array(rows)
-        quasi = _quasi_contraction(window, np.array(gap_history), denoms, rho)
-        delta_hat = _delta_hat_window(window, denoms, rho)
-
+        walk = (iterate(n, samples) for n in range(n_max + 1))
+        gap_history, quasi, delta_hat, saturated = _walk(walk, denoms, rho, tol)
+        iterations = len(gap_history)
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
     return FixedPointResult(
         values=tuple(values.tolist()),
         point_gap=tuple(point_gap.tolist()),
         iterations=iterations,
-        rho_hat_gap=gap_history[-1] if gap_history else 0.0,
+        rho_hat_gap=gap_history[-1],
         gap_history=tuple(gap_history),
         bound=tuple(bounds.tolist()),
         l_hat=l_factor,
         saturated=saturated,
         origin_offset=table.origin(),
         delta_hat_window=delta_hat,
-        quasi_contraction=tuple(quasi.tolist()),
+        quasi_contraction=tuple(quasi),
         function=limit_function(Mode.EXPAND, phi, params, iterations, 0.0),
     )

@@ -15,6 +15,8 @@ after the first, so each chunk has its own memo.  Within a sweep ``phi``,
 the grid, the seed, ``tol`` and ``n_max`` are fixed, so the keys are:
 
 * the ``IterateTable``: ``s``;
+* the expand route's control line over the table points, which t2, the
+  certificate and ``fixed_point_solve`` read: ``s`` and ``alpha``;
 * the additivity check's pair geometry (``additivity_pairs``): ``s``;
 * the audit's defects (``audit_defects``): ``s``, ``q`` and the modular;
 * the power control's sums at the audit triples (``control_power_sums``):
@@ -27,13 +29,11 @@ the grid, the seed, ``tol`` and ``n_max`` are fixed, so the keys are:
   within a single run;
 * a cross-check: both functions and the modular.
 
-What reads ``alpha`` -- the audit's ratios, the series bounds, the
+What else reads ``alpha`` -- the audit's ratios, the series bounds, the
 stability-bound check, the certificate and ``fixed_point_solve`` -- runs in
-every cell; the expand route's control line over the table points, which
-t2, the certificate and ``fixed_point_solve`` all read, is computed once per
-cell.  A shared result is the very value the cell would compute itself, so
-reports are byte-identical with or without sharing, and the bytes a sweep
-writes do not depend on how its cells are chunked.
+every cell.  A shared result is the very value the cell would compute
+itself, so reports are byte-identical with or without sharing, and the bytes
+a sweep writes do not depend on how its cells are chunked.
 
 A direct route's series bounds are one ``direct.route_bounds`` row over the
 grid, which gives the route its ``series`` section and its per-point
@@ -126,6 +126,16 @@ def _table(cfg: ExperimentConfig, memo: dict) -> IterateTable:
     # their evaluations of phi.
     s = cfg.params.s
     return _once(memo, ("table", s), lambda: IterateTable(cfg.phi, s, cfg.grid))
+
+
+def _expand_line(cfg: ExperimentConfig, memo: dict) -> np.ndarray:
+    # Shared, so read-only.  alpha is keyed by its repr: theta = -0.0 equals
+    # 0.0 but gives a line of -0.0.
+    def compute():
+        line = route_line(Mode.EXPAND, cfg.alpha, cfg.params.s, _table(cfg, memo).point_array)
+        line.flags.writeable = False
+        return line
+    return _once(memo, ("expand_line", cfg.params.s, repr(cfg.alpha)), compute)
 
 
 def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
@@ -226,11 +236,8 @@ def _refuse(section: dict, exc: Exception, rate: float | None = None) -> _Route:
     return _Route(section, rate)
 
 
-def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -> _Route:
-    """Run one direct route: regime gate, series bounds, limit, checks.
-
-    ``expand_line()`` is the cell's expand ``route_line`` over the table points.
-    """
+def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> _Route:
+    """Run one direct route: regime gate, series bounds, limit, checks."""
     section: dict = {}
     s = cfg.params.s
     x_repr, end = representative_point(cfg.grid)
@@ -247,7 +254,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
         else:
             table = _table(cfg, memo)
             cols = table.grid_index
-            line = (expand_line()[cols] if mode is Mode.EXPAND
+            line = (_expand_line(cfg, memo)[cols] if mode is Mode.EXPAND
                     else route_line(mode, cfg.alpha, s, table.point_array[cols]))
         row = route_bounds(mode, tau, ratio, line)
         value = float(row[end])
@@ -278,16 +285,16 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict, expand_line) -
                          limit.values, bounds, limit.cauchy_gap)
 
 
-def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_line) -> _Route:
+def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> _Route:
     section: dict = {}
     s = cfg.params.s
     rate = None
     try:
         doubling_constant("fixed-point", cfg.modular)
         rate = route_ratio(Mode.EXPAND, cfg.alpha, s)  # L: every later refusal keeps it
-        table = _table(cfg, memo)
+        table, line = _table(cfg, memo), _expand_line(cfg, memo)
         try:  # the sampled certificate is a cross-check; the gate is fixed_point_solve's
-            cert = estimate_contraction(cfg.alpha, s, table.points, line=expand_line())
+            cert = estimate_contraction(cfg.alpha, s, table.points, line=line)
         except ArgumentError as exc:  # nothing to certify
             return _refuse(section, exc, rate)
         section["certificate"] = {
@@ -299,7 +306,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict, expand_l
         }
         result = fixed_point_solve(
             cfg.phi, cfg.params, cfg.modular, cfg.alpha, cfg.grid,
-            tol=cfg.tol, n_max=cfg.n_max, audit=audit, table=table, line=expand_line(),
+            tol=cfg.tol, n_max=cfg.n_max, audit=audit, table=table, line=line,
         )
     except REFUSALS as exc:
         return _refuse(section, exc, rate)
@@ -337,19 +344,14 @@ def _run(cfg: ExperimentConfig, memo: dict) -> tuple[dict, int, dict[str, _Route
         "config": cfg.echo(),
         "audit": {**audit, "worst_triple": list(audit["worst_triple"])},
     }
-    # t2 reads the expand line at the grid points, the certificate and
-    # fixed_point_solve at every table point.  It reads alpha, so it is
-    # computed at most once per cell and shared with no other.
-    expand_line = functools.cache(lambda: route_line(
-        Mode.EXPAND, cfg.alpha, cfg.params.s, _table(cfg, memo).point_array))
     routes: dict[str, _Route] = {}
     for m in methods:
         if m == "t1":
-            routes[m] = _limit_section(cfg, Mode.CONTRACT, memo, expand_line)
+            routes[m] = _limit_section(cfg, Mode.CONTRACT, memo)
         elif m == "t2":
-            routes[m] = _limit_section(cfg, Mode.EXPAND, memo, expand_line)
+            routes[m] = _limit_section(cfg, Mode.EXPAND, memo)
         else:
-            routes[m] = _fixedpoint_section(cfg, audit, memo, expand_line)
+            routes[m] = _fixedpoint_section(cfg, audit, memo)
 
     cross = []
     if cfg.method == "all":

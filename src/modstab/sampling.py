@@ -24,9 +24,9 @@ __all__ = [
 ]
 
 # Refuses, before anything is allocated, a grid that is plainly too large.
-# It is not a memory bound: a run at n_max = 60 peaks at about 1.6-3.1 kB of
-# RSS per grid point, but one whose iteration saturates at n_max = 1023 keeps
-# about 49 kB per point, some 49 GB at the cap (ROADMAP item 9).
+# It is not a memory bound: a run at n_max = 60 peaks at about 1.2 kB of RSS
+# per grid point, one that saturates at n_max = 1023 at about 8.7 kB, some
+# 8.7 GB at the cap; that growth is IterateTable rows (ROADMAP item 14).
 MAX_GRID_POINTS = 1_000_000
 
 

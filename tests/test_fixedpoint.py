@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from modstab import (
     EquationParams,
     FunctionHandle,
     Grid,
+    IterateTable,
     ModularSpec,
     Mode,
     RegimeError,
@@ -34,6 +36,7 @@ from modstab import (
     standard_ladder,
     verify_stability_bound,
 )
+from modstab.iterates import MAX_N
 from modstab.sampling import function_sample_points
 
 ABS1 = ModularSpec.power(1)
@@ -310,6 +313,29 @@ class TestFixedPointSolve:
         assert res.quasi_contraction
         assert max(res.quasi_contraction) < 1.0
         assert res.delta_hat_window < math.inf
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # A walk that saturates at the step cap holds three sampled iterates,
+        # not all of them: with every table row already filled, the peak at
+        # n_max = 1023 stays near the one at 60.
+        phi = parse_expression("mono(1,3) + envnoise(0.01,0.5,11)")
+        alpha = ControlFunction.power(0.5, 0.5)
+        grid = Grid(-10, 10, 2001)
+        table = IterateTable(phi, 3, grid)
+        for n in range(MAX_N + 1):
+            table.row(n)
+        audit = {"hypothesis_ok": True}
+        peaks = {}
+        for n_max in (60, MAX_N):
+            tracemalloc.start()
+            try:
+                res = fixed_point_solve(phi, P3, ABS1, alpha, grid, tol=1e-300, n_max=n_max,
+                                        audit=audit, table=table)
+                peaks[n_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.saturated and res.iterations == n_max
+        assert peaks[MAX_N] < 2 * peaks[60]
 
     def test_agrees_with_expand_route(self):
         # the fixed-point iterates are the expand approximants when phi(0) = 0

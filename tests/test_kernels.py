@@ -52,13 +52,9 @@ from modstab import (
     series_bound_expand,
     verify_radical_additivity,
 )
-from modstab.config import parse_experiment, parse_sweep
-from modstab.fixedpoint import (
-    _delta_hat_window,
-    _quasi_contraction,
-    _rho_hat_rows,
-    audit_ratios,
-)
+from modstab.config import cell_config, parse_experiment, parse_sweep
+from modstab.fixedpoint import _rho_hat_rows, _walk, audit_ratios
+from modstab.report import canonical_json
 
 P3 = EquationParams(3, 1.0)
 EXPERIMENT = """
@@ -170,13 +166,10 @@ def test_rho_eval_array_matches_scalar(spec):
 
 
 def _new_window_stats(window, denoms, rho):
-    w = np.array(window)
-    d = np.array(denoms)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = _rho_hat_rows(w[1:] - w[:-1], d, rho)
-        quasi = _quasi_contraction(w, gaps, d, rho)
-        delta_hat = _delta_hat_window(w, d, rho)
-    return gaps.tolist(), quasi.tolist(), delta_hat
+    # tol = 0: no gap falls below it, so the fold reads every row and saturates.
+    gaps, quasi, delta_hat, saturated = _walk(map(np.array, window), np.array(denoms), rho, 0.0)
+    assert saturated
+    return gaps, quasi, delta_hat
 
 
 def _contracting_window(rng, rows, cols, rate):
@@ -207,19 +200,61 @@ def test_window_kernels_match_scalar_loop(rho, seed):
 def test_window_kernels_match_with_saturated_iterates(rho):
     rng = np.random.default_rng(11)
     cols = 23
-    window = _contracting_window(rng, 12, cols, 0.5)
+    finite = _contracting_window(rng, 12, cols, 0.5)
+    window = [row[:] for row in finite]
     for k in range(6, 12):  # one sample runs away and saturates ...
         window[k][4] = math.inf
+        window[k][8] = math.nan if k % 2 else 1.0  # ... one is nan now and then ...
+        window[k][12] = math.inf if k % 2 else -math.inf  # ... one swaps infinities
     window[9][17] = -math.inf  # ... another flips sign at infinity
     window[10][17] = math.inf
     denoms = rng.uniform(0.01, 5.0, cols).tolist()
-    old_gaps, old_quasi, old_delta = ref.window_stats(window, denoms, rho)
-    new_gaps, new_quasi, new_delta = _new_window_stats(window, denoms, rho)
-    assert math.inf in old_gaps and any(math.isnan(q) for q in old_quasi)
-    assert bits(new_gaps) == bits(old_gaps)
-    assert bits(new_quasi) == bits(old_quasi)
-    assert new_delta == old_delta == math.inf
-    assert max(new_quasi).hex() == max(old_quasi).hex()
+    denoms[6] = math.inf  # every ratio there is 0
+    subnormal = [*denoms[:9], 5e-324, *denoms[10:]]  # every ratio there overflows
+    assert math.inf not in ref.window_stats(window, denoms, rho)[0][:5]
+    # One odd column in a finite window: nan once, +inf throughout (inf - inf
+    # is nan, which counts as infinite), both infinities, or signed zeros.
+    odd = [[math.nan if k == 3 else 1.0 for k in range(12)], [math.inf] * 12,
+           [math.inf if k % 2 else -math.inf for k in range(12)],
+           [-0.0 if k % 2 else 0.0 for k in range(12)]]
+    cases = [(window, denoms), (window, subnormal),
+             *(([[v, *row[1:]] for v, row in zip(column, finite)], denoms) for column in odd)]
+    for i, (win, den) in enumerate(cases):
+        old_gaps, old_quasi, old_delta = ref.window_stats(win, den, rho)
+        new_gaps, new_quasi, new_delta = _new_window_stats(win, den, rho)
+        assert bits(new_gaps) == bits(old_gaps)
+        assert bits(new_quasi) == bits(old_quasi)
+        assert new_delta.hex() == old_delta.hex()
+        assert max(new_quasi).hex() == max(old_quasi).hex()
+        if i < 5:  # all but the signed zeros
+            assert math.inf in old_gaps and any(math.isnan(q) for q in old_quasi)
+            assert new_delta == math.inf
+    assert new_delta < math.inf  # a signed-zero column has a zero range
+
+
+def test_window_fold_stops_at_the_first_gap_below_tol():
+    rng = np.random.default_rng(5)
+    cols = 31
+    window = _contracting_window(rng, 20, cols, 0.6)
+    denoms = rng.uniform(0.01, 5.0, cols).tolist()
+    full_gaps = ref.window_stats(window, denoms, ABS1)[0]
+    k = 9
+    tol = math.nextafter(full_gaps[k - 1], math.inf)  # gap k-1 is the first below tol
+    assert min(full_gaps[:k - 1]) >= tol
+    read = []
+
+    def rows():
+        for row in window:
+            read.append(row)
+            yield np.array(row)
+
+    gaps, quasi, delta_hat, saturated = _walk(rows(), np.array(denoms), ABS1, tol)
+    assert len(gaps) == k and not saturated
+    assert len(read) == k + 1  # no row past the stopping one is asked for
+    old_gaps, old_quasi, old_delta = ref.window_stats(window[:k + 1], denoms, ABS1)
+    assert bits(gaps) == bits(old_gaps)
+    assert bits(quasi) == bits(old_quasi)
+    assert delta_hat.hex() == old_delta.hex()
 
 
 def test_window_kernels_with_empty_sample_set():
@@ -756,18 +791,23 @@ modular = power:p=1,exp
 
 def _spy_sweep_work(monkeypatch):
     """Record the arguments of every call the sweep makes to its shared stages."""
-    calls = {name: [] for name in ("table", "defects", "sums", "pairs", "limit",
+    calls = {name: [] for name in ("table", "expand_line", "defects", "sums", "pairs", "limit",
                                    "additivity", "oddness", "cross", "bound")}
 
-    def spy(attr, name, key):
+    def spy(attr, name, key, keep=lambda *a, **k: True):
         real = getattr(pipeline_mod, attr)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(key(*args, **kwargs))
+            if keep(*args, **kwargs):
+                calls[name].append(key(*args, **kwargs))
             return real(*args, **kwargs)
         monkeypatch.setattr(pipeline_mod, attr, wrapper)
 
     spy("IterateTable", "table", lambda phi, s, grid: s)
+    # The expand line over the table points; the contract route's line and
+    # the one-point lines of refused routes are not counted.
+    spy("route_line", "expand_line", lambda mode, alpha, s, xs: (s, alpha),
+        keep=lambda mode, alpha, s, xs: mode is Mode.EXPAND and xs.size > 1)
     spy("audit_defects", "defects", lambda phi, params, rho, triples: (params, rho))
     spy("control_power_sums", "sums", lambda p, x, y, z: p)
     spy("additivity_pairs", "pairs", lambda s, grid: s)
@@ -815,6 +855,10 @@ def test_sweep_computes_alpha_free_results_once(monkeypatch, expr):
     params = {EquationParams(s, float(q)) for s in s_values for q in sweep.axes["q"]}
     modulars = {ModularSpec.power(1), ModularSpec.exp()}
     once_each("table", s_values)
+    # the expand line reads s, alpha and the table points, the same in every cell
+    once_each("expand_line", {(s, ControlFunction.power(float(theta), float(p)))
+                              for s in s_values for p in sweep.axes["p"]
+                              for theta in sweep.axes["theta"]})
     once_each("defects", {(p, m) for p in params for m in modulars})
     # the audit's control is theta times a sum that reads only p; the
     # additivity pairs read only s (every s here has a route in regime)
@@ -841,6 +885,20 @@ def test_sweep_computes_alpha_free_results_once(monkeypatch, expr):
     if phi0 == 0.0:  # t2 and the fixed-point iterate are one function
         assert any(_limit_keys(r, phi0).get("t2") == _limit_keys(r, phi0).get("fixedpoint")
                    for _, r in cells)
+
+
+def test_a_signed_zero_theta_has_its_own_expand_line():
+    # ControlFunction.power(-0.0, p) equals the one at theta = 0.0, but its
+    # line, and so the t2 series bound the report prints, is -0.0.
+    sweep = parse_sweep(SWEEP.format(expr="mono(1,3) + envnoise(0.01,1,11)").replace(
+        "s = 3,5\nq = 1,-1\np = 1,3.5\ntheta = 0.001,0.05\nmodular = power:p=1,exp",
+        "theta = 0,-0"))
+    _, cells = pipeline_mod.run_sweep(sweep)
+    values = [report["methods"]["t2"]["series"]["value"] for _, report in cells]
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+    for (_, report), theta in zip(cells, ("0", "-0")):
+        alone, _ = pipeline_mod.run_experiment(cell_config(sweep.base, {"theta": theta}))
+        assert canonical_json(report) == canonical_json(alone)
 
 
 def test_sweeps_do_not_share_a_memo(monkeypatch):
