@@ -18,6 +18,8 @@ converges when the control decays fast at the origin; expanding the argument
 
 import math
 
+import numpy as np
+
 from modstab import (
     ControlFunction,
     EquationParams,
@@ -26,9 +28,10 @@ from modstab import (
     Mode,
     construct_limit,
     contract_bound_closed_form,
-    series_bound_contract,
-    series_bound_expand,
     parse_expression,
+    route_bounds,
+    route_line,
+    route_ratio,
     verify_oddness,
     verify_radical_additivity,
     verify_stability_bound,
@@ -45,8 +48,11 @@ worst = max(abs(v - x**3) for v, x in zip(res.values, grid.points()))
 print("expand route, phi = x^3 + 0.1 sin x")
 print(f"  converged at n = {res.achieved_n}, max |A - x^3| = {worst:.3e}")
 
+# The bound at every grid point: the control along the route's line, summed
+# as a geometric series with the route's term ratio.
 alpha = ControlFunction.constant(0.1)
-bounds = [series_bound_expand(alpha, params.s, x).upper for x in grid.points()]
+bounds = route_bounds(Mode.EXPAND, None, route_ratio(Mode.EXPAND, alpha, params.s),
+                      route_line(Mode.EXPAND, alpha, params.s, grid.point_array))
 check = verify_stability_bound(phi, res.function, rho, bounds, grid)
 print(f"  error bound {bounds[0]:.6g} dominates |phi - A|: {check.passed} "
       f"(worst slack {check.worst_value:.3e})")
@@ -67,15 +73,19 @@ print(f"  converged at n = {res6.achieved_n}, max |A - x^3| = {worst6:.3e}")
 # controls it can also be written out in theta, p, s and tau; compare at x = 1.
 alpha6 = ControlFunction.power(0.016, 6.0)
 tau = rho.delta2_tau
-series = series_bound_contract(alpha6, tau, params.s, 1.0)
+ratio6 = route_ratio(Mode.CONTRACT, alpha6, params.s, tau)
+(series,) = route_bounds(Mode.CONTRACT, tau, ratio6,
+                         route_line(Mode.CONTRACT, alpha6, params.s, np.array([1.0])))
 closed = contract_bound_closed_form(alpha6.theta, alpha6.p, params.s, tau, 1.0)
-print(f"  series bound at x=1: {series.upper:.12g} (ratio {series.ratio:g})")
+print(f"  series bound at x=1: {series:.12g} (ratio {ratio6:g})")
 print(f"  closed form at x=1:  {closed:.12g}")
 
 # --- where the routes stop working ----------------------------------------
 # The expand route needs p < s: at p = 6 > 3 the term ratio is 2^(p/s)/2 = 2.
-bad = series_bound_expand(ControlFunction.power(0.016, 6.0), params.s, 1.0)
+bad = route_ratio(Mode.EXPAND, alpha6, params.s)
+(bound,) = route_bounds(Mode.EXPAND, None, bad,
+                        route_line(Mode.EXPAND, alpha6, params.s, np.array([1.0])))
 print("\nexpand route with p = 6 > s = 3:")
-print(f"  converged = {bad.converged}, term ratio = {bad.ratio:g} "
+print(f"  converged = {bad < 1}, term ratio = {bad:g} "
       "(no bound exists; the library refuses to emit one)")
-assert math.isinf(bad.value)
+assert math.isinf(bound)

@@ -223,15 +223,15 @@ def route_entry(tau_route: str | None, phi: FunctionHandle, params: EquationPara
 class LimitResult:
     """Converged (or frozen) per-point approximants plus diagnostics.
 
-    ``cauchy_gap[i]`` is the modular of the last approximant step at grid
-    point ``i``; unless ``saturated`` it is below the requested tolerance.
-    ``function`` evaluates the final approximant anywhere, not just on the
-    grid.
+    ``values`` and ``cauchy_gap`` are read-only float64 arrays: ``cauchy_gap[i]``
+    is the modular of the last approximant step at grid point ``i``, below the
+    requested tolerance unless ``saturated``.  ``function`` evaluates the final
+    approximant anywhere, not just on the grid.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     achieved_n: int
-    cauchy_gap: tuple[float, ...]
+    cauchy_gap: np.ndarray
     saturated: bool
     function: FunctionHandle
 
@@ -290,10 +290,11 @@ def construct_limit(
         else:
             saturated = True
 
+    current.flags.writeable = gaps.flags.writeable = False  # a memo may share the result
     return LimitResult(
-        values=tuple(current.tolist()),
+        values=current,
         achieved_n=achieved,
-        cauchy_gap=tuple(gaps.tolist()),
+        cauchy_gap=gaps,
         saturated=saturated,
         function=limit_function(mode, phi, params, achieved, offset),
     )

@@ -91,19 +91,20 @@ def _expand_line(alpha: ControlFunction, s: int, xs: np.ndarray,
 
 
 def estimate_contraction(
-    alpha: ControlFunction, s: int, samples: list[float], *, line: np.ndarray | None = None
+    alpha: ControlFunction, s: int, samples: np.ndarray | list[float], *,
+    line: np.ndarray | None = None,
 ) -> ContractionCertificate:
-    """Estimate the contraction factor of the scaling operator from samples.
+    """Estimate the contraction factor of the scaling operator from 1-D ``samples``.
 
     Samples with a vanishing denominator are skipped; if everything is
     skipped there is nothing to certify and an error is raised.  ``line``,
     if given, is ``route_line(Mode.EXPAND, alpha, s, samples)`` computed by
     the caller.
     """
-    if not samples:
+    xs = np.asarray(samples, dtype=float)
+    if not xs.size:
         raise ArgumentError("estimate_contraction needs a nonempty sample list")
     root = 2.0 ** (1.0 / s)
-    xs = np.asarray(samples, dtype=float)
     line = _expand_line(alpha, s, xs, line)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         denom = 2.0 * line
@@ -117,9 +118,9 @@ def estimate_contraction(
     skipped = int(np.count_nonzero(skip))
     return ContractionCertificate(
         l_hat=l_hat,
-        worst_sample=samples[k],
+        worst_sample=float(xs[k]),
         valid=l_hat < 1.0,
-        samples_checked=len(samples) - skipped,
+        samples_checked=xs.size - skipped,
         samples_skipped=skipped,
     )
 
@@ -128,32 +129,31 @@ def audit_defects(
     phi: FunctionHandle,
     params: EquationParams,
     rho: ModularSpec,
-    triples: list[tuple[float, float, float]],
-) -> list[float]:
+    triples: np.ndarray | list[tuple[float, float, float]],
+) -> np.ndarray:
     """The equation defect of ``phi`` at each triple: the audit's alpha-free step.
 
-    ``equation.defect_many`` at the triples, as a list; a triple whose
-    ``x**s`` leaves the float range has defect ``inf``.  Nothing here reads
-    the control, so one list serves every control function audited on the
-    same triples.
+    ``equation.defect_many`` at the triples, an ``(n, 3)`` array or a list;
+    a triple whose ``x**s`` leaves the float range has defect ``inf``.
+    Nothing here reads the control, so one array serves every control
+    function audited on the same triples.
     """
-    x, y, z = np.array(triples, dtype=float).reshape(-1, 3).T
-    return defect_many(params, phi, rho, x, y, z).tolist()
+    x, y, z = np.asarray(triples, dtype=float).reshape(-1, 3).T
+    return defect_many(params, phi, rho, x, y, z)
 
 
-def audit_ratios(
-    defects: list[float],
-    controls: np.ndarray,
-    triples: list[tuple[float, float, float]],
-) -> dict:
+def audit_ratios(defects: np.ndarray | list[float], controls: np.ndarray,
+                 triples: np.ndarray | list[tuple[float, float, float]]) -> dict:
     """Compare the defects ``audit_defects`` found with the control's values on the same triples.
 
-    ``controls`` is ``control_eval_many`` at the triples.  Returns max
-    defect, max defect/alpha ratio and the worst triple: the first triple
-    with the largest ratio, ``triples[0]`` when no ratio is above zero.
-    Where the control vanishes, or overflows to ``inf`` and so certifies
-    nothing, the ratio is ``inf`` unless the defect vanishes too.
+    ``controls`` is ``control_eval_many`` at ``triples`` (a nonempty ``(n, 3)``
+    array or list).  Returns max defect, max defect/alpha ratio and the worst
+    triple as floats: the first with the largest ratio, ``triples[0]`` when no
+    ratio is above zero.  Where the control vanishes, or overflows to ``inf``
+    and so certifies nothing, the ratio is ``inf`` unless the defect vanishes too.
     """
+    if not len(triples):
+        raise ArgumentError("the defect audit needs at least one triple")
     d = np.asarray(defects, dtype=float)
     live = (0.0 < controls) & (controls < math.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -165,7 +165,7 @@ def audit_ratios(
         "triples": len(triples),
         "max_defect": max_defect,
         "max_ratio": max_ratio,
-        "worst_triple": triples[0] if k is None else triples[k],
+        "worst_triple": tuple(map(float, triples[0 if k is None else k])),
         "hypothesis_ok": max_ratio <= 1.0 + 1e-9,
     }
 
@@ -175,14 +175,14 @@ def audit_defect_hypothesis(
     params: EquationParams,
     rho: ModularSpec,
     alpha: ControlFunction,
-    triples: list[tuple[float, float, float]],
+    triples: np.ndarray | list[tuple[float, float, float]],
 ) -> dict:
     """Compare the equation defect of ``phi`` against the control on triples.
 
     ``audit_ratios`` of ``audit_defects``: see those for the result and for
     how a vanishing or overflowing control and an out-of-range triple count.
     """
-    x, y, z = np.array(triples, dtype=float).reshape(-1, 3).T
+    x, y, z = np.asarray(triples, dtype=float).reshape(-1, 3).T
     return audit_ratios(audit_defects(phi, params, rho, triples),
                         control_eval_many(alpha, x, y, z), triples)
 
@@ -247,16 +247,17 @@ class FixedPointResult:
     five-distance contraction ratio observed at step ``k`` (diagnostic only).
     ``delta_hat_window`` is the largest pairwise gap over the computed
     iterates, read off each sample's running range -- the finite-window
-    stand-in for an all-pairs supremum.
-    Whether the final iterate meets ``bound`` is ``verify_stability_bound``'s check.
+    stand-in for an all-pairs supremum.  ``values``, ``point_gap`` and
+    ``bound`` are read-only float64 arrays; whether the final iterate meets
+    ``bound`` is ``verify_stability_bound``'s check.
     """
 
-    values: tuple[float, ...]
-    point_gap: tuple[float, ...]
+    values: np.ndarray
+    point_gap: np.ndarray
     iterations: int
     rho_hat_gap: float
     gap_history: tuple[float, ...]
-    bound: tuple[float, ...]
+    bound: np.ndarray
     l_hat: float
     saturated: bool
     origin_offset: float
@@ -334,13 +335,14 @@ def fixed_point_solve(
         iterations = len(gap_history)
         values = iterate(iterations, cols)
         point_gap = rho_eval_array(rho, values - iterate(iterations - 1, cols))
+    values.flags.writeable = point_gap.flags.writeable = bounds.flags.writeable = False
     return FixedPointResult(
-        values=tuple(values.tolist()),
-        point_gap=tuple(point_gap.tolist()),
+        values=values,
+        point_gap=point_gap,
         iterations=iterations,
         rho_hat_gap=gap_history[-1],
         gap_history=tuple(gap_history),
-        bound=tuple(bounds.tolist()),
+        bound=bounds,
         l_hat=l_factor,
         saturated=saturated,
         origin_offset=table.origin(),

@@ -5,11 +5,12 @@ expand route's approximants and the fixed-point iterates at step ``k = n``,
 the contract route's approximants at step ``k = -n``;
 ``direct.approximant_row`` is the one place that turns a row into
 approximants.  An ``IterateTable`` holds those values as rows, one per
-signed step ``k``, over ``function_sample_points(grid)`` -- a superset of
-the grid -- and computes a row the first time any route asks for it, in a
-``FunctionHandle.many`` pass over the rescaled points, which reads ``inf``
-at each point where one of ``phi``'s libm routines raises.  Routes sharing
-a table never evaluate ``phi`` twice at the same ``(k, x)``.
+signed step ``k``, over the float64 array ``function_sample_points(grid)``
+-- a superset of the grid -- and computes a row the first time any route
+asks for it, in a ``FunctionHandle.many`` pass over the rescaled points,
+which reads ``inf`` at each point where one of ``phi``'s libm routines
+raises.  Routes sharing a table never evaluate ``phi`` twice at the same
+``(k, x)``.
 
 A pass fills a block of rows: the row asked for and the next ones away
 from 0 that the table lacks, as many as fit in ``BLOCK_POINTS`` points (at
@@ -43,21 +44,19 @@ BLOCK_POINTS = 4096
 class IterateTable:
     """Lazily computed rows of ``phi`` on the rescaled sample points.
 
-    ``points`` is ``function_sample_points(grid)``, sorted and distinct,
-    ``point_array`` the same as an array, and ``grid_index`` the position
-    of each grid point in it.  ``row(k)[i]`` is ``phi(2**(k/s) *
-    points[i])``, the argument ``limit_function``'s handles compute: expand
-    step ``n`` is ``row(n)`` and contract step ``n`` is ``row(-n)``.  An
-    evaluation that overflows is ``inf``, the saturation signal every route
-    reads.
+    ``point_array`` is ``function_sample_points(grid)``, a read-only float64
+    array, sorted and distinct, and ``grid_index`` the position of each grid
+    point in it.  ``row(k)[i]`` is ``phi(2**(k/s) * point_array[i])``, the
+    argument ``limit_function``'s handles compute: expand step ``n`` is
+    ``row(n)`` and contract step ``n`` is ``row(-n)``.  An evaluation that
+    overflows is ``inf``, the saturation signal every route reads.
     """
 
     def __init__(self, phi: FunctionHandle, s: int, grid: Grid):
         self.phi = phi
         self.s = s
         self.grid = grid
-        self.points = function_sample_points(grid)
-        self.point_array = np.array(self.points, dtype=float)
+        self.point_array = function_sample_points(grid)
         self.grid_index = np.searchsorted(self.point_array, grid.point_array)
         self._rows: dict[int, np.ndarray] = {}
         self._origin: float | None = None

@@ -115,9 +115,11 @@ def _outcome_dict(o) -> dict:
 
 
 def _once(memo: dict, key: tuple, compute):
-    """``memo[key]``, computed by ``compute()`` the first time it is asked for."""
+    """``memo[key]``, computed by ``compute()`` once; an array, being shared, read-only."""
     if key not in memo:
-        memo[key] = compute()
+        value = memo[key] = compute()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return memo[key]
 
 
@@ -129,27 +131,20 @@ def _table(cfg: ExperimentConfig, memo: dict) -> IterateTable:
 
 
 def _expand_line(cfg: ExperimentConfig, memo: dict) -> np.ndarray:
-    # Shared, so read-only.  alpha is keyed by its repr: theta = -0.0 equals
-    # 0.0 but gives a line of -0.0.
-    def compute():
-        line = route_line(Mode.EXPAND, cfg.alpha, cfg.params.s, _table(cfg, memo).point_array)
-        line.flags.writeable = False
-        return line
-    return _once(memo, ("expand_line", cfg.params.s, repr(cfg.alpha)), compute)
+    # alpha is keyed by its repr: theta = -0.0 equals 0.0 but gives a line of -0.0.
+    return _once(memo, ("expand_line", cfg.params.s, repr(cfg.alpha)), lambda: route_line(
+        Mode.EXPAND, cfg.alpha, cfg.params.s, _table(cfg, memo).point_array))
 
 
 def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
     # The one audit of a run: the report shows it and the fixed-point route
-    # is gated on it.
-    def draw():
-        found = seeded_triples(cfg.grid.lo, cfg.grid.hi, AUDIT_TRIPLES, cfg.seed)
-        return found + corner_triples(cfg.grid.lo, cfg.grid.hi)
-
-    triples = _once(memo, ("triples",), draw)
+    # is gated on it.  The triples are drawn once, as one (n, 3) array.
+    lo, hi = cfg.grid.lo, cfg.grid.hi
+    triples = _once(memo, ("triples",), lambda: np.array(
+        seeded_triples(lo, hi, AUDIT_TRIPLES, cfg.seed) + corner_triples(lo, hi)))
     defects = _once(memo, ("defects", cfg.params, cfg.modular),
                     lambda: audit_defects(cfg.phi, cfg.params, cfg.modular, triples))
-    x, y, z = _once(memo, ("triple_columns",),
-                    lambda: np.array(triples, dtype=float).reshape(-1, 3).T)
+    x, y, z = triples.T
     sums = None
     if cfg.alpha.kind == "power":
         p = cfg.alpha.p
@@ -294,7 +289,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> _Rout
         rate = route_ratio(Mode.EXPAND, cfg.alpha, s)  # L: every later refusal keeps it
         table, line = _table(cfg, memo), _expand_line(cfg, memo)
         try:  # the sampled certificate is a cross-check; the gate is fixed_point_solve's
-            cert = estimate_contraction(cfg.alpha, s, table.points, line=line)
+            cert = estimate_contraction(cfg.alpha, s, table.point_array, line=line)
         except ArgumentError as exc:  # nothing to certify
             return _refuse(section, exc, rate)
         section["certificate"] = {

@@ -67,14 +67,17 @@ def standard_ladder(k_min: int = -3, k_max: int = 10) -> list[float]:
     return [float(2.0**k) for k in range(k_min, k_max + 1)]
 
 
-def function_sample_points(grid: Grid) -> list[float]:
-    """Grid points plus a short two-sided geometric ladder, deduplicated.
+def function_sample_points(grid: Grid) -> np.ndarray:
+    """Grid points plus a short two-sided geometric ladder, deduplicated: a sorted read-only array.
 
     Used wherever a function-space quantity is estimated by a sampled
     supremum; the ladder adds sub-unit magnitudes a coarse grid misses.
     """
-    ladder = standard_ladder(-3, 3)
-    return sorted({*grid.points(), *ladder, *(-v for v in ladder)})
+    ladder = np.array(standard_ladder(-3, 3))
+    # return_index sorts stably, so the first of 0.0 and -0.0 stays, as in a set.
+    pts = np.unique(np.concatenate([grid.point_array, ladder, -ladder]), return_index=True)[0]
+    pts.flags.writeable = False
+    return pts
 
 
 def seeded_triples(

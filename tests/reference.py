@@ -331,6 +331,13 @@ def audit_ratios(defects, alpha, triples) -> dict:
 # -- samples ------------------------------------------------------------------------
 
 
+def sample_points(grid) -> list[float]:
+    """``function_sample_points``: the grid points and ``+-2**k`` for ``|k| <= 3``, in a set,
+    sorted; of ``0.0`` and ``-0.0`` the set keeps the one the grid lists first."""
+    ladder = [2.0**k for k in range(-3, 4)]
+    return sorted({*grid.points(), *ladder, *(-v for v in ladder)})
+
+
 def seeded_triples(lo: float, hi: float, count: int, seed: int):
     """``count`` triples drawn from ``[lo, hi]^3``, each coordinate converted on its own."""
     draws = np.random.default_rng(seed).uniform(lo, hi, size=(count, 3))

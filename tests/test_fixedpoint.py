@@ -23,6 +23,7 @@ from modstab import (
     Mode,
     RegimeError,
     audit_defect_hypothesis,
+    audit_ratios,
     construct_limit,
     corner_triples,
     estimate_contraction,
@@ -125,6 +126,14 @@ class TestEstimateContraction:
         alpha = ControlFunction.power(0.05, p)
         cert = estimate_contraction(alpha, 3, function_sample_points(Grid(-10, 10, count)))
         assert cert.valid == (route_ratio(Mode.EXPAND, alpha, 3) < 1.0)
+
+    def test_samples_as_an_array_or_a_list(self):
+        alpha = ControlFunction.power(0.05, 1.0)
+        cert = estimate_contraction(alpha, 3, np.array(SAMPLES))
+        assert field_bits(cert) == field_bits(estimate_contraction(alpha, 3, SAMPLES))
+        assert type(cert.worst_sample) is float and type(cert.samples_checked) is int
+        with pytest.raises(ArgumentError, match="nonempty"):
+            estimate_contraction(alpha, 3, np.array([]))
 
     def test_a_callers_line_is_used_or_refused(self):
         alpha = ControlFunction.power(0.05, 1.0)
@@ -359,6 +368,22 @@ class TestAuditDefectHypothesis:
         assert audit["max_ratio"] == math.inf and not audit["hypothesis_ok"]
         assert audit["worst_triple"] == self.TRIPLES[0]
         assert audit["max_defect"] > 0.0
+
+    def test_triples_as_an_array_or_a_list(self):
+        phi = parse_expression("mono(1,3) + sine(0.5,1)")
+        alpha = ControlFunction.constant(0.1)
+        as_list = audit_defect_hypothesis(phi, P3, ABS1, alpha, self.TRIPLES)
+        as_array = audit_defect_hypothesis(phi, P3, ABS1, alpha, np.array(self.TRIPLES))
+        assert as_array == as_list and as_list["worst_triple"] == self.TRIPLES[2]
+        assert all(type(v) is float for v in as_array["worst_triple"])
+
+    def test_an_empty_triple_set_is_refused(self):
+        # Not an IndexError: there is no first triple to report.
+        with pytest.raises(ArgumentError, match="at least one triple"):
+            audit_ratios([], np.array([]), [])
+        with pytest.raises(ArgumentError, match="at least one triple"):
+            audit_defect_hypothesis(monomial(1.0, 3), P3, ABS1, ControlFunction.constant(0.1),
+                                    [])
 
     def test_vanishing_control_without_defect_passes(self):
         # at (0, 0, 0) both the defect and the power control vanish

@@ -34,6 +34,7 @@ from modstab import (
     ModularSpec,
     Mode,
     approximant_row,
+    audit_defects,
     construct_limit,
     control_eval,
     control_eval_many,
@@ -55,6 +56,7 @@ from modstab import (
 from modstab.config import cell_config, parse_experiment, parse_sweep
 from modstab.fixedpoint import _rho_hat_rows, _walk, audit_ratios
 from modstab.report import canonical_json
+from modstab.sampling import function_sample_points
 
 P3 = EquationParams(3, 1.0)
 EXPERIMENT = """
@@ -275,21 +277,22 @@ def test_table_rows_match_scalar_approximants():
     assert offset.hex() == (params.q * ref.value(node, 0.0)).hex()
     text0 = "mono(1,3) + sine(0.1,1)"  # phi0(0) = 0.0
     table0, node0 = IterateTable(parse_expression(text0), 3, grid), ref.parse(text0)
+    points, points0 = table.point_array.tolist(), table0.point_array.tolist()
     for n in (0, 1, 5, 17):
         expand = approximant_row(table, Mode.EXPAND, n, offset)
         contract = approximant_row(table, Mode.CONTRACT, n)
         assert bits(expand) == bits(ref.approximant_expand(node, params, n, x)
-                                    for x in table.points)
+                                    for x in points)
         assert bits(contract) == bits(ref.approximant_contract(node, params, n, x)
-                                      for x in table.points)
+                                      for x in points)
         # offset 0 is the fixed-point iterate Lam**n(phi), and the expand
         # approximant where q*phi(0) is 0.0
         iterate = approximant_row(table0, Mode.EXPAND, n)
         assert bits(iterate) == bits(ref.fixed_point_iterate(node0, 3, n, x)
-                                     for x in table0.points)
+                                     for x in points0)
         assert bits(iterate) == bits(ref.approximant_expand(node0, params, n, x)
-                                     for x in table0.points)
-    assert [table.points[i] for i in table.grid_index] == grid.points()
+                                     for x in points0)
+    assert table.point_array[table.grid_index].tolist() == grid.points()
 
 
 def test_contract_handle_matches_table_rows():
@@ -298,9 +301,10 @@ def test_contract_handle_matches_table_rows():
     text = "mono(1,3) + sine(0.1,1) + envnoise(0.01,1,11)"
     phi, node = parse_expression(text), ref.parse(text)
     table = IterateTable(phi, 3, Grid(-10.0, 10.0, 401))
+    points = table.point_array.tolist()
     for n in range(1, 61):
         handle = limit_function(Mode.CONTRACT, phi, P3, n, 0.0)
-        want = bits(ref.approximant_contract(node, P3, n, x) for x in table.points)
+        want = bits(ref.approximant_contract(node, P3, n, x) for x in points)
         assert bits(2.0**n * table.row(-n)) == want
         assert bits(handle.many(table.point_array)) == want
 
@@ -317,12 +321,13 @@ def test_limit_function_is_the_approximant_row(mode, shifted):
     offset = params.q * phi(0.0) if shifted else 0.0
     assert offset != 0.0 or not shifted
     table = IterateTable(phi, 3, Grid(-3.0, 5.0, 61))
+    points = table.point_array.tolist()
     for n in (0, 1, 7, 30, 60):
         handle = limit_function(mode, phi, params, n, offset)
-        want = bits(ref.value(ref.limit(mode, node, 3, n, offset), x) for x in table.points)
+        want = bits(ref.value(ref.limit(mode, node, 3, n, offset), x) for x in points)
         assert bits(approximant_row(table, mode, n, offset)) == want
         assert bits(handle.many(table.point_array)) == want
-        assert bits(handle(x) for x in table.points[::10]) == want[::10]
+        assert bits(handle(x) for x in points[::10]) == want[::10]
 
 
 @pytest.mark.parametrize("expr", [
@@ -333,7 +338,7 @@ def test_table_rows_equal_the_scalar_handle_on_a_strided_grid(expr):
     # Rows come from FunctionHandle.many; every 37th point against the reference.
     phi, node = parse_expression(expr), ref.parse(expr)
     table = IterateTable(phi, 3, Grid(-10.0, 10.0, 4001))
-    pts = table.points[::37]
+    pts = table.point_array[::37].tolist()
     for n in range(0, 34, 3):
         assert bits(table.row(n)[::37]) == bits(ref.value(node, 2.0 ** (n / 3) * x) for x in pts)
         assert bits(table.row(-n)[::37]) == bits(ref.value(node, 2.0 ** (-n / 3) * x)
@@ -352,7 +357,7 @@ def test_table_fills_rows_in_blocks_of_the_same_bits():
         return base.expr(xs, raised)
 
     table = IterateTable(FunctionHandle(expr, base.description), 3, Grid(-10.0, 10.0, 401))
-    size = len(table.points)
+    size = len(table.point_array)
     width = iterates_mod.BLOCK_POINTS // size
     assert 1 < width < 70
     for k in [0, *range(1, 70), *range(-1, -70, -1)]:
@@ -454,7 +459,7 @@ def test_method_all_calls_phi_once_per_step_and_point(monkeypatch):
     t2 = report["methods"]["t2"]["limit"]["achieved_n"]
     fp = report["methods"]["fixedpoint"]["iteration"]["iterations"]
     assert t2 >= 2 and fp >= 2
-    points = IterateTable(base, 3, cfg.grid).points
+    points = IterateTable(base, 3, cfg.grid).point_array.tolist()
     # Row 0 is a pass of its own, and the table fills the rows after it a
     # block of `width` at a time: the last row evaluated ends the block that
     # holds the last step either route reads.
@@ -479,6 +484,20 @@ def test_seeded_triples_match_the_per_coordinate_draws(lo, hi, seed):
     got = seeded_triples(lo, hi, 200, seed)
     assert all(type(t) is tuple and all(type(v) is float for v in t) for t in got)
     assert [bits(t) for t in got] == [bits(t) for t in ref.seeded_triples(lo, hi, 200, seed)]
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(-10.0, 10.0, 4001), Grid(-5e-324, 5e-324, 5), Grid(-1e-323, 1e-323, 9),
+    Grid(-0.0, 1.0, 3), Grid(-1.0, 0.0, 3),
+    # They hold 0.0 and then -0.0: a plain np.unique may keep either zero.
+    Grid(-5e-324, -0.0, 4), Grid(-1e-323, -0.0, 17), Grid(-1.5e-323, -0.0, 33),
+], ids=repr)
+def test_function_sample_points_keep_the_bits_of_a_sorted_set(grid):
+    got = function_sample_points(grid)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert bits(got) == bits(ref.sample_points(grid))
+    table = IterateTable(parse_expression("mono(1,3)"), 3, grid)
+    assert bits(table.point_array) == bits(got) and not table.point_array.flags.writeable
 
 
 # -- the checks read the table ------------------------------------------------
@@ -762,6 +781,39 @@ def test_run_experiment_audits_once_and_keeps_tuple_message(monkeypatch):
     worst = report["audit"]["worst_triple"]
     assert isinstance(worst, list) and regime["worst_triple"] == worst
     assert regime["error"].endswith(f"at triple {tuple(worst)}")
+
+
+# -- results are read-only float64 arrays from route to report ----------------
+
+
+def test_route_results_are_read_only_arrays():
+    phi, grid = parse_expression("mono(1,3) + mono(0.01,1)"), Grid(-10.0, 10.0, 41)
+    alpha = ControlFunction.power(0.02, 1.0)
+    limit = construct_limit(Mode.EXPAND, phi, P3, ABS1, grid)
+    triples = np.array(seeded_triples(-10.0, 10.0, 50, 0))
+    x, y, z = triples.T
+    audit = audit_ratios(audit_defects(phi, P3, ABS1, triples),
+                         control_eval_many(alpha, x, y, z), triples)
+    fp = fixed_point_solve(phi, P3, ABS1, alpha, grid, audit=audit)
+    for arr in (limit.values, limit.cauchy_gap, fp.values, fp.point_gap, fp.bound):
+        assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == (41,)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert type(fp.gap_history) is tuple and type(fp.quasi_contraction) is tuple
+
+
+def test_the_memo_shares_read_only_arrays_that_the_report_holds_uncopied():
+    cfg = parse_experiment(EXPERIMENT.format(noise="envnoise(0.01,1,11)", theta=0.05))
+    memo: dict = {}
+    report, _, _ = pipeline_mod._run(cfg, memo)
+    arrays = {key: v for key, v in memo.items() if isinstance(v, np.ndarray)}
+    assert {key[0] for key in arrays} == {"triples", "defects", "control_sums", "expand_line"}
+    assert memo[("triples",)].shape == (508, 3)
+    assert not any(a.flags.writeable for a in arrays.values())
+    limit = memo[("limit", Mode.EXPAND, cfg.params, cfg.modular)]
+    assert not (limit.values.flags.writeable or limit.cauchy_gap.flags.writeable)
+    points = report["methods"]["t2"]["limit"]["points"]
+    assert points.column("value") is limit.values and points.column("gap") is limit.cauchy_gap
 
 
 # -- one computation per sweep for what does not read alpha --------------------

@@ -3,7 +3,8 @@
 The kernel tests hold each array kernel in ``src/`` to a reference by raw
 IEEE bits.  A reference that called a kernel, or a one-point wrapper over
 one, would compare that kernel with itself, so the reference module may take
-from modstab only the parameter types it reads fields or points from.
+from modstab only the parameter types it reads fields or points from.  The
+exact-solution oracle, ``tests/oracle.py``, keeps the same rule.
 """
 
 import ast
@@ -33,6 +34,10 @@ def test_reference_imports_only_parameter_types_from_modstab():
     source = REFERENCE.read_text(encoding="utf-8")
     assert "from modstab import" in source  # it reads at least one parameter type
     assert _refused(source) == []
+
+
+def test_oracle_imports_only_parameter_types_from_modstab():
+    assert _refused(REFERENCE.with_name("oracle.py").read_text(encoding="utf-8")) == []
 
 
 def test_the_import_check_refuses_kernels_and_bare_imports():
