@@ -70,7 +70,6 @@ from .sampling import Grid, corner_triples, seeded_triples, standard_ladder
 from .verify import (
     AdditivityPairs,
     CheckOutcome,
-    Sampled,
     additivity_pairs,
     cross_check,
     verify_oddness,
@@ -103,7 +102,7 @@ __all__ = [
     # shared scaling iterates
     "IterateTable",
     # verification
-    "CheckOutcome", "Sampled", "AdditivityPairs", "additivity_pairs",
+    "CheckOutcome", "AdditivityPairs", "additivity_pairs",
     "verify_radical_additivity", "verify_oddness", "verify_stability_bound", "cross_check",
     # sampling
     "Grid", "standard_ladder", "seeded_triples", "corner_triples",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 2 regime or check failure, 3 I/O failure
 or out of memory, 4 config error (unparsable, or a number a float cannot
-hold).
+hold) or a command line the parser refuses.
 """
 
 from __future__ import annotations
@@ -26,9 +26,16 @@ from .pipeline import (
 from .report import canonical_json, csv_lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ``ConfigError`` on a command line it refuses, instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modstab",
         description="Construct exact radical mappings from perturbed solutions "
                     "and verify quantitative stability bounds in modular spaces.",
@@ -44,6 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (run, sweep, check):
         p.add_argument("--out", help="output path (run/check) or directory (sweep)")
+    for p in (run, check):
         p.add_argument("--format", choices=("json", "csv"), dest="fmt",
                        help="report format override")
     for p in (run, sweep):
@@ -73,17 +81,14 @@ def _apply_overrides(cfg, args):
         if value is not None:
             check_run_number(key, value, label)
             updates[key] = value
-    if args.fmt is not None:
-        updates["fmt"] = args.fmt
-    if args.out is not None:
-        updates["out"] = args.out
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(parse_experiment(_read(args.config)), args)
     report, code = run_experiment(cfg)
-    _write(cfg.out, write_report_text(report, cfg.fmt))
+    text = write_report_text(report, cfg.fmt if args.fmt is None else args.fmt)
+    _write(cfg.out if args.out is None else args.out, text)
     return code
 
 
@@ -110,8 +115,8 @@ def _cmd_check_modular(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

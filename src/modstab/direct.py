@@ -16,12 +16,13 @@ out in the control's parameters for power-type control functions.
 
 Each route formula lives in one array kernel: ``route_line``, the control
 along a route's line, ``route_bounds``, the stability bound summed over that
-line (for both direct routes and the fixed-point route), or
-``approximant_row``, the n-th approximant off an ``IterateTable``.  Every
+line (for both direct routes and the fixed-point route), or the n-th
+approximant, which ``approximant_row`` applies to an ``IterateTable`` row
+and ``limit_function``'s handle to ``phi`` at points off the table.  Every
 route that iterates, the fixed-point route included, enters through
-``route_entry`` and ends in a ``limit_function`` handle.  The refusals
-the routes share are checked and worded once, here: ``doubling_constant``,
-``require_convergent`` and ``require_finite_bound``.
+``route_entry`` and ends in a ``limit_function`` handle on its table.  The
+refusals the routes share are checked and worded once, here:
+``doubling_constant``, ``require_convergent`` and ``require_finite_bound``.
 """
 
 from __future__ import annotations
@@ -166,34 +167,66 @@ def _check_step(n: int) -> None:
         raise ArgumentError(f"approximant step must be >= 0, got {n}")
 
 
+def _approximant(mode: Mode, n: int, offset: float, values: np.ndarray) -> np.ndarray:
+    # The one approximant formula, from phi's values at 2**(-n/s) x (contract)
+    # or 2**(n/s) x (expand).
+    if mode is Mode.CONTRACT:
+        return 2.0**n * values
+    return (values - offset) / 2.0**n
+
+
 def approximant_row(table: IterateTable, mode: Mode, n: int, offset: float = 0.0) -> np.ndarray:
     """The n-th approximant at every sample point of ``table``.
 
     Contract: ``2**n * phi(2**(-n/s) x)``, off ``table.row(-n)``; expand:
     ``(phi(2**(n/s) x) - offset) / 2**n``, off ``table.row(n)``, the expand
     approximant at ``offset = q*phi(0)`` and the fixed-point iterate at
-    ``0``.  ``limit_function(mode, phi, params, n, offset)`` makes the same
-    operations, so the two agree bit for bit.  The caller holds
-    ``np.errstate(over="ignore", invalid="ignore")`` around its batch of
-    rows, once, not once per row.  A negative ``n`` is an ``ArgumentError``.
+    ``0``.  The caller holds ``np.errstate(over="ignore", invalid="ignore")``
+    around its batch of rows, once, not once per row.  A negative ``n`` is
+    an ``ArgumentError``.
     """
     _check_step(n)
-    if mode is Mode.CONTRACT:
-        return 2.0**n * table.row(-n)
-    return (table.row(n) - offset) / 2.0**n
+    return _approximant(mode, n, offset, table.row(-n if mode is Mode.CONTRACT else n))
 
 
-def limit_function(
-    mode: Mode, phi: FunctionHandle, params: EquationParams, n: int, offset: float
-) -> FunctionHandle:
-    """The n-th approximant as an evaluable handle (usable off-grid).
+def limit_function(mode: Mode, phi: FunctionHandle, params: EquationParams, n: int,
+                   offset: float, table: IterateTable | None = None) -> FunctionHandle:
+    """The n-th approximant as a handle, usable off the grid.
 
-    ``approximant_row(table, mode, n, offset)`` as a function of ``x``.
+    The handle applies ``approximant_row``'s formula to ``phi`` at
+    ``2**(-n/s) x`` (contract) or ``2**(n/s) x`` (expand), and reads ``inf``
+    where ``phi`` raises.  Built on a ``table`` for ``phi`` and ``s``, it
+    returns ``approximant_row(table, mode, n, offset)`` at the table's sample
+    points (``-0.0`` finds ``0.0``), so only other points evaluate ``phi``;
+    the two differ only where ``phi`` raises and an expand ``offset`` is
+    ``inf`` or ``nan``.
     """
     _check_step(n)
-    if mode is Mode.CONTRACT:
-        return phi.scaled(outer=2.0**n, inner=2.0 ** (-n / params.s))
-    return phi.shifted(-offset).scaled(outer=2.0**-n, inner=2.0 ** (n / params.s))
+    scale = 2.0 ** ((-n if mode is Mode.CONTRACT else n) / params.s)
+    description = f"{mode.value} approximant {n} of [{phi.description}], offset {offset:.6g}"
+
+    def formula(xs, raised):
+        return _approximant(mode, n, offset, phi.expr(scale * xs, raised))
+
+    if table is None:
+        return FunctionHandle(formula, description)
+    if table.phi is not phi or table.s != params.s:
+        raise ArgumentError("iterate table was built for a different phi or s")
+    points = table.point_array
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = approximant_row(table, mode, n, offset)
+
+    def expr(xs, raised):
+        idx = np.minimum(np.searchsorted(points, xs), len(points) - 1)
+        out = row[idx]
+        miss = np.flatnonzero(points[idx] != xs)
+        if miss.size:
+            marks = raised[miss]
+            out[miss] = formula(xs[miss], marks)
+            raised[miss] = marks
+        return out
+
+    return FunctionHandle(expr, description)
 
 
 def route_entry(tau_route: str | None, phi: FunctionHandle, params: EquationParams,
@@ -225,8 +258,9 @@ class LimitResult:
 
     ``values`` and ``cauchy_gap`` are read-only float64 arrays: ``cauchy_gap[i]``
     is the modular of the last approximant step at grid point ``i``, below the
-    requested tolerance unless ``saturated``.  ``function`` evaluates the final
-    approximant anywhere, not just on the grid.
+    requested tolerance unless ``saturated``.  ``function`` is the final
+    approximant's ``limit_function`` handle on the route's table: the table's
+    values at its sample points, ``phi`` anywhere else.
     """
 
     values: np.ndarray
@@ -296,7 +330,7 @@ def construct_limit(
         achieved_n=achieved,
         cauchy_gap=gaps,
         saturated=saturated,
-        function=limit_function(mode, phi, params, achieved, offset),
+        function=limit_function(mode, phi, params, achieved, offset, table),
     )
 
 

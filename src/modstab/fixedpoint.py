@@ -17,7 +17,8 @@ Both built-in controls meet it with equality at ``L = route_ratio(Mode.EXPAND,
 The section ``alpha(x, x, -2**(1/s)x)`` is ``direct.route_line`` and the
 iterates are ``direct.approximant_row``, both of the expand route, at offset
 ``0``; as ``construct_limit`` does, the route enters through
-``direct.route_entry`` and returns a ``direct.limit_function`` handle.
+``direct.route_entry`` and returns a ``direct.limit_function`` handle that
+reads its table.
 Every fixed-point diagnostic is a running reduction along that one walk.
 
 ``rho_hat`` is an infimum over all of R; here it is estimated as a sampled
@@ -249,7 +250,8 @@ class FixedPointResult:
     iterates, read off each sample's running range -- the finite-window
     stand-in for an all-pairs supremum.  ``values``, ``point_gap`` and
     ``bound`` are read-only float64 arrays; whether the final iterate meets
-    ``bound`` is ``verify_stability_bound``'s check.
+    ``bound`` is ``verify_stability_bound``'s check.  ``function`` is the
+    final iterate's ``limit_function`` handle on the route's table.
     """
 
     values: np.ndarray
@@ -292,7 +294,8 @@ def fixed_point_solve(
     The iterates ``Lam**n(phi)(x) = phi(2**(n/s) x) / 2**n`` are expand
     rows of ``approximant_row`` with no offset -- the rows ``table.row(n)``
     the expand route reads, so a shared table evaluates ``phi`` once for both
-    routes -- and ``function`` is the expand ``limit_function`` at offset 0.
+    routes -- and ``function`` is the expand ``limit_function`` at offset 0
+    on that table.
     The gap history, the quasi-contraction ratios and ``delta_hat_window`` are
     running reductions along the one walk (``_walk``), so the route holds
     three sampled iterates, not all of them.  ``line``, if given, is
@@ -348,5 +351,5 @@ def fixed_point_solve(
         origin_offset=table.origin(),
         delta_hat_window=delta_hat,
         quasi_contraction=tuple(quasi),
-        function=limit_function(Mode.EXPAND, phi, params, iterations, 0.0),
+        function=limit_function(Mode.EXPAND, phi, params, iterations, 0.0, table),
     )

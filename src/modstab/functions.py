@@ -12,7 +12,7 @@ perturbations::
 an oscillation drawn from the non-negative integer ``seed``, with ``|u| <= 1``.
 
 Parsing builds one closure per atom, scalar multiple and sum, together with
-its description; ``scaled`` and ``shifted`` wrap a handle's closure the same
+its description; ``direct.limit_function`` builds a handle's closure the same
 way.  Each closure takes ``(xs, raised)``: a float array of points and a
 bool array of the same length, and evaluates every point in one pass.
 ``*``, ``+`` and ``abs`` run in numpy, which rounds each IEEE operation as
@@ -143,10 +143,6 @@ def _scale(factor: float, f):
     return lambda xs, raised: factor * f(xs, raised)
 
 
-def _arg_scale(factor: float, f):
-    return lambda xs, raised: f(factor * xs, raised)
-
-
 def _sum(terms: tuple):
     def total(xs, raised):
         # Not sum(): since Python 3.12 it is compensated and rounds differently.
@@ -192,23 +188,6 @@ class FunctionHandle:
             out = self.expr(xs, raised)
         out[raised] = math.inf
         return out
-
-    def scaled(self, outer: float = 1.0, inner: float = 1.0) -> "FunctionHandle":
-        """The function ``x -> outer * f(inner * x)``."""
-        f = self.expr
-        if inner != 1.0:
-            f = _arg_scale(inner, f)
-        if outer != 1.0:
-            f = _scale(outer, f)
-        return FunctionHandle(f, f"{outer:.6g}*[{self.description}](x*{inner:.6g})")
-
-    def shifted(self, offset: float) -> "FunctionHandle":
-        """The function ``x -> f(x) + offset``."""
-        if offset == 0.0:
-            return self
-        constant, _ = _monomial(float(offset), 0)
-        return FunctionHandle(_sum((self.expr, constant)),
-                              f"[{self.description}] + {offset:.6g}")
 
 
 def _integral(value, what: str) -> int:

@@ -21,11 +21,13 @@ the grid, the seed, ``tol`` and ``n_max`` are fixed, so the keys are:
 * the audit's defects (``audit_defects``): ``s``, ``q`` and the modular;
 * the power control's sums at the audit triples (``control_power_sums``):
   ``p``, since the control is ``theta`` times that sum;
+* ``phi`` as the step-0 ``limit_function`` handle on the table, which the
+  stability-bound checks read: ``s``;
 * a ``construct_limit`` result: the route, ``s``, ``q`` and the modular;
 * the additivity and oddness outcomes of a limit function: the function
   (route family, ``s``, step ``n`` and ``q*phi(0)`` offset) and the
   modular -- the fixed-point iterate at ``n`` is the expand limit at ``n``
-  with offset ``0``, the same closure, so the two share one entry even
+  with offset ``0``, the same function, so the two share one entry even
   within a single run;
 * a cross-check: both functions and the modular.
 
@@ -48,10 +50,8 @@ report, the cross-checks and the verdicts, and ``_run_cells`` each summary
 row.  A row's ``rate`` is the ratio its route was gated on, so it is empty
 exactly where ``direct.doubling_constant`` refused the route.
 
-The checks read each limit function at the sample points off the table row
-it was built from (``_sampled``), through ``direct.approximant_row``, the
-one place the approximant formula lives; so they see the handles' bits
-(see ``verify``), and only points off the table call a handle.
+Every function the checks read is a ``direct.limit_function`` handle on the
+table, so only points off the table evaluate ``phi`` (see ``verify``).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SWEEP_AXES, ExperimentConfig, SweepConfig, cell_config
-from .direct import (Mode, approximant_row, construct_limit, contract_bound_closed_form,
-                     doubling_constant, representative_point, require_convergent,
+from .direct import (Mode, construct_limit, contract_bound_closed_form, doubling_constant,
+                     limit_function, representative_point, require_convergent,
                      require_finite_bound, route_bounds, route_line, route_ratio)
 from .equation import control_eval, control_eval_many, control_power_sums
 from .errors import (ArgumentError, ContractViolation, DefectHypothesisError, ModstabError,
@@ -76,7 +76,7 @@ from .iterates import IterateTable
 from .modular import check_modular_axioms, estimate_delta2, parse_modular, pow_or_inf
 from .report import Columns, canonical_json, csv_lines
 from .sampling import corner_triples, seeded_triples, standard_ladder
-from .verify import (Sampled, additivity_pairs, cross_check, verify_oddness,
+from .verify import (additivity_pairs, cross_check, verify_oddness,
                      verify_radical_additivity, verify_stability_bound)
 
 __all__ = [
@@ -152,14 +152,14 @@ def _audit(cfg: ExperimentConfig, memo: dict) -> dict:
     return audit_ratios(defects, control_eval_many(cfg.alpha, x, y, z, sums), triples)
 
 
-def _sampled(table: IterateTable, key: tuple, function) -> Sampled:
-    """The limit function ``key`` names, with its values off the table rows."""
-    mode, _, n, offset = key
-    with np.errstate(over="ignore", invalid="ignore"):
-        return Sampled(function, table.point_array, approximant_row(table, mode, n, offset))
+def _phi(cfg: ExperimentConfig, memo: dict):
+    # phi as the step-0 approximant: its values are the table's row 0.
+    s = cfg.params.s
+    return _once(memo, ("phi", s), lambda: limit_function(
+        Mode.EXPAND, cfg.phi, cfg.params, 0, 0.0, _table(cfg, memo)))
 
 
-def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function: Sampled) -> tuple:
+def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function) -> tuple:
     """Additivity and oddness of the limit function ``key`` names; neither reads alpha."""
     s = cfg.params.s
     pairs = _once(memo, ("pairs", s), lambda: additivity_pairs(s, cfg.grid))
@@ -194,7 +194,7 @@ def _scaling_check(cfg: ExperimentConfig, mode: Mode, tau: float | None, n: int)
 class _Route(NamedTuple):
     """A route's report section, and what ``_run`` and its summary row read: the rate it
     was gated on (``None`` without a doubling constant) and, if it finished, its step
-    count, stability-bound ``slack``, ``(key, Sampled)`` function and check verdict."""
+    count, stability-bound ``slack``, ``(key, handle)`` function and check verdict."""
 
     section: dict
     rate: float | None
@@ -204,21 +204,20 @@ class _Route(NamedTuple):
     passed: bool = True
 
 
-def _finish_route(cfg: ExperimentConfig, memo: dict, table: IterateTable, section: dict,
-                  body: dict, rate: float, key: tuple, function, values, bounds, gaps) -> _Route:
+def _finish_route(cfg: ExperimentConfig, memo: dict, section: dict, body: dict, rate: float,
+                  key: tuple, function, values, bounds, gaps) -> _Route:
     """Every route's ending: per-point columns in ``body``, the checks, the function.
 
-    ``key`` names the limit function (see ``_sampled``); table row 0 is ``phi``.
+    ``key`` names the limit function ``function``: route family, ``s``, step
+    ``n`` and offset.
     """
     points = body["points"] = Columns(("x", "value", "bound", "gap"),
                                       (cfg.grid.point_array, values, bounds, gaps))
-    sampled = _sampled(table, key, function)
-    phi = Sampled(cfg.phi, table.point_array, table.row(0))
-    bound = verify_stability_bound(phi, sampled, cfg.modular, points.column("bound"),
-                                   cfg.grid, shift=key[3])
-    checks = [bound, *_limit_checks(cfg, memo, key, sampled)]
+    bound = verify_stability_bound(_phi(cfg, memo), function, cfg.modular,
+                                   points.column("bound"), cfg.grid, shift=key[3])
+    checks = [bound, *_limit_checks(cfg, memo, key, function)]
     section["checks"] = [_outcome_dict(c) for c in checks]
-    return _Route(section, rate, key[2], bound.worst_value, (key, sampled),
+    return _Route(section, rate, key[2], bound.worst_value, (key, function),
                   all(c.passed for c in checks))
 
 
@@ -275,7 +274,7 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> _Route:
     section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
     section["scaling_check"] = _scaling_check(cfg, mode, tau, limit.achieved_n)
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
-    return _finish_route(cfg, memo, table, section, section["limit"], ratio,
+    return _finish_route(cfg, memo, section, section["limit"], ratio,
                          (mode, s, limit.achieved_n, shift), limit.function,
                          limit.values, bounds, limit.cauchy_gap)
 
@@ -317,7 +316,7 @@ def _fixedpoint_section(cfg: ExperimentConfig, audit: dict, memo: dict) -> _Rout
         "origin_offset": result.origin_offset,
     }
     # Iterate n is the expand limit at n with no offset: the same function.
-    return _finish_route(cfg, memo, table, section, section["iteration"], rate,
+    return _finish_route(cfg, memo, section, section["iteration"], rate,
                          (Mode.EXPAND, s, result.iterations, 0.0), result.function,
                          result.values, result.bound, result.point_gap)
 

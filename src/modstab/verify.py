@@ -10,15 +10,11 @@ float range is counted the same way.
 
 Every check is one array expression over its sample points followed by
 ``first_max``, the first maximum a scalar running maximum would keep.  A
-function to check is a ``FunctionHandle`` or a ``Sampled`` one: a handle
-with its values at sorted sample points, which the checks read instead of
-calling the handle.  The pipeline passes the limit functions sampled on the
-``IterateTable`` rows, which are the IEEE operations the handles perform,
-so every finite value has the handle's bits; the rest (a sign of zero,
-``inf`` against ``nan``) cannot reach an outcome, because ``rho_eval`` is
-even and sends every non-finite value to ``inf``.  Points off the samples
-(``-x`` on an asymmetric grid, ``0.0``, an additivity root) take the
-handle, in one ``FunctionHandle.many`` batch per check argument.
+function to check is a ``FunctionHandle``, read in one ``many`` batch per
+check argument.  The pipeline passes the limit functions as
+``direct.limit_function`` handles on the ``IterateTable``, which return the
+table's values at its sample points and evaluate ``phi`` only off them
+(``-x`` on an asymmetric grid, ``0.0``, an additivity root).
 
 The additivity pairs depend only on ``s`` and the grid: ``additivity_pairs``
 builds the strided pair indices, ``x**s`` once per grid point
@@ -43,7 +39,6 @@ from .sampling import Grid
 
 __all__ = [
     "CheckOutcome",
-    "Sampled",
     "AdditivityPairs",
     "additivity_pairs",
     "first_max",
@@ -67,19 +62,6 @@ class CheckOutcome:
     worst_point: object
     worst_value: float
     tolerance: float
-
-
-@dataclass(frozen=True, eq=False)
-class Sampled:
-    """``function`` together with its values at sorted sample ``points``.
-
-    ``values[i]`` stands for ``function(points[i])``: the same bits wherever
-    it is finite, and non-finite wherever the handle's value is.
-    """
-
-    function: FunctionHandle
-    points: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,30 +111,12 @@ def additivity_pairs(s: int, grid: Grid) -> AdditivityPairs:
     return AdditivityPairs(pts, first, second, finite, roots, root_of)
 
 
-def _at(f: FunctionHandle | Sampled, xs: np.ndarray) -> np.ndarray:
-    """``f`` at each of ``xs``: a sampled value where one exists, the handle elsewhere.
-
-    The handle evaluates all the points it is asked for in one
-    ``FunctionHandle.many`` batch.
-    """
-    if isinstance(f, FunctionHandle):
-        return f.many(xs)
-    if not len(f.points):
-        return _at(f.function, xs)
-    idx = np.minimum(np.searchsorted(f.points, xs), len(f.points) - 1)
-    out = f.values[idx]
-    miss = np.flatnonzero(f.points[idx] != xs)
-    if miss.size:
-        out[miss] = f.function.many(xs[miss])
-    return out
-
-
 def _outcome(name: str, worst_point, worst_value: float, tol: float) -> CheckOutcome:
     return CheckOutcome(name, worst_value <= tol, worst_point, worst_value, tol)
 
 
 def verify_radical_additivity(
-    a: FunctionHandle | Sampled,
+    a: FunctionHandle,
     rho: ModularSpec,
     s: int,
     grid: Grid,
@@ -168,8 +132,9 @@ def verify_radical_additivity(
     """
     if pairs is None:
         pairs = additivity_pairs(s, grid)
-    at_points = _at(a, pairs.points)
-    at_roots = _at(a, pairs.roots)
+    n = len(pairs.points)
+    values = a.many(np.concatenate((pairs.points, pairs.roots)))
+    at_points, at_roots = values[:n], values[n:]
     first, second = pairs.first[pairs.finite], pairs.second[pairs.finite]
     d = np.full(len(pairs.first), math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,19 +146,21 @@ def verify_radical_additivity(
     return _outcome("radical_additivity", worst_at, worst, LIMIT_CHECK_TOL)
 
 
-def verify_oddness(a: FunctionHandle | Sampled, rho: ModularSpec, grid: Grid) -> CheckOutcome:
+def verify_oddness(a: FunctionHandle, rho: ModularSpec, grid: Grid) -> CheckOutcome:
     """Sign antisymmetry ``a(-x) = -a(x)`` plus ``a(0) = 0`` on the grid."""
     pts = grid.point_array
-    at_zero = rho_eval(rho, float(_at(a, np.zeros(1))[0]))
+    n = len(pts)
+    values = a.many(np.concatenate((pts, -pts, [0.0])))
+    at_zero = rho_eval(rho, float(values[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        d = rho_eval_array(rho, _at(a, pts) + _at(a, -pts))
+        d = rho_eval_array(rho, values[:n] + values[n:-1])
     k, worst = first_max(d, at_zero)
     return _outcome("oddness", 0.0 if k is None else float(pts[k]), worst, LIMIT_CHECK_TOL)
 
 
 def verify_stability_bound(
-    phi: FunctionHandle | Sampled,
-    a: FunctionHandle | Sampled,
+    phi: FunctionHandle,
+    a: FunctionHandle,
     rho: ModularSpec,
     bound_per_point: np.ndarray | list[float],
     grid: Grid,
@@ -210,19 +177,19 @@ def verify_stability_bound(
     if len(bounds) != len(pts):
         raise ArgumentError(f"bound list has {len(bounds)} entries for a {len(pts)}-point grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        excess = rho_eval_array(rho, _at(phi, pts) - shift - _at(a, pts)) - bounds
+        excess = rho_eval_array(rho, phi.many(pts) - shift - a.many(pts)) - bounds
     k, worst = first_max(excess, -math.inf)
     return _outcome("stability_bound", float(pts[0] if k is None else pts[k]), worst,
                     BOUND_CHECK_TOL)
 
 
 def cross_check(
-    a1: FunctionHandle | Sampled, a2: FunctionHandle | Sampled, rho: ModularSpec, grid: Grid
+    a1: FunctionHandle, a2: FunctionHandle, rho: ModularSpec, grid: Grid
 ) -> CheckOutcome:
     """Pointwise agreement of two constructed limits on a shared grid."""
     pts = grid.point_array
     with np.errstate(over="ignore", invalid="ignore"):
-        d = rho_eval_array(rho, _at(a1, pts) - _at(a2, pts))
+        d = rho_eval_array(rho, a1.many(pts) - a2.many(pts))
     k, worst = first_max(d, -1.0)
     return _outcome("cross_method_agreement", grid.lo if k is None else float(pts[k]),
                     worst, LIMIT_CHECK_TOL)

@@ -149,16 +149,15 @@ def scaled(node, outer: float = 1.0, inner: float = 1.0):
     return node if outer == 1.0 else Scale(outer, node)
 
 
-def shifted(node, offset: float):
-    """``x -> node(x) + offset``."""
-    return node if offset == 0.0 else Sum((node, Mono(offset, 0)))
-
-
 def limit(mode, phi, s: int, n: int, offset: float):
-    """The n-th approximant of a route as a tree: ``limit_function``'s handle."""
+    """The n-th approximant of a route as a function of ``x``: ``limit_function``'s handle.
+
+    Its ``value`` is ``inf`` wherever ``phi`` raises.  ``approximant_contract`` and
+    ``approximant_expand`` apply the formula to that ``inf`` instead, as a table row does.
+    """
     if mode is Mode.CONTRACT:
-        return scaled(phi, 2.0**n, 2.0 ** (-n / s))
-    return scaled(shifted(phi, -offset), 2.0**-n, 2.0 ** (n / s))
+        return lambda x: 2.0**n * phi(2.0 ** (-n / s) * x)
+    return lambda x: (phi(2.0 ** (n / s) * x) - offset) / 2.0**n
 
 
 # -- powers, the modular and the control ---------------------------------------
@@ -271,9 +270,13 @@ def approximant_contract(phi, params, n: int, x: float) -> float:
     return 2.0**n * value(phi, 2.0 ** (-n / params.s) * x)
 
 
-def approximant_expand(phi, params, n: int, x: float) -> float:
-    """n-th expand-route approximant ``(phi(2**(n/s)*x) - q*phi(0)) / 2**n``."""
-    offset = params.q * value(phi, 0.0)
+def approximant_expand(phi, params, n: int, x: float, offset: float | None = None) -> float:
+    """n-th expand-route approximant ``(phi(2**(n/s)*x) - offset) / 2**n``.
+
+    ``offset`` is ``q*phi(0)`` unless given.
+    """
+    if offset is None:
+        offset = params.q * value(phi, 0.0)
     return (value(phi, 2.0 ** (n / params.s) * x) - offset) / 2.0**n
 
 

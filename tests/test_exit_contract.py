@@ -139,6 +139,31 @@ def test_a_grid_past_the_point_cap_exits_4(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "{cfg}", "--n-max", "abc"], "argument --n-max: invalid int value: 'abc'"),
+    (["run"], "the following arguments are required: config"),
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["sweep", "{cfg}", "--format", "csv"], "unrecognized arguments: --format csv"),
+])
+def test_a_refused_command_line_exits_4(tmp_path, capsys, argv, message):
+    # 2 means a report was written; a command line the parser refuses writes
+    # nothing, so it is a config error with one line on stderr.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG.format(**BASE) + SWEEP)
+    assert main([a.format(cfg=cfg) for a in argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["sweep", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: modstab")
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(fields=CONFIGS)
 def test_run_ends_in_a_contract_exit_code(fields):

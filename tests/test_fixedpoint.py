@@ -28,6 +28,7 @@ from modstab import (
     corner_triples,
     estimate_contraction,
     fixed_point_solve,
+    limit_function,
     monomial,
     parse_expression,
     route_line,
@@ -60,11 +61,12 @@ def field_bits(result):
 
 class TestLambdaApply:
     """One application of ``Lam(g)(x) = g(2**(1/s) * x) / 2``, built as
-    ``fixed_point_solve`` builds its iterates: ``g.scaled(outer=0.5, ...)``."""
+    ``fixed_point_solve`` builds its final iterate: the expand
+    ``limit_function`` at step 1 and offset 0."""
 
     @staticmethod
     def lam(g, s):
-        return g.scaled(outer=0.5, inner=2.0 ** (1.0 / s))
+        return limit_function(Mode.EXPAND, g, EquationParams(s, 1.0), 1, 0.0)
 
     @pytest.mark.parametrize("s", [3, 5, 7])
     @pytest.mark.parametrize("c", [-2.0, 1.0, 5.0])

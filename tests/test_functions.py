@@ -16,6 +16,7 @@ from modstab import (
     ControlFunction,
     EquationParams,
     Grid,
+    IterateTable,
     ModularSpec,
     Mode,
     audit_defect_hypothesis,
@@ -128,14 +129,16 @@ def test_parse_is_reproducible():
         assert f(x) == g(x)
 
 
-def test_scaled_handle():
-    f = monomial(1.0, 3)
-    g = f.scaled(outer=8.0, inner=0.5)  # 8 * (x/2)^3 = x^3
+P3 = EquationParams(3, 1.0)
+
+
+def test_contract_limit_handle():
+    g = limit_function(Mode.CONTRACT, monomial(1.0, 3), P3, 3, 0.0)  # 8 * (x/2)^3 = x^3
     assert g(3.0) == pytest.approx(27.0, rel=1e-15)
 
 
-def test_shifted_handle():
-    f = monomial(1.0, 3).shifted(-7.0)
+def test_expand_limit_handle_subtracts_the_offset():
+    f = limit_function(Mode.EXPAND, monomial(1.0, 3), P3, 0, 7.0)
     assert f(2.0) == 1.0
 
 
@@ -215,9 +218,13 @@ EXPRESSIONS = ATOMS + MULTIPLES + SUMS
 
 
 def _assert_same_bits(handle, node):
-    got = [handle(x).hex() for x in INPUTS]
-    want = [ref.value(node, x).hex() for x in INPUTS]
-    assert got == want
+    _assert_values(handle, [ref.value(node, x) for x in INPUTS])
+
+
+def _assert_values(handle, want):
+    # at each of INPUTS, one point at a time and in one batch
+    assert [handle(x).hex() for x in INPUTS] == [v.hex() for v in want]
+    assert [v.hex() for v in handle.many(INPUTS).tolist()] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("text, node", EXPRESSIONS, ids=[t for t, _ in EXPRESSIONS])
@@ -227,28 +234,32 @@ def test_parsed_closure_matches_tree(text, node):
     assert f.description == node.describe()
 
 
-@pytest.mark.parametrize("outer, inner", [(1.0, 1.0), (8.0, 1.0), (1.0, 0.5),
-                                          (0.125, 2.0 ** (5 / 3)), (-3.0, 1e-300)])
+# Each handle against the reference's approximants, at offsets of either sign.
+
+@pytest.mark.parametrize("n, s", [(0, 3), (1, 3), (5, 3), (60, 5), (1023, 3)])
 @pytest.mark.parametrize("text, node", [ATOMS[0], ATOMS[8], SUMS[3]],
                          ids=["mono", "envnoise", "sum"])
-def test_scaled_matches_tree(text, node, outer, inner):
-    if inner != 1.0:
-        node = ref.ArgScale(inner, node)
-    if outer != 1.0:
-        node = ref.Scale(outer, node)
-    _assert_same_bits(parse_expression(text).scaled(outer=outer, inner=inner), node)
+def test_contract_limit_function_matches_the_reference(text, node, n, s):
+    params = EquationParams(s, 1.0)
+    _assert_values(limit_function(Mode.CONTRACT, parse_expression(text), params, n, 0.0),
+                   [ref.approximant_contract(node, params, n, x) for x in INPUTS])
 
 
 @pytest.mark.parametrize("offset", [-7.0, 1e-300, -0.0, 0.0, 1e308])
 @pytest.mark.parametrize("text, node", [ATOMS[0], ATOMS[9], SUMS[0]],
                          ids=["mono", "envnoise", "sum"])
-def test_shifted_matches_tree(text, node, offset):
-    f = parse_expression(text)
-    g = f.shifted(offset)
-    if offset == 0.0:
-        assert g is f
-    else:
-        _assert_same_bits(g, ref.Sum((node, ref.Mono(offset, 0))))
+def test_expand_limit_function_matches_the_reference(text, node, offset):
+    phi = parse_expression(text)
+    for n in (0, 2):
+        want = [ref.approximant_expand(node, P3, n, x, offset) for x in INPUTS]
+        _assert_values(limit_function(Mode.EXPAND, phi, P3, n, offset), want)
+        if offset.hex() == "0x0.0p+0":  # the fixed-point iterate
+            assert [v.hex() for v in want] == [ref.fixed_point_iterate(node, 3, n, x).hex()
+                                               for x in INPUTS]
+    if offset == 0.0 and text == "mono(1.5,3)":
+        # phi(-0.0) is -0.0, and -0.0 - -0.0 is +0.0: at offset -0.0 the
+        # handle gives the table row's +0.0, not phi's -0.0
+        assert limit_function(Mode.EXPAND, phi, P3, 0, offset)(-0.0).hex() == (-offset).hex()
 
 
 # -- one pass over an array against the scalar tree -------------------------------
@@ -289,16 +300,27 @@ def test_many_matches_scalar_handle(text, points):
     _assert_many_is_scalar(parse_expression(text), ref.parse(text), points)
 
 
-@given(text=expression_texts, points=point_lists,
-       outer=numbers, inner=numbers, offset=numbers)
-def test_many_matches_scaled_and_shifted_handles(text, points, outer, inner, offset):
+@given(text=expression_texts, points=point_lists, n=st.integers(0, 1023),
+       offset=numbers, mode=st.sampled_from(list(Mode)))
+def test_many_matches_limit_function_handles_at_any_offset(text, points, n, offset, mode):
+    # Off a table, the handle is the reference's approximant as a function of
+    # x.  On one, it returns the table row at each sample point (-0.0 finds
+    # 0.0), the approximant formula applied to phi's values, and the former
+    # elsewhere.
     f, node = parse_expression(text), ref.parse(text)
-    for g, tree in ((f.scaled(outer, inner), ref.scaled(node, outer, inner)),
-                    (f.scaled(inner=inner), ref.scaled(node, inner=inner)),
-                    (f.shifted(offset), ref.shifted(node, offset)),
-                    (f.shifted(offset).scaled(outer, inner),
-                     ref.scaled(ref.shifted(node, offset), outer, inner))):
-        _assert_many_is_scalar(g, tree, points)
+    _assert_many_is_scalar(limit_function(mode, f, P3, n, offset),
+                           ref.limit(mode, node, 3, n, offset), points)
+    table = IterateTable(f, 3, Grid(-3.0, 5.0, 9))
+    on_table = table.point_array.tolist()
+    handle = limit_function(mode, f, P3, n, offset, table)
+    for x, got in zip(points, handle.many(np.array(points, dtype=float)).tolist()):
+        if x in on_table:
+            at = on_table[on_table.index(x)]
+            want = (ref.approximant_contract(node, P3, n, at) if mode is Mode.CONTRACT
+                    else ref.approximant_expand(node, P3, n, at, offset))
+        else:
+            want = ref.value(ref.limit(mode, node, 3, n, offset), x)
+        assert got.hex() == want.hex()
 
 
 @given(text=expression_texts, points=point_lists, n=st.integers(0, 60),
@@ -388,20 +410,21 @@ def test_batch_where_one_point_raises_goes_point_by_point(text, points, raising,
 
 def test_many_runs_the_twin_without_the_scalar_closure():
     # On the far grids x**3 and |x|**2.9 overflow at many points (on the
-    # +-1e102 one once the argument is scaled by 1e3).  A handle has one
-    # closure, over arrays, and every wrapped handle's pass over a grid gives
-    # the scalar tree's bits there, inf where a power raised.
+    # +-1e102 one once the argument is scaled by 2**10).  A handle has one
+    # closure, over arrays, and every limit handle's pass over a grid gives
+    # the reference's bits there, inf where a power raised.
     text = "mono(1,3) + 0.5*sine(0.1,2) + envnoise(0.01,2.9,4)"
     f, node = parse_expression(text), ref.parse(text)
-    wraps = [(0.0, 1.0, 1.0), (0.0, 3.0, 1e-100), (0.0, 1.0, 1e3), (-2.5, 1.0, 1.0),
-             (7.0, 0.5, 2.0)]  # (offset, outer, inner)
+    steps = [(Mode.EXPAND, 0, 0.0), (Mode.CONTRACT, 996, 0.0), (Mode.EXPAND, 30, 0.0),
+             (Mode.EXPAND, 0, -2.5), (Mode.EXPAND, 3, 7.0)]  # (mode, n, offset)
     for end in (10.0, 1e102, 1e200):
         xs = np.linspace(-end, end, 101)
-        for offset, outer, inner in wraps:
-            g = f.shifted(offset).scaled(outer, inner)
-            tree = ref.scaled(ref.shifted(node, offset), outer, inner)
+        for mode, n, offset in steps:
+            g = limit_function(mode, f, P3, n, offset)
+            tree = ref.limit(mode, node, 3, n, offset)
             assert _bits(g.many(xs)) == _bits([ref.value(tree, x) for x in xs.tolist()]), end
-        assert np.isinf(f.scaled(inner=1e3).many(xs)).any() == (end > 10.0)
+        far = limit_function(Mode.EXPAND, f, P3, 30, 0.0).many(xs)  # x * 2**10
+        assert np.isinf(far).any() == (end > 10.0)
 
 
 def test_a_sum_that_overflows_by_multiplication_stays_nan():

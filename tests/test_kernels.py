@@ -59,6 +59,7 @@ from modstab.report import canonical_json
 from modstab.sampling import function_sample_points
 
 P3 = EquationParams(3, 1.0)
+OFFSET_PHI = "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"
 EXPERIMENT = """
 [equation]
 s = 3
@@ -309,25 +310,33 @@ def test_contract_handle_matches_table_rows():
         assert bits(handle.many(table.point_array)) == want
 
 
-@pytest.mark.parametrize("mode, shifted", [
-    (Mode.CONTRACT, False), (Mode.EXPAND, True), (Mode.EXPAND, False),
-], ids=["t1", "t2", "fixedpoint"])
-def test_limit_function_is_the_approximant_row(mode, shifted):
-    # Every route's final handle and its table rows are one sequence.  phi
-    # and q are the asymmetric_offset golden's, so t2's q*phi(0) is not 0.
-    text = "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"
+@pytest.mark.parametrize("mode, text, shifted", [
+    (Mode.CONTRACT, OFFSET_PHI, False), (Mode.EXPAND, OFFSET_PHI, True),
+    (Mode.EXPAND, OFFSET_PHI, False), (Mode.EXPAND, "sine(0.1,1)", True),
+], ids=["t1", "t2", "fixedpoint", "t2-offset-minus-zero"])
+def test_limit_function_is_the_approximant_row(mode, text, shifted):
+    # Every route's final handle and its table rows are one sequence, on the
+    # table and off it.  OFFSET_PHI and q are the asymmetric_offset golden's,
+    # so t2's q*phi(0) is not 0; with phi(0) = 0.0 it is -0.0, where
+    # phi(-0.0) - -0.0 is +0.0.
     phi, node = parse_expression(text), ref.parse(text)
     params = EquationParams(3, -0.5)
     offset = params.q * phi(0.0) if shifted else 0.0
-    assert offset != 0.0 or not shifted
+    assert (offset != 0.0) == (shifted and text == OFFSET_PHI)
     table = IterateTable(phi, 3, Grid(-3.0, 5.0, 61))
     points = table.point_array.tolist()
     for n in (0, 1, 7, 30, 60):
         handle = limit_function(mode, phi, params, n, offset)
-        want = bits(ref.value(ref.limit(mode, node, 3, n, offset), x) for x in points)
+        on_table = limit_function(mode, phi, params, n, offset, table)
+        tree = ref.limit(mode, node, 3, n, offset)
+        want = bits(ref.value(tree, x) for x in points)
         assert bits(approximant_row(table, mode, n, offset)) == want
         assert bits(handle.many(table.point_array)) == want
+        assert bits(on_table.many(table.point_array)) == want
         assert bits(handle(x) for x in points[::10]) == want[::10]
+        off = [-2.99, -0.0, 0.3, 4.99]  # none is a sample point
+        want = bits(ref.value(tree, x) for x in off)
+        assert bits(on_table.many(off)) == want == bits(handle.many(off))
 
 
 @pytest.mark.parametrize("expr", [
@@ -379,6 +388,10 @@ def test_table_refuses_a_different_grid():
     table = IterateTable(phi, 3, Grid(-1.0, 1.0, 5))
     with pytest.raises(ValueError):
         construct_limit(Mode.EXPAND, phi, P3, ABS1, Grid(-1.0, 1.0, 7), table=table)
+    # a limit handle reads only the table's phi and s
+    for other_phi, params in ((parse_expression("mono(1,3)"), P3), (phi, EquationParams(5, 1.0))):
+        with pytest.raises(ArgumentError, match="different phi or s"):
+            limit_function(Mode.EXPAND, other_phi, params, 1, 0.0, table)
 
 
 @pytest.mark.parametrize("bad", [
@@ -503,7 +516,6 @@ def test_function_sample_points_keep_the_bits_of_a_sorted_set(grid):
 # -- the checks read the table ------------------------------------------------
 
 
-OFFSET_PHI = "mono(1,3) + mono(0.01,0) + envnoise(0.01,1,11)"
 TABLE_CASES = {
     # q = -0.5 and phi(0) != 0: t2 and the fixed-point route, strided pairs
     "offset_expand": EXPERIMENT.replace("q = 1", "q = -0.5").replace(
@@ -534,24 +546,29 @@ def _table_case(name):
 def _spy_checks(monkeypatch, cfg, phi_tree):
     """Run every check the pipeline makes against its scalar reference loop.
 
-    ``phi_tree`` is the reference tree of ``cfg.phi``; each limit function the
-    checks are given gets its tree from the key the pipeline samples it by.
-    Returns the ``Sampled`` functions the checks were given, by check name,
-    and a map from each to its tree.
+    ``phi_tree`` is the reference tree of ``cfg.phi``, and so of its step-0
+    handle; each limit function the checks are given gets its tree from the
+    key ``_finish_route`` names it by.  Returns the handles the checks were
+    given, by check name, and a map from each to its tree.
     """
     seen = {"bound_phi": [], "bound": [], "additivity": [], "oddness": [], "cross": []}
     trees = {}
-    real_sampled = pipeline_mod._sampled
+    real_phi, real_finish = pipeline_mod._phi, pipeline_mod._finish_route
 
-    def sampled(table, key, function):
-        out = real_sampled(table, key, function)
-        mode, s, n, offset = key
-        trees[id(out)] = (out, ref.limit(mode, phi_tree, s, n, offset))
+    def phi_handle(*args):
+        out = real_phi(*args)
+        trees[id(out)] = (out, phi_tree)
         return out
-    monkeypatch.setattr(pipeline_mod, "_sampled", sampled)
+
+    def finish(cfg, memo, section, body, rate, key, function, *columns):
+        mode, s, n, offset = key
+        trees[id(function)] = (function, ref.limit(mode, phi_tree, s, n, offset))
+        return real_finish(cfg, memo, section, body, rate, key, function, *columns)
+    monkeypatch.setattr(pipeline_mod, "_phi", phi_handle)
+    monkeypatch.setattr(pipeline_mod, "_finish_route", finish)
 
     def tree(f):
-        return phi_tree if f.function is cfg.phi else trees[id(f)][1]
+        return trees[id(f)][1]
 
     def same(outcome, scalar):
         worst_at, worst = scalar
@@ -599,11 +616,12 @@ def test_checks_read_the_handles_bits_off_the_table(monkeypatch, name):
     routes = {m for m, sec in report["methods"].items() if "checks" in sec}
     assert routes == ({"t1"} if name == "offset_contract" else {"t2", "fixedpoint"})
     assert len(seen["bound"]) == len(routes) and seen["additivity"] and seen["oddness"]
-    sampled = [f for group in seen.values() for f in group]
+    handles = [f for group in seen.values() for f in group]
+    points = function_sample_points(cfg.grid)  # the table's sample points
     finite = non_finite = 0
-    for f in sampled:
-        scalar = [ref.value(tree(f), x) for x in f.points.tolist()]
-        for table_value, value in zip(f.values.tolist(), scalar):
+    for f in handles:
+        scalar = [ref.value(tree(f), x) for x in points.tolist()]
+        for table_value, value in zip(f.many(points).tolist(), scalar):
             if math.isfinite(table_value):
                 assert table_value.hex() == value.hex()
                 finite += 1
@@ -614,8 +632,50 @@ def test_checks_read_the_handles_bits_off_the_table(monkeypatch, name):
     if name == "saturated_window":
         assert non_finite > 0 and report["methods"]["fixedpoint"]["iteration"]["saturated"]
     if name == "offset_asymmetric":  # some -x are off the table
-        pts = cfg.grid.points()
-        assert not set(-x for x in pts) <= set(sampled[0].points.tolist())
+        assert not set(-x for x in cfg.grid.points()) <= set(points.tolist())
+
+
+@pytest.mark.parametrize("grid", ["-10,10,41", "-3,5,21"])
+def test_checks_evaluate_phi_only_off_the_table(monkeypatch, grid):
+    # Each check reads its handles at some points; phi runs once for each
+    # of them that is not a table sample point, and never for the others.
+    cfg = parse_experiment(EXPERIMENT.format(noise="envnoise(0.01,1,11)", theta=0.05)
+                           .replace("grid = -10,10,41", f"grid = {grid}"))
+    base = cfg.phi
+    points = function_sample_points(cfg.grid)
+    evaluated = []
+
+    def expr(xs, raised):
+        evaluated.append(len(xs))
+        return base.expr(xs, raised)
+
+    def off_table(*queries):
+        return sum(int(np.count_nonzero(~np.isin(q, points))) for q in queries)
+
+    asked = {  # check -> the points it reads its handles at, off the table
+        "verify_stability_bound": lambda phi, a, rho, bounds, grid, shift=0.0:
+            off_table(grid.point_array, grid.point_array),
+        "verify_radical_additivity": lambda a, rho, s, grid, pairs:
+            off_table(pairs.points, pairs.roots),
+        "verify_oddness": lambda a, rho, grid:
+            off_table(np.zeros(1), grid.point_array, -grid.point_array),
+        "cross_check": lambda a1, a2, rho, grid: off_table(grid.point_array, grid.point_array),
+    }
+    counts = Counter()
+    for attr, want in asked.items():
+        def wrapper(*args, real=getattr(pipeline_mod, attr), want=want, attr=attr, **kwargs):
+            evaluated.clear()
+            outcome = real(*args, **kwargs)
+            assert sum(evaluated) == want(*args, **kwargs), attr
+            counts[attr] += sum(evaluated)
+            return outcome
+        monkeypatch.setattr(pipeline_mod, attr, wrapper)
+    cfg = dataclasses.replace(cfg, phi=FunctionHandle(expr, base.description))
+    report, _ = pipeline_mod.run_experiment(cfg)
+    assert {m for m, sec in report["methods"].items() if "checks" in sec} == {"t2", "fixedpoint"}
+    assert counts["verify_radical_additivity"] > 0  # the roots leave the table
+    assert counts["verify_stability_bound"] == counts["cross_check"] == 0
+    assert (counts["verify_oddness"] > 0) == (grid == "-3,5,21")
 
 
 def test_additivity_ties_go_to_the_first_pair_visited():
@@ -623,9 +683,8 @@ def test_additivity_ties_go_to_the_first_pair_visited():
     # pair is the first in row-major strided order, on the table and off it.
     grid = Grid(-3.0, 5.0, 47)
     a = parse_expression("mono(0.25,0)")
-    table = IterateTable(a, 3, grid)
-    sampled = verify_mod.Sampled(a, table.point_array, table.row(0))
-    for f in (a, sampled):
+    on_table = limit_function(Mode.EXPAND, a, P3, 0, 0.0, IterateTable(a, 3, grid))
+    for f in (a, on_table):
         out = verify_radical_additivity(f, ABS1, 3, grid)
         assert out.worst_point == (grid.lo, grid.lo) and out.worst_value == 0.25
 
