@@ -8,6 +8,7 @@ hold) or a command line the parser refuses.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import functools
 import sys
@@ -62,8 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The config file at ``path``; a ``ConfigError`` unless it is UTF-8 with no BOM.
+    The parser splits lines itself, so ``\r\n`` needs no translation here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(codecs.BOM_UTF8):
+        raise ConfigError("config file starts with a UTF-8 byte order mark (ef bb bf); "
+                          "save it as UTF-8 without one")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: byte 0x{data[exc.start]:02x} at offset "
+                          f"{exc.start} ({exc.reason})") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -25,7 +25,8 @@ Example::
     format = json
 
 A sweep config adds a ``[sweep]`` section with value lists over the axes
-``s``, ``q``, ``p``, ``theta`` and ``modular``, plus ``outdir``.
+``s``, ``q``, ``p``, ``theta`` and ``modular``, plus ``outdir``; its
+``[run]`` section takes neither ``out`` nor ``format``.
 """
 
 from __future__ import annotations
@@ -286,6 +287,10 @@ def parse_sweep(text: str) -> SweepConfig:
     unknown = set(sections) - set(_EXPERIMENT_KEYS)
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
+    for key, why in (("out", "its directory is [sweep] outdir or --out"),
+                     ("format", "its cell reports are JSON")):
+        if key in sections.get("run", {}):
+            raise ConfigError(f"[run] {key} is not a sweep key: {why}")
     base = _build_experiment(sections)
 
     allowed = set(SWEEP_AXES) | {"outdir"}

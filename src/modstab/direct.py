@@ -11,8 +11,9 @@ Two dual scaling routes build the limit ``A``:
 
 Each route carries an error-bound series.  Both built-in control kinds make
 it exactly geometric, so it is summed in closed form as its first term over
-``1 - ratio``; ``contract_bound_closed_form`` writes the contract-route sum
-out in the control's parameters for power-type control functions.
+``1 - ratio``, by ``route_bounds`` alone.  No route calls
+``contract_bound_closed_form`` (a library and test oracle), ``SeriesBound``
+or ``series_bound_*``; the benchmark's span recorder wraps them by name.
 
 Each route formula lives in one array kernel: ``route_line``, the control
 along a route's line, ``route_bounds``, the stability bound summed over that
@@ -145,17 +146,17 @@ def require_convergent(ratio: float) -> None:
     )
 
 
-def require_finite_bound(x: float, bounds: dict[str, float], key: str, ratio: float) -> None:
-    """A route's ``RegimeError`` (diagnostic ``key``: ``"ratio"`` or ``"l_hat"``) if a bound
-    at ``x`` is not a number, which certifies nothing although ``ratio < 1``.
+def require_finite_bound(x: float, name: str, bound: float, key: str, ratio: float) -> None:
+    """A route's ``RegimeError`` (diagnostic ``key``: ``"ratio"`` or ``"l_hat"``) if its
+    bound ``name`` at ``x`` is not a finite number, which certifies nothing although
+    ``ratio < 1``.
     """
-    unusable = [f"{name} {v:.6g}" for name, v in bounds.items() if not math.isfinite(v)]
-    if not unusable:
+    if math.isfinite(bound):
         return
     factor = "term ratio" if key == "ratio" else "contraction factor"
     raise RegimeError(
         f"error bound at the representative point {x:.6g} is not finite "
-        f"({', '.join(unusable)}) although the {factor} {ratio:.6g} < 1; "
+        f"({name} {bound:.6g}) although the {factor} {ratio:.6g} < 1; "
         "no usable bound exists here",
         **{key: ratio},
     )
@@ -341,8 +342,9 @@ class SeriesBound:
     Every term of the series is the previous one times ``ratio``, so the
     whole sum is ``first_term / (1 - ratio)``, as ``route_bounds`` computes
     it; ``value`` and ``upper`` are that sum.  ``terms_used`` is pinned at
-    ``1`` and ``tail_estimate`` at ``0``: nothing is truncated, and both
-    stay only to keep the report schema.  ``converged`` is false whenever
+    ``1`` and ``tail_estimate`` at ``0``: nothing is truncated.  No report
+    prints them; they stay because the benchmark's span recorder reads
+    ``terms_used``.  ``converged`` is false whenever
     the ratio is >= 1; no finite bound exists there, and the value is
     ``inf`` (``0`` when the first term vanishes).
     """
@@ -404,8 +406,9 @@ def contract_bound_closed_form(
         theta * (2 + 2**(p/s)) * r / (2 * (1 - r)) * |x|**p
 
     with ``r = route_ratio(Mode.CONTRACT, power(theta, p), s, tau)``; valid
-    only for ``r < 1``.  Dividing through by ``2**(p/s+1)`` gives the form
-    ``theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p`` reports print.
+    only for ``r < 1``.  A library and test oracle only: no route reads it,
+    and where ``r`` underflows to ``0`` while ``|x|**p`` overflows it is
+    ``inf * 0 = nan``, though ``route_bounds`` gives ``inf``.
     """
     r = route_ratio(Mode.CONTRACT, ControlFunction.power(theta, p), s, tau)
     if not r < 1.0:

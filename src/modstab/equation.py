@@ -12,9 +12,7 @@ Each formula is one array kernel: ``radical_root_many`` the real root,
 ``defect_many`` the defect at a batch of triples and ``control_eval_many``
 the control.  ``defect`` and ``pair_additivity_defect`` evaluate at one
 point through those kernels.  Only ``control_eval`` is written out for one
-triple, because its caller evaluates it a few hundred times per sweep at
-single triples, where a scalar call is about 50 times cheaper than a batch
-of one.
+triple; no pipeline code calls it (see its docstring).
 """
 
 from __future__ import annotations
@@ -193,11 +191,10 @@ def control_eval(alpha: ControlFunction, x: float, y: float, z: float) -> float:
     """Evaluate the control function at a triple.
 
     Where a power overflows the value is ``inf`` (``0`` for a zero control),
-    so no caller guards the call.  This stays a scalar beside
-    ``control_eval_many``: ``pipeline._scaling_check`` makes 510 calls per
-    round of the benchmark's 360-cell sweep, each at a single triple, and on
-    a 2-vCPU x86-64 host a scalar call took about 0.25 us where a batch of
-    one took about 13 us.
+    so no caller guards the call.  No pipeline code calls it: every
+    evaluation there is ``control_eval_many``, which the tests hold to this
+    scalar bit for bit.  It stays a scalar for library callers and because
+    the benchmark's span recorder counts its calls by name.
     """
     if alpha.kind == "power":
         try:

@@ -248,10 +248,13 @@ class FixedPointResult:
     five-distance contraction ratio observed at step ``k`` (diagnostic only).
     ``delta_hat_window`` is the largest pairwise gap over the computed
     iterates, read off each sample's running range -- the finite-window
-    stand-in for an all-pairs supremum.  ``values``, ``point_gap`` and
-    ``bound`` are read-only float64 arrays; whether the final iterate meets
-    ``bound`` is ``verify_stability_bound``'s check.  ``function`` is the
-    final iterate's ``limit_function`` handle on the route's table.
+    stand-in for an all-pairs supremum.  No verdict reads the two, but a
+    report keeps them: they sample the fixed-point method's hypotheses, a
+    bounded orbit of ``phi`` and a quasi-contraction.  ``values``,
+    ``point_gap`` and ``bound`` are read-only float64 arrays; whether the
+    final iterate meets ``bound`` is ``verify_stability_bound``'s check.
+    ``function`` is the final iterate's ``limit_function`` handle on the
+    route's table.
     """
 
     values: np.ndarray
@@ -323,7 +326,7 @@ def fixed_point_solve(
     cols = table.grid_index
     bounds = route_bounds(Mode.EXPAND, None, l_factor, line[cols])
     x, end = representative_point(grid)
-    require_finite_bound(x, {"fixed-point bound": bounds[end]}, "l_hat", l_factor)
+    require_finite_bound(x, "fixed-point bound", bounds[end], "l_hat", l_factor)
     samples = np.flatnonzero(line > 0.0)
     denoms = line[samples]
 

@@ -1,6 +1,6 @@
 """Experiment orchestration: run the constructions, verify, and report.
 
-``run_experiment`` produces a report dict (schema ``modstab-report/1``) plus
+``run_experiment`` produces a report dict (schema ``modstab-report/2``) plus
 an exit code; ``run_sweep`` fans a base experiment out over parameter axes
 and collects one summary row per cell and method.  Report dicts contain only
 deterministic content -- no timestamps, no absolute paths -- so identical
@@ -65,15 +65,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SWEEP_AXES, ExperimentConfig, SweepConfig, cell_config
-from .direct import (Mode, construct_limit, contract_bound_closed_form, doubling_constant,
-                     limit_function, representative_point, require_convergent,
-                     require_finite_bound, route_bounds, route_line, route_ratio)
-from .equation import control_eval, control_eval_many, control_power_sums
+from .direct import (Mode, construct_limit, doubling_constant, limit_function,
+                     representative_point, require_convergent, require_finite_bound,
+                     route_bounds, route_line, route_ratio)
+from .equation import control_eval_many, control_power_sums
 from .errors import (ArgumentError, ContractViolation, DefectHypothesisError, ModstabError,
                      RegimeError)
 from .fixedpoint import audit_defects, audit_ratios, estimate_contraction, fixed_point_solve
 from .iterates import IterateTable
-from .modular import check_modular_axioms, estimate_delta2, parse_modular, pow_or_inf
+from .modular import check_modular_axioms, estimate_delta2, parse_modular
 from .report import Columns, canonical_json, csv_lines
 from .sampling import corner_triples, seeded_triples, standard_ladder
 from .verify import (additivity_pairs, cross_check, verify_oddness,
@@ -95,7 +95,7 @@ EXIT_CHECK_FAILED = 2
 EXIT_IO = 3
 EXIT_CONFIG = 4
 
-SCHEMA = "modstab-report/1"
+SCHEMA = "modstab-report/2"
 AUDIT_TRIPLES = 500
 # What a route raises when a hypothesis fails; a report shows it as the route's regime.
 REFUSALS = (ContractViolation, RegimeError, DefectHypothesisError)
@@ -169,28 +169,6 @@ def _limit_checks(cfg: ExperimentConfig, memo: dict, key: tuple, function) -> tu
     ))
 
 
-def _scaling_check(cfg: ExperimentConfig, mode: Mode, tau: float | None, n: int) -> dict:
-    # Rescaled control values must die out along the route's scaling; checked
-    # at the grid's outer magnitude up to the achieved iteration count.
-    r = max(abs(cfg.grid.lo), abs(cfg.grid.hi))
-    s = cfg.params.s
-
-    def value_at(k: int) -> float:
-        if mode is Mode.CONTRACT:
-            arg = r / 2.0 ** (k / s)
-            return pow_or_inf(tau, k) * control_eval(cfg.alpha, arg, arg, arg)
-        arg = 2.0 ** (k / s) * r
-        return control_eval(cfg.alpha, arg, arg, arg) / 2.0**k
-
-    initial, final = value_at(0), value_at(n)
-    return {
-        "n": n,
-        "initial": initial,
-        "final": final,
-        "vanishing": final <= 1e-6 * max(1.0, initial),
-    }
-
-
 class _Route(NamedTuple):
     """A route's report section, and what ``_run`` and its summary row read: the rate it
     was gated on (``None`` without a doubling constant) and, if it finished, its step
@@ -252,18 +230,9 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> _Route:
                     else route_line(mode, cfg.alpha, s, table.point_array[cols]))
         row = route_bounds(mode, tau, ratio, line)
         value = float(row[end])
-        section["series"] = {"value": value, "terms_used": 1, "tail_estimate": 0.0,
-                             "upper": value + 0.0, "converged": converged, "ratio": ratio}
+        section["series"] = {"value": value, "converged": converged, "ratio": ratio}
         require_convergent(ratio)
-        representative = {"series bound": section["series"]["upper"]}
-        if mode is Mode.CONTRACT and cfg.alpha.kind == "power":
-            closed = contract_bound_closed_form(cfg.alpha.theta, cfg.alpha.p, s, tau, x_repr)
-            section["closed_form"] = {
-                "value_at_representative": closed,
-                "formula": "theta*(2+2^(p/s))*tau^2/(2*(2^(p/s+1)-tau^2))*|x|^p",
-            }
-            representative["closed form"] = closed
-        require_finite_bound(x_repr, representative, "ratio", ratio)
+        require_finite_bound(x_repr, "series bound", value, "ratio", ratio)
         limit = _once(memo, ("limit", mode, cfg.params, cfg.modular), lambda: construct_limit(
             mode, cfg.phi, cfg.params, cfg.modular, cfg.grid,
             tol=cfg.tol, n_max=cfg.n_max, table=table))
@@ -272,7 +241,6 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> _Route:
 
     bounds = row + 0.0  # so that a -0.0 bound prints as 0, as tests/test_cli.py pins
     section["limit"] = {"achieved_n": limit.achieved_n, "saturated": limit.saturated}
-    section["scaling_check"] = _scaling_check(cfg, mode, tau, limit.achieved_n)
     shift = cfg.params.q * table.origin() if mode is Mode.EXPAND else 0.0
     return _finish_route(cfg, memo, section, section["limit"], ratio,
                          (mode, s, limit.achieved_n, shift), limit.function,

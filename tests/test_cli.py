@@ -57,10 +57,10 @@ class TestRun:
         out = tmp_path / "report.json"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
-        assert rep["schema"] == "modstab-report/1"
+        assert rep["schema"] == "modstab-report/2"
         sec = rep["methods"]["t2"]
         assert sec["regime"]["ok"] and sec["series"]["converged"]
-        assert sec["series"]["upper"] == pytest.approx(0.1, rel=1e-9)
+        assert sec["series"]["value"] == pytest.approx(0.1, rel=1e-9)
         assert all(c["passed"] for c in sec["checks"])
         assert rep["exit_code"] == 0
         # per-point rows carry the full record
@@ -361,8 +361,8 @@ class TestRegimeGates:
 
     def test_non_finite_bound_refuses_the_route(self, tmp_path):
         # The contract ratio 2 * 2**(-1e300/3) underflows to 0, while
-        # |x|**1e300 overflows: the series bound is inf and the closed form
-        # inf * 0 = nan, so a ratio below 1 certifies nothing.
+        # |x|**1e300 overflows at x = 10: the series bound is inf, so a ratio
+        # below 1 certifies nothing.  The report prints that one bound.
         cfg = write_cfg(tmp_path, alpha="power:theta=1,p=1e300", method="t1")
         out = tmp_path / "r.json"
         assert main(["run", str(cfg), "--out", str(out)]) == 2
@@ -372,11 +372,11 @@ class TestRegimeGates:
             "ok": False,
             "ratio": 0,
             "error": "error bound at the representative point 10 is not finite "
-                     "(series bound inf, closed form nan) although the term ratio "
+                     "(series bound inf) although the term ratio "
                      "0 < 1; no usable bound exists here",
         }
-        assert sec["series"]["upper"] == "inf" and sec["series"]["converged"]
-        assert sec["closed_form"]["value_at_representative"] == "nan"
+        assert sec["series"] == {"value": "inf", "converged": True, "ratio": 0}
+        assert "closed_form" not in sec
         assert "limit" not in sec and "checks" not in sec
         assert not rep["regime_ok"]
 
@@ -449,8 +449,8 @@ def _direct_gates(mode):
         ratio = route_ratio(mode, cfg.alpha, cfg.params.s, tau)
         require_convergent(ratio)
         x, _ = representative_point(cfg.grid)
-        bound = series_bound_expand(cfg.alpha, cfg.params.s, x).upper
-        require_finite_bound(x, {"series bound": bound}, "ratio", ratio)
+        bound = series_bound_expand(cfg.alpha, cfg.params.s, x).value
+        require_finite_bound(x, "series bound", bound, "ratio", ratio)
     return gates
 
 
@@ -700,7 +700,7 @@ def test_stdout_when_no_out(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     cfg.write_text(cfg.read_text())
     assert main(["run", str(cfg)]) == 0
-    assert capsys.readouterr().out.startswith('{"schema":"modstab-report/1"')
+    assert capsys.readouterr().out.startswith('{"schema":"modstab-report/2"')
 
 
 def test_readme_config_runs(tmp_path):

@@ -93,7 +93,9 @@ def test_duplicate_key_rejected():
         parse_experiment(GOOD.replace("s = 3", "s = 3\ns = 5"))
 
 
-POWER_GOOD = GOOD.replace("spec = const:eps=0.1", "spec = power:theta=0.5,p=1")
+# A sweep writes JSON reports to its own directory: its [run] takes neither out nor format.
+SWEEP_GOOD = GOOD.replace("out = report.json\nformat = json\n", "")
+POWER_GOOD = SWEEP_GOOD.replace("spec = const:eps=0.1", "spec = power:theta=0.5,p=1")
 
 
 def test_sweep_axes_and_order():
@@ -125,8 +127,22 @@ def test_sweep_cap_enforced():
 
 
 def test_empty_axis_rejected():
-    with pytest.raises(ConfigError):
-        parse_sweep(GOOD + "\n[sweep]\np = ,\n")
+    with pytest.raises(ConfigError, match=r"^\[sweep\] p: empty value list$"):
+        parse_sweep(SWEEP_GOOD + "\n[sweep]\np = ,\n")
+
+
+@pytest.mark.parametrize("line, why", [
+    ("out = report.json", "its directory is [sweep] outdir or --out"),
+    ("format = csv", "its cell reports are JSON"),
+])
+def test_sweep_refuses_the_run_keys_it_would_ignore(line, why):
+    # A run reads [run] out and format; a sweep never did, so setting them is an error.
+    key = line.split()[0]
+    text = POWER_GOOD.replace("seed = 42\n", f"seed = 42\n{line}\n") + "\n[sweep]\np = 1,2\n"
+    with pytest.raises(ConfigError) as caught:
+        parse_sweep(text)
+    assert str(caught.value) == f"[run] {key} is not a sweep key: {why}"
+    assert parse_experiment(text.partition("\n[sweep]")[0]).method == "t2"
 
 
 @pytest.mark.parametrize("axis, values, message", [
@@ -152,7 +168,7 @@ def test_sweep_axis_value_a_cell_cannot_parse_is_config_error(axis, values, mess
 @pytest.mark.parametrize("axis", ["p", "theta"])
 def test_control_axis_needs_a_power_control(axis):
     with pytest.raises(ConfigError, match="need a power control function"):
-        parse_sweep(GOOD + f"\n[sweep]\n{axis} = 1,2\n")
+        parse_sweep(SWEEP_GOOD + f"\n[sweep]\n{axis} = 1,2\n")
 
 
 def test_sweep_axis_values_that_every_cell_parses_are_kept_as_text():

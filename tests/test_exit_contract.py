@@ -10,6 +10,7 @@ Small sweeps over extreme control parameters, modulars, functions and grids
 must do the same and leave their summary.
 """
 
+import codecs
 import json
 import math
 import os
@@ -155,6 +156,43 @@ def test_a_refused_command_line_exits_4(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"config error: {message}") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+NOT_UTF8 = "config error: config file is not UTF-8: byte 0x{:02x} at offset {} ({})\n"
+
+
+@pytest.mark.parametrize("encode, line", [
+    (lambda text: b"\xff\xfe" + text.encode(), NOT_UTF8.format(0xff, 0, "invalid start byte")),
+    (lambda text: codecs.BOM_UTF16_BE + text.encode("utf-16-be"),
+     NOT_UTF8.format(0xfe, 0, "invalid start byte")),
+    (lambda text: ("# caf\xe9\n" + text).encode("latin-1"),
+     NOT_UTF8.format(0xe9, 5, "invalid continuation byte")),
+    (lambda text: codecs.BOM_UTF8 + text.encode(),
+     "config error: config file starts with a UTF-8 byte order mark (ef bb bf); "
+     "save it as UTF-8 without one\n"),
+], ids=["ff_fe", "utf16", "latin1", "utf8_bom"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_config_file_that_is_not_plain_utf8_exits_4(tmp_path, capsys, command, encode, line):
+    # Decoding fails before any parse: one config error line that names the
+    # offending byte and its offset in the file, and nothing written.  A BOM
+    # is refused by name rather than skipped, as it was refused before.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(encode(CONFIG.format(**BASE) + (SWEEP if command == "sweep" else "")))
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr() == ("", line)
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_a_crlf_config_writes_the_bytes_of_its_lf_twin(tmp_path):
+    # The file is decoded as bytes, with no newline translation; the parser
+    # splits lines itself, so \r\n reads as \n.
+    text = CONFIG.format(**BASE)
+    (tmp_path / "lf.cfg").write_bytes(text.encode())
+    (tmp_path / "crlf.cfg").write_bytes(text.replace("\n", "\r\n").encode())
+    codes = [main(["run", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / f"{name}.json")])
+             for name in ("lf", "crlf")]
+    assert codes == [2, 2]  # the base config's t1 is refused
+    assert (tmp_path / "lf.json").read_bytes() == (tmp_path / "crlf.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["sweep", "--help"]])

@@ -18,34 +18,20 @@ benchmark's ``regime_edge`` workload the same way, at the same two seeds.
 in JSON and CSV for two power modulars, one whose doubling excess is ``nan``
 at a ladder sample (``power:p=100``) and the ``exp`` modular.
 
-Regenerate a golden only for an intended output change, and list each
-changed field in CHANGES.md::
+Regenerate the goldens only for an intended output change, with
+``tests/golden/regen.py``: it runs every config above on a parent commit and
+on the working tree, prints the leaf diff by path pattern and every verdict
+that flips, and only then, with ``--write``, rewrites the goldens and the
+``expected.sha256`` files.  List each changed field in CHANGES.md::
 
-    PYTHONPATH=src python -m modstab.cli run tests/golden/NAME.cfg \\
-        --out tests/golden/NAME.json
-    PYTHONPATH=src python -m modstab.cli sweep tests/golden/SWEEP/sweep.cfg \\
-        --out tests/golden/SWEEP/expected
-    cd tests/golden/large_grid && for seed in 0 7; do \\
-        PYTHONPATH=../../../src python -m modstab.cli run large_grid.cfg \\
-        --seed $seed --out report_seed$seed.json; done && \\
-        sha256sum report_seed*.json > expected.sha256 && rm report_seed*.json
-    (the same in tests/golden/large_grid_cliff, with large_grid_cliff.cfg)
-    cd tests/golden/regime_edge && for side in expand contract; do \\
-        for seed in 0 7; do PYTHONPATH=../../../src python -m modstab.cli run \\
-        regime_edge_$side.cfg --seed $seed --out regime_edge_${side}_seed$seed.json; \\
-        done; done && sha256sum regime_edge_*.json > expected.sha256 && \\
-        rm regime_edge_*.json
-    cd tests/golden/check_modular && for spec in power:p=1 power:p=2 \\
-        power:p=100 exp; do name=$(echo $spec | tr ':=' '__'); \\
-        PYTHONPATH=../../../src python -m modstab.cli check-modular $spec \\
-        --out $name.json; \\
-        PYTHONPATH=../../../src python -m modstab.cli check-modular $spec \\
-        --format csv --out $name.csv; done
+    python tests/golden/regen.py HEAD --write
 """
 
 import hashlib
+import importlib.util
 import itertools
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,3 +153,65 @@ def test_check_modular_report_is_byte_identical(spec, fmt, tmp_path):
     out = tmp_path / name
     assert main(["check-modular", spec, "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == (CHECK_MODULAR / name).read_bytes()
+
+
+def _regen():
+    # tests/golden is not a package; its dataclasses need the module registered.
+    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+regen = _regen()
+
+
+def _report(series: dict, passed: bool = True) -> dict:
+    """A small in-memory report: two routes with ``series`` and one check each."""
+    section = {"regime": {"ok": True, "ratio": 0.5}, "series": dict(series),
+               "checks": [{"name": "stability_bound", "passed": passed, "worst_value": 0.0}]}
+    return {"schema": "modstab-report/1",
+            "methods": {"t1": section, "t2": {**section, "series": dict(series)}},
+            "regime_ok": True, "checks_passed": passed, "exit_code": 0 if passed else 2}
+
+
+def test_the_diff_tool_groups_a_dropped_field_by_path_pattern():
+    old = _report({"value": 0.25, "terms_used": 1, "converged": True})
+    new = _report({"value": 0.25, "converged": True})
+    changes = regen.diff_reports(old, new)
+    assert [(c.path, c.kind) for c in changes] == [
+        (("methods", "t1", "series", "terms_used"), "removed"),
+        (("methods", "t2", "series", "terms_used"), "removed"),
+    ]
+    assert regen.summarize(changes) == ["methods.*.series.terms_used: 2 removed"]
+    assert not any(c.flips_a_verdict for c in changes)
+    assert regen.diff_reports(old, old) == []
+
+
+def test_the_diff_tool_lists_a_flipped_verdict():
+    old, new = _report({"value": 0.25}), _report({"value": 0.25}, passed=False)
+    new["schema"] = "modstab-report/2"
+    changes = regen.diff_reports(old, new)
+    flips = [".".join(map(str, c.path)) for c in changes if c.flips_a_verdict]
+    assert flips == ["checks_passed", "exit_code", "methods.t1.checks.0.passed",
+                     "methods.t2.checks.0.passed"]
+    assert regen.summarize(changes) == [
+        "checks_passed: 1 changed (true -> false)",
+        "exit_code: 1 changed (0 -> 2)",
+        "methods.*.checks.*.passed: 2 changed (true -> false)",
+        'schema: 1 changed ("modstab-report/1" -> "modstab-report/2")',
+    ]
+
+
+def test_the_diff_tool_compares_leaves_as_printed():
+    # A removed verdict leaf is a removal, not a flip; -0 and 0 are different
+    # leaves; and a value that moves two ways shows no single pair.
+    old = regen.load_report('{"a":[-0,1,2],"ok":true,"x":{"b":1e300}}')
+    new = regen.load_report('{"a":[0,1,3],"x":{"b":1.0000000000000001e+300}}')
+    changes = regen.diff_reports(old, new)
+    assert [(c.path, c.kind) for c in changes] == [
+        (("a", 0), "changed"), (("a", 2), "changed"), (("ok",), "removed"),
+        (("x", "b"), "changed")]
+    assert not any(c.flips_a_verdict for c in changes)
+    assert regen.summarize(changes) == ["a.*: 2 changed", "ok: 1 removed",
+                                        "x.b: 1 changed (1e300 -> 1.0000000000000001e+300)"]

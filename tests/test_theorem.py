@@ -16,7 +16,9 @@ Each control carries a relative margin of ``1e-12`` over the derived
 constant.  Over draws of ``s`` in {3, 5, 7}, ``q``, ``c``, ``a``, ``p``
 away from ``s`` and grids from +-1e-3 to +-1e6, every route that runs to its
 checks (its regime is ok) has ``rho(phi(x) - shift - c*x**s) <= bound`` at
-every grid point in 200-bit mpmath, and at ``p = s`` every route refuses.
+every grid point in 200-bit mpmath, and, unless it saturated, a ``value``
+within ``tests/test_oracle.py``'s ``value_tolerance`` of ``c*x**s``; at
+``p = s`` every route refuses.
 """
 
 import json
@@ -28,6 +30,7 @@ import oracle
 from modstab.config import parse_experiment
 from modstab.pipeline import run_experiment
 from modstab.report import canonical_json
+from test_oracle import value_tolerance
 
 CONFIG = """\
 [equation]
@@ -85,6 +88,9 @@ def _envnoise_case(s, q, c, a, p, seed):
 def _assert_certified(report):
     for route in oracle.routes(report):
         assert oracle.bound_violations(route) == [], route.method
+        if not route.saturated:
+            worst = max(oracle.relative_errors(route))
+            assert worst <= value_tolerance(route), (route.method, worst)
 
 
 @PROFILE
@@ -111,3 +117,19 @@ def test_every_route_refuses_at_p_equal_to_s(s, q, c, a, seed, grid):
     phi, alpha = _envnoise_case(s, q, c, a, float(s), seed)
     report = _report(s, q, phi, alpha, grid)
     assert [sec["regime"]["ok"] for sec in report["methods"].values()] == [False] * 3
+
+
+def test_a_contract_bound_that_underflows_to_zero_is_certified():
+    # At p = 1e300 the contract ratio 2 * 2**(-1e300/3) underflows to 0 and
+    # |x|**1e300 to 0 inside the unit interval, so t1's bound is 1 at the
+    # ends and 0 at +-0.5 and 0.  The one bound is finite, so t1 runs; the
+    # expand ratio 2**(1e300/3)/2 overflows, and t2 and the fixed point refuse.
+    report = _report(3, 1.0, "mono(1,3)", "power:theta=1,p=1e300", (-1.0, 1.0, 5))
+    t1 = report["methods"]["t1"]
+    assert t1["regime"] == {"ok": True, "ratio": 0}
+    assert t1["series"] == {"value": 1, "converged": True, "ratio": 0}
+    assert t1["limit"]["achieved_n"] == 2 and all(c["passed"] for c in t1["checks"])
+    assert [row["bound"] for row in t1["limit"]["points"]] == [1, 0, 0, 0, 1]
+    assert [sec["regime"]["ok"] for sec in report["methods"].values()] == [True, False, False]
+    (route,) = oracle.routes(report)
+    assert route.method == "t1" and oracle.bound_violations(route) == []
