@@ -15,7 +15,8 @@ the working tree's, in a fresh process each:
 * ``check-modular`` in JSON and CSV for the four pinned specs;
 * the digest directories ``large_grid``, ``large_grid_cliff`` and
   ``regime_edge`` at seeds 0 and 7;
-* any ``--extra`` run config, which is diffed and never written.
+* any ``--extra`` run config, as JSON whatever its format, which is diffed
+  and never written.
 
 The tool prints which outputs, exit codes and stderr texts are byte-identical,
 then the leaf diff of every JSON output grouped by path pattern (a method
@@ -27,7 +28,10 @@ differ.  With ``--write``, and only after that diff is printed, the working
 tree's outputs replace the goldens and the ``expected.sha256`` files.
 
 ``diff_reports`` and ``summarize`` are pure functions over two report dicts;
-``tests/test_golden.py`` tests them on in-memory reports.
+``tests/test_golden.py`` tests them on in-memory reports.  The golden
+inventory (``RUN_CONFIGS``, ``SWEEPS``, ``CHECK_MODULAR_SPECS``, ``SEEDS``,
+``DIGESTS``) is kept here only: ``tests/test_golden.py`` checks each golden
+it names against the working tree.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ REPO = GOLDEN.parents[1]
 
 VERDICT_KEYS = frozenset({"passed", "ok", "hypothesis_ok", "regime_ok", "checks_passed",
                           "all_passed", "exit_code"})
+RUN_CONFIGS = tuple(sorted(GOLDEN.glob("*.cfg")))
 SWEEPS = ("sweep_small", "sweep_axes")
+CHECK_MODULAR = GOLDEN / "check_modular"
 CHECK_MODULAR_SPECS = ("power:p=1", "power:p=2", "power:p=100", "exp")
 SEEDS = (0, 7)
 # Each digest directory: its configs, in the order of its expected.sha256, and the
@@ -62,6 +68,24 @@ DIGESTS = {
     "regime_edge": (("regime_edge_expand.cfg", "regime_edge_contract.cfg"),
                     "{stem}_seed{seed}.json"),
 }
+
+
+def expected_output(cfg: Path) -> Path:
+    """The golden of run config ``cfg``: its stem, with the suffix of its format."""
+    (path,) = [p for p in GOLDEN.glob(f"{cfg.stem}.*") if p.suffix != ".cfg"]
+    return path
+
+
+def check_modular_name(spec: str, fmt: str) -> str:
+    """The golden file of ``check-modular spec --format fmt``."""
+    return f"{spec.replace(':', '_').replace('=', '_')}.{fmt}"
+
+
+def digest_reports() -> list[tuple[str, str, int, str]]:
+    """``(case, config, seed, report name)`` of every digested report."""
+    return [(case, cfg, seed, template.format(stem=Path(cfg).stem, seed=seed))
+            for case, (configs, template) in DIGESTS.items() for cfg in configs
+            for seed in SEEDS]
 
 
 # ---------------------------------------------------------------- the pure diff core
@@ -174,25 +198,23 @@ class Job:
 
 def _run_jobs(extras: list[Path]) -> list[Job]:
     jobs = []
-    for cfg in sorted(GOLDEN.glob("*.cfg")):
-        (expected,) = [p for p in GOLDEN.glob(f"{cfg.stem}.*") if p.suffix != ".cfg"]
-        jobs.append(Job(f"run {cfg.name}", ("run", str(cfg), "--out", expected.name)))
+    for cfg in RUN_CONFIGS:
+        jobs.append(Job(f"run {cfg.name}", ("run", str(cfg), "--out",
+                                           expected_output(cfg).name)))
     for cfg in extras:
-        jobs.append(Job(f"extra {cfg}", ("run", str(cfg.resolve()), "--out", "extra.json")))
+        jobs.append(Job(f"extra {cfg}", ("run", str(cfg.resolve()), "--format", "json",
+                                         "--out", "extra.json")))
     for sweep in SWEEPS:
         jobs.append(Job(f"sweep {sweep}", ("sweep", str(GOLDEN / sweep / "sweep.cfg"),
                                            "--out", "expected")))
     for spec in CHECK_MODULAR_SPECS:
         for fmt in ("json", "csv"):
-            name = f"{spec.replace(':', '_').replace('=', '_')}.{fmt}"
+            name = check_modular_name(spec, fmt)
             jobs.append(Job(f"check-modular {name}",
                             ("check-modular", spec, "--format", fmt, "--out", name)))
-    for case, (configs, template) in DIGESTS.items():
-        for cfg in configs:
-            for seed in SEEDS:
-                name = template.format(stem=Path(cfg).stem, seed=seed)
-                jobs.append(Job(f"{case} {name}", ("run", str(GOLDEN / case / cfg),
-                                                   "--seed", str(seed), "--out", name)))
+    for case, cfg, seed, name in digest_reports():
+        jobs.append(Job(f"{case} {name}", ("run", str(GOLDEN / case / cfg),
+                                           "--seed", str(seed), "--out", name)))
     return jobs
 
 
@@ -274,7 +296,7 @@ def _write(jobs, new: dict) -> None:
             elif kind == "sweep":
                 (GOLDEN / job.label.split()[1] / name).write_bytes(data)
             elif kind == "check-modular":
-                (GOLDEN / "check_modular" / name).write_bytes(data)
+                (CHECK_MODULAR / name).write_bytes(data)
             else:
                 (GOLDEN / name).write_bytes(data)
     for case, lines in digests.items():

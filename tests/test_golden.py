@@ -43,12 +43,23 @@ from modstab.pipeline import run_experiment
 from modstab.report import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden"
-RUN_CASES = sorted(p.stem for p in GOLDEN.glob("*.cfg"))
+
+
+def _regen():
+    # tests/golden is not a package; its dataclasses need the module registered.
+    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The golden inventory is regen's, so the tool and these tests cannot disagree on it.
+regen = _regen()
+RUN_CASES = [cfg.stem for cfg in regen.RUN_CONFIGS]
 
 
 def _expected(name: str) -> Path:
-    (path,) = [p for p in GOLDEN.glob(f"{name}.*") if p.suffix != ".cfg"]
-    return path
+    return regen.expected_output(GOLDEN / f"{name}.cfg")
 
 
 def test_golden_cases_are_present():
@@ -71,29 +82,23 @@ def _digests(case: Path) -> dict:
                 for line in (case / "expected.sha256").read_text().splitlines())
 
 
-def _assert_digest(case: Path, cfg: str, seed: int, name: str, tmp_path: Path) -> None:
+def _assert_digest(case: str, cfg: str, seed: int, name: str, tmp_path: Path) -> None:
     out = tmp_path / name
-    assert main(["run", str(case / cfg), "--seed", str(seed), "--out", str(out)]) == 2
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests(case)[name]
+    assert main(["run", str(GOLDEN / case / cfg), "--seed", str(seed), "--out", str(out)]) == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests(GOLDEN / case)[name]
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_large_grid_report_digest(seed, tmp_path):
-    _assert_digest(GOLDEN / "large_grid", "large_grid.cfg", seed, f"report_seed{seed}.json",
-                   tmp_path)
+def test_every_digest_is_checked():
+    # Each expected.sha256 lists exactly the reports regen digests, in its order.
+    for case in regen.DIGESTS:
+        assert list(_digests(GOLDEN / case)) == [
+            name for c, _, _, name in regen.digest_reports() if c == case]
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_large_grid_cliff_report_digest(seed, tmp_path):
-    _assert_digest(GOLDEN / "large_grid_cliff", "large_grid_cliff.cfg", seed,
-                   f"report_seed{seed}.json", tmp_path)
-
-
-@pytest.mark.parametrize("side", ["expand", "contract"])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_regime_edge_report_digest(side, seed, tmp_path):
-    _assert_digest(GOLDEN / "regime_edge", f"regime_edge_{side}.cfg", seed,
-                   f"regime_edge_{side}_seed{seed}.json", tmp_path)
+@pytest.mark.parametrize("case,cfg,seed,name", regen.digest_reports(),
+                         ids=[f"{case}/{name}" for case, _, _, name in regen.digest_reports()])
+def test_report_digest(case, cfg, seed, name, tmp_path):
+    _assert_digest(case, cfg, seed, name, tmp_path)
 
 
 @pytest.mark.parametrize("budget", [1, 10**7])
@@ -104,28 +109,19 @@ def test_reports_do_not_depend_on_the_row_block_size(budget, monkeypatch, tmp_pa
     monkeypatch.setattr(iterates, "BLOCK_POINTS", budget)
     for name in ("saturated_window", "asymmetric_offset", "contract_ok"):
         test_run_report_is_byte_identical(name, tmp_path)
-    for side in ("expand", "contract"):
-        _assert_digest(GOLDEN / "regime_edge", f"regime_edge_{side}.cfg", 0,
-                       f"regime_edge_{side}_seed0.json", tmp_path)
-    _assert_digest(GOLDEN / "large_grid_cliff", "large_grid_cliff.cfg", 0,
-                   "report_seed0.json", tmp_path)
+    for case, cfg, seed, name in regen.digest_reports():
+        if case in ("regime_edge", "large_grid_cliff") and seed == 0:
+            _assert_digest(case, cfg, seed, name, tmp_path)
 
 
-def _assert_sweep_matches(case: Path, tmp_path: Path) -> None:
-    expected = case / "expected"
+@pytest.mark.parametrize("sweep", regen.SWEEPS)
+def test_sweep_directory_is_byte_identical(sweep, tmp_path):
+    expected = GOLDEN / sweep / "expected"
     out = tmp_path / "sweep"
-    assert main(["sweep", str(case / "sweep.cfg"), "--out", str(out)]) == 0
+    assert main(["sweep", str(GOLDEN / sweep / "sweep.cfg"), "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
     for name in sorted(os.listdir(expected)):
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
-
-
-def test_sweep_directory_is_byte_identical(tmp_path):
-    _assert_sweep_matches(GOLDEN / "sweep_small", tmp_path)
-
-
-def test_sweep_over_every_axis_is_byte_identical(tmp_path):
-    _assert_sweep_matches(GOLDEN / "sweep_axes", tmp_path)
 
 
 def test_each_sweep_cell_equals_a_standalone_run():
@@ -143,27 +139,13 @@ def test_each_sweep_cell_equals_a_standalone_run():
         assert canonical_json(report) == expected, idx
 
 
-CHECK_MODULAR = GOLDEN / "check_modular"
-
-
-@pytest.mark.parametrize("spec", ["power:p=1", "power:p=2", "power:p=100", "exp"])
+@pytest.mark.parametrize("spec", regen.CHECK_MODULAR_SPECS)
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_check_modular_report_is_byte_identical(spec, fmt, tmp_path):
-    name = f"{spec.replace(':', '_').replace('=', '_')}.{fmt}"
+    name = regen.check_modular_name(spec, fmt)
     out = tmp_path / name
     assert main(["check-modular", spec, "--format", fmt, "--out", str(out)]) == 0
-    assert out.read_bytes() == (CHECK_MODULAR / name).read_bytes()
-
-
-def _regen():
-    # tests/golden is not a package; its dataclasses need the module registered.
-    spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-regen = _regen()
+    assert out.read_bytes() == (regen.CHECK_MODULAR / name).read_bytes()
 
 
 def _report(series: dict, passed: bool = True) -> dict:

@@ -12,23 +12,18 @@ properties, in 200-bit mpmath:
 * a route that is not saturated has ``|value - c*x**s| / (1 + |c*x**s|)``
   at most ``delta / (1 - r)`` at every point (``value_tolerance``).
 
-The tolerance is derived from ``tol``.  A direct route stops once the
-modular of its step stays below ``tol``, so that step moves a value by at
-most ``delta = rho^-1(tol)``: ``tol**(1/p)`` for ``power:p``, ``log1p(tol)``
-for ``exp``.  The fixed-point route stops once its sampled gap does, and
-that gap is the modular of the step over the control line ``alpha(x, x,
--2^(1/s) x)``, which is ``bound * 2 * (1 - L)`` at a grid point; so its
-``delta`` is ``rho^-1`` of ``tol`` times the largest line on the grid, a
-bound that is tighter than ``rho^-1(tol)`` where the line is below 1 and
-looser where it is above.  The modular grows with ``|u|``.  If the later
-steps shrink geometrically by the route's ratio ``r`` (``regime.ratio``, or
-``l_hat`` on the fixed-point route), the value lies within ``delta * r / (1 - r) < delta / (1 - r)`` of the limit, and
+The tolerance is derived from ``tol``.  A route stops once the modular of
+its step stays below ``tol`` (the fixed-point route: its sampled gap), so
+that step moves a value by at most ``delta = rho^-1(tol)``: ``tol**(1/p)``
+for ``power:p``, ``log1p(tol)`` for ``exp``.  The modular grows with
+``|u|``.  If the later steps shrink geometrically by the route's ratio
+``r`` (``regime.ratio``, or ``l_hat`` on the fixed-point route), the value
+lies within ``delta * r / (1 - r) < delta / (1 - r)`` of the limit, and
 ``1 + |c*x**s| >= 1`` turns that into a relative bound.  That is a model of
-the walk, not a theorem, and the measured errors sit well inside it, at
-most 3.1% of it: on ``power:p=2`` (``delta = sqrt(tol)``) 2.0e-6 against
-7.2e-5 on t2 and 3.1e-6 against 1.1e-4 on the fixed-point route, and on
-``power:p=1`` at ``tol = 1e-9`` 8.3e-11 against 2.7e-9 and 3.4e-10 against
-1.1e-8.  Rounding, about 1e-13 relative, fits inside it too.
+the walk, not a theorem, and the measured errors sit well inside it: at
+most 3.1e-6 against 7.2e-5 on ``power:p=2`` (``delta = sqrt(tol)``), and
+3.4e-10 against 2.3e-9 on ``power:p=1`` at ``tol = 1e-9``.  Rounding, about
+1e-13 relative, fits inside it too.
 """
 
 import dataclasses
@@ -67,10 +62,7 @@ def _report(case: str) -> dict:
 def value_tolerance(route: oracle.Route) -> float:
     """``delta / (1 - r)``: see the module docstring."""
     kind, _, p = route.spec.partition(":p=")
-    step = route.tol
-    if route.method == "fixedpoint":
-        step *= float(max(row["bound"] for row in route.points)) * 2.0 * (1.0 - route.ratio)
-    delta = math.log1p(step) if kind == "exp" else step ** (1.0 / float(p))
+    delta = math.log1p(route.tol) if kind == "exp" else route.tol ** (1.0 / float(p))
     return delta / (1.0 - route.ratio)
 
 

@@ -16,9 +16,10 @@ Each control carries a relative margin of ``1e-12`` over the derived
 constant.  Over draws of ``s`` in {3, 5, 7}, ``q``, ``c``, ``a``, ``p``
 away from ``s`` and grids from +-1e-3 to +-1e6, every route that runs to its
 checks (its regime is ok) has ``rho(phi(x) - shift - c*x**s) <= bound`` at
-every grid point in 200-bit mpmath, and, unless it saturated, a ``value``
-within ``tests/test_oracle.py``'s ``value_tolerance`` of ``c*x**s``; at
-``p = s`` every route refuses.
+every grid point in 200-bit mpmath, and, unless it saturated or is a
+fixed-point route under a control line above 1 (``_stops_within_tol``), a
+``value`` within ``tests/test_oracle.py``'s ``value_tolerance`` of
+``c*x**s``; at ``p = s`` every route refuses.
 """
 
 import json
@@ -85,10 +86,20 @@ def _envnoise_case(s, q, c, a, p, seed):
             f"power:theta={a * k * MARGIN!r},p={p!r}")
 
 
+def _stops_within_tol(route) -> bool:
+    """Whether the route's stop rule bounds the modular of its last step by ``tol``, as
+    ``value_tolerance`` assumes.  t1 and t2 stop on that modular.  The fixed-point route
+    stops on its sampled gap, the step's modular over the control line ``alpha(x, x,
+    -2^(1/s) x)``, which is ``bound * 2 * (1 - l_hat)`` at a point; that gap bounds the
+    step by ``tol`` only where the line is at most 1 (ROADMAP item 20)."""
+    return route.method != "fixedpoint" or all(
+        row["bound"] * 2 * (1 - route.ratio) <= 1 for row in route.points)
+
+
 def _assert_certified(report):
     for route in oracle.routes(report):
         assert oracle.bound_violations(route) == [], route.method
-        if not route.saturated:
+        if not route.saturated and _stops_within_tol(route):
             worst = max(oracle.relative_errors(route))
             assert worst <= value_tolerance(route), (route.method, worst)
 
