@@ -1,19 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 2 regime or check failure, 3 I/O failure
-or out of memory, 4 config error (unparsable, or a number a float cannot
-hold) or a command line the parser refuses.
+or out of memory, 4 config error (a byte that is not printable ASCII, text
+outside the input grammar of ``functions``, or a value out of range) or a
+command line the parser refuses.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
 import dataclasses
 import functools
 import sys
 
-from .config import check_run_number, parse_experiment, parse_sweep
+from .config import parse_experiment, parse_sweep, run_number
 from .errors import ConfigError, ModstabError
 from .pipeline import (
     EXIT_CHECK_FAILED,
@@ -56,25 +56,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), dest="fmt",
                        help="report format override")
     for p in (run, sweep):
-        p.add_argument("--tol", type=float, help="convergence tolerance override")
-        p.add_argument("--n-max", type=int, help="iteration cap override")
-        p.add_argument("--seed", type=int, help="sampling seed override")
+        p.add_argument("--tol", help="convergence tolerance override")
+        p.add_argument("--n-max", help="iteration cap override")
+        p.add_argument("--seed", help="sampling seed override")
     return parser
 
 
+# The bytes a config file may hold: printable ASCII, tab, CR and LF.
+_TEXT = bytes(range(0x20, 0x7f)) + b"\t\r\n"
+
+
 def _read(path: str) -> str:
-    """The config file at ``path``; a ``ConfigError`` unless it is UTF-8 with no BOM.
-    The parser splits lines itself, so ``\r\n`` needs no translation here."""
+    """The config file at ``path``; a ``ConfigError`` that names its first byte outside
+    ``_TEXT`` by value and offset.  The parser splits lines itself, so ``\r\n`` needs
+    no translation here."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data.startswith(codecs.BOM_UTF8):
-        raise ConfigError("config file starts with a UTF-8 byte order mark (ef bb bf); "
-                          "save it as UTF-8 without one")
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8: byte 0x{data[exc.start]:02x} at offset "
-                          f"{exc.start} ({exc.reason})") from None
+    bad = data.translate(None, _TEXT)
+    if bad:
+        raise ConfigError(f"config file has byte 0x{bad[0]:02x} at offset {data.index(bad[:1])}; "
+                          "only printable ASCII, tab, CR and LF are allowed")
+    return data.decode("ascii")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -85,18 +87,16 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _apply_overrides(cfg, args):
-    updates = {}
-    for key, label in (("tol", "--tol"), ("n_max", "--n-max"), ("seed", "--seed")):
-        value = getattr(args, key)
-        if value is not None:
-            check_run_number(key, value, label)
-            updates[key] = value
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+def _overrides(args) -> dict:
+    """The run numbers the command line sets, read and checked as the config's are."""
+    return {key: run_number(key, getattr(args, key), label)
+            for key, label in (("tol", "--tol"), ("n_max", "--n-max"), ("seed", "--seed"))
+            if getattr(args, key) is not None}
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(parse_experiment(_read(args.config)), args)
+    overrides = _overrides(args)
+    cfg = dataclasses.replace(parse_experiment(_read(args.config)), **overrides)
     report, code = run_experiment(cfg)
     text = write_report_text(report, cfg.fmt if args.fmt is None else args.fmt)
     _write(cfg.out if args.out is None else args.out, text)
@@ -104,10 +104,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    overrides = _overrides(args)
     sweep = parse_sweep(_read(args.config))
-    sweep = dataclasses.replace(sweep, base=_apply_overrides(sweep.base, args))
-    outdir = args.out if args.out is not None else sweep.outdir
-    summary_path, code = write_sweep(sweep, outdir)
+    sweep = dataclasses.replace(sweep, base=dataclasses.replace(sweep.base, **overrides))
+    summary_path, code = write_sweep(sweep, sweep.outdir if args.out is None else args.out)
     print(f"wrote {summary_path}")
     return code
 

@@ -1,30 +1,9 @@
 """Experiment and sweep configuration: flat key=value text with section headers.
 
-Example::
-
-    [equation]
-    s = 3
-    q = 1
-
-    [modular]
-    spec = power:p=1
-
-    [phi]
-    expr = mono(1,3) + sine(0.1,1)
-
-    [alpha]
-    spec = const:eps=0.1
-
-    [run]
-    method = t2
-    grid = -10,10,41
-    tol = 1e-9
-    n_max = 60
-    seed = 42
-    out = report.json
-    format = json
-
-A sweep config adds a ``[sweep]`` section with value lists over the axes
+The sections and keys are ``_EXPERIMENT_KEYS``; the README's "Command line"
+section has an example.  Every value is read through the input grammar of
+``functions`` (``parse_number``, ``parse_integer``, ``parse_spec``).  A
+sweep config adds a ``[sweep]`` section with value lists over the axes
 ``s``, ``q``, ``p``, ``theta`` and ``modular``, plus ``outdir``; its
 ``[run]`` section takes neither ``out`` nor ``format``.
 """
@@ -38,22 +17,24 @@ from dataclasses import dataclass, field
 from .direct import MAX_N
 from .equation import ControlFunction, EquationParams, parse_control
 from .errors import ArgumentError, ConfigError
-from .functions import FunctionHandle, parse_expression
+from .functions import FunctionHandle, parse_expression, parse_integer, parse_number
 from .modular import ModularSpec, parse_modular
 from .sampling import Grid
 
-__all__ = ["ExperimentConfig", "SweepConfig", "cell_config", "parse_experiment", "parse_sweep"]
+__all__ = ["ExperimentConfig", "SweepConfig", "axis_values", "cell_config", "parse_experiment",
+           "parse_sweep", "run_number"]
 
 METHODS = ("t1", "t2", "fixedpoint", "all")
 SWEEP_AXES = ("s", "q", "p", "theta", "modular")
 SWEEP_CAP = 10_000
 
+# Each section's required keys, then its optional ones.
 _EXPERIMENT_KEYS = {
-    "equation": {"s", "q"},
-    "modular": {"spec"},
-    "phi": {"expr"},
-    "alpha": {"spec"},
-    "run": {"method", "grid", "tol", "n_max", "seed", "out", "format"},
+    "equation": (("s", "q"), ()),
+    "modular": (("spec",), ()),
+    "phi": (("expr",), ()),
+    "alpha": (("spec",), ()),
+    "run": (("grid",), ("method", "tol", "n_max", "seed", "out", "format")),
 }
 
 
@@ -84,40 +65,22 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _float(sections, sec: str, key: str, default: float | None = None) -> float:
-    raw = sections.get(sec, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{sec}]")
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key}: not a number: {raw!r}") from exc
-
-
-def check_run_number(key: str, value, label: str) -> None:
-    """Range check of the run number ``key``; the error names the value ``label``."""
+def run_number(key: str, text: str, label: str) -> float | int:
+    """The run number ``key`` (``tol``, ``n_max`` or ``seed``), which a config and the
+    command line both set, read from ``text`` and range checked; the ``ConfigError``
+    that refuses it names the value ``label``."""
     if key == "tol":
-        ok, wanted = 0 < value < math.inf, "positive and finite"
+        value = parse_number(text, label)
+        ok, wanted = value > 0, "positive and finite"
     elif key == "n_max":
+        value = parse_integer(text, label)
         ok, wanted = 1 <= value <= MAX_N, f"in 1..{MAX_N}"
     else:  # numpy seeds only from non-negative integers
+        value = parse_integer(text, label)
         ok, wanted = value >= 0, "non-negative"
     if not ok:
         raise ConfigError(f"{label} must be {wanted}, got {value}")
-
-
-def _int(sections, sec: str, key: str, default: int | None = None) -> int:
-    raw = sections.get(sec, {}).get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{sec}]")
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key}: not an integer: {raw!r}") from exc
+    return value
 
 
 @dataclass(frozen=True)
@@ -162,16 +125,23 @@ class SweepConfig:
 
 
 def _build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
-    for sec, keys in _EXPERIMENT_KEYS.items():
+    unknown = set(sections) - set(_EXPERIMENT_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown section(s): {sorted(unknown)}")
+    for sec, (required, optional) in _EXPERIMENT_KEYS.items():
         if sec not in sections:
             raise ConfigError(f"missing required section [{sec}]")
-        unknown = set(sections[sec]) - keys
+        unknown = set(sections[sec]) - {*required, *optional}
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{sec}]")
+        for key in required:
+            if key not in sections[sec]:
+                raise ConfigError(f"missing required key {key!r} in [{sec}]")
 
+    equation = sections["equation"]
     try:
-        params = EquationParams(s=_int(sections, "equation", "s"),
-                                q=_float(sections, "equation", "q"))
+        params = EquationParams(s=parse_integer(equation["s"], "[equation] s"),
+                                q=parse_number(equation["q"], "[equation] q"))
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -186,42 +156,24 @@ def _build_experiment(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
     method = run.get("method", "").strip()
     if method not in METHODS:
         raise ConfigError(f"[run] method must be one of {METHODS}, got {method!r}")
-    grid_raw = run.get("grid")
-    if grid_raw is None:
-        raise ConfigError("missing required key 'grid' in [run]")
-    parts = [p.strip() for p in grid_raw.split(",")]
+    parts = run["grid"].split(",")
     if len(parts) != 3:
-        raise ConfigError(f"[run] grid must be 'lo,hi,count', got {grid_raw!r}")
+        raise ConfigError(f"[run] grid must be 'lo,hi,count', got {run['grid']!r}")
+    lo, hi = (parse_number(end, "[run] grid") for end in parts[:2])
     try:
-        grid = Grid(lo=float(parts[0]), hi=float(parts[1]), count=int(parts[2]))
-    except (ValueError, ArgumentError) as exc:
+        grid = Grid(lo=lo, hi=hi, count=parse_integer(parts[2], "[run] grid"))
+    except ArgumentError as exc:
         raise ConfigError(f"[run] grid: {exc}") from exc
-
-    tol = _float(sections, "run", "tol", default=1e-9)
-    n_max = _int(sections, "run", "n_max", default=60)
-    seed = _int(sections, "run", "seed", default=0)
-    for key, value in (("tol", tol), ("n_max", n_max), ("seed", seed)):
-        check_run_number(key, value, f"[run] {key}")
+    numbers = {key: run_number(key, run[key], f"[run] {key}")
+               for key in ("tol", "n_max", "seed") if key in run}
     fmt = run.get("format", "json").strip()
     if fmt not in ("json", "csv"):
         raise ConfigError(f"[run] format must be json or csv, got {fmt!r}")
 
     return ExperimentConfig(
-        params=params,
-        modular_spec=modular_spec,
-        modular=modular,
-        phi_expr=phi_expr,
-        phi=phi,
-        alpha_spec=alpha_spec,
-        alpha=alpha,
-        method=method,
-        grid=grid,
-        tol=tol,
-        n_max=n_max,
-        seed=seed,
-        out=run.get("out"),
-        fmt=fmt,
-    )
+        params=params, modular_spec=modular_spec, modular=modular, phi_expr=phi_expr, phi=phi,
+        alpha_spec=alpha_spec, alpha=alpha, method=method, grid=grid, out=run.get("out"),
+        fmt=fmt, **numbers)
 
 
 def parse_experiment(text: str) -> ExperimentConfig:
@@ -229,48 +181,43 @@ def parse_experiment(text: str) -> ExperimentConfig:
     sections = _parse_sections(text)
     if "sweep" in sections:
         raise ConfigError("config has a [sweep] section; use the sweep command")
-    unknown = set(sections) - set(_EXPERIMENT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown section(s): {sorted(unknown)}")
     return _build_experiment(sections)
+
+
+# The parser of each sweep axis but ``modular``, whose values stay spec text.
+_AXIS_PARSERS = {"s": parse_integer, "q": parse_number, "p": parse_number, "theta": parse_number}
+
+
+def axis_values(assignment: dict[str, str]) -> dict:
+    """The sweep axis values ``assignment`` read through the input grammar: ``s`` an
+    integer, ``q``, ``p`` and ``theta`` numbers, ``modular`` its spec text."""
+    return {axis: _AXIS_PARSERS[axis](text, axis) if axis in _AXIS_PARSERS else text
+            for axis, text in assignment.items()}
 
 
 def cell_config(base: ExperimentConfig, assignment: dict[str, str]) -> ExperimentConfig:
     """The experiment of one sweep cell: ``base`` with the axis values ``assignment``.
 
-    Each value goes through the parser of its axis: ``s`` and ``q`` through
-    ``EquationParams``, ``p`` and ``theta`` through ``ControlFunction.power``
-    (which needs a power control in ``base``), ``modular`` through
-    ``parse_modular``.
+    Each value is read by ``axis_values``, then checked by the parser of its
+    axis: ``s`` and ``q`` by ``EquationParams``, ``p`` and ``theta`` by
+    ``ControlFunction.power`` (which needs a power control in ``base``),
+    ``modular`` by ``parse_modular``.
     """
-    params = base.params
-    alpha = base.alpha
-    alpha_spec = base.alpha_spec
-    modular = base.modular
-    modular_spec = base.modular_spec
-    if "s" in assignment or "q" in assignment:
-        params = EquationParams(
-            s=int(assignment.get("s", params.s)),
-            q=float(assignment.get("q", params.q)),
-        )
-    if "p" in assignment or "theta" in assignment:
-        if alpha.kind != "power":
-            raise ConfigError(
-                "sweep axes 'p'/'theta' need a power control function, "
-                f"got {alpha_spec!r}"
-            )
-        alpha = ControlFunction.power(
-            float(assignment.get("theta", alpha.theta)),
-            float(assignment.get("p", alpha.p)),
-        )
-        alpha_spec = alpha.spec_string()
-    if "modular" in assignment:
-        modular_spec = assignment["modular"]
-        modular = parse_modular(modular_spec)
-    return dataclasses.replace(
-        base, params=params, alpha=alpha, alpha_spec=alpha_spec,
-        modular=modular, modular_spec=modular_spec,
-    )
+    values = axis_values(assignment)
+    cell = {}
+    if "s" in values or "q" in values:
+        cell["params"] = EquationParams(s=values.get("s", base.params.s),
+                                        q=values.get("q", base.params.q))
+    if "p" in values or "theta" in values:
+        if base.alpha.kind != "power":
+            raise ConfigError("sweep axes 'p'/'theta' need a power control function, "
+                              f"got {base.alpha_spec!r}")
+        alpha = ControlFunction.power(values.get("theta", base.alpha.theta),
+                                      values.get("p", base.alpha.p))
+        cell.update(alpha=alpha, alpha_spec=alpha.spec_string())
+    if "modular" in values:
+        cell.update(modular=parse_modular(values["modular"]), modular_spec=values["modular"])
+    return dataclasses.replace(base, **cell)
 
 
 def parse_sweep(text: str) -> SweepConfig:
@@ -284,17 +231,13 @@ def parse_sweep(text: str) -> SweepConfig:
     if "sweep" not in sections:
         raise ConfigError("sweep config needs a [sweep] section")
     sweep_raw = sections.pop("sweep")
-    unknown = set(sections) - set(_EXPERIMENT_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown section(s): {sorted(unknown)}")
     for key, why in (("out", "its directory is [sweep] outdir or --out"),
                      ("format", "its cell reports are JSON")):
         if key in sections.get("run", {}):
             raise ConfigError(f"[run] {key} is not a sweep key: {why}")
     base = _build_experiment(sections)
 
-    allowed = set(SWEEP_AXES) | {"outdir"}
-    bad = set(sweep_raw) - allowed
+    bad = set(sweep_raw) - {*SWEEP_AXES, "outdir"}
     if bad:
         raise ConfigError(f"unknown key(s) {sorted(bad)} in [sweep]")
     axes: dict[str, list[str]] = {}
@@ -304,9 +247,7 @@ def parse_sweep(text: str) -> SweepConfig:
             if not values:
                 raise ConfigError(f"[sweep] {axis}: empty value list")
             axes[axis] = values
-    total = 1
-    for values in axes.values():
-        total *= len(values)
+    total = math.prod(len(values) for values in axes.values())
     if total > SWEEP_CAP:
         raise ConfigError(f"sweep has {total} cells, exceeding the cap of {SWEEP_CAP}")
     # Each axis checks its values independently of the others, so a value
@@ -317,5 +258,4 @@ def parse_sweep(text: str) -> SweepConfig:
                 cell_config(base, {axis: value})
             except ValueError as exc:  # ConfigError and ArgumentError included
                 raise ConfigError(f"[sweep] {axis} = {value}: {exc}") from exc
-    outdir = sweep_raw.get("outdir", "sweep")
-    return SweepConfig(base=base, axes=axes, outdir=outdir)
+    return SweepConfig(base=base, axes=axes, outdir=sweep_raw.get("outdir", "sweep"))

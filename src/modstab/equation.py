@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
-from .functions import FunctionHandle, power
+from .functions import FunctionHandle, parse_spec, power
 from .modular import ModularSpec, rho_eval_array
 
 __all__ = [
@@ -50,6 +50,8 @@ class EquationParams:
     def __post_init__(self):
         if self.s < 3 or self.s % 2 == 0:
             raise ArgumentError(f"s must be an odd integer >= 3, got {self.s}")
+        if self.s > 1.7976931348623157e308:  # the routes take 1/s and 2**(p/s) in floats
+            raise ArgumentError("s must be at most 1.7976931348623157e308, the largest float")
         if self.q == 0 or abs(self.q) > 1.0 or not math.isfinite(self.q):
             raise ArgumentError(f"q must satisfy 0 < |q| <= 1, got {self.q}")
 
@@ -245,15 +247,11 @@ def control_eval_many(
 
 
 def parse_control(text: str) -> ControlFunction:
-    """Parse ``"power:theta=...,p=..."`` or ``"const:eps=..."``."""
-    s = text.strip()
+    """Parse ``"power:theta=...,p=..."`` or ``"const:eps=..."`` (see ``functions.parse_spec``)."""
+    kind, fields = parse_spec(text, "control", {"power": ("theta", "p"), "const": ("eps",)})
     try:
-        if s.startswith("power:"):
-            fields = dict(part.split("=", 1) for part in s[len("power:"):].split(","))
-            return ControlFunction.power(float(fields["theta"]), float(fields["p"]))
-        if s.startswith("const:"):
-            fields = dict(part.split("=", 1) for part in s[len("const:"):].split(","))
-            return ControlFunction.constant(float(fields["eps"]))
-    except (KeyError, ValueError, ArgumentError) as exc:
+        if kind == "power":
+            return ControlFunction.power(fields["theta"], fields["p"])
+        return ControlFunction.constant(fields["eps"])
+    except ArgumentError as exc:
         raise ConfigError(f"malformed control spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown control spec {text!r} (expected 'power:...' or 'const:...')")

@@ -26,6 +26,16 @@ the handle reads ``inf`` there.  A sum folds its terms left from the int
 ``0``, which is what ``sum()`` did before Python 3.12 made it compensated,
 so evaluation is a pure function of (expression, x) that gives identical
 output bits on every supported Python.
+
+The module also holds modstab's one input grammar: every number, integer
+and spec string modstab reads as text -- config values, command-line
+flags, sweep axis values, spec strings and the expression itself -- goes
+through ``parse_number``, ``parse_integer`` or ``parse_spec``, in ASCII
+only.  A number is a decimal with an optional exponent: no ``_``
+separators, no ``inf`` or ``nan``, no digits outside 0-9, and its value
+must be finite.  An integer is digits with an optional sign, read by
+``int`` exactly, never through a float.  Spaces and tabs around a token are
+ignored, and no other whitespace is.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ import numpy as np
 
 from .errors import ArgumentError, ConfigError
 
-__all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression"]
+__all__ = ["FunctionHandle", "monomial", "sine", "envelope_noise", "parse_expression",
+           "parse_number", "parse_integer", "parse_spec"]
 
 
 def mapped(fn, *args, raised: np.ndarray | None = None) -> np.ndarray:
@@ -223,53 +234,111 @@ def envelope_noise(amplitude: float, exponent: float, seed: int) -> FunctionHand
     return FunctionHandle(*_envelope_noise(float(amplitude), float(exponent), _seed(seed)))
 
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_ATOM_RE = re.compile(
-    rf"(?P<name>mono|sine|envnoise)\(\s*(?P<args>{_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\)"
-)
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_BLANK = " \t"
 
 
-def _finite(number: str, text: str) -> float:
-    value = float(number)
+def parse_number(text: str, what: str) -> float:
+    """``text`` as a finite float; ``what`` names it in the ``ConfigError`` that refuses it."""
+    token = text.strip(_BLANK)
+    if _NUMBER_RE.fullmatch(token) is None:
+        raise ConfigError(f"{what}: not a number: {token!r}")
+    value = float(token)
     if not math.isfinite(value):
-        raise ConfigError(f"number {number.strip()} in {text!r} must be finite")
+        raise ConfigError(f"{what}: not a finite number: {token!r}")
     return value
+
+
+def parse_integer(text: str, what: str) -> int:
+    """``text`` as an exact int; ``what`` names it in the ``ConfigError`` that refuses it."""
+    token = text.strip(_BLANK)
+    if _INTEGER_RE.fullmatch(token) is None:
+        raise ConfigError(f"{what}: not an integer: {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ConfigError(f"{what}: integer of {len(token)} characters is too long") from None
+
+
+def parse_spec(text: str, what: str, kinds: dict[str, tuple[str, ...]]) -> tuple[str, dict]:
+    """A ``kind:key=value,...`` spec string as ``(kind, {key: number})``.
+
+    ``kinds`` maps each kind to its keys; a kind with none is written bare
+    (``exp``).  Each key of the kind appears exactly once, no other key is
+    allowed, each value is a ``parse_number``, and spaces and tabs around
+    ``:``, ``=`` and ``,`` are ignored.  ``what`` names the spec in the
+    ``ConfigError`` that refuses it.
+    """
+    kind, colon, body = text.partition(":")
+    kind = kind.strip(_BLANK)
+    keys = kinds.get(kind)
+    if keys is None:
+        forms = " or ".join(repr(f"{k}:" + ",".join(f"{key}=..." for key in ks) if ks else k)
+                            for k, ks in kinds.items())
+        raise ConfigError(f"unknown {what} spec {text!r} (expected {forms})")
+    malformed = f"malformed {what} spec {text!r}"
+    fields: dict[str, float] = {}
+    for item in body.split(",") if colon else ():
+        key, equals, value = (part.strip(_BLANK) for part in item.partition("="))
+        if not equals:
+            raise ConfigError(f"{malformed}: expected key=value, got {item.strip(_BLANK)!r}")
+        if key not in keys:
+            raise ConfigError(f"{malformed}: unknown key {key!r}")
+        if key in fields:
+            raise ConfigError(f"{malformed}: duplicate key {key!r}")
+        fields[key] = parse_number(value, f"{malformed}: {key}")
+    for key in keys:
+        if key not in fields:
+            raise ConfigError(f"{malformed}: missing key {key!r}")
+    return kind, fields
+
+
+# Each atom's closure builder and its arguments, each with its name and parser.
+_ATOMS = {
+    "mono": (_monomial, (("coefficient", parse_number), ("power", parse_integer))),
+    "sine": (_sine, (("amplitude", parse_number), ("frequency", parse_number))),
+    "envnoise": (_envelope_noise, (("amplitude", parse_number), ("exponent", parse_number),
+                                   ("seed", parse_integer))),
+}
+_ATOM_RE = re.compile(
+    rf"(?P<name>mono|sine|envnoise)\([ \t]*(?P<args>{_NUMBER}(?:[ \t]*,[ \t]*{_NUMBER})*)[ \t]*\)"
+)
 
 
 def _parse_atom(text: str):
     """``(closure, description)`` of one atom."""
-    m = _ATOM_RE.fullmatch(text.strip())
+    m = _ATOM_RE.fullmatch(text.strip(_BLANK))
     if m is None:
         raise ConfigError(f"malformed function atom {text!r}")
     name = m.group("name")
+    build, params = _ATOMS[name]
     args = m.group("args").split(",")
-    arity = 3 if name == "envnoise" else 2
-    if len(args) != arity:
-        raise ConfigError(f"{name} takes {arity} arguments, got {len(args)} in {text!r}")
-    args = [_finite(a, text) for a in args]
-    try:  # the library constructors' checks, reported as config errors
-        if name == "mono":
-            args[1] = _integral(args[1], "mono power")
-        elif name == "envnoise":
-            args[2] = _seed(args[2])
-    except ArgumentError as exc:
-        raise ConfigError(f"{exc} in {text!r}") from exc
-    return {"mono": _monomial, "sine": _sine, "envnoise": _envelope_noise}[name](*args)
+    if len(args) != len(params):
+        raise ConfigError(f"{name} takes {len(params)} arguments, got {len(args)} in {text!r}")
+    args = [parse(arg, f"{name} {param} in {text!r}") for arg, (param, parse) in zip(args, params)]
+    if name == "envnoise":
+        try:  # the library constructor's check, reported as a config error
+            _seed(args[2])
+        except ArgumentError as exc:
+            raise ConfigError(f"{exc} in {text!r}") from exc
+    return build(*args)
 
 
 def _parse_term(text: str):
-    t = text.strip()
+    t = text.strip(_BLANK)
     if not t:
         raise ConfigError("empty term in function expression")
     if "*" in t:
         head, _, tail = t.partition("*")
-        if re.fullmatch(_NUMBER, head.strip()):
+        if _NUMBER_RE.fullmatch(head.strip(_BLANK)):
             factor, atom = head, tail
-        elif re.fullmatch(_NUMBER, tail.strip()):
+        elif _NUMBER_RE.fullmatch(tail.strip(_BLANK)):
             factor, atom = tail, head
         else:
             raise ConfigError(f"scalar multiple must pair a number with an atom: {text!r}")
-        factor = _finite(factor, text)
+        factor = parse_number(factor, f"factor in {text!r}")
         f, desc = _parse_atom(atom)
         return _scale(factor, f), f"{factor:g}*({desc})"
     return _parse_atom(t)
@@ -281,10 +350,11 @@ def parse_expression(text: str) -> FunctionHandle:
     The handle's description is the normalized expression.
     """
     # Split on '+' at top level; atoms never nest, but numeric literals may
-    # carry a sign or exponent, so split only on '+' preceded by ')' or digit
-    # and followed by something that starts a term.
-    pieces = re.split(r"(?<=[)\d])\s*\+\s*(?=[a-zA-Z+-]|\d|\.)", text.strip())
-    if not pieces or not text.strip():
+    # carry a sign or exponent, so split only on '+' preceded by what ends a
+    # term (')', a digit, or the '.' of a number such as '5.') and followed by
+    # something that starts a term.
+    pieces = re.split(r"(?<=[).0-9])[ \t]*\+[ \t]*(?=[a-zA-Z+-]|[0-9]|\.)", text.strip(_BLANK))
+    if not pieces or not text.strip(_BLANK):
         raise ConfigError("empty function expression")
     fs, descs = zip(*(_parse_term(p) for p in pieces))
     if len(fs) == 1:

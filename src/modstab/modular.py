@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
-from .functions import mapped, power
+from .functions import mapped, parse_spec, power
 
 __all__ = [
     "ModularSpec",
@@ -259,20 +259,11 @@ def check_modular_axioms(spec: ModularSpec, samples: list[float]) -> AxiomReport
 
 
 def parse_modular(text: str) -> ModularSpec:
-    """Parse a modular spec string: ``"power:p=2"`` or ``"exp"``."""
-    s = text.strip()
-    if s == "exp":
+    """Parse a modular spec string: ``"power:p=2"`` or ``"exp"`` (see ``functions.parse_spec``)."""
+    kind, fields = parse_spec(text, "modular", {"power": ("p",), "exp": ()})
+    if kind == "exp":
         return ModularSpec.exp()
-    if s.startswith("power:"):
-        body = s[len("power:"):]
-        if not body.startswith("p="):
-            raise ConfigError(f"malformed modular spec {text!r}: expected power:p=<value>")
-        try:
-            p = float(body[2:])
-        except ValueError as exc:
-            raise ConfigError(f"malformed modular spec {text!r}: bad exponent") from exc
-        try:
-            return ModularSpec.power(p)
-        except ArgumentError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown modular spec {text!r} (expected 'power:p=...' or 'exp')")
+    try:
+        return ModularSpec.power(fields["p"])
+    except ArgumentError as exc:
+        raise ConfigError(str(exc)) from exc

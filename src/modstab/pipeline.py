@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SWEEP_AXES, ExperimentConfig, SweepConfig, cell_config
+from .config import SWEEP_AXES, ExperimentConfig, SweepConfig, axis_values, cell_config
 from .direct import (Mode, construct_limit, doubling_constant, limit_function,
                      representative_point, require_convergent, require_finite_bound,
                      route_bounds, route_line, route_ratio)
@@ -219,15 +219,12 @@ def _limit_section(cfg: ExperimentConfig, mode: Mode, memo: dict) -> _Route:
         ratio = route_ratio(mode, cfg.alpha, s, tau)
         converged = ratio < 1.0
         section["regime"] = {"ok": True, "ratio": ratio}  # a refusal below replaces it
-        # One bound row over the grid, gated and reported at x_repr.  A
-        # refused route needs that one point only.
-        if not converged:
-            line, end = route_line(mode, cfg.alpha, s, np.array([x_repr])), 0
-        else:
-            table = _table(cfg, memo)
-            cols = table.grid_index
-            line = (_expand_line(cfg, memo)[cols] if mode is Mode.EXPAND
-                    else route_line(mode, cfg.alpha, s, table.point_array[cols]))
+        # One bound row over the grid, gated and reported at x_repr, whether
+        # or not the route converges.
+        table = _table(cfg, memo)
+        cols = table.grid_index
+        line = (_expand_line(cfg, memo)[cols] if mode is Mode.EXPAND
+                else route_line(mode, cfg.alpha, s, table.point_array[cols]))
         row = route_bounds(mode, tau, ratio, line)
         value = float(row[end])
         section["series"] = {"value": value, "converged": converged, "ratio": ratio}
@@ -418,7 +415,7 @@ def _run_cells(sweep: SweepConfig, cells: list) -> tuple[list[list], list[tuple[
             cfg = cell_config(base, assignment)
             report, _, routes = _run(cfg, memo)
         except (ModstabError, ValueError, OverflowError) as exc:  # one row for the cell
-            get = assignment.get
+            get = axis_values(assignment).get  # printed as a cell that runs prints them
             cell = [get("s", base.params.s), get("q", base.params.q), get("p"), get("theta"),
                     get("modular", base.modular_spec)]
             rows.append(_summary_row(cell, base.method, _refuse({}, exc)))

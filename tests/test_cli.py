@@ -17,6 +17,8 @@ from modstab import (ContractViolation, DefectHypothesisError, Mode, ModstabErro
 from modstab import cli
 from modstab.cli import main
 from modstab.config import parse_experiment
+from modstab.errors import ConfigError
+from modstab.functions import parse_expression
 from modstab.direct import (doubling_constant, representative_point, require_convergent,
                             require_finite_bound)
 from modstab.report import canonical_json
@@ -247,11 +249,16 @@ class TestUnrepresentableConfig:
         assert not out.exists()
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["-inf,10,11", "-1e308,1.7e308,11"])
-    def test_grid_span_must_be_finite(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("grid, message", [
+        # inf is no number of the input grammar, so the span is never formed
+        ("-inf,10,11", "[run] grid: not a number: '-inf'"),
+        ("-1e308,1.7e308,11", "[run] grid: grid needs lo < hi with a finite hi - lo, "
+                              "got [-1e+308, 1.7e+308]"),
+    ], ids=["-inf,10,11", "-1e308,1.7e308,11"])
+    def test_grid_span_must_be_finite(self, tmp_path, capsys, grid, message):
         code, err = self._run(tmp_path, capsys, "grid = -10,10,41", f"grid = {grid}")
         assert code == 4
-        assert "grid needs lo < hi with a finite hi - lo" in err
+        assert err == f"config error: {message}\n"
 
     def test_doubling_constant_must_be_finite(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "spec = power:p=1", "spec = power:p=1024")
@@ -265,34 +272,59 @@ class TestUnrepresentableConfig:
     @pytest.mark.parametrize("alpha", ["power:theta=nan,p=1", "power:theta=1,p=nan",
                                        "power:theta=1,p=inf", "const:eps=nan"])
     def test_control_parameters_must_be_finite(self, tmp_path, capsys, alpha):
+        # inf and nan are no numbers of the input grammar; the spec parser
+        # names the key and the token.
         code, err = self._run(tmp_path, capsys, "spec = const:eps=0.1", f"spec = {alpha}")
         assert code == 4
-        assert "control parameters must be finite" in err
+        key, token = re.search(r"(\w+)=(nan|inf)", alpha).groups()
+        assert err == (f"config error: malformed control spec {alpha!r}: "
+                       f"{key}: not a number: {token!r}\n")
+
+    def test_control_parameters_must_be_non_negative(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "spec = const:eps=0.1",
+                              "spec = power:theta=1,p=-1")
+        assert code == 4
+        assert err == ("config error: malformed control spec 'power:theta=1,p=-1': "
+                       "control parameters must be finite and >= 0\n")
 
     def test_tol_must_be_finite(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "tol = 1e-9", "tol = nan")
         assert code == 4
-        assert "[run] tol must be positive and finite, got nan" in err
+        assert err == "config error: [run] tol: not a number: 'nan'\n"
+        code, err = self._run(tmp_path, capsys, "tol = 1e-9", "tol = 1e400")
+        assert code == 4
+        assert err == "config error: [run] tol: not a finite number: '1e400'\n"
+        code, err = self._run(tmp_path, capsys, "tol = 1e-9", "tol = 0")
+        assert code == 4
+        assert err == "config error: [run] tol must be positive and finite, got 0.0\n"
 
     def test_tol_override_must_be_finite(self, tmp_path, capsys):
+        # The command line's numbers are read by the config's parser.
         code, err = self._run(tmp_path, capsys, args=("--tol", "nan"))
         assert code == 4
-        assert "--tol must be positive and finite" in err
+        assert err == "config error: --tol: not a number: 'nan'\n"
+        code, err = self._run(tmp_path, capsys, args=("--tol", "-1"))
+        assert code == 4
+        assert err == "config error: --tol must be positive and finite, got -1.0\n"
 
     @pytest.mark.parametrize("expr, message", [
-        ("mono(1,1e400)", "number 1e400 in 'mono(1,1e400)' must be finite"),
-        ("mono(1e400,3)", "number 1e400 in 'mono(1e400,3)' must be finite"),
-        ("sine(1,1e400)", "number 1e400 in 'sine(1,1e400)' must be finite"),
-        ("envnoise(0.1,1,1e400)", "number 1e400 in 'envnoise(0.1,1,1e400)' must be finite"),
-        ("envnoise(0.1,1,-5)", "envnoise seed must be non-negative, got -5"),
-        ("mono(1,2.5)", "mono power must be an integer, got 2.5 in 'mono(1,2.5)'"),
-        ("envnoise(0.1,1,7.5)", "envnoise seed must be an integer, got 7.5"),
+        # a power and a seed are integers, so 1e400 is refused as no integer
+        ("mono(1,1e400)", "mono power in 'mono(1,1e400)': not an integer: '1e400'"),
+        ("mono(1e400,3)", "mono coefficient in 'mono(1e400,3)': not a finite number: '1e400'"),
+        ("sine(1,1e400)", "sine frequency in 'sine(1,1e400)': not a finite number: '1e400'"),
+        ("envnoise(0.1,1,1e400)",
+         "envnoise seed in 'envnoise(0.1,1,1e400)': not an integer: '1e400'"),
+        ("envnoise(0.1,1,-5)", "envnoise seed must be non-negative, got -5 "
+                               "in 'envnoise(0.1,1,-5)'"),
+        ("mono(1,2.5)", "mono power in 'mono(1,2.5)': not an integer: '2.5'"),
+        ("envnoise(0.1,1,7.5)", "envnoise seed in 'envnoise(0.1,1,7.5)': not an integer: '7.5'"),
+        ("1e400*mono(1,3)", "factor in '1e400*mono(1,3)': not a finite number: '1e400'"),
     ])
     def test_expression_numbers_must_be_usable(self, tmp_path, capsys, expr, message):
         code, err = self._run(tmp_path, capsys, "expr = mono(1,3) + sine(0.1,1)",
                               f"expr = {expr}")
         assert code == 4
-        assert err.startswith("config error: ") and message in err
+        assert err == f"config error: {message}\n"
 
     def test_n_max_beyond_float_powers(self, tmp_path, capsys):
         # 2**n_max must be a float: 2.0**1024 overflows in every route
@@ -495,15 +527,26 @@ def test_a_report_prints_the_routes_own_refusal(tmp_path, method, config, route,
     assert not report["regime_ok"]
 
 
-def test_astral_characters_round_trip(tmp_path):
-    # float() accepts any Unicode digit, here MATHEMATICAL BOLD DIGIT ONE
+def test_astral_characters_are_refused_by_byte(tmp_path, capsys):
+    # float() accepts any Unicode digit, here MATHEMATICAL BOLD DIGIT ONE; the
+    # input grammar is ASCII, so the file is refused at the digit's first byte
+    # and nothing is written.  (tests/test_report.py covers the escaping of
+    # astral characters in a report.)
     expr = "mono(\U0001d7cf,3)"
+    text = BASE.format(phi=expr, alpha="const:eps=0.1", method="t2")
     cfg = tmp_path / "astral.cfg"
-    cfg.write_text(BASE.format(phi=expr, alpha="const:eps=0.1", method="t2"),
-                   encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "r.json"
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
-    assert json.loads(out.read_text(encoding="ascii"))["config"]["phi"] == expr
+    assert main(["run", str(cfg), "--out", str(out)]) == 4
+    offset = text.encode().index(b"mono(") + len("mono(")
+    assert capsys.readouterr() == ("", f"config error: config file has byte 0xf0 at offset "
+                                       f"{offset}; only printable ASCII, tab, CR and LF are "
+                                       f"allowed\n")
+    assert not out.exists()
+    # The library parser, which reads text, refuses the digit too.
+    with pytest.raises(ConfigError) as caught:
+        parse_expression(expr)
+    assert str(caught.value) == f"malformed function atom {expr!r}"
 
 
 class TestSweep:
@@ -631,20 +674,27 @@ class TestSweep:
     def test_a_cell_that_fails_is_one_error_row(self, tmp_path, monkeypatch):
         # The row holds the assignment's values, the base's where it has
         # none, and the base method; the cells after it still run.
+        # Its axis values are read as a cell that runs reads them, so each
+        # column has one format: 0.05 prints as the float it parses to.
         build = pipeline.cell_config
 
         def cell_config(base, assignment):
-            if assignment.get("p") == "2":
-                raise ModstabError("no cell at p = 2")
+            if assignment.get("p") in ("2", "0.05"):
+                raise ModstabError(f"no cell at p = {assignment['p']}")
             return build(base, assignment)
 
         monkeypatch.setattr(pipeline, "cell_config", cell_config)
-        rows = self._summary(tmp_path, "p = 1,2,4")
-        assert [row[2] for row in rows] == ["1"] * 3 + ["2"] + ["4"] * 3
+        rows = self._summary(tmp_path, "p = 1,2,4,0.05")
+        assert [row[2] for row in rows] == ["1"] * 3 + ["2"] + ["4"] * 3 + ["0.050000000000000003"]
         assert rows[3] == ["3", "1", "2", "", "power:p=1", "all", "false", "", "", "",
                            "no cell at p = 2"]
-        assert [row[5] for row in rows[4:]] == ["t1", "t2", "fixedpoint"]
+        assert [row[5] for row in rows[4:7]] == ["t1", "t2", "fixedpoint"]
         assert rows[4][6] == "true" and rows[4][9] != ""
+        assert rows[7] == ["3", "1", "0.050000000000000003", "", "power:p=1", "all", "false",
+                           "", "", "", "no cell at p = 0.05"]
+        monkeypatch.undo()
+        shutil.rmtree(tmp_path / "sw")
+        assert {row[2] for row in self._summary(tmp_path, "p = 0.05")} == {"0.050000000000000003"}
 
     def test_sweep_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, phi="mono(1,3) + envnoise(0.01,1,11)",

@@ -147,22 +147,25 @@ def test_sweep_refuses_the_run_keys_it_would_ignore(line, why):
 
 @pytest.mark.parametrize("axis, values, message", [
     ("s", "3,4", "s must be an odd integer >= 3, got 4"),
-    ("s", "3,5.0", "invalid literal for int()"),
+    ("s", "3,5.0", "s: not an integer: '5.0'"),
+    ("s", "3,\uff15", "s: not an integer: '\uff15'"),  # FULLWIDTH DIGIT FIVE
     ("q", "1,0", "q must satisfy 0 < |q| <= 1, got 0.0"),
     ("q", "0.5,-2", "q must satisfy 0 < |q| <= 1, got -2.0"),
-    ("q", "1,x", "could not convert string to float"),
+    ("q", "1,x", "q: not a number: 'x'"),
+    ("q", "1,1_0", "q: not a number: '1_0'"),
     ("p", "1,-1", "control parameters must be finite and >= 0"),
-    ("p", "1,inf", "control parameters must be finite and >= 0"),
-    ("theta", "0.5,nan", "control parameters must be finite and >= 0"),
-    ("modular", "power:p=1,bogus", "unknown modular spec 'bogus'"),
-    ("modular", "exp,power:p=0.5", "power modular needs exponent p >= 1"),
+    ("p", "1,inf", "p: not a number: 'inf'"),
+    ("p", "1,1e400", "p: not a finite number: '1e400'"),
+    ("theta", "0.5,nan", "theta: not a number: 'nan'"),
+    ("modular", "power:p=1,bogus", "unknown modular spec 'bogus' "
+                                   "(expected 'power:p=...' or 'exp')"),
+    ("modular", "exp,power:p=0.5", "power modular needs exponent p >= 1, got 0.5"),
 ])
 def test_sweep_axis_value_a_cell_cannot_parse_is_config_error(axis, values, message):
     bad = values.split(",")[-1]
-    with pytest.raises(ConfigError, match=r"^\[sweep\] " + axis + " = ") as caught:
+    with pytest.raises(ConfigError) as caught:
         parse_sweep(POWER_GOOD + f"\n[sweep]\n{axis} = {values}\n")
-    assert f"[sweep] {axis} = {bad}: " in str(caught.value)
-    assert message in str(caught.value)
+    assert str(caught.value) == f"[sweep] {axis} = {bad}: {message}"
 
 
 @pytest.mark.parametrize("axis", ["p", "theta"])

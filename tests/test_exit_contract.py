@@ -141,7 +141,11 @@ def test_a_grid_past_the_point_cap_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "{cfg}", "--n-max", "abc"], "argument --n-max: invalid int value: 'abc'"),
+    (["run", "{cfg}", "--n-max", "abc"], "--n-max: not an integer: 'abc'"),
+    (["sweep", "{cfg}", "--n-max", "\uff16"], "--n-max: not an integer: '\uff16'"),
+    (["run", "{cfg}", "--tol", "1_0e-1_0"], "--tol: not a number: '1_0e-1_0'"),
+    (["check-modular", "power:p=1_0"], "malformed modular spec 'power:p=1_0': "
+                                       "p: not a number: '1_0'"),
     (["run"], "the following arguments are required: config"),
     ([], "the following arguments are required: command"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
@@ -158,24 +162,29 @@ def test_a_refused_command_line_exits_4(tmp_path, capsys, argv, message):
     assert os.listdir(tmp_path) == ["run.cfg"]
 
 
-NOT_UTF8 = "config error: config file is not UTF-8: byte 0x{:02x} at offset {} ({})\n"
+NOT_TEXT = ("config error: config file has byte 0x{:02x} at offset {}; only printable ASCII, "
+            "tab, CR and LF are allowed\n")
 
 
 @pytest.mark.parametrize("encode, line", [
-    (lambda text: b"\xff\xfe" + text.encode(), NOT_UTF8.format(0xff, 0, "invalid start byte")),
-    (lambda text: codecs.BOM_UTF16_BE + text.encode("utf-16-be"),
-     NOT_UTF8.format(0xfe, 0, "invalid start byte")),
-    (lambda text: ("# caf\xe9\n" + text).encode("latin-1"),
-     NOT_UTF8.format(0xe9, 5, "invalid continuation byte")),
-    (lambda text: codecs.BOM_UTF8 + text.encode(),
-     "config error: config file starts with a UTF-8 byte order mark (ef bb bf); "
-     "save it as UTF-8 without one\n"),
-], ids=["ff_fe", "utf16", "latin1", "utf8_bom"])
+    (lambda text: b"\xff\xfe" + text.encode(), NOT_TEXT.format(0xff, 0)),
+    (lambda text: codecs.BOM_UTF16_BE + text.encode("utf-16-be"), NOT_TEXT.format(0xfe, 0)),
+    (lambda text: text.encode("utf-16-le"), NOT_TEXT.format(0x00, 1)),
+    (lambda text: ("# caf\xe9\n" + text).encode("latin-1"), NOT_TEXT.format(0xe9, 5)),
+    (lambda text: ("# caf\xe9\n" + text).encode(), NOT_TEXT.format(0xc3, 5)),
+    (lambda text: codecs.BOM_UTF8 + text.encode(), NOT_TEXT.format(0xef, 0)),
+    (lambda text: text.replace("s = 3", "s = 3\x00").encode(),
+     NOT_TEXT.format(0x00, len("[equation]\ns = 3"))),
+    (lambda text: text.replace("s = 3", "s = 3\x0c").encode(),
+     NOT_TEXT.format(0x0c, len("[equation]\ns = 3"))),
+], ids=["ff_fe", "utf16", "utf16le_no_bom", "latin1", "utf8", "utf8_bom", "nul", "form_feed"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_a_config_file_that_is_not_plain_utf8_exits_4(tmp_path, capsys, command, encode, line):
-    # Decoding fails before any parse: one config error line that names the
-    # offending byte and its offset in the file, and nothing written.  A BOM
-    # is refused by name rather than skipped, as it was refused before.
+def test_a_config_file_that_is_not_printable_ascii_exits_4(tmp_path, capsys, command, encode,
+                                                          line):
+    # One check before any parse: the first byte that is not printable ASCII,
+    # tab, CR or LF is refused by value and offset, with one config error line,
+    # and nothing is written.  That names a UTF-16 file without a byte order
+    # mark by its first NUL byte, and a UTF-8 BOM by its first byte.
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(encode(CONFIG.format(**BASE) + (SWEEP if command == "sweep" else "")))
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 4

@@ -29,7 +29,7 @@ from modstab import (
     seeded_triples,
     sine,
 )
-from modstab.functions import mapped
+from modstab.functions import mapped, parse_integer, parse_number, parse_spec
 
 xs = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -74,11 +74,124 @@ def test_parse_rejects_malformed(bad):
         parse_expression(bad)
 
 
-def test_parse_accepts_integral_spellings():
-    # a power or a seed written with a zero fraction is that integer
-    assert parse_expression("mono(1,3.0)").description == "mono(1,3)"
-    f, g = parse_expression("envnoise(0.1,1,7.0)"), parse_expression("envnoise(0.1,1,7)")
-    assert f.description == g.description and f(1.5) == g(1.5)
+def test_a_factor_that_ends_in_a_point_ends_its_term():
+    # 5. is a number of the grammar, so '+' after it joins two terms.
+    assert parse_expression("mono(1,3)*5. + mono(1,3)").description == (
+        "5*(mono(1,3)) + mono(1,3)")
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("mono(1,3.0)", "mono power in 'mono(1,3.0)': not an integer: '3.0'"),
+    ("mono(1,3e0)", "mono power in 'mono(1,3e0)': not an integer: '3e0'"),
+    ("envnoise(0.1,1,7.0)", "envnoise seed in 'envnoise(0.1,1,7.0)': not an integer: '7.0'"),
+])
+def test_parse_refuses_a_fraction_where_an_integer_goes(expr, message):
+    # A power or a seed is an integer token, as s and n_max are: 3.0 is
+    # refused everywhere an integer goes, not accepted in one place only.
+    with pytest.raises(ConfigError) as caught:
+        parse_expression(expr)
+    assert str(caught.value) == message
+
+
+def test_parse_reads_a_seed_past_2_to_the_53_exactly():
+    # Read through a float, 2**53 + 1 was the seed 2**53 while the echo said 2**53 + 1.
+    f = parse_expression("envnoise(1,1,9007199254740993)")
+    assert f.description == "envnoise(1,1,9007199254740993)"
+    xs = np.linspace(-3.0, 3.0, 13)
+    assert f.many(xs).tobytes() == envelope_noise(1, 1, 2**53 + 1).many(xs).tobytes()
+    assert f.many(xs).tobytes() != envelope_noise(1, 1, 2**53).many(xs).tobytes()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1.0), ("+1", 1.0), ("-1.5", -1.5), (".5", 0.5), ("5.", 5.0), ("1e5", 1e5),
+    ("1E-5", 1e-5), (" 2\t", 2.0), ("-0", -0.0), ("1e-400", 0.0), ("007", 7.0),
+])
+def test_parse_number_reads_ascii_decimals(text, value):
+    got = parse_number(text, "x")
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "\u0663", "\uff13", "\U0001d7cf", "inf", "-Infinity", "nan", "0x10", "1e", "e5",
+    "", " ", "1 2", "\u00a01", "1\x00", "--1", "1e+-5",
+])
+def test_parse_number_refuses_what_is_not_an_ascii_decimal(text):
+    # float() accepts the first eight, and an NBSP around a number
+    with pytest.raises(ConfigError) as caught:
+        parse_number(text, "[run] tol")
+    assert str(caught.value) == f"[run] tol: not a number: {text.strip(' ')!r}"
+
+
+def test_parse_number_refuses_a_decimal_past_the_float_range():
+    with pytest.raises(ConfigError) as caught:
+        parse_number("-1e400", "q")
+    assert str(caught.value) == "q: not a finite number: '-1e400'"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", 3), ("+3", 3), ("-0", 0), ("007", 7), ("9007199254740993", 2**53 + 1),
+])
+def test_parse_integer_reads_digits_exactly(text, value):
+    assert parse_integer(text, "s") == value
+
+
+@pytest.mark.parametrize("text", ["3.0", "3e0", "1_0", "\uff16", "", "0x10", "3 1", "inf"])
+def test_parse_integer_refuses_what_is_not_digits(text):
+    with pytest.raises(ConfigError) as caught:
+        parse_integer(text, "--n-max")
+    assert str(caught.value) == f"--n-max: not an integer: {text.strip(' ')!r}"
+
+
+def test_parse_integer_of_too_many_digits_is_a_config_error():
+    # int() refuses more digits than sys.get_int_max_str_digits() with a
+    # ValueError, which must not escape as one.
+    try:
+        value = parse_integer("9" * 5000, "s")
+    except ConfigError as exc:
+        assert str(exc) == "s: integer of 5000 characters is too long"
+    else:
+        assert value == 10**5000 - 1
+
+
+KINDS = {"power": ("theta", "p"), "exp": ()}
+
+
+@pytest.mark.parametrize("text, parsed", [
+    ("power:theta=1,p=2", ("power", {"theta": 1.0, "p": 2.0})),
+    ("power:p=2,theta=1", ("power", {"p": 2.0, "theta": 1.0})),
+    (" power : theta = 1 ,\tp = 2 ", ("power", {"theta": 1.0, "p": 2.0})),
+    ("exp", ("exp", {})),
+    (" exp ", ("exp", {})),
+])
+def test_parse_spec_reads_each_key_once(text, parsed):
+    assert parse_spec(text, "test", KINDS) == parsed
+
+
+@pytest.mark.parametrize("text, why", [
+    ("power:theta=1,p=2,foo=9", "unknown key 'foo'"),
+    ("power:theta=1,p=2,p=3", "duplicate key 'p'"),
+    ("power:theta=1", "missing key 'p'"),
+    ("power", "missing key 'theta'"),
+    ("power:theta=1,p", "expected key=value, got 'p'"),
+    ("power:theta=1,,p=2", "expected key=value, got ''"),
+    ("exp:", "expected key=value, got ''"),
+    ("exp:p=1", "unknown key 'p'"),
+    ("power:theta=1,p=1_0", "p: not a number: '1_0'"),
+    ("power:theta=1,p=\uff12", "p: not a number: '\uff12'"),
+    ("power:theta=1,p=1\x00", "p: not a number: '1\\x00'"),
+])
+def test_parse_spec_refuses_keys_other_than_each_of_its_kind_once(text, why):
+    with pytest.raises(ConfigError) as caught:
+        parse_spec(text, "test", KINDS)
+    assert str(caught.value) == f"malformed test spec {text!r}: {why}"
+
+
+@pytest.mark.parametrize("text", ["", "gauss", "Power:p=1", "\uff45xp", ":p=1"])
+def test_parse_spec_names_the_kinds_it_knows(text):
+    with pytest.raises(ConfigError) as caught:
+        parse_spec(text, "test", KINDS)
+    assert str(caught.value) == (f"unknown test spec {text!r} "
+                                 "(expected 'power:theta=...,p=...' or 'exp')")
 
 
 @pytest.mark.parametrize("build, message", [
